@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import lcm
 
 from . import exactnum, hessenberg, hypersum, verify
 from .exactnum import rational_to_json
@@ -91,8 +90,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _factored_parts(m: int, r: int) -> tuple[Fraction, RatPoly]:
     """Split the centered factor into 1/D times an integer-coefficient bracket."""
     g = hypersum.faulhaber_det(m, r).poly
-    denom = lcm(*(c.denominator for c in g.coeffs)) if g.coeffs else 1
-    return Fraction(1, denom), g.scale(denom)
+    return Fraction(1, g.denominator), g.scale(g.denominator)
 
 
 def cmd_poly(args: argparse.Namespace) -> int:

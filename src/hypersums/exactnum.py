@@ -72,13 +72,32 @@ def rising_factorial(r: int, m: int) -> int:
 class BernoulliTable:
     """Grow-on-demand cache of Bernoulli numbers, B_1 = -1/2 convention.
 
-    Uses the defining sum recurrence: B_0 = 1 and, for j >= 1,
-    sum_{i=0}^{j} C(j+1, i) B_i = 0.
+    Even indices come from the tangent numbers T_1, T_2, ... (Brent and
+    Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
+    2011): B_2t = (-1)^(t-1) 2t T_t / (4^t (4^t - 1)).  The tangent numbers
+    are the last entries of the columns of an integer triangle,
+
+        col_1 = (1),  col_j[0] = (j-1) col_{j-1}[0],
+        col_j[s] = (j-s-1) col_{j-1}[s] + (j-s+1) col_j[s-1]   (1 <= s < j),
+
+    and T_j = col_j[j-1]; only the latest column is kept, so growth by one
+    index costs O(j) integer operations.  Odd indices above 1 are zero.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
+        self._column: list[int] = []  # col_t of the last tangent number T_t computed
         self._lock = threading.Lock()
+
+    def _grow_column(self) -> None:
+        prev = self._column
+        j = len(prev) + 1
+        col = [(j - 1) * prev[0]] if prev else [1]
+        for s in range(1, j - 1):
+            col.append((j - s - 1) * prev[s] + (j - s + 1) * col[-1])
+        if j > 1:
+            col.append(2 * col[-1])
+        self._column = col
 
     def value(self, j: int) -> Fraction:
         if j < 0:
@@ -87,8 +106,18 @@ class BernoulliTable:
             with self._lock:
                 while len(self._values) <= j:
                     k = len(self._values)
-                    acc = sum(comb(k + 1, i) * self._values[i] for i in range(k))
-                    self._values.append(Fraction(-acc, k + 1))
+                    if k == 1:
+                        self._values.append(Fraction(-1, 2))
+                    elif k % 2:
+                        self._values.append(Fraction(0))
+                    else:
+                        t = k // 2
+                        while len(self._column) < t:
+                            self._grow_column()
+                        four = 4**t
+                        self._values.append(
+                            Fraction(sign_pow(t - 1) * k * self._column[-1], four * (four - 1))
+                        )
         return self._values[j]
 
     def known(self) -> list[Fraction]:
@@ -111,7 +140,7 @@ class StirlingTable:
     """
 
     def __init__(self) -> None:
-        self._rows: list[list[int]] = [[1]]
+        self._rows: list[tuple[int, ...]] = [(1,)]
         self._r_rows: dict[int, list[list[int]]] = {}
         self._lock = threading.Lock()
 
@@ -128,8 +157,8 @@ class StirlingTable:
                         above = prev[n] if n < len(prev) else 0
                         left = prev[n - 1] if 1 <= n <= len(prev) else 0
                         cur[n] = mm * above + left
-                    self._rows.append(cur)
-        return tuple(self._rows[m])
+                    self._rows.append(tuple(cur))
+        return self._rows[m]
 
     def value(self, m: int, n: int) -> int:
         if n < 0 or n > m:
@@ -170,7 +199,7 @@ class StirlingTable:
     def preload(self, rows: list[list[int]]) -> None:
         with self._lock:
             if len(rows) > len(self._rows):
-                self._rows = [list(row) for row in rows]
+                self._rows = [tuple(row) for row in rows]
 
 
 _BERNOULLI = BernoulliTable()

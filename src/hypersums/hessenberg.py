@@ -57,6 +57,7 @@ def build_matrix(m: int, r: int) -> HessenbergMatrix:
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     order = m - 1
+    empty = poly([], "N", r)
     rows = []
     for i in range(1, order + 1):
         p = i + 1
@@ -67,9 +68,9 @@ def build_matrix(m: int, r: int) -> HessenbergMatrix:
             elif j == i + 1:
                 row.append(constant(r + p, "N", r))
             elif j < i:
-                row.append(constant(Fraction(r) * binomial(p, j) * bernoulli(p - j), "N", r))
+                row.append(constant(r * binomial(p, j) * bernoulli(p - j), "N", r))
             else:
-                row.append(poly([], "N", r))
+                row.append(empty)
         rows.append(tuple(row))
     return HessenbergMatrix(m, r, tuple(rows))
 

@@ -23,17 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from . import hessenberg
 from .exactnum import (
     Rational,
     bernoulli,
-    bernoulli_or_zero,
     binomial,
     register_cache,
     rising_factorial,
     sign_pow,
+    stirling1_row,
     stirling1_unsigned,
 )
 from .polyring import (
@@ -141,6 +141,14 @@ def s1_poly(r: int) -> RatPoly:
 
 
 @lru_cache(maxsize=None)
+def _bernoulli_over_lcm(top: int) -> tuple[tuple[int, ...], int]:
+    """(D B_0, ..., D B_top) and D, the lcm of the denominators of B_0..B_top."""
+    values = [bernoulli(t) for t in range(top + 1)]
+    den = lcm(*(b.denominator for b in values))
+    return tuple(b.numerator * (den // b.denominator) for b in values), den
+
+
+@lru_cache(maxsize=None)
 def power_sum_poly(m: int) -> RatPoly:
     """The ordinary power sum 1^m + ... + n^m as a polynomial in n.
 
@@ -149,12 +157,11 @@ def power_sum_poly(m: int) -> RatPoly:
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    coeffs = [Fraction(0)] * (m + 2)
-    for t in range(1, m + 2):
-        coeffs[t] = (
-            Fraction(sign_pow(m + 1 - t) * comb(m + 1, t), m + 1) * bernoulli(m + 1 - t)
-        )
-    return poly(coeffs)
+    b_nums, b_den = _bernoulli_over_lcm(m)
+    nums = [0] + [
+        sign_pow(m + 1 - t) * comb(m + 1, t) * b_nums[m + 1 - t] for t in range(1, m + 2)
+    ]
+    return RatPoly.from_integers(nums, (m + 1) * b_den)
 
 
 @lru_cache(maxsize=None)
@@ -193,23 +200,26 @@ def coeff_c(m: int, r: int, k: int) -> Rational:
     """Coefficient of n^k in the degree m+r hyper-sum polynomial (r >= 1).
 
     Double sum over the Stirling triangle and Bernoulli numbers, with B_t = 0
-    for negative t absorbing the out-of-range index combinations.
+    for negative t absorbing the out-of-range index combinations.  The inner
+    sum over j is an integer over the common Bernoulli denominator D: its
+    terms vanish unless 0 <= m+i+j+1-k (the Bernoulli index, at most m+r-1)
+    and i+j+1 <= r (the Stirling column).
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if not 1 <= k <= m + r:
         raise ValueError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
+    b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
+    row = stirling1_row(r)
     total = Fraction(0)
     for i in range(r):
-        for j in range(k):
-            total += (
-                Fraction(sign_pow(j), m + i + 1)
-                * binomial(i + j, i)
-                * binomial(m + i + 1, k - j)
-                * stirling1_unsigned(r, i + j + 1)
-                * bernoulli_or_zero(m + i + j + 1 - k)
-            )
-    return Fraction(sign_pow(m + 1 - k), factorial(r - 1)) * total
+        top = m + i + 1
+        inner = 0
+        for j in range(max(0, k - top), min(k, r - i)):
+            term = comb(i + j, i) * comb(top, k - j) * row[i + j + 1] * b_nums[top + j - k]
+            inner += -term if j & 1 else term
+        total += Fraction(inner, top)
+    return Fraction(sign_pow(m + 1 - k), factorial(r - 1) * b_den) * total
 
 
 def coeff_c_reduced_k1(m: int, r: int) -> Rational:
@@ -225,6 +235,29 @@ def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     """S(m, r) assembled coefficient by coefficient from :func:`coeff_c`."""
     coeffs = [Fraction(0)] + [coeff_c(m, r, k) for k in range(1, m + r + 1)]
     return HyperSumPoly(m, r, poly(coeffs), "c-form")
+
+
+def _lift(
+    a: tuple[int, ...], a_den: int, b: tuple[int, ...], b_den: int, r: int
+) -> tuple[tuple[int, ...], int]:
+    """:func:`coeff_recurrence_step` on numerator vectors a/a_den and b/b_den.
+
+    Returns the lifted vector as numerators over a denominator, both divided
+    by their gcd.
+    """
+    g = gcd(a_den, b_den)
+    ua, ub = b_den // g, a_den // g  # lcm / a_den, lcm / b_den
+    padded = a + (0,)  # index -1 then reads c^0 = 0 as well
+    out = [ua * (r * padded[k] + padded[k - 1]) - ub * b[k] for k in range(len(padded))]
+    den = a_den * ua * r
+    g = gcd(den, *out)
+    return tuple(x // g for x in out), den // g
+
+
+def _over_lcm(vec: tuple[Rational, ...]) -> tuple[tuple[int, ...], int]:
+    fracs = [Fraction(c) for c in vec]
+    den = lcm(*(c.denominator for c in fracs))
+    return tuple(c.numerator * (den // c.denominator) for c in fracs), den
 
 
 def coeff_recurrence_step(
@@ -246,27 +279,25 @@ def coeff_recurrence_step(
             f"length mismatch: expected {len(c_m) + 1} coefficients for the "
             f"higher power, got {len(c_m_plus_1)}"
         )
-
-    def at(vec: tuple[Rational, ...], k: int) -> Rational:
-        return vec[k - 1] if 1 <= k <= len(vec) else Fraction(0)
-
-    return tuple(
-        at(c_m, k) + Fraction(at(c_m, k - 1) - at(c_m_plus_1, k), r)
-        for k in range(1, len(c_m) + 2)
-    )
+    nums, den = _lift(*_over_lcm(c_m), *_over_lcm(c_m_plus_1), r)
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
-    """S(m, r) by chaining :func:`coeff_recurrence_step` up from r = 1."""
+    """S(m, r) by chaining the coefficient recurrence up from r = 1.
+
+    The vectors are lifted as integer numerators over one denominator each.
+    """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    vectors = [tuple(power_sum_poly(m + i).coeffs[1:]) for i in range(r)]
+    sums = [power_sum_poly(m + i) for i in range(r)]
+    vectors = [(p.numerators[1:], p.denominator) for p in sums]
     for step_r in range(1, r):
         vectors = [
-            coeff_recurrence_step(vectors[i], vectors[i + 1], step_r)
-            for i in range(len(vectors) - 1)
+            _lift(*vectors[i], *vectors[i + 1], step_r) for i in range(len(vectors) - 1)
         ]
-    return HyperSumPoly(m, r, poly((Fraction(0),) + vectors[0]), "coeff-chain")
+    nums, den = vectors[0]
+    return HyperSumPoly(m, r, RatPoly.from_integers((0,) + nums, den), "coeff-chain")
 
 
 # -- the centered-variable recurrence -----------------------------------------
@@ -279,7 +310,7 @@ def _lemma_chain(m_max: int, r: int) -> tuple[RatPoly, ...]:
     for m in range(2, m_max + 1):
         rhs = (n_plus_half_r * polys[m - 2]).scale(m)
         for k in range(1, m - 1):
-            rhs = rhs + polys[k - 1].scale(Fraction(-r) * comb(m, k) * bernoulli(m - k))
+            rhs = rhs + polys[k - 1].scale(-r * comb(m, k) * bernoulli(m - k))
         polys.append(rhs.scale(Fraction(1, m + r)))
     return tuple(polys)
 
@@ -506,5 +537,14 @@ ROUTES = {
 }
 
 
-for _cached in (s1_poly, power_sum_poly, q_poly, _lemma_chain, faulhaber_det, _g_coeff_chain, hyper_sum_poly):
+for _cached in (
+    s1_poly,
+    power_sum_poly,
+    q_poly,
+    _bernoulli_over_lcm,
+    _lemma_chain,
+    faulhaber_det,
+    _g_coeff_chain,
+    hyper_sum_poly,
+):
     register_cache(_cached.cache_clear)

@@ -1,8 +1,15 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored in ascending degree with trailing zeros trimmed, so
-the zero polynomial is the empty tuple and ``degree`` of zero is None.  Each
-polynomial carries a variable tag:
+A polynomial is stored as a tuple of integer numerators in ascending degree
+over one positive integer denominator, the layout of FLINT's ``fmpq_poly``.
+The pair is kept primitive: gcd(denominator, all numerators) = 1 and the
+last numerator is nonzero, so the zero polynomial is the empty tuple over 1
+and ``degree`` of zero is None.  This form is unique, so equality is
+comparison of the integers.  Ring operations work on the integers alone and
+normalise once; ``coeffs`` yields the coefficients as canonical
+``Fraction`` values, built on first use.  There is no floating point.
+
+Each polynomial carries a variable tag:
 
 * ``"n"`` -- the summation variable (r context always 0),
 * ``"N"`` -- the centered variable N = n + r/2,
@@ -15,87 +22,181 @@ looks completely different in n, N and u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import gcd, lcm
 
 from .exactnum import Rational, rational_from_json, rational_to_json
 
 _VARS = ("n", "N", "u")
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _check_frame(var: str, r: int) -> None:
+    if var not in _VARS:
+        raise ValueError(f"unknown variable tag {var!r}")
+    if var == "n" and r != 0:
+        raise ValueError("n-frame polynomials carry no r context")
+
+
+def _raw(nums: tuple[int, ...], den: int, var: str, r: int) -> RatPoly:
+    """Wrap a pair already in primitive form, in a frame already checked."""
+    p = object.__new__(RatPoly)
+    _set(p, "numerators", nums)
+    _set(p, "denominator", den)
+    _set(p, "var", var)
+    _set(p, "r", r)
+    _set(p, "_coeffs", None)
+    return p
+
+
+def _primitive(nums: list[int], den: int, var: str, r: int) -> RatPoly:
+    """Reduce sum(nums[k] x^k) / den (den > 0) and wrap it, in a frame already checked."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _raw((), 1, var, r)
+    g = gcd(den, *nums)
+    if g != 1:
+        return _raw(tuple(a // g for a in nums), den // g, var, r)
+    return _raw(tuple(nums), den, var, r)
+
+
 class RatPoly:
-    """Immutable dense polynomial over Rational."""
+    """Immutable dense polynomial over Rational: integer numerators over one denominator."""
 
-    coeffs: tuple[Rational, ...]
-    var: str = "n"
-    r: int = 0
+    __slots__ = ("numerators", "denominator", "var", "r", "_coeffs")
 
-    def __post_init__(self) -> None:
-        if self.var not in _VARS:
-            raise ValueError(f"unknown variable tag {self.var!r}")
-        if self.var == "n" and self.r != 0:
-            raise ValueError("n-frame polynomials carry no r context")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+    numerators: tuple[int, ...]
+    denominator: int
+    var: str
+    r: int
+
+    def __new__(cls, coeffs, var: str = "n", r: int = 0) -> RatPoly:
+        _check_frame(var, r)
+        fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return _primitive([c.numerator * (den // c.denominator) for c in fracs], den, var, r)
+
+    @classmethod
+    def from_integers(cls, numerators, denominator: int, var: str = "n", r: int = 0) -> RatPoly:
+        """sum(numerators[k] x^k) / denominator, for any nonzero integer denominator."""
+        _check_frame(var, r)
+        if not denominator:
+            raise ZeroDivisionError("polynomial with zero denominator")
+        if denominator < 0:
+            return _primitive([-a for a in numerators], -denominator, var, r)
+        return _primitive(list(numerators), denominator, var, r)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: RatPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (RatPoly.from_integers, (self.numerators, self.denominator, self.var, self.r))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RatPoly:
+            return NotImplemented
+        return (
+            self.numerators == other.numerators
+            and self.denominator == other.denominator
+            and self.var == other.var
+            and self.r == other.r
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.numerators, self.denominator, self.var, self.r))
+
+    def __repr__(self) -> str:
+        return f"RatPoly(coeffs={self.coeffs!r}, var={self.var!r}, r={self.r!r})"
 
     # -- basic queries --------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        """Coefficients in ascending degree as canonical Fractions."""
+        if self._coeffs is None:
+            den = self.denominator
+            _set(self, "_coeffs", tuple(Fraction(a, den) for a in self.numerators))
+        return self._coeffs
+
+    @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.numerators) - 1 if self.numerators else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def coefficient(self, k: int) -> Rational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
+        return Fraction(0)
 
     @property
     def leading_coefficient(self) -> Rational:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coefficient(len(self.numerators) - 1)
 
     def _require_same_frame(self, other: RatPoly) -> None:
-        if (self.var, self.r) != (other.var, other.r):
+        if self.var != other.var or self.r != other.r:
             raise ValueError(
                 f"frame mismatch: {self.var}[r={self.r}] vs {other.var}[r={other.r}]"
             )
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other: RatPoly) -> RatPoly:
+    def _combine(self, other: RatPoly, sign: int) -> RatPoly:
+        """self + sign * other over the lcm of the two denominators."""
         self._require_same_frame(other)
-        a, b = self.coeffs, other.coeffs
+        if not other.numerators:
+            return self
+        b = other.numerators if sign > 0 else [-y for y in other.numerators]
+        if not self.numerators:
+            return _raw(tuple(b), other.denominator, self.var, self.r)
+        a, da, db = self.numerators, self.denominator, other.denominator
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        den = da * sa
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(tuple(out), self.var, self.r)
+            a, b, sa, sb = b, a, sb, sa
+        out = [x * sa for x in a] if sa != 1 else list(a)
+        for i, y in enumerate(b):
+            out[i] += y * sb
+        return _primitive(out, den, self.var, self.r)
+
+    def __add__(self, other: RatPoly) -> RatPoly:
+        return self._combine(other, 1)
 
     def __sub__(self, other: RatPoly) -> RatPoly:
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> RatPoly:
-        return RatPoly(tuple(-c for c in self.coeffs), self.var, self.r)
+        return _raw(tuple(-a for a in self.numerators), self.denominator, self.var, self.r)
 
     def __mul__(self, other: RatPoly) -> RatPoly:
         self._require_same_frame(other)
-        if not self.coeffs or not other.coeffs:
-            return RatPoly((), self.var, self.r)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(tuple(out), self.var, self.r)
+        a, b = self.numerators, other.numerators
+        if not a or not b:
+            return _raw((), 1, self.var, self.r)
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
+        return _primitive(out, self.denominator * other.denominator, self.var, self.r)
 
     def scale(self, c: Rational | int) -> RatPoly:
         c = Fraction(c)
-        return RatPoly(tuple(c * a for a in self.coeffs), self.var, self.r)
+        if not c or not self.numerators:
+            return _raw((), 1, self.var, self.r)
+        num = c.numerator
+        return _primitive(
+            [num * a for a in self.numerators], self.denominator * c.denominator, self.var, self.r
+        )
 
     def __pow__(self, k: int) -> RatPoly:
         if k < 0:
@@ -110,31 +211,45 @@ class RatPoly:
         return out
 
     def eval(self, x: Rational | int) -> Rational:
-        """Horner evaluation at x, exact."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x: integer Horner over x = p/q, one division at the end."""
+        nums = self.numerators
+        if not nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = 0
+        qk = 1  # q^(degree - k) alongside the numerator of x^k
+        for a in reversed(nums):
+            acc = acc * p + a * qk
+            qk *= q
+        return Fraction(acc, self.denominator * (qk // q))
 
     def shift(self, c: Rational | int) -> RatPoly:
-        """The composed polynomial p(x + c), expanded; same frame."""
+        """The composed polynomial p(x + c), expanded; same frame.
+
+        With c = s/q and degree d, q^d p(y/q + c) = h(y + s) where
+        h(y) = sum a_k q^(d-k) y^k; the Taylor shift of h by the integer s is
+        done in place by repeated synthetic division, and x^j picks up q^j.
+        """
         c = Fraction(c)
-        if c == 0 or not self.coeffs:
+        if not c or not self.numerators:
             return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for k, coef in enumerate(self.coeffs):
-            if coef == 0:
-                continue
-            pw = Fraction(1)
-            for j in range(k, -1, -1):  # coef * C(k,j) c^(k-j) x^j
-                out[j] += coef * comb(k, j) * pw
-                pw *= c
-        return RatPoly(tuple(out), self.var, self.r)
+        s, q = c.numerator, c.denominator
+        d = len(self.numerators) - 1
+        q_pows = [1]
+        for _ in range(d):
+            q_pows.append(q_pows[-1] * q)
+        h = [a * q_pows[d - k] for k, a in enumerate(self.numerators)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                h[j] += s * h[j + 1]
+        return _primitive(
+            [a * pw for a, pw in zip(h, q_pows)], self.denominator * q_pows[d], self.var, self.r
+        )
 
     def parity(self) -> str:
         """"even" | "odd" | "neither"; the zero polynomial counts as even."""
-        even = all(c == 0 for c in self.coeffs[1::2])
-        odd = all(c == 0 for c in self.coeffs[0::2])
+        even = not any(self.numerators[1::2])
+        odd = not any(self.numerators[0::2])
         if even:
             return "even"
         if odd:
@@ -150,15 +265,15 @@ class RatPoly:
 
 def poly(coeffs, var: str = "n", r: int = 0) -> RatPoly:
     """Polynomial from an ascending coefficient sequence."""
-    return RatPoly(tuple(Fraction(c) for c in coeffs), var, r)
+    return RatPoly(coeffs, var, r)
 
 
 def constant(c: Rational | int, var: str = "n", r: int = 0) -> RatPoly:
-    return RatPoly((Fraction(c),), var, r)
+    return RatPoly((c,), var, r)
 
 
 def monomial(k: int, c: Rational | int = 1, var: str = "n", r: int = 0) -> RatPoly:
-    return RatPoly((Fraction(0),) * k + (Fraction(c),), var, r)
+    return RatPoly((0,) * k + (c,), var, r)
 
 
 def zero(var: str = "n", r: int = 0) -> RatPoly:
@@ -173,7 +288,7 @@ def to_N_frame(p: RatPoly, r: int) -> RatPoly:
     if p.var != "n":
         raise ValueError(f"to_N_frame expects an n-frame polynomial, got {p.var!r}")
     shifted = p.shift(Fraction(-r, 2))
-    return RatPoly(shifted.coeffs, "N", r)
+    return _raw(shifted.numerators, shifted.denominator, "N", r)
 
 
 def to_n_frame(p: RatPoly) -> RatPoly:
@@ -181,60 +296,60 @@ def to_n_frame(p: RatPoly) -> RatPoly:
     if p.var != "N":
         raise ValueError(f"to_n_frame expects an N-frame polynomial, got {p.var!r}")
     shifted = p.shift(Fraction(p.r, 2))
-    return RatPoly(shifted.coeffs, "n", 0)
+    return _raw(shifted.numerators, shifted.denominator, "n", 0)
 
 
 def to_u_form(p: RatPoly) -> RatPoly:
     """Rewrite an even N-frame polynomial in u = n(n+r), using N^2 = u + r^2/4.
 
-    The degree halves.  Rejects polynomials that are not even in N.
+    The degree halves: sum a_2t N^(2t) = g(u + r^2/4) with g(x) = sum a_2t x^t,
+    a shift of g.  Rejects polynomials that are not even in N.
     """
     if p.var != "N":
         raise ValueError(f"to_u_form expects an N-frame polynomial, got {p.var!r}")
     if p.parity() != "even":
         raise ValueError("to_u_form requires an even polynomial")
-    quarter = Fraction(p.r * p.r, 4)
-    out = zero("u", p.r)
-    for t in range((len(p.coeffs) + 1) // 2):
-        a = p.coefficient(2 * t)
-        if a == 0:
-            continue
-        term = [a * comb(t, j) * quarter ** (t - j) for j in range(t + 1)]
-        out = out + poly(term, "u", p.r)
-    return out
+    halved = _raw(p.numerators[::2], p.denominator, "u", p.r)
+    return halved.shift(Fraction(p.r * p.r, 4))
 
 
 def from_u_form(p: RatPoly) -> RatPoly:
     """Inverse of :func:`to_u_form`: substitute u = N^2 - r^2/4."""
     if p.var != "u":
         raise ValueError(f"from_u_form expects a u-frame polynomial, got {p.var!r}")
-    base = poly([Fraction(-p.r * p.r, 4), 0, 1], "N", p.r)
-    out = zero("N", p.r)
-    for t, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        out = out + (base**t).scale(a)
-    return out
+    h = p.shift(Fraction(-p.r * p.r, 4))
+    spread = [0] * max(0, 2 * len(h.numerators) - 1)
+    spread[::2] = h.numerators
+    return _raw(tuple(spread), h.denominator, "N", p.r)
 
 
 def divide_exact(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Exact polynomial division; raises if the remainder is nonzero."""
+    """Exact polynomial division; raises if the remainder is nonzero.
+
+    Fraction-free long division of the numerators: each step multiplies the
+    remainder and the partial quotient by the divisor's leading numerator.
+    """
     p._require_same_frame(q)
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p.coeffs)
-    quot = [Fraction(0)] * max(1, len(rem) - len(q.coeffs) + 1)
-    while len(rem) >= len(q.coeffs) and rem:
-        c = rem[-1] / q.coeffs[-1]
-        d = len(rem) - len(q.coeffs)
-        quot[d] = c
-        for i, b in enumerate(q.coeffs):
-            rem[i + d] -= c * b
-        while rem and rem[-1] == 0:
-            rem.pop()
-    if rem:
+    rem, b = list(p.numerators), q.numerators
+    lead = b[-1]
+    quot = [0] * max(1, len(rem) - len(b) + 1)
+    scale = 1
+    for d in range(len(rem) - len(b), -1, -1):
+        c = rem[d + len(b) - 1]
+        if c:
+            rem = [x * lead for x in rem]
+            quot = [x * lead for x in quot]
+            scale *= lead
+            quot[d] = c
+            for i, y in enumerate(b):
+                rem[i + d] -= c * y
+    if any(rem):
         raise ValueError("division is not exact (nonzero remainder)")
-    return RatPoly(tuple(quot), p.var, p.r)
+    return RatPoly.from_integers(
+        [x * q.denominator for x in quot], scale * p.denominator, p.var, p.r
+    )
 
 
 # -- rendering ---------------------------------------------------------------

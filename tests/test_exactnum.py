@@ -34,7 +34,7 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
 
     The triangle natively produces B_1 = +1/2; all other indices agree, so
     flipping B_1 yields the convention used by the package.  A completely
-    different algorithm from the package's sum recurrence.
+    different algorithm from the package's tangent-number recurrence.
     """
     row = [Fraction(0)] * (n + 1)
     out = []
@@ -119,9 +119,9 @@ def test_bernoulli_small_values():
 
 
 def test_bernoulli_against_akiyama_tanigawa():
-    oracle = bernoulli_akiyama_tanigawa(20)
+    oracle = bernoulli_akiyama_tanigawa(120)
     assert bernoulli(8) == oracle[8] == Fraction(-1, 30)
-    for j in range(21):
+    for j in range(121):
         assert bernoulli(j) == oracle[j], j
 
 

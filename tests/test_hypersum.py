@@ -192,6 +192,45 @@ def test_five_routes_agree_spot():
     assert all(p == routes[0] for p in routes)
 
 
+def stirling2_row(m: int) -> list[int]:
+    """({m 0}, ..., {m m}) by the triangle {i, k} = k {i-1, k} + {i-1, k-1}."""
+    row = [1]
+    for i in range(1, m + 1):
+        row = [(k * row[k] if k < i else 0) + (row[k - 1] if k else 0) for k in range(i + 1)]
+    return row
+
+
+def newton_oracle(m: int, r: int, n: int) -> int:
+    """S(m, r, n) = sum_{k=1}^{m} k! {m k} C(n+r, k+r) for m >= 1, in integers only.
+
+    n^m = sum_k {m k} k! C(n, k) summed r times by the hockey-stick identity.
+    """
+    row = stirling2_row(m)
+    return sum(factorial(k) * row[k] * comb(n + r, k + r) for k in range(1, m + 1))
+
+
+def test_newton_oracle_matches_recursion():
+    for m in range(1, 7):
+        for r in range(5):
+            for n in range(9):
+                assert newton_oracle(m, r, n) == hyper_sum_bruteforce(m, r, n), (m, r, n)
+
+
+@pytest.mark.parametrize("m, r", [(58, 29), (60, 30)])
+def test_five_routes_agree_at_high_degree(m, r):
+    routes = [
+        hyper_sum_poly_q(m, r).poly,
+        hyper_sum_poly_c(m, r).poly,
+        hyper_sum_poly_chain(m, r).poly,
+        lemma_recurrence_family(m, r)[m - 1].poly,
+        hyper_sum_det(m, r).poly,
+    ]
+    assert routes[0].degree == m + r
+    assert all(p == routes[0] for p in routes)
+    n = 10**12 + 39
+    assert routes[0].eval(n) == newton_oracle(m, r, n)
+
+
 # -- determinant route ----------------------------------------------------------------
 
 
