@@ -4,20 +4,16 @@ Subcommands: eval, poly, det, verify, table.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
 2 invalid arguments, 3 internal cross-check mismatch.  Values are always
 exact ("p/q", never decimals).
-
-Set HYPERSUM_CACHE_DIR to persist the Bernoulli/Stirling tables between
-runs; without it all tables are in-memory only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import exactnum, hessenberg, hypersum, verify
+from . import hessenberg, hypersum, verify
 from .exactnum import rational_to_json
 from .polyring import (
     RatPoly,
@@ -31,6 +27,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 
+# largest n for the brute-force recursion, whose lists grow linearly in n
+MAX_BRUTEFORCE_N = 10**6
+
 
 def _fraction_text(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -41,32 +40,19 @@ def _fail_usage(message: str) -> "SystemExit":
     return SystemExit(EXIT_USAGE)
 
 
-def _poly_for_method(m: int, r: int, method: str) -> RatPoly:
-    if method == "det":
-        if m < 1:
-            raise _fail_usage("--method det requires m >= 1")
-        return hypersum.hyper_sum_det(m, r).poly
-    if method == "lemma":
-        if m < 1:
-            raise _fail_usage("--method lemma requires m >= 1")
-        return hypersum.ROUTES[method](m, r).poly
-    if method in ("q", "c"):
-        if r < 1:
-            raise _fail_usage(f"--method {method} requires r >= 1")
-        return hypersum.ROUTES[method](m, r).poly
-    raise _fail_usage(f"unknown method {method!r}")
+def _check_bruteforce_n(n: int) -> None:
+    if n > MAX_BRUTEFORCE_N:
+        raise _fail_usage(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     m, r, n = args.m, args.r, args.n
     method = args.method
     if method == "bruteforce":
+        _check_bruteforce_n(n)
         value = Fraction(hypersum.hyper_sum_bruteforce(m, r, n))
     elif method == "auto":
-        if m >= 1:
-            value = hypersum.hyper_sum_det(m, r).poly.eval(n)
-        else:
-            value = hypersum.hyper_sum_poly(m, r).eval(n)
+        value = hypersum.hyper_sum_poly(m, r).eval(n)
         if n <= 20 and value != hypersum.hyper_sum_bruteforce(m, r, n):
             print(
                 f"internal error: polynomial route disagrees with the defining "
@@ -75,7 +61,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
             return EXIT_CROSSCHECK
     else:
-        value = _poly_for_method(m, r, method).eval(n)
+        m_min, r_min = hypersum.ROUTE_DOMAIN[method]
+        if m < m_min or r < r_min:
+            raise _fail_usage(f"--method {method} requires m >= {m_min} and r >= {r_min}")
+        value = hypersum.ROUTES[method](m, r).poly.eval(n)
     if args.format == "json":
         print(
             json.dumps(
@@ -182,11 +171,7 @@ def cmd_det(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.inject_fault:
-        with exactnum.corrupt_bernoulli(4, Fraction(1, 31)):
-            report = verify.run_all(args.max_m, args.max_r, args.max_n)
-    else:
-        report = verify.run_all(args.max_m, args.max_r, args.max_n)
+    report = verify.run_all(args.max_m, args.max_r, args.max_n)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
@@ -196,6 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
+    _check_bruteforce_n(n)
     cells = [
         (m, r, hypersum.hyper_sum_bruteforce(m, r, n))
         for m in range(0, args.max_m + 1)
@@ -250,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=_nonneg, required=True)
     p_eval.add_argument(
         "--method",
-        choices=["auto", "bruteforce", "det", "q", "c", "lemma"],
+        choices=("auto", "bruteforce", *hypersum.ROUTES),
         default="auto",
     )
     p_eval.add_argument("--format", choices=["text", "json"], default="text")
@@ -280,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-r", type=_positive, default=6)
     p_verify.add_argument("--max-n", type=_positive, default=15)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="tabulate S(m, r, n) over a grid")
@@ -295,22 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cache_dir = os.environ.get("HYPERSUM_CACHE_DIR")
-    if cache_dir:
-        try:
-            exactnum.load_tables(cache_dir)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"warning: ignoring table cache: {exc}", file=sys.stderr)
-    try:
-        code = args.func(args)
-    except SystemExit:
-        raise
-    if cache_dir:
-        try:
-            exactnum.save_tables(cache_dir)
-        except OSError as exc:
-            print(f"warning: could not save table cache: {exc}", file=sys.stderr)
-    return code
+    return args.func(args)
 
 
 if __name__ == "__main__":

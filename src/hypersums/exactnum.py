@@ -12,13 +12,10 @@ behind a lock so concurrent readers always see consistent values.
 
 from __future__ import annotations
 
-import json
 import threading
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
-from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 Rational = Fraction
 
@@ -31,13 +28,10 @@ __all__ = [
     "stirling1_unsigned",
     "stirling1_row",
     "r_stirling1",
-    "corrupt_bernoulli",
     "register_cache",
     "clear_derived_caches",
     "rational_to_json",
     "rational_from_json",
-    "load_tables",
-    "save_tables",
 ]
 
 
@@ -120,15 +114,6 @@ class BernoulliTable:
                         )
         return self._values[j]
 
-    def known(self) -> list[Fraction]:
-        with self._lock:
-            return list(self._values)
-
-    def preload(self, values: list[Fraction]) -> None:
-        with self._lock:
-            if len(values) > len(self._values):
-                self._values = list(values)
-
 
 class StirlingTable:
     """Unsigned Stirling numbers of the first kind, plus the r-shifted variant.
@@ -192,22 +177,9 @@ class StirlingTable:
                 rows.append(cur)
             return rows
 
-    def known_rows(self) -> list[list[int]]:
-        with self._lock:
-            return [list(row) for row in self._rows]
-
-    def preload(self, rows: list[list[int]]) -> None:
-        with self._lock:
-            if len(rows) > len(self._rows):
-                self._rows = [tuple(row) for row in rows]
-
 
 _BERNOULLI = BernoulliTable()
 _STIRLING = StirlingTable()
-
-# Fault-injection hook: overrides consulted at lookup time only, so the pure
-# cache is never poisoned.  Derived caches are flushed on enter/exit.
-_BERNOULLI_OVERRIDES: dict[int, Fraction] = {}
 
 _DERIVED_CACHES: list[Callable[[], None]] = []
 
@@ -224,8 +196,6 @@ def clear_derived_caches() -> None:
 
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j with B_0 = 1, B_1 = -1/2 (memoized)."""
-    if j in _BERNOULLI_OVERRIDES:
-        return _BERNOULLI_OVERRIDES[j]
     return _BERNOULLI.value(j)
 
 
@@ -238,18 +208,6 @@ def bernoulli_or_zero(j: int) -> Fraction:
     if j < 0:
         return Fraction(0)
     return bernoulli(j)
-
-
-@contextmanager
-def corrupt_bernoulli(j: int, value: Fraction) -> Iterator[None]:
-    """Temporarily override B_j (fault-injection sanity for the verifier)."""
-    _BERNOULLI_OVERRIDES[j] = Fraction(value)
-    clear_derived_caches()
-    try:
-        yield
-    finally:
-        del _BERNOULLI_OVERRIDES[j]
-        clear_derived_caches()
 
 
 def stirling1_unsigned(m: int, n: int) -> int:
@@ -290,30 +248,3 @@ def rational_from_json(obj: object) -> Fraction:
     if den <= 0:
         raise ValueError(f"serialized rational must have positive denominator: {obj!r}")
     return Fraction(num, den)
-
-
-# --- optional on-disk persistence of the tables ------------------------------
-
-_TABLES_FILENAME = "tables.json"
-
-
-def save_tables(cache_dir: str | Path) -> None:
-    """Persist the Bernoulli/Stirling caches under ``cache_dir``."""
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "bernoulli": [rational_to_json(b) for b in _BERNOULLI.known()],
-        "stirling": [[str(v) for v in row] for row in _STIRLING.known_rows()],
-    }
-    (path / _TABLES_FILENAME).write_text(json.dumps(payload))
-
-
-def load_tables(cache_dir: str | Path) -> bool:
-    """Load previously saved tables; returns True if a cache file was read."""
-    file = Path(cache_dir) / _TABLES_FILENAME
-    if not file.is_file():
-        return False
-    payload = json.loads(file.read_text())
-    _BERNOULLI.preload([rational_from_json(b) for b in payload.get("bernoulli", [])])
-    _STIRLING.preload([[int(v) for v in row] for row in payload.get("stirling", [])])
-    return True

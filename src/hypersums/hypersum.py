@@ -233,6 +233,8 @@ def coeff_c_reduced_k1(m: int, r: int) -> Rational:
 
 def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     """S(m, r) assembled coefficient by coefficient from :func:`coeff_c`."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
     coeffs = [Fraction(0)] + [coeff_c(m, r, k) for k in range(1, m + r + 1)]
     return HyperSumPoly(m, r, poly(coeffs), "c-form")
 
@@ -534,6 +536,15 @@ ROUTES = {
     "chain": hyper_sum_poly_chain,
     "lemma": lambda m, r: lemma_recurrence_family(m, r)[m - 1],
     "det": hyper_sum_det,
+}
+
+# smallest (m, r) each route accepts; it raises ValueError below either bound
+ROUTE_DOMAIN = {
+    "q": (0, 1),
+    "c": (0, 1),
+    "chain": (0, 1),
+    "lemma": (1, 0),
+    "det": (1, 0),
 }
 
 

@@ -27,7 +27,7 @@ from .exactnum import (
 )
 from .polyring import RatPoly, monomial, poly, poly_to_json, to_n_frame
 
-ALL_METHODS = ("q", "c", "chain", "lemma", "det")
+ALL_METHODS = tuple(hypersum.ROUTES)
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,8 @@ def run_grid(
     """Run every grid-parameterized check; failures are collected, not raised."""
     if m_max < 1 or r_max < 1 or n_max < 1:
         raise ValueError("grid bounds must be >= 1")
+    if not methods:
+        raise ValueError("need at least one method")
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from hypersums.cli import main
+from hypersums.cli import MAX_BRUTEFORCE_N, main
 from hypersums.hessenberg import build_matrix, det
 from hypersums.hypersum import faulhaber_det, hyper_sum_bruteforce
 from hypersums.polyring import poly_from_json
@@ -56,7 +56,7 @@ def test_eval_methods_agree(capsys):
         for r in range(1, 7):
             for n in ("0", "10"):
                 expected = None
-                for method in ("auto", "bruteforce", "det", "q", "c", "lemma"):
+                for method in ("auto", "bruteforce", "det", "q", "c", "chain", "lemma"):
                     code, out = run_cli(
                         capsys,
                         "eval", "--m", str(m), "--r", str(r), "--n", n,
@@ -86,9 +86,7 @@ def test_eval_json_schema(capsys):
     assert value == hyper_sum_bruteforce(4, 2, 6)
 
 
-def test_eval_crosscheck_mismatch_exit_3(capsys):
-    from hypersums.exactnum import corrupt_bernoulli
-
+def test_eval_crosscheck_mismatch_exit_3(capsys, corrupt_bernoulli):
     with corrupt_bernoulli(2, Fraction(1, 7)):
         code, _ = run_cli(capsys, "eval", "--m", "4", "--r", "2", "--n", "5")
     assert code == 3
@@ -103,6 +101,25 @@ def test_eval_invalid_arguments_exit_2(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "eval", "--m", "0", "--r", "1", "--n", "1", "--method", "det")
     assert code == 2
+    code, out = run_cli(
+        capsys, "eval", "--m", "2", "--r", "0", "--n", "1", "--method", "chain"
+    )
+    assert code == 2 and out == ""
+    code, out = run_cli(
+        capsys, "eval", "--m", "0", "--r", "1", "--n", "1", "--method", "lemma"
+    )
+    assert code == 2 and out == ""
+
+
+def test_bruteforce_n_cap_exit_2(capsys):
+    too_big = str(MAX_BRUTEFORCE_N + 1)
+    assert MAX_BRUTEFORCE_N == 10**6
+    code, out = run_cli(
+        capsys, "eval", "--m", "5", "--r", "4", "--n", too_big, "--method", "bruteforce"
+    )
+    assert code == 2 and out == ""
+    code, out = run_cli(capsys, "table", "--n", too_big)
+    assert code == 2 and out == ""
 
 
 # -- poly ---------------------------------------------------------------------
@@ -232,11 +249,11 @@ def test_verify_json_report(capsys):
     assert blob["failures"] == []
 
 
-def test_verify_fault_injection_exit_1(capsys):
-    code, out = run_cli(
-        capsys,
-        "verify", "--max-m", "3", "--max-r", "2", "--max-n", "4", "--inject-fault",
-    )
+def test_verify_fault_injection_exit_1(capsys, corrupt_bernoulli):
+    with corrupt_bernoulli(4, Fraction(1, 31)):
+        code, out = run_cli(
+            capsys, "verify", "--max-m", "3", "--max-r", "2", "--max-n", "4"
+        )
     assert code == 1
     assert "FAIL" in out
 
@@ -287,16 +304,18 @@ def test_bad_format_exit_2(capsys):
     assert code == 2
 
 
-# -- cache dir and real process ------------------------------------------------------
+# -- environment and real process ----------------------------------------------------
 
 
-def test_cache_dir_round_trip(tmp_path, capsys, monkeypatch):
+def test_table_file_in_environment_is_ignored(tmp_path, capsys, monkeypatch):
+    # a tables.json with a wrong B_2 once served 21097887/4 here with exit 0
+    poisoned = json.dumps({"bernoulli": [["1", "1"], ["-1", "2"], ["1", "7"]]})
+    (tmp_path / "tables.json").write_text(poisoned)
     monkeypatch.setenv("HYPERSUM_CACHE_DIR", str(tmp_path))
-    code, _ = run_cli(capsys, "eval", "--m", "6", "--r", "2", "--n", "4")
-    assert code == 0
-    assert (tmp_path / "tables.json").is_file()
-    code, out = run_cli(capsys, "eval", "--m", "6", "--r", "2", "--n", "4")
-    assert code == 0 and out.strip() == str(hyper_sum_bruteforce(6, 2, 4))
+    code, out = run_cli(capsys, "eval", "--m", "4", "--r", "1", "--n", "30")
+    assert (code, out) == (0, "5273999\n")
+    assert (tmp_path / "tables.json").read_text() == poisoned
+    assert [p.name for p in tmp_path.iterdir()] == ["tables.json"]
 
 
 def test_console_entry_point_subprocess():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import threading
 from fractions import Fraction
@@ -15,13 +14,10 @@ from hypersums.exactnum import (
     bernoulli,
     bernoulli_or_zero,
     binomial,
-    corrupt_bernoulli,
-    load_tables,
     r_stirling1,
     rational_from_json,
     rational_to_json,
     rising_factorial,
-    save_tables,
     stirling1_row,
     stirling1_unsigned,
 )
@@ -139,7 +135,7 @@ def test_bernoulli_or_zero_negative_index():
     assert bernoulli_or_zero(2) == Fraction(1, 6)
 
 
-def test_corrupt_bernoulli_is_scoped():
+def test_corrupt_bernoulli_is_scoped(corrupt_bernoulli):
     with corrupt_bernoulli(4, Fraction(1, 31)):
         assert bernoulli(4) == Fraction(1, 31)
     assert bernoulli(4) == Fraction(-1, 30)
@@ -226,16 +222,6 @@ def test_rational_json_round_trip_and_canonical_form():
 def test_rational_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
         rational_from_json(bad)
-
-
-def test_table_persistence_round_trip(tmp_path):
-    bernoulli(12)
-    stirling1_row(8)
-    save_tables(tmp_path)
-    payload = json.loads((tmp_path / "tables.json").read_text())
-    assert rational_from_json(payload["bernoulli"][12]) == Fraction(-691, 2730)
-    assert load_tables(tmp_path) is True
-    assert load_tables(tmp_path / "missing") is False
 
 
 def test_concurrent_growth_is_consistent():

@@ -8,6 +8,8 @@ from math import comb, factorial
 import pytest
 
 from hypersums.hypersum import (
+    ROUTE_DOMAIN,
+    ROUTES,
     coeff_c,
     coeff_c_reduced_k1,
     coeff_recurrence_step,
@@ -190,6 +192,21 @@ def test_five_routes_agree_spot():
         hyper_sum_det(4, 3).poly,
     ]
     assert all(p == routes[0] for p in routes)
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_route_domain_matches_route(name):
+    assert set(ROUTE_DOMAIN) == set(ROUTES)
+    m_min, r_min = ROUTE_DOMAIN[name]
+    for m in range(4):
+        for r in range(4):
+            if m >= m_min and r >= r_min:
+                p = ROUTES[name](m, r).poly
+                for n in range(8):
+                    assert p.eval(n) == hyper_sum_bruteforce(m, r, n), (name, m, r, n)
+            else:
+                with pytest.raises(ValueError):
+                    ROUTES[name](m, r)
 
 
 def stirling2_row(m: int) -> list[int]:

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums.exactnum import corrupt_bernoulli
 from hypersums.verify import golden_fixtures, run_all, run_grid
 
 
@@ -33,7 +32,7 @@ def test_golden_fixtures_pass():
     assert "golden-coefficient-relation" in names
 
 
-def test_corrupted_bernoulli_is_located():
+def test_corrupted_bernoulli_is_located(corrupt_bernoulli):
     with corrupt_bernoulli(4, Fraction(1, 31)):
         report = run_grid(5, 3, 6)
     assert not report.passed
@@ -74,6 +73,8 @@ def test_bad_arguments_rejected():
         run_grid(0, 1, 1)
     with pytest.raises(ValueError):
         run_grid(2, 2, 2, methods=("q", "nope"))
+    with pytest.raises(ValueError):
+        run_grid(2, 2, 2, methods=())
 
 
 def test_summary_text_mentions_status():
