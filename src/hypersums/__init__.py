@@ -13,7 +13,6 @@ point anywhere.  Bernoulli numbers follow the B_1 = -1/2 convention.
 from .exactnum import (
     Rational,
     bernoulli,
-    bernoulli_or_zero,
     binomial,
     r_stirling1,
     rising_factorial,
@@ -22,7 +21,6 @@ from .exactnum import (
 from .hessenberg import HessenbergMatrix, build_matrix, det
 from .hypersum import (
     FaulhaberPoly,
-    FaulhaberR1Poly,
     HyperSumPoly,
     coeff_c,
     coeff_recurrence_step,
@@ -69,10 +67,8 @@ __all__ = [
     "HessenbergMatrix",
     "HyperSumPoly",
     "FaulhaberPoly",
-    "FaulhaberR1Poly",
     "VerifyReport",
     "bernoulli",
-    "bernoulli_or_zero",
     "binomial",
     "build_matrix",
     "coeff_c",

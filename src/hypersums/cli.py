@@ -29,10 +29,11 @@ EXIT_CROSSCHECK = 3
 
 # largest n for the brute-force recursion, whose lists grow linearly in n
 MAX_BRUTEFORCE_N = 10**6
-
-
-def _fraction_text(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+# largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM,
+# eval takes about 5 s (auto) and up to 26 s (--method c), poly and det 1-1.5 s
+MAX_M_R = 200
+# largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 10 s there
+MAX_VERIFY_GRID = (30, 15, 100)
 
 
 def _fail_usage(message: str) -> "SystemExit":
@@ -72,7 +73,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(_fraction_text(value))
+        print(value)
     return EXIT_OK
 
 
@@ -117,10 +118,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
     else:
         if args.var == "N" and args.factored:
             scale, bracket = _factored_parts(m, r)
-            print(
-                f"({_fraction_text(scale)}) * binomial(n+{r}, {r + 1}) * "
-                f"[{to_text(bracket)}]"
-            )
+            print(f"({scale}) * binomial(n+{r}, {r + 1}) * [{to_text(bracket)}]")
         elif args.var == "u":
             pre = (
                 f"binomial(n+{r}, {r + 1})"
@@ -157,16 +155,13 @@ def cmd_det(args: argparse.Namespace) -> int:
     print(f"det = {to_text(determinant)}")
     if args.at is not None:
         center = Fraction(args.at) + Fraction(r, 2)
-        cells = [
-            [_fraction_text(v) for v in row]
-            for row in hessenberg.evaluate_matrix(matrix, center)
-        ]
-        print(f"at n = {args.at} (N = {_fraction_text(center)}):")
+        cells = [[str(v) for v in row] for row in hessenberg.evaluate_matrix(matrix, center)]
+        print(f"at n = {args.at} (N = {center}):")
         if cells:
             widths = [max(len(row[j]) for row in cells) for j in range(len(cells))]
             for row in cells:
                 print("( " + "  ".join(s.rjust(w) for s, w in zip(row, widths)) + " )")
-        print(f"det value = {_fraction_text(determinant.eval(center))}")
+        print(f"det value = {determinant.eval(center)}")
     return EXIT_OK
 
 
@@ -208,18 +203,17 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo and, if hi is given, <= hi."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {value}")
+        return value
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate S(m, r, n) exactly")
-    p_eval.add_argument("--m", type=_nonneg, required=True)
-    p_eval.add_argument("--r", type=_nonneg, required=True)
-    p_eval.add_argument("--n", type=_nonneg, required=True)
+    p_eval.add_argument("--m", type=_int_in(0, MAX_M_R), required=True)
+    p_eval.add_argument("--r", type=_int_in(0, MAX_M_R), required=True)
+    p_eval.add_argument("--n", type=_int_in(0), required=True)
     p_eval.add_argument(
         "--method",
         choices=("auto", "bruteforce", *hypersum.ROUTES),
@@ -243,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_poly = sub.add_parser("poly", help="print the hyper-sum polynomial")
-    p_poly.add_argument("--m", type=_nonneg, required=True)
-    p_poly.add_argument("--r", type=_nonneg, required=True)
+    p_poly.add_argument("--m", type=_int_in(0, MAX_M_R), required=True)
+    p_poly.add_argument("--r", type=_int_in(0, MAX_M_R), required=True)
     p_poly.add_argument("--var", choices=["n", "N", "u"], default="n")
     p_poly.add_argument("--format", choices=["text", "json", "latex"], default="text")
     p_poly.add_argument(
@@ -255,23 +249,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_poly)
 
     p_det = sub.add_parser("det", help="print the Hessenberg matrix and determinant")
-    p_det.add_argument("--m", type=_positive, required=True)
-    p_det.add_argument("--r", type=_nonneg, required=True)
-    p_det.add_argument("--at", type=_nonneg, default=None, help="substitute a concrete n")
+    p_det.add_argument("--m", type=_int_in(1, MAX_M_R), required=True)
+    p_det.add_argument("--r", type=_int_in(0, MAX_M_R), required=True)
+    p_det.add_argument("--at", type=_int_in(0), default=None, help="substitute a concrete n")
     p_det.add_argument("--format", choices=["text", "json"], default="text")
     p_det.set_defaults(func=cmd_det)
 
     p_verify = sub.add_parser("verify", help="run the cross-method verification suite")
-    p_verify.add_argument("--max-m", type=_positive, default=10)
-    p_verify.add_argument("--max-r", type=_positive, default=6)
-    p_verify.add_argument("--max-n", type=_positive, default=15)
+    for flag, default, cap in zip(
+        ("--max-m", "--max-r", "--max-n"), verify.DEFAULT_GRID, MAX_VERIFY_GRID
+    ):
+        p_verify.add_argument(flag, type=_int_in(1, cap), default=default)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="tabulate S(m, r, n) over a grid")
-    p_table.add_argument("--max-m", type=_nonneg, default=5)
-    p_table.add_argument("--max-r", type=_nonneg, default=4)
-    p_table.add_argument("--n", type=_nonneg, required=True)
+    p_table.add_argument("--max-m", type=_int_in(0), default=5)
+    p_table.add_argument("--max-r", type=_int_in(0), default=4)
+    p_table.add_argument("--n", type=_int_in(0), required=True)
     p_table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_table.set_defaults(func=cmd_table)
 

@@ -24,7 +24,6 @@ __all__ = [
     "binomial",
     "rising_factorial",
     "bernoulli",
-    "bernoulli_or_zero",
     "stirling1_unsigned",
     "stirling1_row",
     "r_stirling1",
@@ -197,17 +196,6 @@ def clear_derived_caches() -> None:
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j with B_0 = 1, B_1 = -1/2 (memoized)."""
     return _BERNOULLI.value(j)
-
-
-def bernoulli_or_zero(j: int) -> Fraction:
-    """B_j, extended by 0 for negative index.
-
-    The coefficient formulas index Bernoulli numbers by differences that can
-    go negative; those terms vanish by convention.
-    """
-    if j < 0:
-        return Fraction(0)
-    return bernoulli(j)
 
 
 def stirling1_unsigned(m: int, n: int) -> int:

@@ -42,6 +42,7 @@ from .polyring import (
     divide_exact,
     monomial,
     poly,
+    to_N_frame,
     to_n_frame,
     to_u_form,
     zero,
@@ -62,11 +63,13 @@ class HyperSumPoly:
 
 @dataclass(frozen=True)
 class FaulhaberPoly:
-    """The degree m-1 factor polynomial in N_r = n + r/2.
+    """A polynomial in N_r = n + r/2 that is even or odd in N_r.
 
-    S(m, r, n) factors as S(1, r, n) times this polynomial; for r >= 1 it is
-    even or odd in N_r according as m is odd or even, with nonzero
-    coefficients of strictly alternating sign and positive leading term.
+    From ``faulhaber_det`` and ``faulhaber_rec`` it is the degree m-1 factor
+    with S(m, r, n) = S(1, r, n) times it; for r >= 1 it is even or odd in
+    N_r according as m is odd or even, with nonzero coefficients of strictly
+    alternating sign and positive leading term.  From ``faulhaber_r1`` it is
+    the power sum S(m, 1, n) itself, of degree m+1 in N_1 = n + 1/2.
     """
 
     m: int
@@ -75,25 +78,8 @@ class FaulhaberPoly:
 
     @property
     def g_coeffs(self) -> tuple[Rational, ...]:
-        """Structural coefficients by half-degree j: of N^(2j) for odd m, N^(2j+1) for even m."""
-        if self.m % 2 == 1:
-            return tuple(self.poly.coefficient(2 * j) for j in range((self.m + 1) // 2))
-        return tuple(self.poly.coefficient(2 * j + 1) for j in range(self.m // 2))
-
-
-@dataclass(frozen=True)
-class FaulhaberR1Poly:
-    """The ordinary power sum S_m(n) written in N = n + 1/2."""
-
-    m: int
-    poly: RatPoly
-
-    @property
-    def f_coeffs(self) -> tuple[Rational, ...]:
-        half = (self.m + 1) // 2
-        if self.m % 2 == 1:
-            return tuple(self.poly.coefficient(2 * j) for j in range(half + 1))
-        return tuple(self.poly.coefficient(2 * j + 1) for j in range(half + 1))
+        """Coefficients of the powers of N with the parity of the degree, ascending."""
+        return self.poly.coeffs[self.poly.degree % 2 :: 2]
 
 
 # -- the defining recursion (value oracle) ------------------------------------
@@ -463,19 +449,16 @@ def stirling_product_form(m: int, r: int) -> tuple[RatPoly, RatPoly]:
 # -- ordinary power sums in the half-shifted variable ---------------------------
 
 
-def faulhaber_r1(m: int) -> FaulhaberR1Poly:
-    """S_m(n) written in N = n + 1/2 via the order m-1 determinant.
+def faulhaber_r1(m: int) -> FaulhaberPoly:
+    """S_m(n) written in N = n + 1/2: C(n+1, 2) times the r = 1 centered factor.
 
-    S_m(n) = (-1)^(m+1)/(m+1)! (N^2 - 1/4) det of the r = 1 matrix.  Equals
-    the half-shift of the Bernoulli-formula polynomial; even or odd in N
-    according as m is odd or even, with alternating nonzero coefficients.
+    Equals the half-shift of the Bernoulli-formula polynomial; even or odd
+    in N according as m is odd or even, with alternating nonzero
+    coefficients.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    d = hessenberg.det(hessenberg.build_matrix(m, 1))
-    prefactor = poly([Fraction(-1, 4), 0, 1], "N", 1)
-    scaled = (prefactor * d).scale(Fraction(sign_pow(m + 1), factorial(m + 1)))
-    return FaulhaberR1Poly(m, scaled)
+    return FaulhaberPoly(m, 1, to_N_frame(s1_poly(1), 1) * faulhaber_det(m, 1).poly)
 
 
 # -- parity-split lifting relations ---------------------------------------------

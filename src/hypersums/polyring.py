@@ -198,18 +198,6 @@ class RatPoly:
             [num * a for a in self.numerators], self.denominator * c.denominator, self.var, self.r
         )
 
-    def __pow__(self, k: int) -> RatPoly:
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = constant(1, self.var, self.r)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def eval(self, x: Rational | int) -> Rational:
         """Exact value at x: integer Horner over x = p/q, one division at the end."""
         nums = self.numerators
@@ -355,10 +343,6 @@ def divide_exact(p: RatPoly, q: RatPoly) -> RatPoly:
 # -- rendering ---------------------------------------------------------------
 
 
-def _var_text(p: RatPoly) -> str:
-    return p.var
-
-
 def _term_text(c: Fraction, k: int, var: str) -> str:
     if k == 0:
         return str(c)
@@ -375,13 +359,12 @@ def to_text(p: RatPoly) -> str:
     """Plain-text form, descending degree, exact fractions (never decimals)."""
     if p.is_zero():
         return "0"
-    var = _var_text(p)
     parts: list[str] = []
     for k in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[k]
         if c == 0:
             continue
-        term = _term_text(abs(c) if parts else c, k, var)
+        term = _term_text(abs(c) if parts else c, k, p.var)
         if parts:
             parts.append("- " if c < 0 else "+ ")
         parts.append(term + " " if k else term)

@@ -1,9 +1,10 @@
 """Cross-method equivalence runner and golden fixtures.
 
-``run_grid`` exercises, over a requested (m, r, n) grid: the five-way route
-equivalence, evaluation against the defining recursion, the structural form
-of the centered factor polynomials, the order-lifting and parity-split
-recurrences, the weighted-sum identity, and the leading-coefficient laws.
+``run_grid`` runs the check families of ``GRID_CHECKS`` over a requested
+(m, r, n) grid: the five-way route equivalence, evaluation against the
+defining recursion, the structural form of the centered factor polynomials,
+the order-lifting and parity-split recurrences, the weighted-sum identity,
+and the leading-coefficient laws.
 ``golden_fixtures`` pins a set of exact closed-form displays.  Failures are
 collected as data (never raised), each carrying both divergent objects in
 JSON form for debuggability.
@@ -15,7 +16,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from typing import Iterator
 
 from . import hessenberg, hypersum
 from .exactnum import (
@@ -26,8 +29,6 @@ from .exactnum import (
     sign_pow,
 )
 from .polyring import RatPoly, monomial, poly, poly_to_json, to_n_frame
-
-ALL_METHODS = tuple(hypersum.ROUTES)
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _poly_pair_detail(a: RatPoly, b: RatPoly) -> str:
-    return json.dumps({"left": poly_to_json(a), "right": poly_to_json(b)})
-
-
 def _first_coeff_mismatch(a: RatPoly, b: RatPoly) -> int:
     for k in range(max(len(a.coeffs), len(b.coeffs))):
         if a.coefficient(k) != b.coefficient(k):
@@ -109,115 +106,87 @@ def _first_coeff_mismatch(a: RatPoly, b: RatPoly) -> int:
     return -1
 
 
-class _Recorder:
-    def __init__(self, report: VerifyReport) -> None:
-        self.report = report
-
-    def poly_equal(self, name: str, params: dict, a: RatPoly, b: RatPoly) -> None:
-        if a == b:
-            self.report.checks.append(CheckResult(name, params, True))
-        else:
-            k = _first_coeff_mismatch(a, b)
-            detail = f"first differing coefficient at degree {k}; " + _poly_pair_detail(a, b)
-            self.report.checks.append(CheckResult(name, params, False, detail))
-
-    def check(self, name: str, params: dict, ok: bool, detail: str = "") -> None:
-        self.report.checks.append(CheckResult(name, params, ok, detail if not ok else ""))
+def _check(name: str, params: dict, ok: bool, detail: str = "") -> CheckResult:
+    """A check whose detail is kept only when it failed."""
+    return CheckResult(name, params, ok, "" if ok else detail)
 
 
-def run_grid(
-    m_max: int,
-    r_max: int,
-    n_max: int,
-    methods: tuple[str, ...] = ALL_METHODS,
-) -> VerifyReport:
-    """Run every grid-parameterized check; failures are collected, not raised."""
-    if m_max < 1 or r_max < 1 or n_max < 1:
-        raise ValueError("grid bounds must be >= 1")
-    if not methods:
-        raise ValueError("need at least one method")
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
-    start = time.perf_counter()
-    report = VerifyReport(m_max, r_max, n_max)
-    rec = _Recorder(report)
+def _poly_check(name: str, params: dict, a: RatPoly, b: RatPoly) -> CheckResult:
+    """An equality check of two polynomials; a failure carries both of them."""
+    if a == b:
+        return CheckResult(name, params, True)
+    k = _first_coeff_mismatch(a, b)
+    pair = json.dumps({"left": poly_to_json(a), "right": poly_to_json(b)})
+    return CheckResult(name, params, False, f"first differing coefficient at degree {k}; {pair}")
 
-    # brute-force value table for the whole grid
-    values = {
-        (m, r): [hypersum.hyper_sum_bruteforce(m, r, n) for n in range(n_max + 1)]
-        for m in range(0, m_max + 2)
-        for r in range(0, r_max + 2)
-    }
 
-    # five-way route equivalence + evaluation against the defining recursion
+# Each check family takes the grid bounds and the brute-force value table
+# values[m, r][n] (m <= m_max + 1, r <= r_max + 1, n <= n_max) and yields its
+# results in a fixed order.
+Checks = Iterator[CheckResult]
+
+
+def check_routes(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """Five-way route equality, evaluation against the defining recursion, and
+    the leading-coefficient law m!/(m+r)!."""
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
-            produced = {name: hypersum.ROUTES[name](m, r).poly for name in methods}
-            names = list(produced)
-            ref_name, ref = names[0], produced[names[0]]
-            for name in names[1:]:
-                rec.poly_equal(
-                    f"route-equality[{ref_name}={name}]",
-                    {"m": m, "r": r},
-                    ref,
-                    produced[name],
+            cell = {"m": m, "r": r}
+            produced = {name: route(m, r).poly for name, route in hypersum.ROUTES.items()}
+            (ref_name, ref), *others = produced.items()
+            for name, p in others:
+                yield _poly_check(f"route-equality[{ref_name}={name}]", cell, ref, p)
+            for name, p in produced.items():
+                bad = next((n for n in range(n_max + 1) if p.eval(n) != values[m, r][n]), None)
+                yield _check(
+                    f"eval-vs-recursion[{name}]", cell, bad is None, f"first divergence at n={bad}"
                 )
-            for name in names:
-                p = produced[name]
-                bad = next(
-                    (n for n in range(n_max + 1) if p.eval(n) != values[m, r][n]), None
-                )
-                rec.check(
-                    f"eval-vs-recursion[{name}]",
-                    {"m": m, "r": r},
-                    bad is None,
-                    "" if bad is None else f"first divergence at n={bad}",
-                )
-            # leading coefficient law: m!/(m+r)!
-            rec.check(
+            lead = ref.coefficient(m + r)
+            yield _check(
                 "leading-coefficient",
-                {"m": m, "r": r},
-                ref.coefficient(m + r) == Fraction(factorial(m), factorial(m + r)),
-                f"got {ref.coefficient(m + r)}",
+                cell,
+                lead == Fraction(factorial(m), factorial(m + r)),
+                f"got {lead}",
             )
 
-    # structural form of the centered factor polynomials
+
+def check_centered_factor(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """Determinant and coefficientwise centered factors agree, and have the
+    parity, length, alternating signs and leading term of the paper."""
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
+            cell = {"m": m, "r": r}
             det_form = hypersum.faulhaber_det(m, r)
-            rec_form = hypersum.faulhaber_rec(m, r)
-            rec.poly_equal(
-                "centered-factor[det=rec]", {"m": m, "r": r}, det_form.poly, rec_form.poly
+            yield _poly_check(
+                "centered-factor[det=rec]", cell, det_form.poly, hypersum.faulhaber_rec(m, r).poly
             )
             g = det_form.g_coeffs
-            expected_parity = "even" if m % 2 == 1 else "odd"
             ok = (
-                det_form.poly.parity() == expected_parity
+                det_form.poly.parity() == ("even" if m % 2 == 1 else "odd")
                 and len(g) == (m + 1) // 2
                 and all(c != 0 for c in g)
                 and g[-1] > 0
                 and all(a * b < 0 for a, b in zip(g, g[1:]))
                 and g[-1] == Fraction(factorial(r + 1) * factorial(m), factorial(m + r))
             )
-            rec.check(
-                "centered-factor-structure",
-                {"m": m, "r": r},
-                ok,
-                json.dumps([rational_to_json(c) for c in g]),
+            yield _check(
+                "centered-factor-structure", cell, ok, json.dumps([rational_to_json(c) for c in g])
             )
 
-    # order-lifting recurrence: S(m, r+1) = ((n+r)/r) S(m, r) - (1/r) S(m+1, r)
+
+def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """S(m, r+1) = ((n+r)/r) S(m, r) - (1/r) S(m+1, r)."""
     for m in range(0, m_max + 1):
         for r in range(1, r_max + 1):
             lhs = hypersum.hyper_sum_poly(m, r + 1)
             rhs = (poly([r, 1]) * hypersum.hyper_sum_poly(m, r)).scale(
                 Fraction(1, r)
             ) - hypersum.hyper_sum_poly(m + 1, r).scale(Fraction(1, r))
-            rec.poly_equal("order-lift-recurrence", {"m": m, "r": r}, lhs, rhs)
+            yield _poly_check("order-lift-recurrence", {"m": m, "r": r}, lhs, rhs)
 
-    # centered recurrence:
-    # (m+r) S(m, r) = m (n + r/2) S(m-1, r) - r sum_k C(m,k) B_{m-k} S(k, r)
+
+def check_centered_recurrence(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """(m+r) S(m, r) = m (n + r/2) S(m-1, r) - r sum_k C(m,k) B_{m-k} S(k, r)."""
     for m in range(2, m_max + 1):
         for r in range(0, r_max + 1):
             lhs = hypersum.hyper_sum_poly(m, r).scale(m + r)
@@ -226,10 +195,11 @@ def run_grid(
                 rhs = rhs - hypersum.hyper_sum_poly(k, r).scale(
                     Fraction(r) * comb(m, k) * bernoulli(m - k)
                 )
-            rec.poly_equal("centered-recurrence", {"m": m, "r": r}, lhs, rhs)
+            yield _poly_check("centered-recurrence", {"m": m, "r": r}, lhs, rhs)
 
-    # half-step intermediate:
-    # m S(m-1, r+1) = S(m, r) + (m/2) S(m-1, r) + sum_k C(m,k) B_{m-k} S(k, r)
+
+def check_half_step(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """m S(m-1, r+1) = S(m, r) + (m/2) S(m-1, r) + sum_k C(m,k) B_{m-k} S(k, r)."""
     for m in range(2, m_max + 1):
         for r in range(0, r_max + 1):
             lhs = hypersum.hyper_sum_poly(m - 1, r + 1).scale(m)
@@ -240,61 +210,96 @@ def run_grid(
                 rhs = rhs + hypersum.hyper_sum_poly(k, r).scale(
                     Fraction(comb(m, k)) * bernoulli(m - k)
                 )
-            rec.poly_equal("half-step-recurrence", {"m": m, "r": r}, lhs, rhs)
+            yield _poly_check("half-step-recurrence", {"m": m, "r": r}, lhs, rhs)
 
-    # weighted-sum identity: sum_{j<=n} j S(m, r-1, j) = (n+1) S(m, r, n) - S(m, r+1, n)
+
+def check_weighted_sum(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """sum_{j<=n} j S(m, r-1, j) = (n+1) S(m, r, n) - S(m, r+1, n) on the value table."""
     for m in range(0, m_max + 1):
         for r in range(1, r_max + 1):
-            bad = None
-            for n in range(0, n_max + 1):
-                left = sum(j * values[m, r - 1][j] for j in range(1, n + 1))
-                right = (n + 1) * values[m, r][n] - values[m, r + 1][n]
-                if left != right:
-                    bad = n
-                    break
-            rec.check(
-                "weighted-sum-identity",
-                {"m": m, "r": r},
-                bad is None,
-                "" if bad is None else f"fails at n={bad}",
+            left = accumulate(j * values[m, r - 1][j] for j in range(n_max + 1))
+            bad = next(
+                (
+                    n
+                    for n, total in enumerate(left)
+                    if total != (n + 1) * values[m, r][n] - values[m, r + 1][n]
+                ),
+                None,
+            )
+            yield _check(
+                "weighted-sum-identity", {"m": m, "r": r}, bad is None, f"fails at n={bad}"
             )
 
-    # parity-split lifts are exact (zero defect polynomial)
+
+def check_parity_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """The parity-split lifts from order r to r + 1 leave a zero defect polynomial."""
     for parity, top in (("odd", (m_max + 1) // 2), ("even", m_max // 2)):
         for half_m in range(1, max(top, 1) + 1):
             for r in range(0, r_max + 1):
                 residual = hypersum.coffey_residual(half_m, r, parity)
-                rec.check(
+                yield _check(
                     f"parity-lift[{parity}]",
                     {"m": half_m, "r": r},
                     residual.is_zero(),
-                    "" if residual.is_zero() else str(residual),
+                    str(residual),
                 )
 
-    # weight polynomials agree with the r-shifted Stirling numbers
+
+def check_weights_vs_r_stirling(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """The weight polynomials q_{r,i}(n) are r-shifted Stirling numbers, n <= 8."""
     for r in range(0, r_max + 1):
         for i in range(0, r + 1):
-            bad = None
-            for n in range(0, min(n_max, 8) + 1):
-                if hypersum.q_poly(r, i).eval(n) != r_stirling1(r + n + 1, i + n + 1, n + 1):
-                    bad = n
-                    break
-            rec.check(
-                "weights-vs-r-stirling",
-                {"r": r, "i": i},
-                bad is None,
-                "" if bad is None else f"fails at n={bad}",
+            q = hypersum.q_poly(r, i)
+            bad = next(
+                (
+                    n
+                    for n in range(0, min(n_max, 8) + 1)
+                    if q.eval(n) != r_stirling1(r + n + 1, i + n + 1, n + 1)
+                ),
+                None,
+            )
+            yield _check(
+                "weights-vs-r-stirling", {"r": r, "i": i}, bad is None, f"fails at n={bad}"
             )
 
-    # explicit linear coefficient matches its collapsed single-sum form
+
+def check_linear_coefficient(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
+    """The explicit linear coefficient matches its collapsed single-sum form."""
     for m in range(0, m_max + 1):
         for r in range(1, r_max + 1):
-            rec.check(
+            yield _check(
                 "linear-coefficient-reduction",
                 {"m": m, "r": r},
                 hypersum.coeff_c(m, r, 1) == hypersum.coeff_c_reduced_k1(m, r),
             )
 
+
+GRID_CHECKS = (
+    check_routes,
+    check_centered_factor,
+    check_order_lift,
+    check_centered_recurrence,
+    check_half_step,
+    check_weighted_sum,
+    check_parity_lift,
+    check_weights_vs_r_stirling,
+    check_linear_coefficient,
+)
+
+
+def run_grid(m_max: int, r_max: int, n_max: int) -> VerifyReport:
+    """Run every grid-parameterized check; failures are collected, not raised."""
+    if m_max < 1 or r_max < 1 or n_max < 1:
+        raise ValueError("grid bounds must be >= 1")
+    start = time.perf_counter()
+    values = {
+        (m, r): [hypersum.hyper_sum_bruteforce(m, r, n) for n in range(n_max + 1)]
+        for m in range(0, m_max + 2)
+        for r in range(0, r_max + 2)
+    }
+    report = VerifyReport(m_max, r_max, n_max)
+    for check in GRID_CHECKS:
+        report.checks.extend(check(m_max, r_max, n_max, values))
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -302,20 +307,15 @@ def run_grid(
 # -- golden fixtures -----------------------------------------------------------
 
 
-def golden_fixtures() -> VerifyReport:
-    """Exact reproduction of the pinned closed-form displays."""
-    start = time.perf_counter()
-    report = VerifyReport(0, 0, 0)
-    rec = _Recorder(report)
-
+def _golden_checks() -> Checks:
     # centered factors for (5, 7) and (6, 7)
-    rec.poly_equal(
+    yield _poly_check(
         "golden-centered-factor",
         {"m": 5, "r": 7},
         hypersum.faulhaber_det(5, 7).poly,
         poly([Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7),
     )
-    rec.poly_equal(
+    yield _poly_check(
         "golden-centered-factor",
         {"m": 6, "r": 7},
         hypersum.faulhaber_det(6, 7).poly,
@@ -327,7 +327,7 @@ def golden_fixtures() -> VerifyReport:
     # factored hyper-sum displays for (5, 7) and (6, 7)
     bracket5 = poly([693, 0, -280, 0, 16], "N", 7)
     expected5 = (hypersum.s1_poly(7) * to_n_frame(bracket5)).scale(Fraction(1, 1584))
-    rec.poly_equal(
+    yield _poly_check(
         "golden-factored-hyper-sum",
         {"m": 5, "r": 7},
         hypersum.hyper_sum_det(5, 7).poly,
@@ -335,7 +335,7 @@ def golden_fixtures() -> VerifyReport:
     )
     bracket6 = poly([0, 6419, 0, -1176, 0, 48], "N", 7)
     expected6 = (hypersum.s1_poly(7) * to_n_frame(bracket6)).scale(Fraction(1, 10296))
-    rec.poly_equal(
+    yield _poly_check(
         "golden-factored-hyper-sum",
         {"m": 6, "r": 7},
         hypersum.hyper_sum_det(6, 7).poly,
@@ -348,13 +348,13 @@ def golden_fixtures() -> VerifyReport:
         expected = (hypersum.s1_poly(r) * poly([r * (r - 1), 6 * r, 6])).scale(
             Fraction(1, (r + 2) * (r + 3))
         )
-        rec.poly_equal(
+        yield _poly_check(
             "golden-cubic-hyper-sum", {"r": r}, hypersum.hyper_sum_det(3, r).poly, expected
         )
 
     # square-of-triangular identity: S_3(n) = C(n+1, 2)^2
     triangular = poly([0, Fraction(1, 2), Fraction(1, 2)])
-    rec.poly_equal(
+    yield _poly_check(
         "golden-cube-sum-square",
         {},
         hypersum.power_sum_poly(3),
@@ -362,7 +362,7 @@ def golden_fixtures() -> VerifyReport:
     )
 
     # half-shifted power sums for m = 7, 8
-    rec.poly_equal(
+    yield _poly_check(
         "golden-half-shifted-power-sum",
         {"m": 7},
         hypersum.faulhaber_r1(7).poly,
@@ -375,7 +375,7 @@ def golden_fixtures() -> VerifyReport:
             1,
         ),
     )
-    rec.poly_equal(
+    yield _poly_check(
         "golden-half-shifted-power-sum",
         {"m": 8},
         hypersum.faulhaber_r1(8).poly,
@@ -401,15 +401,15 @@ def golden_fixtures() -> VerifyReport:
         2
     ).shift(Fraction(3, 2)).scale(Fraction(-5, 252)) + poly([Fraction(-859, 2016)])
     rhs = (prefactor * centered).scale(Fraction(1, 240))
-    rec.poly_equal("golden-parity-lift-difference", {"m": 5}, lhs, rhs)
+    yield _poly_check("golden-parity-lift-difference", {"m": 5}, lhs, rhs)
 
     # closed-form determinant at r = 0: (-1)^(m-1) 2...(m) n^(m-1), for m = 2..8
     for m in range(2, 9):
         d = hessenberg.det(hessenberg.build_matrix(m, 0))
         expected = monomial(m - 1, sign_pow(m - 1) * rising_factorial(2, m - 1), "N", 0)
-        rec.poly_equal("golden-determinant-r0", {"m": m}, d, expected)
+        yield _poly_check("golden-determinant-r0", {"m": m}, d, expected)
     d1 = hessenberg.det(hessenberg.build_matrix(1, 3))
-    rec.check("golden-determinant-empty", {"m": 1, "r": 3}, d1 == poly([1], "N", 3))
+    yield _check("golden-determinant-empty", {"m": 1, "r": 3}, d1 == poly([1], "N", 3))
 
     # five coefficient relations tying index 9 to indices 1..8, at r = 10
     r = 10
@@ -433,23 +433,25 @@ def golden_fixtures() -> VerifyReport:
         g[9][4] == Fraction(9, 19) * g[8][3],
     ]
     for j, ok in enumerate(relations):
-        rec.check("golden-coefficient-relation", {"index": 9, "j": j, "r": r}, ok)
+        yield _check("golden-coefficient-relation", {"index": 9, "j": j, "r": r}, ok)
 
-    report.wall_time = time.perf_counter() - start
-    return report
+
+def golden_fixtures() -> VerifyReport:
+    """Exact reproduction of the pinned closed-form displays."""
+    start = time.perf_counter()
+    checks = list(_golden_checks())
+    return VerifyReport(0, 0, 0, checks, time.perf_counter() - start)
+
+
+# m_max, r_max, n_max: reaches Bernoulli numbers through index 14 and all the
+# structural laws while staying seconds-scale
+DEFAULT_GRID = (10, 6, 15)
 
 
 def run_all(
-    m_max: int = 10,
-    r_max: int = 6,
-    n_max: int = 15,
-    methods: tuple[str, ...] = ALL_METHODS,
+    m_max: int = DEFAULT_GRID[0], r_max: int = DEFAULT_GRID[1], n_max: int = DEFAULT_GRID[2]
 ) -> VerifyReport:
-    """Default full run: grid checks plus golden fixtures.
-
-    The default grid reaches Bernoulli numbers through index 14 and all the
-    structural laws while staying seconds-scale.
-    """
-    report = run_grid(m_max, r_max, n_max, methods)
+    """Default full run: grid checks plus golden fixtures."""
+    report = run_grid(m_max, r_max, n_max)
     report.merge(golden_fixtures())
     return report

@@ -8,7 +8,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from hypersums.cli import MAX_BRUTEFORCE_N, main
+import pytest
+
+from hypersums.cli import MAX_BRUTEFORCE_N, build_parser, main
 from hypersums.hessenberg import build_matrix, det
 from hypersums.hypersum import faulhaber_det, hyper_sum_bruteforce
 from hypersums.polyring import poly_from_json
@@ -120,6 +122,37 @@ def test_bruteforce_n_cap_exit_2(capsys):
     assert code == 2 and out == ""
     code, out = run_cli(capsys, "table", "--n", too_big)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--m", "201", "--r", "0", "--n", "1"),
+        ("eval", "--m", "0", "--r", "201", "--n", "1"),
+        ("eval", "--m", "400", "--r", "200", "--n", "5"),
+        ("poly", "--m", "201", "--r", "1"),
+        ("poly", "--m", "1", "--r", "201"),
+        ("det", "--m", "201", "--r", "1"),
+        ("det", "--m", "1", "--r", "201"),
+        ("verify", "--max-m", "31"),
+        ("verify", "--max-r", "16"),
+        ("verify", "--max-n", "101"),
+    ],
+)
+def test_m_r_and_grid_caps_exit_2(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "")
+
+
+def test_caps_accept_the_boundary():
+    parser = build_parser()
+    at_cap = ["--m", "200", "--r", "200"]
+    for argv in (["eval", *at_cap, "--n", "0"], ["poly", *at_cap], ["det", *at_cap]):
+        args = parser.parse_args(argv)
+        assert (args.m, args.r) == (200, 200)
+    args = parser.parse_args(["verify", "--max-m", "30", "--max-r", "15", "--max-n", "100"])
+    assert (args.max_m, args.max_r, args.max_n) == (30, 15, 100)
+    args = parser.parse_args(["verify"])
+    assert (args.max_m, args.max_r, args.max_n) == (10, 6, 15)
 
 
 # -- poly ---------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from hypersums.exactnum import (
     bernoulli,
-    bernoulli_or_zero,
     binomial,
     r_stirling1,
     rational_from_json,
@@ -128,11 +127,6 @@ def test_bernoulli_odd_vanish_and_even_signs():
         value = bernoulli(2 * t)
         assert value != 0
         assert (value > 0) == (t % 2 == 1), f"sign of B_{2 * t}"
-
-
-def test_bernoulli_or_zero_negative_index():
-    assert bernoulli_or_zero(-3) == 0
-    assert bernoulli_or_zero(2) == Fraction(1, 6)
 
 
 def test_corrupt_bernoulli_is_scoped(corrupt_bernoulli):

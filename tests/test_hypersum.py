@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from hypersums import hessenberg
 from hypersums.hypersum import (
     ROUTE_DOMAIN,
     ROUTES,
@@ -379,10 +380,19 @@ def test_faulhaber_r1_equals_shifted_bernoulli_form():
 
 def test_faulhaber_r1_f_coeffs_alternate():
     for m in range(1, 11):
-        f = faulhaber_r1(m).f_coeffs
+        f = faulhaber_r1(m).g_coeffs
         assert len(f) == (m + 1) // 2 + 1
         assert all(c != 0 for c in f)
         assert all(a * b < 0 for a, b in zip(f, f[1:]))
+
+
+def test_faulhaber_r1_reuses_the_cached_determinant(monkeypatch):
+    faulhaber_det(9, 1)
+    calls = []
+    real_det = hessenberg.det
+    monkeypatch.setattr(hessenberg, "det", lambda matrix: calls.append(matrix) or real_det(matrix))
+    assert faulhaber_r1(9).poly.coeffs == power_sum_poly(9).shift(Fraction(-1, 2)).coeffs
+    assert calls == []
 
 
 # -- parity-split lifts -----------------------------------------------------------------
