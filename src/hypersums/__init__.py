@@ -31,6 +31,7 @@ from .hypersum import (
     faulhaber_u_form,
     hyper_sum_bruteforce,
     hyper_sum_det,
+    hyper_sum_newton,
     hyper_sum_poly,
     hyper_sum_poly_c,
     hyper_sum_poly_chain,
@@ -50,6 +51,7 @@ from .polyring import (
     from_u_form,
     monomial,
     poly,
+    sum_of_products,
     to_N_frame,
     to_latex,
     to_n_frame,
@@ -85,6 +87,7 @@ __all__ = [
     "golden_fixtures",
     "hyper_sum_bruteforce",
     "hyper_sum_det",
+    "hyper_sum_newton",
     "hyper_sum_poly",
     "hyper_sum_poly_c",
     "hyper_sum_poly_chain",
@@ -103,6 +106,7 @@ __all__ = [
     "s2_closed",
     "stirling1_unsigned",
     "stirling_product_form",
+    "sum_of_products",
     "to_N_frame",
     "to_latex",
     "to_n_frame",

@@ -30,8 +30,12 @@ EXIT_CROSSCHECK = 3
 # largest n for the brute-force recursion, whose lists grow linearly in n
 MAX_BRUTEFORCE_N = 10**6
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM,
-# eval takes about 5 s (auto) and up to 26 s (--method c), poly and det 1-1.5 s
+# eval takes about 5 s (auto, q), 26 s (c), 11 s (chain), 3.2 s (lemma) and
+# 0.8 s (det), poly and det 0.7-0.8 s
 MAX_M_R = 200
+# largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
+# 10 MB of digits, takes about 1.2 s there
+MAX_TABLE_M_R = 100
 # largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 10 s there
 MAX_VERIFY_GRID = (30, 15, 100)
 
@@ -54,10 +58,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = Fraction(hypersum.hyper_sum_bruteforce(m, r, n))
     elif method == "auto":
         value = hypersum.hyper_sum_poly(m, r).eval(n)
-        if n <= 20 and value != hypersum.hyper_sum_bruteforce(m, r, n):
+        if value.denominator != 1 or value != hypersum.hyper_sum_newton(m, r, n):
             print(
-                f"internal error: polynomial route disagrees with the defining "
-                f"recursion at (m={m}, r={r}, n={n})",
+                f"internal error: polynomial route gives {value}, not the integer "
+                f"of the Newton-basis oracle, at (m={m}, r={r}, n={n})",
                 file=sys.stderr,
             )
             return EXIT_CROSSCHECK
@@ -178,7 +182,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
     _check_bruteforce_n(n)
     cells = [
-        (m, r, hypersum.hyper_sum_bruteforce(m, r, n))
+        (m, r, hypersum.hyper_sum_newton(m, r, n))
         for m in range(0, args.max_m + 1)
         for r in range(0, args.max_r + 1)
     ]
@@ -264,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="tabulate S(m, r, n) over a grid")
-    p_table.add_argument("--max-m", type=_int_in(0), default=5)
-    p_table.add_argument("--max-r", type=_int_in(0), default=4)
+    p_table.add_argument("--max-m", type=_int_in(0, MAX_TABLE_M_R), default=5)
+    p_table.add_argument("--max-r", type=_int_in(0, MAX_TABLE_M_R), default=4)
     p_table.add_argument("--n", type=_int_in(0), required=True)
     p_table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_table.set_defaults(func=cmd_table)

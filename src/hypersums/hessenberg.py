@@ -10,7 +10,10 @@ are (at most linear) polynomials in the centered variable N = n + r/2:
 The zero entries visible in small instances are Bernoulli zeros (odd-index
 Bernoulli numbers vanish).  Determinants are evaluated by the division-free
 leading-principal-minor recurrence, which is exact over the polynomial ring
-and O(order^2) ring operations.
+and O(order^2) ring operations.  Each minor is one
+:func:`~hypersums.polyring.sum_of_products`: its products are accumulated
+in integers over one common denominator and normalised once, and the
+terms with a zero entry are skipped.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import bernoulli, binomial, sign_pow
-from .polyring import RatPoly, constant, poly, to_text, poly_to_json
+from .exactnum import bernoulli, binomial
+from .polyring import RatPoly, constant, poly_to_json, sum_of_products, to_text
 
 
 @dataclass(frozen=True)
@@ -51,26 +54,30 @@ class HessenbergMatrix:
 
 
 def build_matrix(m: int, r: int) -> HessenbergMatrix:
-    """The order m-1 matrix for parameters (m, r); empty when m = 1."""
+    """The order m-1 matrix for parameters (m, r); empty when m = 1.
+
+    Entries are built from integers; every zero entry is one shared zero
+    polynomial.
+    """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     order = m - 1
-    empty = poly([], "N", r)
+    zero = RatPoly.from_integers((), 1, "N", r)
     rows = []
     for i in range(1, order + 1):
         p = i + 1
-        row = []
-        for j in range(1, order + 1):
-            if j == i:
-                row.append(poly([0, -p], "N", r))
-            elif j == i + 1:
-                row.append(constant(r + p, "N", r))
-            elif j < i:
-                row.append(constant(r * binomial(p, j) * bernoulli(p - j), "N", r))
-            else:
-                row.append(empty)
+        row = [zero] * order
+        for j in range(1, i):
+            b = bernoulli(p - j)
+            if r and b:
+                row[j - 1] = RatPoly.from_integers(
+                    (r * binomial(p, j) * b.numerator,), b.denominator, "N", r
+                )
+        row[i - 1] = RatPoly.from_integers((0, -p), 1, "N", r)
+        if i < order:
+            row[i] = RatPoly.from_integers((r + p,), 1, "N", r)
         rows.append(tuple(row))
     return HessenbergMatrix(m, r, tuple(rows))
 
@@ -83,23 +90,26 @@ def det(h: HessenbergMatrix) -> RatPoly:
         p_k = h[k,k] p_{k-1}
               + sum_{j=1}^{k-1} (-1)^(k-j) h[k,j] (prod_{t=j}^{k-1} h[t,t+1]) p_{j-1}.
 
-    The empty matrix has determinant 1.
+    The empty matrix has determinant 1.  Each p_k is one sum of products of
+    (entry times signed superdiagonal product, earlier minor) pairs, reduced
+    once; the terms whose entry h[k,j] is zero are left out.
     """
     order = h.order
     frame_r = h.entries[0][0].r if order else h.r
     minors: list[RatPoly] = [constant(1, "N", frame_r)]
-    # super_prod[j] accumulates prod_{t=j}^{k-1} h[t,t+1], updated as k grows
-    super_prods: list[RatPoly] = []
+    # signed_prods[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1], updated as k grows
+    signed_prods: list[RatPoly] = []
     for k in range(1, order + 1):
+        row = h.entries[k - 1]
         if k >= 2:
-            sup = h.entry(k - 1, k)
-            super_prods = [prod * sup for prod in super_prods]
-            super_prods.append(sup)  # j = k-1
-        acc = h.entry(k, k) * minors[k - 1]
-        for j in range(1, k):
-            term = h.entry(k, j) * super_prods[j - 1] * minors[j - 1]
-            acc = acc + term.scale(sign_pow(k - j))
-        minors.append(acc)
+            neg_sup = -h.entry(k - 1, k)
+            signed_prods = [prod * neg_sup for prod in signed_prods]
+            signed_prods.append(neg_sup)  # j = k-1
+        pairs = [(row[k - 1], minors[k - 1])]
+        pairs += [
+            (row[j] * signed_prods[j], minors[j]) for j in range(k - 1) if row[j].numerators
+        ]
+        minors.append(sum_of_products(pairs, "N", frame_r))
     return minors[order]
 
 

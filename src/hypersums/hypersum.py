@@ -42,6 +42,7 @@ from .polyring import (
     divide_exact,
     monomial,
     poly,
+    sum_of_products,
     to_N_frame,
     to_n_frame,
     to_u_form,
@@ -102,6 +103,35 @@ def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
             sums[i] = acc
         vals = sums
     return vals[n]
+
+
+@lru_cache(maxsize=None)
+def _surjection_counts(m: int) -> tuple[int, ...]:
+    """(0! {m 0}, 1! {m 1}, ..., m! {m m}): a(m, k) = k (a(m-1, k) + a(m-1, k-1))."""
+    row = [1]
+    for i in range(1, m + 1):
+        row = [k * ((row[k] if k < i else 0) + (row[k - 1] if k else 0)) for k in range(i + 1)]
+    return tuple(row)
+
+
+def hyper_sum_newton(m: int, r: int, n: int) -> int:
+    """S(m, r, n) in integers from the Newton basis, at any n.
+
+    n^m = sum_k k! {m k} C(n, k), and summing r times lifts each binomial by
+    the hockey-stick identity: S(m, r, n) = sum_{k=1}^{m} k! {m k} C(n+r, k+r)
+    for m >= 1.  For m = 0 the 0^0 = 1 convention gives 1 when r = 0 and
+    C(n+r-1, r) when r >= 1.  It shares no table with the polynomial routes.
+    """
+    if m < 0 or r < 0 or n < 0:
+        raise ValueError(f"need m, r, n >= 0, got ({m}, {r}, {n})")
+    if m == 0:
+        return 1 if r == 0 else comb(n + r - 1, r)
+    total = 0
+    binom = comb(n + r, r + 1)  # C(n+r, k+r) at k = 1
+    for k, weight in enumerate(_surjection_counts(m)[1:], start=1):
+        total += weight * binom
+        binom = binom * (n - k) // (k + r + 1)
+    return total
 
 
 def s1_closed(r: int, n: int) -> Rational:
@@ -172,11 +202,13 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
     """
     if r < 1:
         raise ValueError(f"the power-sum expansion needs r >= 1, got {r}")
-    acc = zero()
+    weight = factorial(r - 1)
+    pairs = []
     for i in range(r):
-        term = q_poly(r - 1, i) * power_sum_poly(m + i)
-        acc = acc + term.scale(Fraction(sign_pow(i), factorial(r - 1)))
-    return HyperSumPoly(m, r, acc, "q-form")
+        q = q_poly(r - 1, i)
+        signed = RatPoly.from_integers(q.numerators, sign_pow(i) * weight * q.denominator)
+        pairs.append((signed, power_sum_poly(m + i)))
+    return HyperSumPoly(m, r, sum_of_products(pairs), "q-form")
 
 
 # -- explicit coefficients ----------------------------------------------------
@@ -197,15 +229,16 @@ def coeff_c(m: int, r: int, k: int) -> Rational:
         raise ValueError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
     b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
     row = stirling1_row(r)
-    total = Fraction(0)
+    tops = lcm(*range(m + 1, m + r + 1))
+    total = 0
     for i in range(r):
         top = m + i + 1
         inner = 0
         for j in range(max(0, k - top), min(k, r - i)):
             term = comb(i + j, i) * comb(top, k - j) * row[i + j + 1] * b_nums[top + j - k]
             inner += -term if j & 1 else term
-        total += Fraction(inner, top)
-    return Fraction(sign_pow(m + 1 - k), factorial(r - 1) * b_den) * total
+        total += inner * (tops // top)
+    return Fraction(sign_pow(m + 1 - k) * total, factorial(r - 1) * b_den * tops)
 
 
 def coeff_c_reduced_k1(m: int, r: int) -> Rational:
@@ -294,12 +327,17 @@ def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
 @lru_cache(maxsize=None)
 def _lemma_chain(m_max: int, r: int) -> tuple[RatPoly, ...]:
     polys = [s1_poly(r)]
-    n_plus_half_r = poly([Fraction(r, 2), 1])
     for m in range(2, m_max + 1):
-        rhs = (n_plus_half_r * polys[m - 2]).scale(m)
+        # m (n + r/2) / (m+r) times S(m-1, r), then the nonzero Bernoulli terms
+        pairs = [(RatPoly.from_integers((m * r, 2 * m), 2 * (m + r)), polys[m - 2])]
         for k in range(1, m - 1):
-            rhs = rhs + polys[k - 1].scale(-r * comb(m, k) * bernoulli(m - k))
-        polys.append(rhs.scale(Fraction(1, m + r)))
+            b = bernoulli(m - k)
+            if b:
+                weight = RatPoly.from_integers(
+                    (-r * comb(m, k) * b.numerator,), b.denominator * (m + r)
+                )
+                pairs.append((weight, polys[k - 1]))
+        polys.append(sum_of_products(pairs))
     return tuple(polys)
 
 

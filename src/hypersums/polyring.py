@@ -9,6 +9,11 @@ comparison of the integers.  Ring operations work on the integers alone and
 normalise once; ``coeffs`` yields the coefficients as canonical
 ``Fraction`` values, built on first use.  There is no floating point.
 
+A sum of several products (each minor of the Hessenberg determinant, each
+step of the centered recurrence, the power-sum expansion) goes through
+:func:`sum_of_products`, which accumulates all products over one common
+denominator and normalises the sum once, not after every ``*`` and ``+``.
+
 Each polynomial carries a variable tag:
 
 * ``"n"`` -- the summation variable (r context always 0),
@@ -246,6 +251,41 @@ class RatPoly:
 
     def __str__(self) -> str:
         return to_text(self)
+
+
+# -- sums of products -------------------------------------------------------
+
+
+def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
+    """sum(a * b for a, b in pairs) in the frame (var, r), normalised once.
+
+    The products are accumulated in integers over the lcm of their
+    denominators and reduced at the end.  Every factor must be in the frame,
+    as for ``*``; an empty sum, or a sum of zeros, is the zero polynomial.
+    """
+    _check_frame(var, r)
+    terms = []
+    for a, b in pairs:
+        for f in (a, b):
+            if f.var != var or f.r != r:
+                raise ValueError(f"frame mismatch: {var}[r={r}] vs {f.var}[r={f.r}]")
+        if a.numerators and b.numerators:
+            terms.append((a, b))
+    if not terms:
+        return _raw((), 1, var, r)
+    den = lcm(*(a.denominator * b.denominator for a, b in terms))
+    out = [0] * max(len(a.numerators) + len(b.numerators) - 1 for a, b in terms)
+    for a, b in terms:
+        x, y = a.numerators, b.numerators
+        if len(x) < len(y):
+            x, y = y, x
+        s = den // (a.denominator * b.denominator)
+        for j, v in enumerate(y):
+            if v:
+                v *= s
+                for i, u in enumerate(x, j):
+                    out[i] += u * v
+    return _primitive(out, den, var, r)
 
 
 # -- constructors ---------------------------------------------------------

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums.cli import MAX_BRUTEFORCE_N, build_parser, main
+from hypersums.cli import MAX_BRUTEFORCE_N, MAX_TABLE_M_R, build_parser, main
 from hypersums.hessenberg import build_matrix, det
-from hypersums.hypersum import faulhaber_det, hyper_sum_bruteforce
+from hypersums.hypersum import faulhaber_det, hyper_sum_bruteforce, hyper_sum_newton
 from hypersums.polyring import poly_from_json
 
 
@@ -88,12 +88,23 @@ def test_eval_json_schema(capsys):
     assert value == hyper_sum_bruteforce(4, 2, 6)
 
 
-def test_eval_crosscheck_mismatch_exit_3(capsys, corrupt_bernoulli):
+@pytest.mark.parametrize(
+    "r, n",
+    [
+        (2, 5),
+        # (4, 1, 30) once printed 36908993/7 with exit 0: only n <= 20 was checked
+        (1, 30),
+        (2, 10**12),
+    ],
+)
+def test_eval_crosscheck_mismatch_exit_3(capsys, corrupt_bernoulli, r, n):
+    argv = ("eval", "--m", "4", "--r", str(r), "--n", str(n))
     with corrupt_bernoulli(2, Fraction(1, 7)):
-        code, _ = run_cli(capsys, "eval", "--m", "4", "--r", "2", "--n", "5")
-    assert code == 3
-    code, out = run_cli(capsys, "eval", "--m", "4", "--r", "2", "--n", "5")
-    assert code == 0 and out.strip() == str(hyper_sum_bruteforce(4, 2, 5))
+        assert run_cli(capsys, *argv) == (3, "")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and int(out) == hyper_sum_newton(4, r, n)
+    if n <= 30:
+        assert int(out) == hyper_sum_bruteforce(4, r, n)
 
 
 def test_eval_invalid_arguments_exit_2(capsys):
@@ -137,6 +148,9 @@ def test_bruteforce_n_cap_exit_2(capsys):
         ("verify", "--max-m", "31"),
         ("verify", "--max-r", "16"),
         ("verify", "--max-n", "101"),
+        ("table", "--max-m", "101", "--n", "1"),
+        ("table", "--max-r", "101", "--n", "1"),
+        ("table", "--max-m", "100", "--max-r", "10000", "--n", "1000"),
     ],
 )
 def test_m_r_and_grid_caps_exit_2(capsys, argv):
@@ -153,6 +167,9 @@ def test_caps_accept_the_boundary():
     assert (args.max_m, args.max_r, args.max_n) == (30, 15, 100)
     args = parser.parse_args(["verify"])
     assert (args.max_m, args.max_r, args.max_n) == (10, 6, 15)
+    assert MAX_TABLE_M_R == 100
+    args = parser.parse_args(["table", "--max-m", "100", "--max-r", "100", "--n", "1"])
+    assert (args.max_m, args.max_r) == (100, 100)
 
 
 # -- poly ---------------------------------------------------------------------
@@ -322,6 +339,17 @@ def test_table_binomial_column(capsys):
             (line.split(",") for line in out.strip().splitlines()[1:])}
     for r in range(5):
         assert rows[1, r] == math.comb(4 + r, r + 1)
+
+
+def test_table_matches_the_recursion(capsys):
+    for n in (0, 1, 7):
+        code, out = run_cli(
+            capsys, "table", "--max-m", "5", "--max-r", "4", "--n", str(n), "--format", "csv"
+        )
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            m, r, v = map(int, line.split(","))
+            assert v == hyper_sum_bruteforce(m, r, n), (m, r, n)
 
 
 def test_table_json(capsys):

@@ -21,6 +21,7 @@ from hypersums.hypersum import (
     faulhaber_u_form,
     hyper_sum_bruteforce,
     hyper_sum_det,
+    hyper_sum_newton,
     hyper_sum_poly,
     hyper_sum_poly_c,
     hyper_sum_poly_chain,
@@ -232,6 +233,29 @@ def test_newton_oracle_matches_recursion():
         for r in range(5):
             for n in range(9):
                 assert newton_oracle(m, r, n) == hyper_sum_bruteforce(m, r, n), (m, r, n)
+
+
+def test_hyper_sum_newton_matches_the_reference_oracle():
+    for m in range(1, 13):
+        for r in range(9):
+            for n in (*range(12), 97, 10**6 + 3, 10**15 + 1):
+                got = hyper_sum_newton(m, r, n)
+                assert type(got) is int
+                assert got == newton_oracle(m, r, n), (m, r, n)
+    m, r, n = 60, 30, 10**12 + 39
+    assert hyper_sum_newton(m, r, n) == newton_oracle(m, r, n)
+
+
+def test_hyper_sum_newton_at_m_0_and_small_n():
+    for m in range(7):
+        for r in range(6):
+            for n in range(10):
+                assert hyper_sum_newton(m, r, n) == hyper_sum_bruteforce(m, r, n), (m, r, n)
+    assert hyper_sum_newton(0, 0, 10**20) == 1
+    assert hyper_sum_newton(0, 3, 10**6) == comb(10**6 + 2, 3)
+    for bad in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            hyper_sum_newton(*bad)
 
 
 @pytest.mark.parametrize("m, r", [(58, 29), (60, 30)])

@@ -2,7 +2,8 @@
 
 The reference below works coefficient by coefficient on lists of Fractions,
 the way the ring was computed before polynomials were stored as integer
-numerators over one denominator.
+numerators over one denominator.  ``sum_of_products`` is also held against
+the same sum built term by term with ``*`` and ``+``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import pickle
 from fractions import Fraction
 from math import comb, gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypersums.polyring import RatPoly
+from hypersums.polyring import RatPoly, sum_of_products
 
 FRAMES = (("n", 0), ("N", 0), ("N", 1), ("N", 6), ("u", 2), ("u", 5))
 
@@ -142,3 +144,48 @@ def test_frames_distinguish_equal_coefficients(a):
     for i, p in enumerate(polys):
         for j, q in enumerate(polys):
             assert (p == q) == (i == j)
+
+
+# -- sum of products -------------------------------------------------------------------
+
+# a factor is often zero or a constant, as the Bernoulli weights of the routes are
+factor_lists = st.one_of(
+    coeff_lists,
+    st.just([]),
+    st.lists(rationals, min_size=1, max_size=1),
+)
+
+
+@relaxed
+@given(frames, st.lists(st.tuples(factor_lists, factor_lists), max_size=6))
+def test_sum_of_products_matches_naive_sum(frame, pairs):
+    polys = [(RatPoly(a, *frame), RatPoly(b, *frame)) for a, b in pairs]
+    naive = RatPoly((), *frame)
+    for p, q in polys:
+        naive = naive + p * q
+    got = sum_of_products(polys, *frame)
+    assert got == naive
+    want: list[Fraction] = []
+    for a, b in pairs:
+        want = ref_add(want, ref_mul(a, b))
+    assert_matches(got, want, frame)
+
+
+@relaxed
+@given(frames, st.integers(0, 4))
+def test_sum_of_products_of_nothing_is_zero_in_the_frame(frame, count):
+    zero = RatPoly((), *frame)
+    got = sum_of_products([(zero, zero)] * count, *frame)
+    assert got == zero and got.is_zero()
+    assert_matches(got, [], frame)
+    assert_matches(sum_of_products(iter(()), *frame), [], frame)
+
+
+@relaxed
+@given(frames, frames, coeff_lists, coeff_lists, st.booleans())
+def test_sum_of_products_rejects_a_factor_in_another_frame(frame, other, a, b, first):
+    assume(frame != other)
+    good, bad = RatPoly(a, *frame), RatPoly(b, *other)
+    pair = (bad, good) if first else (good, bad)
+    with pytest.raises(ValueError, match="frame mismatch"):
+        sum_of_products([(good, good), pair], *frame)
