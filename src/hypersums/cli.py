@@ -30,13 +30,13 @@ EXIT_CROSSCHECK = 3
 # largest n for the brute-force recursion, whose lists grow linearly in n
 MAX_BRUTEFORCE_N = 10**6
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM,
-# eval takes about 5 s (auto, q), 26 s (c), 11 s (chain), 3.2 s (lemma) and
-# 0.8 s (det), poly and det 0.7-0.8 s
+# eval takes about 5 s (auto, q), 6 s (c), 11 s (chain), 3.5 s (lemma) and
+# 0.7 s (det), poly and det 0.7-0.8 s
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there
 MAX_TABLE_M_R = 100
-# largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 10 s there
+# largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 2 s there
 MAX_VERIFY_GRID = (30, 15, 100)
 
 

@@ -14,14 +14,19 @@ and O(order^2) ring operations.  Each minor is one
 :func:`~hypersums.polyring.sum_of_products`: its products are accumulated
 in integers over one common denominator and normalised once, and the
 terms with a zero entry are skipped.
+
+The entries depend on (i, j, r) alone, so the matrix for (m, r) is the
+leading block of the matrix for every larger m, and its leading principal
+minors are shared: :func:`leading_minor` memoises them per (order, r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactnum import bernoulli, binomial
+from .exactnum import bernoulli, binomial, register_cache
 from .polyring import RatPoly, constant, poly_to_json, sum_of_products, to_text
 
 
@@ -53,33 +58,62 @@ class HessenbergMatrix:
         return self.entries[i - 1][j - 1]
 
 
-def build_matrix(m: int, r: int) -> HessenbergMatrix:
-    """The order m-1 matrix for parameters (m, r); empty when m = 1.
+def _row(i: int, r: int) -> tuple[RatPoly, ...]:
+    """Entries (i, 1) ... (i, i+1) of row i, through the superdiagonal."""
+    p = i + 1
+    zero = RatPoly.from_integers((), 1, "N", r)
+    below = []
+    for j in range(1, i):
+        b = bernoulli(p - j)
+        if r and b:
+            below.append(
+                RatPoly.from_integers((r * binomial(p, j) * b.numerator,), b.denominator, "N", r)
+            )
+        else:
+            below.append(zero)
+    diagonal = RatPoly.from_integers((0, -p), 1, "N", r)
+    return (*below, diagonal, RatPoly.from_integers((r + p,), 1, "N", r))
 
-    Entries are built from integers; every zero entry is one shared zero
-    polynomial.
-    """
+
+def _check_params(m: int, r: int) -> None:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
+
+
+def build_matrix(m: int, r: int) -> HessenbergMatrix:
+    """The order m-1 matrix for parameters (m, r); empty when m = 1.
+
+    Entries are built from integers; the entries above the superdiagonal are
+    one shared zero polynomial.
+    """
+    _check_params(m, r)
     order = m - 1
     zero = RatPoly.from_integers((), 1, "N", r)
-    rows = []
-    for i in range(1, order + 1):
-        p = i + 1
-        row = [zero] * order
-        for j in range(1, i):
-            b = bernoulli(p - j)
-            if r and b:
-                row[j - 1] = RatPoly.from_integers(
-                    (r * binomial(p, j) * b.numerator,), b.denominator, "N", r
-                )
-        row[i - 1] = RatPoly.from_integers((0, -p), 1, "N", r)
-        if i < order:
-            row[i] = RatPoly.from_integers((r + p,), 1, "N", r)
-        rows.append(tuple(row))
-    return HessenbergMatrix(m, r, tuple(rows))
+    rows = tuple(
+        (*_row(i, r)[:order], *(zero,) * (order - i - 1)) for i in range(1, order + 1)
+    )
+    return HessenbergMatrix(m, r, rows)
+
+
+def _minor_step(
+    row: tuple[RatPoly, ...], signed: tuple[RatPoly, ...], minors: list[RatPoly], r: int
+) -> tuple[RatPoly, tuple[RatPoly, ...]]:
+    """One step of the leading-principal-minor recurrence.
+
+    With k = len(minors), ``minors`` holds p_0 ... p_{k-1}, ``row`` holds
+    h[k,1] ... h[k,k] followed by h[k,k+1] when the matrix has a row k+1,
+    and signed[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1] for j < k.
+    Returns p_k and the signed products for row k+1.
+    """
+    k = len(minors)
+    pairs = [(row[k - 1], minors[k - 1])]
+    pairs += [(row[j] * signed[j], minors[j]) for j in range(k - 1) if row[j].numerators]
+    if len(row) > k:
+        neg_sup = -row[k]
+        signed = (*(prod * neg_sup for prod in signed), neg_sup)
+    return sum_of_products(pairs, "N", r), signed
 
 
 def det(h: HessenbergMatrix) -> RatPoly:
@@ -94,23 +128,32 @@ def det(h: HessenbergMatrix) -> RatPoly:
     (entry times signed superdiagonal product, earlier minor) pairs, reduced
     once; the terms whose entry h[k,j] is zero are left out.
     """
-    order = h.order
-    frame_r = h.entries[0][0].r if order else h.r
-    minors: list[RatPoly] = [constant(1, "N", frame_r)]
-    # signed_prods[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1], updated as k grows
-    signed_prods: list[RatPoly] = []
-    for k in range(1, order + 1):
-        row = h.entries[k - 1]
-        if k >= 2:
-            neg_sup = -h.entry(k - 1, k)
-            signed_prods = [prod * neg_sup for prod in signed_prods]
-            signed_prods.append(neg_sup)  # j = k-1
-        pairs = [(row[k - 1], minors[k - 1])]
-        pairs += [
-            (row[j] * signed_prods[j], minors[j]) for j in range(k - 1) if row[j].numerators
-        ]
-        minors.append(sum_of_products(pairs, "N", frame_r))
-    return minors[order]
+    frame_r = h.entries[0][0].r if h.order else h.r
+    minors = [constant(1, "N", frame_r)]
+    signed: tuple[RatPoly, ...] = ()
+    for row in h.entries:
+        p, signed = _minor_step(row, signed, minors, frame_r)
+        minors.append(p)
+    return minors[-1]
+
+
+@lru_cache(maxsize=None)
+def _leading(order: int, r: int) -> tuple[RatPoly, tuple[RatPoly, ...]]:
+    """p_order of every (m, r) matrix with m > order, and the signed
+    superdiagonal products for row order + 1; memoised per (order, r)."""
+    if order == 0:
+        return constant(1, "N", r), ()
+    minors = [_leading(k, r)[0] for k in range(order)]
+    return _minor_step(_row(order, r), _leading(order - 1, r)[1], minors, r)
+
+
+def leading_minor(order: int, r: int) -> RatPoly:
+    """det(build_matrix(order + 1, r)), from the minors memoised at r."""
+    _check_params(order + 1, r)
+    return _leading(order, r)[0]
+
+
+register_cache(_leading.cache_clear)
 
 
 def evaluate_matrix(h: HessenbergMatrix, value: Fraction) -> tuple[tuple[Fraction, ...], ...]:

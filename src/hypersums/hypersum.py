@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, islice
 from math import comb, factorial, gcd, lcm
+from typing import Iterator
 
 from . import hessenberg
 from .exactnum import (
@@ -86,23 +88,33 @@ class FaulhaberPoly:
 # -- the defining recursion (value oracle) ------------------------------------
 
 
+def value_table(m: int, r_max: int, n_max: int) -> Iterator[list[int]]:
+    """The rows [S(m, r, 0), ..., S(m, r, n_max)] for r = 0, ..., r_max, in order.
+
+    Straight from the defining recursion: row 0 is [i^m] with 0^0 = 1, and
+    row r is the prefix sums of row r-1 from i = 1, so the empty sum makes
+    S(m, r, 0) = 0 for r >= 1.  The rows are yielded one at a time and only
+    the latest is kept.
+    """
+    if m < 0 or r_max < 0 or n_max < 0:
+        raise ValueError(f"need m, r, n >= 0, got ({m}, {r_max}, {n_max})")
+    row = [i**m for i in range(n_max + 1)]
+    yield row
+    for _ in range(r_max):
+        row = [0, *accumulate(islice(row, 1, None))]
+        yield row
+
+
 def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
-    """S(m, r, n) straight from the defining recursion, by iterated prefix sums.
+    """S(m, r, n) straight from the defining recursion: the last row of
+    :func:`value_table`.
 
     Conventions: 0^0 = 1, so (m, r, n) = (0, 0, 0) gives 1; for r >= 1 the
     empty sum at n = 0 gives 0.
     """
-    if m < 0 or r < 0 or n < 0:
-        raise ValueError(f"need m, r, n >= 0, got ({m}, {r}, {n})")
-    vals = [i**m for i in range(n + 1)]
-    for _ in range(r):
-        acc = 0
-        sums = [0] * (n + 1)
-        for i in range(1, n + 1):
-            acc += vals[i]
-            sums[i] = acc
-        vals = sums
-    return vals[n]
+    for row in value_table(m, r, n):
+        pass
+    return row[n]
 
 
 @lru_cache(maxsize=None)
@@ -214,31 +226,57 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
 # -- explicit coefficients ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _c_weights(r: int) -> tuple[tuple[int, ...], ...]:
+    """Row i < r: the signed Stirling weights (-1)^j C(i+j, i) [r, i+j+1], j < r-i."""
+    row = stirling1_row(r)
+    return tuple(
+        tuple(sign_pow(j) * comb(i + j, i) * row[i + j + 1] for j in range(r - i))
+        for i in range(r)
+    )
+
+
+def _c_numerators(m: int, r: int, ks: tuple[int, ...]) -> tuple[list[int], int]:
+    """Numerators of c^k, k in ks (1 <= k <= m+r), over one common denominator.
+
+    A double sum over the Stirling weights of :func:`_c_weights`, binomials
+    C(m+i+1, k-j) and Bernoulli numbers B_{m+i+1+j-k}, with B_t = 0 for
+    negative t absorbing the out-of-range index combinations: the terms
+    vanish unless 0 <= m+i+j+1-k (the Bernoulli index, at most m+r-1) and
+    i+j+1 <= r (the Stirling column).  The inner sum over j is an integer
+    over the common Bernoulli denominator D; the binomial row is built once
+    per i.
+    """
+    b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
+    tops = lcm(*range(m + 1, m + r + 1))
+    k_max = max(ks)
+    totals = [0] * len(ks)
+    for i, weights in enumerate(_c_weights(r)):
+        top = m + i + 1
+        binoms = [comb(top, t) for t in range(min(top, k_max) + 1)]
+        for at, k in enumerate(ks):
+            inner = 0
+            for j in range(max(0, k - top), min(k, r - i)):
+                b = b_nums[top + j - k]
+                if b:
+                    inner += weights[j] * binoms[k - j] * b
+            totals[at] += inner * (tops // top)
+    nums = [sign_pow(m + 1 - k) * total for k, total in zip(ks, totals)]
+    return nums, factorial(r - 1) * b_den * tops
+
+
 def coeff_c(m: int, r: int, k: int) -> Rational:
     """Coefficient of n^k in the degree m+r hyper-sum polynomial (r >= 1).
 
-    Double sum over the Stirling triangle and Bernoulli numbers, with B_t = 0
-    for negative t absorbing the out-of-range index combinations.  The inner
-    sum over j is an integer over the common Bernoulli denominator D: its
-    terms vanish unless 0 <= m+i+j+1-k (the Bernoulli index, at most m+r-1)
-    and i+j+1 <= r (the Stirling column).
+    Double sum over the Stirling triangle and Bernoulli numbers; see
+    :func:`_c_numerators`.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if not 1 <= k <= m + r:
         raise ValueError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
-    b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
-    row = stirling1_row(r)
-    tops = lcm(*range(m + 1, m + r + 1))
-    total = 0
-    for i in range(r):
-        top = m + i + 1
-        inner = 0
-        for j in range(max(0, k - top), min(k, r - i)):
-            term = comb(i + j, i) * comb(top, k - j) * row[i + j + 1] * b_nums[top + j - k]
-            inner += -term if j & 1 else term
-        total += inner * (tops // top)
-    return Fraction(sign_pow(m + 1 - k) * total, factorial(r - 1) * b_den * tops)
+    (num,), den = _c_numerators(m, r, (k,))
+    return Fraction(num, den)
 
 
 def coeff_c_reduced_k1(m: int, r: int) -> Rational:
@@ -251,11 +289,11 @@ def coeff_c_reduced_k1(m: int, r: int) -> Rational:
 
 
 def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
-    """S(m, r) assembled coefficient by coefficient from :func:`coeff_c`."""
+    """S(m, r) assembled coefficient by coefficient, as :func:`coeff_c` gives them."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    coeffs = [Fraction(0)] + [coeff_c(m, r, k) for k in range(1, m + r + 1)]
-    return HyperSumPoly(m, r, poly(coeffs), "c-form")
+    nums, den = _c_numerators(m, r, tuple(range(1, m + r + 1)))
+    return HyperSumPoly(m, r, RatPoly.from_integers([0, *nums], den), "c-form")
 
 
 def _lift(
@@ -325,20 +363,22 @@ def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
 
 
 @lru_cache(maxsize=None)
-def _lemma_chain(m_max: int, r: int) -> tuple[RatPoly, ...]:
-    polys = [s1_poly(r)]
-    for m in range(2, m_max + 1):
-        # m (n + r/2) / (m+r) times S(m-1, r), then the nonzero Bernoulli terms
-        pairs = [(RatPoly.from_integers((m * r, 2 * m), 2 * (m + r)), polys[m - 2])]
-        for k in range(1, m - 1):
-            b = bernoulli(m - k)
-            if b:
-                weight = RatPoly.from_integers(
-                    (-r * comb(m, k) * b.numerator,), b.denominator * (m + r)
-                )
-                pairs.append((weight, polys[k - 1]))
-        polys.append(sum_of_products(pairs))
-    return tuple(polys)
+def _lemma_poly(m: int, r: int) -> RatPoly:
+    """S(m, r) by the centered recurrence from S(1, r) ... S(m-1, r), which
+    are memoised per (m, r), so growing m at fixed r runs each step once."""
+    if m == 1:
+        return s1_poly(r)
+    lower = [_lemma_poly(k, r) for k in range(1, m)]
+    # m (n + r/2) / (m+r) times S(m-1, r), then the nonzero Bernoulli terms
+    pairs = [(RatPoly.from_integers((m * r, 2 * m), 2 * (m + r)), lower[m - 2])]
+    for k in range(1, m - 1):
+        b = bernoulli(m - k)
+        if b:
+            weight = RatPoly.from_integers(
+                (-r * comb(m, k) * b.numerator,), b.denominator * (m + r)
+            )
+            pairs.append((weight, lower[k - 1]))
+    return sum_of_products(pairs)
 
 
 def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
@@ -354,8 +394,7 @@ def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
     if m_max < 1:
         raise ValueError(f"need m_max >= 1, got {m_max}")
     return tuple(
-        HyperSumPoly(m, r, p, "lemma-chain")
-        for m, p in enumerate(_lemma_chain(m_max, r), start=1)
+        HyperSumPoly(m, r, _lemma_poly(m, r), "lemma-chain") for m in range(1, m_max + 1)
     )
 
 
@@ -367,9 +406,10 @@ def faulhaber_det(m: int, r: int) -> FaulhaberPoly:
     """The centered factor polynomial from the Hessenberg determinant.
 
     G(m, r) = (-1)^(m-1) / (r+2)^(m-1 rising) * det of the order m-1 matrix;
-    the empty determinant makes G(1, r) = 1.
+    the empty determinant makes G(1, r) = 1.  The determinant is the memoised
+    leading principal minor at r, so growing m at fixed r adds one minor.
     """
-    d = hessenberg.det(hessenberg.build_matrix(m, r))
+    d = hessenberg.leading_minor(m - 1, r)
     scaled = d.scale(Fraction(sign_pow(m - 1), rising_factorial(r + 2, m - 1)))
     return FaulhaberPoly(m, r, scaled)
 
@@ -384,69 +424,38 @@ def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
 
 
 @lru_cache(maxsize=None)
-def _g_coeff_chain(m_max: int, r: int) -> tuple[tuple[Rational, ...], ...]:
-    """Structural coefficient vectors for indices 1..m_max at fixed r.
+def _centered_factor_rec(m: int, r: int) -> RatPoly:
+    """The centered factor G(m, r) in N, grown by the parity-split recurrence.
 
-    Entry m-1 lists the coefficients of N^(2j) (odd m) or N^(2j+1) (even m),
-    j ascending.  Built by the parity-split recurrences: for odd index
-    2t-1 >= 3,
+    With G(1) = 1, for m >= 2
 
-        top:     g[2t-1, t-1] = (2t-1)/(2t-1+r) g[2t-2, t-2]
-        middle:  g[2t-1, j] = ((2t-1) g[2t-2, j-1]
-                   - r sum_{k=j+1}^{t-1} C(2t-1, 2k-1) B_{2t-2k} g[2k-1, j]) / (2t-1+r)
-        bottom:  g[2t-1, 0] = -r/(2t-1+r) sum_{k=1}^{t-1} C(2t-1, 2k-1) B_{2t-2k} g[2k-1, 0]
+        (m+r) G(m) = m N G(m-1) - r sum_{k} C(m, k) B_{m-k} G(k),
 
-    and for even index 2t >= 4,
-
-        top:     g[2t, t-1] = 2t/(2t+r) g[2t-1, t-1]
-        rest:    g[2t, j] = (2t g[2t-1, j]
-                   - r sum_{k=j+1}^{t-1} C(2t, 2k) B_{2t-2k} g[2k, j]) / (2t+r),
-
-    seeded with g[1] = (1,) and g[2] = (2/(r+2),).
+    the sum over 1 <= k <= m-2 with k = m (mod 2), where B_{m-k} != 0.
+    G(m) is even in N for odd m and odd for even m, so reading off the
+    coefficient of N^(2j) (odd m) or N^(2j+1) (even m) gives the
+    coefficientwise recurrences g[m, j] = (m g[m-1, j - (m odd)]
+    - r sum_k C(m, k) B_{m-k} g[k, j]) / (m+r), seeded with g[1] = (1,) and
+    g[2] = (2/(r+2),).  Each G(k) is memoised per (k, r).
     """
-    g: list[tuple[Rational, ...]] = [(Fraction(1),), (Fraction(2, r + 2),)]
-    for m in range(3, m_max + 1):
-        if m % 2 == 1:
-            t = (m + 1) // 2
-            prev_even = g[m - 2]  # index m-1
-            coeffs = []
-            low = sum(
-                comb(m, 2 * k - 1) * bernoulli(m + 1 - 2 * k) * g[2 * k - 2][0]
-                for k in range(1, t)
-            )
-            coeffs.append(Fraction(-r, m + r) * low)
-            for j in range(1, t - 1):
-                mid = sum(
-                    comb(m, 2 * k - 1) * bernoulli(m + 1 - 2 * k) * g[2 * k - 2][j]
-                    for k in range(j + 1, t)
-                )
-                coeffs.append(Fraction(1, m + r) * (m * prev_even[j - 1] - r * mid))
-            coeffs.append(Fraction(m, m + r) * prev_even[t - 2])
-            g.append(tuple(coeffs))
-        else:
-            t = m // 2
-            prev_odd = g[m - 2]
-            coeffs = []
-            for j in range(t - 1):
-                rest = sum(
-                    comb(m, 2 * k) * bernoulli(m - 2 * k) * g[2 * k - 1][j]
-                    for k in range(j + 1, t)
-                )
-                coeffs.append(Fraction(1, m + r) * (m * prev_odd[j] - r * rest))
-            coeffs.append(Fraction(m, m + r) * prev_odd[t - 1])
-            g.append(tuple(coeffs))
-    return tuple(g[:m_max])
+    if m == 1:
+        return constant(1, "N", r)
+    lower = [_centered_factor_rec(k, r) for k in range(1, m)]
+    pairs = [(RatPoly.from_integers((0, m), m + r, "N", r), lower[m - 2])]
+    for k in range(m - 2, 0, -2):
+        b = bernoulli(m - k)
+        weight = RatPoly.from_integers(
+            (-r * comb(m, k) * b.numerator,), b.denominator * (m + r), "N", r
+        )
+        pairs.append((weight, lower[k - 1]))
+    return sum_of_products(pairs, "N", r)
 
 
 def faulhaber_rec(m: int, r: int) -> FaulhaberPoly:
     """The centered factor polynomial grown coefficientwise (no determinant)."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    coeffs_by_j = _g_coeff_chain(m, r)[m - 1]
-    dense = [Fraction(0)] * (m)
-    for j, c in enumerate(coeffs_by_j):
-        dense[2 * j if m % 2 == 1 else 2 * j + 1] = c
-    return FaulhaberPoly(m, r, poly(dense, "N", r))
+    return FaulhaberPoly(m, r, _centered_factor_rec(m, r))
 
 
 # -- classical product form -----------------------------------------------------
@@ -521,19 +530,17 @@ def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
         raise ValueError(f"need m >= 1, got {m}")
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    if parity == "odd":
-        e = 2 * m - 1
-        residual = hyper_sum_poly(e, r + 1) - hyper_sum_poly(e, r).scale(Fraction(1, 2))
-        for k in range(1, m + 1):
-            weight = Fraction(comb(2 * m, 2 * k), 2 * m) * bernoulli(2 * m - 2 * k)
-            residual = residual - hyper_sum_poly(2 * k, r).scale(weight)
-        return residual
-    e = 2 * m
-    residual = hyper_sum_poly(e, r + 1) - hyper_sum_poly(e, r).scale(Fraction(1, 2))
-    for k in range(1, m + 2):
-        weight = Fraction(comb(2 * m + 1, 2 * k - 1), 2 * m + 1) * bernoulli(2 * m + 2 - 2 * k)
-        residual = residual - hyper_sum_poly(2 * k - 1, r).scale(weight)
-    return residual
+    # the weighted sum runs over the exponents k <= e+1 of the other parity than e
+    e = 2 * m - 1 if parity == "odd" else 2 * m
+    pairs = [
+        (constant(1), hyper_sum_poly(e, r + 1)),
+        (constant(Fraction(-1, 2)), hyper_sum_poly(e, r)),
+    ]
+    for k in range(e % 2 + 1, e + 2, 2):
+        b = bernoulli(e + 1 - k)
+        weight = RatPoly.from_integers((-comb(e + 1, k) * b.numerator,), (e + 1) * b.denominator)
+        pairs.append((weight, hyper_sum_poly(k, r)))
+    return sum_of_products(pairs)
 
 
 # -- canonical provider ----------------------------------------------------------
@@ -574,9 +581,10 @@ for _cached in (
     power_sum_poly,
     q_poly,
     _bernoulli_over_lcm,
-    _lemma_chain,
+    _c_weights,
+    _lemma_poly,
     faulhaber_det,
-    _g_coeff_chain,
+    _centered_factor_rec,
     hyper_sum_poly,
 ):
     register_cache(_cached.cache_clear)

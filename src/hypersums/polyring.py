@@ -216,6 +216,21 @@ class RatPoly:
             qk *= q
         return Fraction(acc, self.denominator * (qk // q))
 
+    def first_mismatch(self, values) -> int | None:
+        """The first n with p(n) != values[n], or None when they all agree.
+
+        Compared in integers: p(n) = v exactly when the integer Horner value
+        of the numerators at n equals v times the denominator.
+        """
+        nums, den = self.numerators[::-1], self.denominator
+        for n, v in enumerate(values):
+            acc = 0
+            for a in nums:
+                acc = acc * n + a
+            if acc != v * den:
+                return n
+        return None
+
     def shift(self, c: Rational | int) -> RatPoly:
         """The composed polynomial p(x + c), expanded; same frame.
 

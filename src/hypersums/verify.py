@@ -28,7 +28,7 @@ from .exactnum import (
     rising_factorial,
     sign_pow,
 )
-from .polyring import RatPoly, monomial, poly, poly_to_json, to_n_frame
+from .polyring import RatPoly, monomial, poly, poly_to_json, sum_of_products, to_n_frame
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,9 @@ def _poly_check(name: str, params: dict, a: RatPoly, b: RatPoly) -> CheckResult:
     return CheckResult(name, params, False, f"first differing coefficient at degree {k}; {pair}")
 
 
-# Each check family takes the grid bounds and the brute-force value table
-# values[m, r][n] (m <= m_max + 1, r <= r_max + 1, n <= n_max) and yields its
-# results in a fixed order.
+# Each check family takes the grid bounds and the defining recursion's value
+# table values[m, r][n] (m <= m_max + 1, r <= r_max + 1, n <= n_max), made by
+# hypersum.value_table, and yields its results in a fixed order.
 Checks = Iterator[CheckResult]
 
 
@@ -137,7 +137,7 @@ def check_routes(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
             for name, p in others:
                 yield _poly_check(f"route-equality[{ref_name}={name}]", cell, ref, p)
             for name, p in produced.items():
-                bad = next((n for n in range(n_max + 1) if p.eval(n) != values[m, r][n]), None)
+                bad = p.first_mismatch(values[m, r])
                 yield _check(
                     f"eval-vs-recursion[{name}]", cell, bad is None, f"first divergence at n={bad}"
                 )
@@ -179,10 +179,23 @@ def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks
     for m in range(0, m_max + 1):
         for r in range(1, r_max + 1):
             lhs = hypersum.hyper_sum_poly(m, r + 1)
-            rhs = (poly([r, 1]) * hypersum.hyper_sum_poly(m, r)).scale(
-                Fraction(1, r)
-            ) - hypersum.hyper_sum_poly(m + 1, r).scale(Fraction(1, r))
+            rhs = sum_of_products(
+                [
+                    (RatPoly.from_integers((r, 1), r), hypersum.hyper_sum_poly(m, r)),
+                    (RatPoly.from_integers((-1,), r), hypersum.hyper_sum_poly(m + 1, r)),
+                ]
+            )
             yield _poly_check("order-lift-recurrence", {"m": m, "r": r}, lhs, rhs)
+
+
+def _bernoulli_pairs(m: int, r: int, c: int) -> list[tuple[RatPoly, RatPoly]]:
+    """(c C(m,k) B_{m-k}, S(k, r)) for 1 <= k <= m-2: the terms of sum_k C(m,k) B_{m-k} S(k, r)."""
+    pairs = []
+    for k in range(1, m - 1):
+        b = bernoulli(m - k)
+        weight = RatPoly.from_integers((c * comb(m, k) * b.numerator,), b.denominator)
+        pairs.append((weight, hypersum.hyper_sum_poly(k, r)))
+    return pairs
 
 
 def check_centered_recurrence(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
@@ -190,11 +203,10 @@ def check_centered_recurrence(m_max: int, r_max: int, n_max: int, values: dict) 
     for m in range(2, m_max + 1):
         for r in range(0, r_max + 1):
             lhs = hypersum.hyper_sum_poly(m, r).scale(m + r)
-            rhs = (poly([Fraction(r, 2), 1]) * hypersum.hyper_sum_poly(m - 1, r)).scale(m)
-            for k in range(1, m - 1):
-                rhs = rhs - hypersum.hyper_sum_poly(k, r).scale(
-                    Fraction(r) * comb(m, k) * bernoulli(m - k)
-                )
+            shifted = RatPoly.from_integers((m * r, 2 * m), 2)
+            rhs = sum_of_products(
+                [(shifted, hypersum.hyper_sum_poly(m - 1, r)), *_bernoulli_pairs(m, r, -r)]
+            )
             yield _poly_check("centered-recurrence", {"m": m, "r": r}, lhs, rhs)
 
 
@@ -203,13 +215,13 @@ def check_half_step(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
     for m in range(2, m_max + 1):
         for r in range(0, r_max + 1):
             lhs = hypersum.hyper_sum_poly(m - 1, r + 1).scale(m)
-            rhs = hypersum.hyper_sum_poly(m, r) + hypersum.hyper_sum_poly(m - 1, r).scale(
-                Fraction(m, 2)
+            rhs = sum_of_products(
+                [
+                    (RatPoly.from_integers((1,), 1), hypersum.hyper_sum_poly(m, r)),
+                    (RatPoly.from_integers((m,), 2), hypersum.hyper_sum_poly(m - 1, r)),
+                    *_bernoulli_pairs(m, r, 1),
+                ]
             )
-            for k in range(1, m - 1):
-                rhs = rhs + hypersum.hyper_sum_poly(k, r).scale(
-                    Fraction(comb(m, k)) * bernoulli(m - k)
-                )
             yield _poly_check("half-step-recurrence", {"m": m, "r": r}, lhs, rhs)
 
 
@@ -250,13 +262,8 @@ def check_weights_vs_r_stirling(m_max: int, r_max: int, n_max: int, values: dict
     for r in range(0, r_max + 1):
         for i in range(0, r + 1):
             q = hypersum.q_poly(r, i)
-            bad = next(
-                (
-                    n
-                    for n in range(0, min(n_max, 8) + 1)
-                    if q.eval(n) != r_stirling1(r + n + 1, i + n + 1, n + 1)
-                ),
-                None,
+            bad = q.first_mismatch(
+                r_stirling1(r + n + 1, i + n + 1, n + 1) for n in range(0, min(n_max, 8) + 1)
             )
             yield _check(
                 "weights-vs-r-stirling", {"r": r, "i": i}, bad is None, f"fails at n={bad}"
@@ -293,9 +300,9 @@ def run_grid(m_max: int, r_max: int, n_max: int) -> VerifyReport:
         raise ValueError("grid bounds must be >= 1")
     start = time.perf_counter()
     values = {
-        (m, r): [hypersum.hyper_sum_bruteforce(m, r, n) for n in range(n_max + 1)]
+        (m, r): row
         for m in range(0, m_max + 2)
-        for r in range(0, r_max + 2)
+        for r, row in enumerate(hypersum.value_table(m, r_max + 1, n_max))
     }
     report = VerifyReport(m_max, r_max, n_max)
     for check in GRID_CHECKS:

@@ -1,0 +1,84 @@
+"""The per-(m, r) memos behind the lemma route and the centered factors.
+
+The centered recurrence, the leading principal minors of the Hessenberg
+matrix and the coefficientwise centered factor are each grown in m at fixed
+r from memoised lower steps.  Their values must not depend on the order in
+which the cells are asked for, on other threads asking at the same time, or
+on a memo that outlived a change of the Bernoulli table.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import threading
+from fractions import Fraction
+
+from hypersums import exactnum, hessenberg
+from hypersums.hypersum import ROUTES, faulhaber_det, faulhaber_rec
+
+CELLS = [(m, r) for r in range(9) for m in range(1, 26)]
+
+
+def build(cells) -> dict:
+    """(lemma S(m, r), determinant G(m, r), coefficientwise G(m, r)) per cell."""
+    return {
+        (m, r): (ROUTES["lemma"](m, r).poly, faulhaber_det(m, r).poly, faulhaber_rec(m, r).poly)
+        for m, r in cells
+    }
+
+
+def test_memos_give_the_same_polynomials_in_any_order():
+    exactnum.clear_derived_caches()
+    ascending = build(CELLS)
+    exactnum.clear_derived_caches()
+    descending = build(reversed(CELLS))
+    cold = {}
+    for cell in CELLS:
+        exactnum.clear_derived_caches()
+        cold.update(build([cell]))
+    assert ascending == descending == cold
+    for m, r in CELLS:
+        assert hessenberg.leading_minor(m - 1, r) == hessenberg.det(hessenberg.build_matrix(m, r))
+
+
+def test_a_changed_bernoulli_number_reaches_every_filled_memo(corrupt_bernoulli):
+    good = build(CELLS)
+    with corrupt_bernoulli(4, Fraction(1, 31)):
+        bad = build(CELLS)
+    assert build(CELLS) == good
+    for (m, r), polys in good.items():
+        if m >= 5 and r >= 1:  # B_4 enters at m = 5, with the weight r
+            assert all(p != q for p, q in zip(polys, bad[m, r])), (m, r)
+        else:
+            assert polys == bad[m, r], (m, r)
+
+
+def test_threads_building_overlapping_cells_match_one_thread():
+    cells = [(m, r) for r in range(1, 7) for m in range(1, 19)]
+    exactnum.clear_derived_caches()
+    expected = build(cells)
+    exactnum.clear_derived_caches()
+    orders = [
+        cells,
+        cells[::-1],
+        sorted(cells, key=lambda cell: (cell[0], -cell[1])),
+        random.Random(6).sample(cells, len(cells)),
+    ]
+    results: list = [None] * len(orders)
+
+    def work(i: int) -> None:
+        results[i] = build(orders[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(result == expected for result in results)

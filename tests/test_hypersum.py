@@ -33,6 +33,7 @@ from hypersums.hypersum import (
     s1_poly,
     s2_closed,
     stirling_product_form,
+    value_table,
 )
 from hypersums.polyring import monomial, poly, to_n_frame
 
@@ -50,6 +51,18 @@ def test_bruteforce_examples():
         assert hyper_sum_bruteforce(5, r, 0) == 0
     with pytest.raises(ValueError):
         hyper_sum_bruteforce(1, -1, 2)
+
+
+def test_bruteforce_reads_the_value_table_rows():
+    for m in range(7):
+        rows = list(value_table(m, 5, 12))
+        assert len(rows) == 6
+        for r, row in enumerate(rows):
+            assert row == [hyper_sum_bruteforce(m, r, n) for n in range(13)], (m, r)
+            assert row == [hyper_sum_newton(m, r, n) for n in range(13)], (m, r)
+    for bad in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            list(value_table(*bad))
 
 
 def test_value_one_at_n_1():
@@ -413,8 +426,10 @@ def test_faulhaber_r1_f_coeffs_alternate():
 def test_faulhaber_r1_reuses_the_cached_determinant(monkeypatch):
     faulhaber_det(9, 1)
     calls = []
-    real_det = hessenberg.det
-    monkeypatch.setattr(hessenberg, "det", lambda matrix: calls.append(matrix) or real_det(matrix))
+    real_minor = hessenberg.leading_minor
+    monkeypatch.setattr(
+        hessenberg, "leading_minor", lambda order, r: calls.append(order) or real_minor(order, r)
+    )
     assert faulhaber_r1(9).poly.coeffs == power_sum_poly(9).shift(Fraction(-1, 2)).coeffs
     assert calls == []
 

@@ -189,3 +189,34 @@ def test_sum_of_products_rejects_a_factor_in_another_frame(frame, other, a, b, f
     pair = (bad, good) if first else (good, bad)
     with pytest.raises(ValueError, match="frame mismatch"):
         sum_of_products([(good, good), pair], *frame)
+
+
+# -- the integer comparison with a list of values ----------------------------------
+
+
+def fraction_first_mismatch(p: RatPoly, values: list[int]) -> int | None:
+    return next((n for n, v in enumerate(values) if p.eval(n) != v), None)
+
+
+@relaxed
+@given(frames, coeff_lists, st.lists(st.sampled_from((0, 0, 0, 1, -1)), max_size=10))
+def test_first_mismatch_matches_the_fraction_comparison(frame, a, offsets):
+    p = RatPoly(a, *frame)
+    # values at or next to the true ones, so a mismatch can come at any n or not at all
+    values = [int(p.eval(n)) + d for n, d in enumerate(offsets)]
+    assert p.first_mismatch(values) == fraction_first_mismatch(p, values)
+
+
+def test_first_mismatch_cases():
+    pairs = RatPoly.from_integers((0, -1, 1), 2)  # C(n, 2): integer values, denominator 2
+    right = [n * (n - 1) // 2 for n in range(9)]
+    assert pairs.first_mismatch(right) is None
+    assert pairs.first_mismatch([]) is None
+    assert pairs.first_mismatch([1, *right[1:]]) == 0
+    assert pairs.first_mismatch(right[:5] + [right[5] + 1] + right[6:]) == 5
+    half = RatPoly.from_integers((0, 1), 2)  # n/2 is not an integer at odd n
+    for values in ([0, 0, 1], [0, 1, 1], [1, 0]):
+        assert half.first_mismatch(values) == fraction_first_mismatch(half, values)
+    assert half.first_mismatch([0, 0, 1]) == 1
+    assert RatPoly(()).first_mismatch([0, 0, 0]) is None
+    assert RatPoly(()).first_mismatch([0, 2]) == 1

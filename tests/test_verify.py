@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import hypersum
+from hypersums import cli, hypersum
 from hypersums.verify import golden_fixtures, run_all, run_grid
 
 
@@ -56,6 +56,12 @@ def test_corrupted_bernoulli_is_located(corrupt_bernoulli):
     assert detailed, "failures should carry the first differing coefficient"
     blob = json.loads(detailed[0].detail.split("; ", 1)[1])
     assert {"left", "right"} <= set(blob)
+
+
+def test_verify_cap_grid_passes():
+    report = run_all(*cli.MAX_VERIFY_GRID)
+    assert report.passed, [c.to_json() for c in report.failures[:5]]
+    assert len(report.checks) == 8365
 
 
 def test_report_json_shape():
