@@ -10,107 +10,67 @@ All arithmetic is exact (``fractions.Fraction``); there is no floating
 point anywhere.  Bernoulli numbers follow the B_1 = -1/2 convention.
 """
 
-from .exactnum import (
-    Rational,
-    bernoulli,
-    binomial,
-    r_stirling1,
-    rising_factorial,
-    stirling1_unsigned,
-)
-from .hessenberg import HessenbergMatrix, build_matrix, det
-from .hypersum import (
-    FaulhaberPoly,
-    HyperSumPoly,
-    coeff_c,
-    coeff_recurrence_step,
-    coffey_residual,
-    faulhaber_det,
-    faulhaber_r1,
-    faulhaber_rec,
-    faulhaber_u_form,
-    hyper_sum_bruteforce,
-    hyper_sum_det,
-    hyper_sum_newton,
-    hyper_sum_poly,
-    hyper_sum_poly_c,
-    hyper_sum_poly_chain,
-    hyper_sum_poly_q,
-    lemma_recurrence_family,
-    power_sum_poly,
-    q_poly,
-    s1_closed,
-    s1_poly,
-    s2_closed,
-    stirling_product_form,
-)
-from .polyring import (
-    RatPoly,
-    constant,
-    divide_exact,
-    from_u_form,
-    monomial,
-    poly,
-    sum_of_products,
-    to_N_frame,
-    to_latex,
-    to_n_frame,
-    to_text,
-    to_u_form,
-    zero,
-)
-from .verify import VerifyReport, golden_fixtures, run_all, run_grid
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rational",
-    "RatPoly",
-    "HessenbergMatrix",
-    "HyperSumPoly",
-    "FaulhaberPoly",
-    "VerifyReport",
-    "bernoulli",
-    "binomial",
-    "build_matrix",
-    "coeff_c",
-    "coeff_recurrence_step",
-    "coffey_residual",
-    "constant",
-    "det",
-    "divide_exact",
-    "faulhaber_det",
-    "faulhaber_r1",
-    "faulhaber_rec",
-    "faulhaber_u_form",
-    "from_u_form",
-    "golden_fixtures",
-    "hyper_sum_bruteforce",
-    "hyper_sum_det",
-    "hyper_sum_newton",
-    "hyper_sum_poly",
-    "hyper_sum_poly_c",
-    "hyper_sum_poly_chain",
-    "hyper_sum_poly_q",
-    "lemma_recurrence_family",
-    "monomial",
-    "poly",
-    "power_sum_poly",
-    "q_poly",
-    "r_stirling1",
-    "rising_factorial",
-    "run_all",
-    "run_grid",
-    "s1_closed",
-    "s1_poly",
-    "s2_closed",
-    "stirling1_unsigned",
-    "stirling_product_form",
-    "sum_of_products",
-    "to_N_frame",
-    "to_latex",
-    "to_n_frame",
-    "to_text",
-    "to_u_form",
-    "zero",
-]
+# public name -> the module that defines it; read on first use (PEP 562)
+_EXPORTS = {
+    "exactnum": (
+        "Rational",
+        "bernoulli",
+        "binomial",
+        "r_stirling1",
+        "rising_factorial",
+        "stirling1_unsigned",
+    ),
+    "hessenberg": ("HessenbergMatrix", "build_matrix", "det"),
+    "hypersum": (
+        "FaulhaberPoly",
+        "HyperSumPoly",
+        "coeff_c",
+        "coffey_residual",
+        "faulhaber_det",
+        "faulhaber_r1",
+        "faulhaber_rec",
+        "faulhaber_u_form",
+        "hyper_sum_bruteforce",
+        "hyper_sum_det",
+        "hyper_sum_newton",
+        "hyper_sum_poly",
+        "hyper_sum_poly_c",
+        "hyper_sum_poly_chain",
+        "hyper_sum_poly_q",
+        "lemma_recurrence_family",
+        "power_sum_poly",
+        "q_poly",
+        "s1_closed",
+        "s1_poly",
+        "s2_closed",
+        "stirling_product_form",
+    ),
+    "polyring": (
+        "RatPoly",
+        "constant",
+        "divide_exact",
+        "monomial",
+        "poly",
+        "sum_of_products",
+        "to_N_frame",
+        "to_latex",
+        "to_n_frame",
+        "to_text",
+        "to_u_form",
+        "zero",
+    ),
+    "verify": ("VerifyReport", "golden_fixtures", "run_all", "run_grid"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

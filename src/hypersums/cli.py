@@ -89,6 +89,7 @@ def _factored_parts(m: int, r: int) -> tuple[Fraction, RatPoly]:
 
 def cmd_poly(args: argparse.Namespace) -> int:
     m, r = args.m, args.r
+    factored = args.var == "N" and args.factored
     if args.var == "n":
         if r == 0 or m == 0:
             p = hypersum.hyper_sum_poly(m, r)
@@ -96,42 +97,42 @@ def cmd_poly(args: argparse.Namespace) -> int:
         else:
             result = hypersum.hyper_sum_det(m, r)
             p, method = result.poly, result.method
-        payload: dict = {"m": m, "r": r, "method": method, "poly": poly_to_json(p)}
+        fields: dict = {"m": m, "r": r, "method": method}
     elif args.var == "N":
         if m < 1:
             raise _fail_usage("--var N requires m >= 1")
         p = hypersum.faulhaber_det(m, r).poly
-        payload = {"m": m, "r": r, "method": "determinant", "poly": poly_to_json(p)}
-        if args.factored:
+        fields = {"m": m, "r": r, "method": "determinant"}
+    else:  # u
+        if m < 1 or r < 1:
+            raise _fail_usage("--var u requires m >= 1 and r >= 1")
+        p, prefactor = hypersum.faulhaber_u_form(m, r)
+        fields = {"m": m, "r": r, "prefactor": prefactor}
+
+    if args.format == "json":
+        payload = {**fields, "poly": poly_to_json(p)}
+        if factored:
             scale, bracket = _factored_parts(m, r)
             payload["factored"] = {
                 "scale": rational_to_json(scale),
                 "prefactor": f"binomial(n+{r}, {r + 1})",
                 "bracket": poly_to_json(bracket),
             }
-    else:  # u
-        if m < 1 or r < 1:
-            raise _fail_usage("--var u requires m >= 1 and r >= 1")
-        p, prefactor = hypersum.faulhaber_u_form(m, r)
-        payload = {"m": m, "r": r, "prefactor": prefactor, "poly": poly_to_json(p)}
-
-    if args.format == "json":
         print(json.dumps(payload))
     elif args.format == "latex":
         print(to_latex(p))
+    elif factored:
+        scale, bracket = _factored_parts(m, r)
+        print(f"({scale}) * binomial(n+{r}, {r + 1}) * [{to_text(bracket)}]")
+    elif args.var == "u":
+        pre = (
+            f"binomial(n+{r}, {r + 1})"
+            if prefactor == "s1"
+            else f"(2n+{r})/{r + 2} * binomial(n+{r}, {r + 1})"
+        )
+        print(f"{pre} * F(u) with F(u) = {to_text(p)}, u = n*(n+{r})")
     else:
-        if args.var == "N" and args.factored:
-            scale, bracket = _factored_parts(m, r)
-            print(f"({scale}) * binomial(n+{r}, {r + 1}) * [{to_text(bracket)}]")
-        elif args.var == "u":
-            pre = (
-                f"binomial(n+{r}, {r + 1})"
-                if prefactor == "s1"
-                else f"(2n+{r})/{r + 2} * binomial(n+{r}, {r + 1})"
-            )
-            print(f"{pre} * F(u) with F(u) = {to_text(p)}, u = n*(n+{r})")
-        else:
-            print(to_text(p))
+        print(to_text(p))
     return EXIT_OK
 
 
@@ -145,11 +146,11 @@ def cmd_det(args: argparse.Namespace) -> int:
             m, r, tuple(tuple(RatPoly(e.coeffs) for e in row) for row in matrix.entries)
         )
         determinant = RatPoly(determinant.coeffs)
+    center = None if args.at is None else Fraction(args.at) + Fraction(r, 2)
     if args.format == "json":
         payload = hessenberg.matrix_to_json(matrix)
         payload["det"] = poly_to_json(determinant)
-        if args.at is not None:
-            center = Fraction(args.at) + Fraction(r, 2)
+        if center is not None:
             payload["at"] = args.at
             payload["value"] = rational_to_json(determinant.eval(center))
         print(json.dumps(payload))
@@ -157,14 +158,10 @@ def cmd_det(args: argparse.Namespace) -> int:
     print(f"matrix of order {matrix.order} (m={m}, r={r}):")
     print(hessenberg.matrix_to_text(matrix))
     print(f"det = {to_text(determinant)}")
-    if args.at is not None:
-        center = Fraction(args.at) + Fraction(r, 2)
-        cells = [[str(v) for v in row] for row in hessenberg.evaluate_matrix(matrix, center)]
+    if center is not None:
         print(f"at n = {args.at} (N = {center}):")
-        if cells:
-            widths = [max(len(row[j]) for row in cells) for j in range(len(cells))]
-            for row in cells:
-                print("( " + "  ".join(s.rjust(w) for s, w in zip(row, widths)) + " )")
+        if matrix.order:
+            print(hessenberg.matrix_to_text(matrix, center))
         print(f"det value = {determinant.eval(center)}")
     return EXIT_OK
 

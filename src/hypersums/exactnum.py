@@ -115,66 +115,39 @@ class BernoulliTable:
 
 
 class StirlingTable:
-    """Unsigned Stirling numbers of the first kind, plus the r-shifted variant.
+    """r-Stirling numbers of the first kind, one triangle of rows per r.
 
-    Plain rows satisfy [0,0] = 1, [m,0] = 0 for m >= 1, and
-    [m+1, n] = m*[m, n] + [m, n-1].  The r-variant [m, n]_r (the r smallest
-    elements of the permutation lie in distinct cycles) has boundary
-    [r, n]_r = 1 iff n = r and the same recurrence for m >= r.
+    [m, n]_r counts the permutations of m elements with n cycles in which the
+    r smallest elements lie in distinct cycles (Broder, "The r-Stirling
+    numbers", 1984).  The boundary is [r, n]_r = 1 iff n = r, and
+
+        [m+1, n]_r = m [m, n]_r + [m, n-1]_r   (m >= r).
+
+    At r = 0 this is the plain unsigned triangle [m, n].  Row m of triangle r
+    is the tuple ([m, 0]_r, ..., [m, m]_r).  Rows already grown are read
+    without the lock; growth appends whole rows under it.
     """
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, ...]] = [(1,)]
-        self._r_rows: dict[int, list[list[int]]] = {}
+        self._rows: dict[int, list[tuple[int, ...]]] = {}  # r -> rows for m = r, r+1, ...
         self._lock = threading.Lock()
 
-    def row(self, m: int) -> tuple[int, ...]:
-        if m < 0:
-            raise ValueError(f"stirling row index must be >= 0, got {m}")
-        if m >= len(self._rows):
+    def row(self, m: int, r: int = 0) -> tuple[int, ...]:
+        if r < 0 or m < r:
+            raise ValueError(f"Stirling row needs 0 <= r <= m, got m={m}, r={r}")
+        rows = self._rows.get(r)
+        if rows is None or len(rows) <= m - r:
             with self._lock:
-                while len(self._rows) <= m:
-                    prev = self._rows[-1]
-                    mm = len(self._rows) - 1
-                    cur = [0] * (mm + 2)
-                    for n in range(mm + 2):
-                        above = prev[n] if n < len(prev) else 0
-                        left = prev[n - 1] if 1 <= n <= len(prev) else 0
-                        cur[n] = mm * above + left
-                    self._rows.append(tuple(cur))
-        return self._rows[m]
+                rows = self._rows.setdefault(r, [(0,) * r + (1,)])
+                while len(rows) <= m - r:
+                    prev = rows[-1]
+                    mm = r + len(rows) - 1
+                    rows.append(tuple(mm * a + b for a, b in zip((*prev, 0), (0, *prev))))
+        return rows[m - r]
 
-    def value(self, m: int, n: int) -> int:
-        if n < 0 or n > m:
-            return 0
-        return self.row(m)[n]
-
-    def r_value(self, m: int, n: int, r: int) -> int:
-        if r < 0:
-            raise ValueError(f"r_stirling1: r must be >= 0, got {r}")
-        if m < r:
-            raise ValueError(f"r_stirling1: need m >= r, got m={m}, r={r}")
-        if r == 0:
-            return self.value(m, n)
-        rows = self._r_rows_for(r, m)
-        row = rows[m - r]
-        if n < 0 or n >= len(row) + r:
-            return 0
-        return row[n - r] if n >= r else 0
-
-    def _r_rows_for(self, r: int, m: int) -> list[list[int]]:
-        with self._lock:
-            rows = self._r_rows.setdefault(r, [[1]])  # row for m = r: [r,r]_r = 1
-            while len(rows) <= m - r:
-                prev = rows[-1]
-                mm = r + len(rows) - 1
-                cur = [0] * (len(prev) + 1)
-                for idx in range(len(cur)):
-                    above = prev[idx] if idx < len(prev) else 0
-                    left = prev[idx - 1] if 1 <= idx <= len(prev) else 0
-                    cur[idx] = mm * above + left
-                rows.append(cur)
-            return rows
+    def value(self, m: int, n: int, r: int = 0) -> int:
+        row = self.row(m, r)
+        return row[n] if 0 <= n <= m else 0
 
 
 _BERNOULLI = BernoulliTable()
@@ -212,7 +185,7 @@ def stirling1_row(m: int) -> tuple[int, ...]:
 
 def r_stirling1(m: int, n: int, r: int) -> int:
     """r-Stirling number of the first kind [m, n]_r (requires m >= r)."""
-    return _STIRLING.r_value(m, n, r)
+    return _STIRLING.value(m, n, r)
 
 
 # --- JSON serialization -----------------------------------------------------

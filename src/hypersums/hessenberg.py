@@ -156,16 +156,11 @@ def leading_minor(order: int, r: int) -> RatPoly:
 register_cache(_leading.cache_clear)
 
 
-def evaluate_matrix(h: HessenbergMatrix, value: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """Entries with the variable substituted by a concrete value."""
-    return tuple(tuple(e.eval(value) for e in row) for row in h.entries)
-
-
-def matrix_to_text(h: HessenbergMatrix) -> str:
-    """Aligned pretty-print with exact entries."""
+def matrix_to_text(h: HessenbergMatrix, at: Fraction | None = None) -> str:
+    """Aligned pretty-print with exact entries, or with their values at ``at``."""
     if h.order == 0:
         return "( )  # empty matrix, order 0"
-    cells = [[to_text(e) for e in row] for row in h.entries]
+    cells = [[to_text(e) if at is None else str(e.eval(at)) for e in row] for row in h.entries]
     widths = [max(len(cells[i][j]) for i in range(h.order)) for j in range(h.order)]
     lines = []
     for row in cells:

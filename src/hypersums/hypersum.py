@@ -299,10 +299,16 @@ def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
 def _lift(
     a: tuple[int, ...], a_den: int, b: tuple[int, ...], b_den: int, r: int
 ) -> tuple[tuple[int, ...], int]:
-    """:func:`coeff_recurrence_step` on numerator vectors a/a_den and b/b_den.
+    """Lift coefficient vectors of S from summation order r to r + 1.
 
-    Returns the lifted vector as numerators over a denominator, both divided
-    by their gcd.
+    a/a_den holds (c^1, ..., c^{m+r}) of S(m, r) and b/b_den holds
+    (c^1, ..., c^{m+r+1}) of S(m+1, r), as numerators over a denominator.
+    The result is the vector of S(m, r+1), by
+
+        c_{m,r+1}^k = c_{m,r}^k + (1/r)(c_{m,r}^{k-1} - c_{m+1,r}^k),
+
+    with out-of-range indices read as zero; its numerators and denominator
+    are divided by their gcd.
     """
     g = gcd(a_den, b_den)
     ua, ub = b_den // g, a_den // g  # lcm / a_den, lcm / b_den
@@ -311,35 +317,6 @@ def _lift(
     den = a_den * ua * r
     g = gcd(den, *out)
     return tuple(x // g for x in out), den // g
-
-
-def _over_lcm(vec: tuple[Rational, ...]) -> tuple[tuple[int, ...], int]:
-    fracs = [Fraction(c) for c in vec]
-    den = lcm(*(c.denominator for c in fracs))
-    return tuple(c.numerator * (den // c.denominator) for c in fracs), den
-
-
-def coeff_recurrence_step(
-    c_m: tuple[Rational, ...], c_m_plus_1: tuple[Rational, ...], r: int
-) -> tuple[Rational, ...]:
-    """Lift coefficient vectors from summation order r to r + 1.
-
-    Takes the vectors (c^1, ..., c^{m+r}) of S(m, r) and (c^1, ..., c^{m+r+1})
-    of S(m+1, r) and returns the vector of S(m, r+1) via
-
-        c_{m,r+1}^k = c_{m,r}^k + (1/r)(c_{m,r}^{k-1} - c_{m+1,r}^k),
-
-    with out-of-range indices read as zero.
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if len(c_m_plus_1) != len(c_m) + 1:
-        raise ValueError(
-            f"length mismatch: expected {len(c_m) + 1} coefficients for the "
-            f"higher power, got {len(c_m_plus_1)}"
-        )
-    nums, den = _lift(*_over_lcm(c_m), *_over_lcm(c_m_plus_1), r)
-    return tuple(Fraction(x, den) for x in nums)
 
 
 def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:

@@ -356,16 +356,6 @@ def to_u_form(p: RatPoly) -> RatPoly:
     return halved.shift(Fraction(p.r * p.r, 4))
 
 
-def from_u_form(p: RatPoly) -> RatPoly:
-    """Inverse of :func:`to_u_form`: substitute u = N^2 - r^2/4."""
-    if p.var != "u":
-        raise ValueError(f"from_u_form expects a u-frame polynomial, got {p.var!r}")
-    h = p.shift(Fraction(-p.r * p.r, 4))
-    spread = [0] * max(0, 2 * len(h.numerators) - 1)
-    spread[::2] = h.numerators
-    return _raw(tuple(spread), h.denominator, "N", p.r)
-
-
 def divide_exact(p: RatPoly, q: RatPoly) -> RatPoly:
     """Exact polynomial division; raises if the remainder is nonzero.
 

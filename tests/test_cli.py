@@ -272,6 +272,57 @@ def test_det_at_value(capsys):
     assert "N = 17/2" in out
 
 
+DET_TEXT = {
+    ("--m", "5", "--r", "7"): """\
+matrix of order 4 (m=5, r=7):
+( -2*N     9     0     0 )
+(  7/2  -3*N    10     0 )
+(    0     7  -4*N    11 )
+( -7/6     0  35/3  -5*N )
+det = 120*N^4 - 2100*N^2 + 10395/2
+""",
+    ("--m", "5", "--r", "7", "--at", "5"): """\
+matrix of order 4 (m=5, r=7):
+( -2*N     9     0     0 )
+(  7/2  -3*N    10     0 )
+(    0     7  -4*N    11 )
+( -7/6     0  35/3  -5*N )
+det = 120*N^4 - 2100*N^2 + 10395/2
+at n = 5 (N = 17/2):
+(  -17      9     0      0 )
+(  7/2  -51/2    10      0 )
+(    0      7   -34     11 )
+( -7/6      0  35/3  -85/2 )
+det value = 479880
+""",
+    ("--m", "1", "--r", "3", "--at", "4"): """\
+matrix of order 0 (m=1, r=3):
+( )  # empty matrix, order 0
+det = 1
+at n = 4 (N = 11/2):
+det value = 1
+""",
+    ("--m", "4", "--r", "0", "--at", "3"): """\
+matrix of order 3 (m=4, r=0):
+( -2*n     2     0 )
+(    0  -3*n     3 )
+(    0     0  -4*n )
+det = -24*n^3
+at n = 3 (N = 3):
+( -6   2    0 )
+(  0  -9    3 )
+(  0   0  -12 )
+det value = -648
+""",
+}
+
+
+@pytest.mark.parametrize("argv", DET_TEXT, ids=[" ".join(a) for a in DET_TEXT])
+def test_det_text_exact(capsys, argv):
+    """The whole text layout, symbolic and evaluated grids alike, byte for byte."""
+    assert run_cli(capsys, "det", *argv) == (0, DET_TEXT[argv])
+
+
 def test_det_m0_rejected(capsys):
     code, _ = run_cli(capsys, "det", "--m", "0", "--r", "1")
     assert code == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import threading
 from fractions import Fraction
 from math import factorial
@@ -11,6 +12,7 @@ from math import factorial
 import pytest
 
 from hypersums.exactnum import (
+    StirlingTable,
     bernoulli,
     binomial,
     r_stirling1,
@@ -185,6 +187,18 @@ def test_r_stirling_by_enumeration():
                 assert r_stirling1(m, n, r) == r_stirling1_by_enumeration(m, n, r)
 
 
+def test_r_stirling_generating_function():
+    """sum_k [n+r, k+r]_r x^k = (x+r)(x+r+1)...(x+r+n-1), multiplied out here."""
+    for r in range(9):
+        product = [1]  # coefficients of the product, lowest degree first
+        for n in range(31):
+            for k in range(n + 2):
+                expected = product[k] if k <= n else 0
+                assert r_stirling1(n + r, k + r, r) == expected, (n, k, r)
+            # times (x + r + n): x raises each degree by one, r + n scales in place
+            product = [(r + n) * a + b for a, b in zip(product + [0], [0] + product)]
+
+
 def test_r_stirling_rejects_m_below_r():
     with pytest.raises(ValueError):
         r_stirling1(2, 2, 3)
@@ -232,3 +246,30 @@ def test_concurrent_growth_is_consistent():
     assert results[0] == bernoulli(40)
     for i, v in enumerate(results):
         assert v == bernoulli(40 + i % 2)
+
+
+def test_stirling_table_threads_match_one_thread():
+    cells = [(m, r) for r in range(9) for m in range(r, 121)]
+    one_thread = StirlingTable()
+    expected = {cell: one_thread.row(*cell) for cell in cells}
+    table = StirlingTable()
+    orders = [cells, cells[::-1]] + [random.Random(i).sample(cells, len(cells)) for i in range(6)]
+    results: list = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def work(i: int) -> None:
+        start.wait()
+        results[i] = {cell: table.row(*cell) for cell in orders[i]}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(result == expected for result in results)

@@ -13,7 +13,6 @@ from hypersums.hypersum import (
     ROUTES,
     coeff_c,
     coeff_c_reduced_k1,
-    coeff_recurrence_step,
     coffey_residual,
     faulhaber_det,
     faulhaber_r1,
@@ -166,19 +165,6 @@ def test_coeff_c_rejects_out_of_range():
         coeff_c(2, 3, 0)
     with pytest.raises(ValueError):
         coeff_c(2, 3, 6)
-
-
-def test_chain_step_shape_and_value():
-    c11 = tuple(power_sum_poly(1).coeffs[1:])
-    c21 = tuple(power_sum_poly(2).coeffs[1:])
-    lifted = coeff_recurrence_step(c11, c21, 1)
-    assert len(lifted) == len(c11) + 1
-    assert poly((Fraction(0),) + lifted).eval(3) == 10  # S(1, 2, 3)
-
-
-def test_chain_step_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        coeff_recurrence_step((Fraction(1),), (Fraction(1),), 1)
 
 
 def test_chain_reproduces_explicit_coefficients():

@@ -13,7 +13,6 @@ from hypersums.polyring import (
     RatPoly,
     constant,
     divide_exact,
-    from_u_form,
     monomial,
     poly,
     poly_from_json,
@@ -155,6 +154,7 @@ def test_to_u_form_centered_factor():
 
 
 def test_u_form_round_trip():
+    """F(u) at u = N^2 - r^2/4 equals the even polynomial at N."""
     rng = random.Random(17)
     for r in (0, 2, 5):
         for _ in range(20):
@@ -164,7 +164,9 @@ def test_u_form_round_trip():
             even = poly(
                 [c if i % 2 == 0 else 0 for i, c in enumerate(even.coeffs)], "N", r
             )
-            assert from_u_form(to_u_form(even)) == even
+            u_form = to_u_form(even)
+            for big_n in (Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(7, 3)):
+                assert u_form.eval(big_n * big_n - Fraction(r * r, 4)) == even.eval(big_n)
 
 
 def test_to_u_form_rejects_non_even():
