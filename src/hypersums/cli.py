@@ -30,8 +30,8 @@ EXIT_CROSSCHECK = 3
 # largest n for the brute-force recursion, whose lists grow linearly in n
 MAX_BRUTEFORCE_N = 10**6
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM,
-# eval takes about 5 s (auto, q), 6 s (c), 11 s (chain), 3.5 s (lemma) and
-# 0.7 s (det), poly and det 0.7-0.8 s
+# eval takes about 5 s (auto, q), 6 s (c), 3.5-4 s (chain), 3 s (lemma) and
+# 0.7-0.8 s (det), poly and det 0.6-0.9 s
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there

@@ -19,20 +19,6 @@ from typing import Callable
 
 Rational = Fraction
 
-__all__ = [
-    "Rational",
-    "binomial",
-    "rising_factorial",
-    "bernoulli",
-    "stirling1_unsigned",
-    "stirling1_row",
-    "r_stirling1",
-    "register_cache",
-    "clear_derived_caches",
-    "rational_to_json",
-    "rational_from_json",
-]
-
 
 def sign_pow(exponent: int) -> int:
     """(-1)**exponent as an int, valid for negative exponents too."""

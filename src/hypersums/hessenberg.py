@@ -18,6 +18,11 @@ terms with a zero entry are skipped.
 The entries depend on (i, j, r) alone, so the matrix for (m, r) is the
 leading block of the matrix for every larger m, and its leading principal
 minors are shared: :func:`leading_minor` memoises them per (order, r).
+There the superdiagonal product h[j,j+1] ... h[k-1,k] = (r+j+1) ... (r+k)
+is a plain integer, so each term of a minor is one constant times an
+earlier minor, with no polynomial product.  :func:`det` evaluates any
+given matrix by the same recurrence with polynomial products, and is the
+reference the memoised minors are tested against.
 """
 
 from __future__ import annotations
@@ -97,25 +102,6 @@ def build_matrix(m: int, r: int) -> HessenbergMatrix:
     return HessenbergMatrix(m, r, rows)
 
 
-def _minor_step(
-    row: tuple[RatPoly, ...], signed: tuple[RatPoly, ...], minors: list[RatPoly], r: int
-) -> tuple[RatPoly, tuple[RatPoly, ...]]:
-    """One step of the leading-principal-minor recurrence.
-
-    With k = len(minors), ``minors`` holds p_0 ... p_{k-1}, ``row`` holds
-    h[k,1] ... h[k,k] followed by h[k,k+1] when the matrix has a row k+1,
-    and signed[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1] for j < k.
-    Returns p_k and the signed products for row k+1.
-    """
-    k = len(minors)
-    pairs = [(row[k - 1], minors[k - 1])]
-    pairs += [(row[j] * signed[j], minors[j]) for j in range(k - 1) if row[j].numerators]
-    if len(row) > k:
-        neg_sup = -row[k]
-        signed = (*(prod * neg_sup for prod in signed), neg_sup)
-    return sum_of_products(pairs, "N", r), signed
-
-
 def det(h: HessenbergMatrix) -> RatPoly:
     """Exact determinant via the leading-principal-minor recurrence.
 
@@ -130,27 +116,49 @@ def det(h: HessenbergMatrix) -> RatPoly:
     """
     frame_r = h.entries[0][0].r if h.order else h.r
     minors = [constant(1, "N", frame_r)]
+    # signed[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1] for j < k = len(minors)
     signed: tuple[RatPoly, ...] = ()
     for row in h.entries:
-        p, signed = _minor_step(row, signed, minors, frame_r)
-        minors.append(p)
+        k = len(minors)
+        pairs = [(row[k - 1], minors[k - 1])]
+        pairs += [(row[j] * signed[j], minors[j]) for j in range(k - 1) if row[j].numerators]
+        minors.append(sum_of_products(pairs, "N", frame_r))
+        if k < h.order:
+            neg_sup = -row[k]
+            signed = (*(prod * neg_sup for prod in signed), neg_sup)
     return minors[-1]
 
 
 @lru_cache(maxsize=None)
-def _leading(order: int, r: int) -> tuple[RatPoly, tuple[RatPoly, ...]]:
-    """p_order of every (m, r) matrix with m > order, and the signed
-    superdiagonal products for row order + 1; memoised per (order, r)."""
+def _leading(order: int, r: int) -> RatPoly:
+    """p_order of every (m, r) matrix with m > order; memoised per (order, r).
+
+    Row k = order of the recurrence in :func:`det` with the superdiagonal
+    entries h[t,t+1] = r+t+1 multiplied out in integers: the term of column
+    j < k is one constant, (-1)^(k-j) (r+j+1)...(r+k) h[k,j], times p_{j-1},
+    and the integer product gains one factor as j runs down from k-1.  The
+    columns with a zero entry h[k,j] (a zero Bernoulli number, or r = 0)
+    are left out.
+    """
     if order == 0:
-        return constant(1, "N", r), ()
-    minors = [_leading(k, r)[0] for k in range(order)]
-    return _minor_step(_row(order, r), _leading(order - 1, r)[1], minors, r)
+        return constant(1, "N", r)
+    k, p = order, order + 1
+    minors = [_leading(j, r) for j in range(k)]
+    pairs = [(RatPoly.from_integers((0, -p), 1, "N", r), minors[k - 1])]
+    signed = 1
+    for j in range(k - 1, 0, -1):
+        signed *= -(r + j + 1)
+        b = bernoulli(p - j)
+        if r and b:
+            weight = signed * r * binomial(p, j) * b.numerator
+            pairs.append((RatPoly.from_integers((weight,), b.denominator, "N", r), minors[j - 1]))
+    return sum_of_products(pairs, "N", r)
 
 
 def leading_minor(order: int, r: int) -> RatPoly:
     """det(build_matrix(order + 1, r)), from the minors memoised at r."""
     _check_params(order + 1, r)
-    return _leading(order, r)[0]
+    return _leading(order, r)
 
 
 register_cache(_leading.cache_clear)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from typing import Iterator
 
 from . import hessenberg
@@ -296,44 +296,33 @@ def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     return HyperSumPoly(m, r, RatPoly.from_integers([0, *nums], den), "c-form")
 
 
-def _lift(
-    a: tuple[int, ...], a_den: int, b: tuple[int, ...], b_den: int, r: int
-) -> tuple[tuple[int, ...], int]:
-    """Lift coefficient vectors of S from summation order r to r + 1.
-
-    a/a_den holds (c^1, ..., c^{m+r}) of S(m, r) and b/b_den holds
-    (c^1, ..., c^{m+r+1}) of S(m+1, r), as numerators over a denominator.
-    The result is the vector of S(m, r+1), by
-
-        c_{m,r+1}^k = c_{m,r}^k + (1/r)(c_{m,r}^{k-1} - c_{m+1,r}^k),
-
-    with out-of-range indices read as zero; its numerators and denominator
-    are divided by their gcd.
-    """
-    g = gcd(a_den, b_den)
-    ua, ub = b_den // g, a_den // g  # lcm / a_den, lcm / b_den
-    padded = a + (0,)  # index -1 then reads c^0 = 0 as well
-    out = [ua * (r * padded[k] + padded[k - 1]) - ub * b[k] for k in range(len(padded))]
-    den = a_den * ua * r
-    g = gcd(den, *out)
-    return tuple(x // g for x in out), den // g
-
-
 def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
     """S(m, r) by chaining the coefficient recurrence up from r = 1.
 
-    The vectors are lifted as integer numerators over one denominator each.
+    The coefficient vectors (c^1, ..., c^{m+i+s}) of S(m+i, s) are lifted
+    from s to s + 1 by
+
+        c_{m,s+1}^k = c_{m,s}^k + (1/s)(c_{m,s}^{k-1} - c_{m+1,s}^k),
+
+    with out-of-range indices read as zero.  The power sums S(m+i, 1),
+    i < r, are scaled once to D, the lcm of their denominators.  Then every
+    vector at level s shares the denominator D (s-1)!: with a and b the
+    numerators of S(m+i, s) and S(m+i+1, s), those of S(m+i, s+1) over
+    D s! are s a[k] + a[k-1] - b[k], with no gcd or division per step.  The
+    result is normalised once, at the end.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     sums = [power_sum_poly(m + i) for i in range(r)]
-    vectors = [(p.numerators[1:], p.denominator) for p in sums]
-    for step_r in range(1, r):
+    den = lcm(*(p.denominator for p in sums))
+    vectors = [[a * (den // p.denominator) for a in p.numerators[1:]] for p in sums]
+    for s in range(1, r):
         vectors = [
-            _lift(*vectors[i], *vectors[i + 1], step_r) for i in range(len(vectors) - 1)
+            [s * x + y - z for x, y, z in zip((*a, 0), (0, *a), b)]
+            for a, b in zip(vectors, vectors[1:])
         ]
-    nums, den = vectors[0]
-    return HyperSumPoly(m, r, RatPoly.from_integers((0,) + nums, den), "coeff-chain")
+    nums = [0, *vectors[0]]
+    return HyperSumPoly(m, r, RatPoly.from_integers(nums, den * factorial(r - 1)), "coeff-chain")
 
 
 # -- the centered-variable recurrence -----------------------------------------

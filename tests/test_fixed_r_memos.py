@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from hypersums import exactnum, hessenberg
 from hypersums.hypersum import ROUTES, faulhaber_det, faulhaber_rec
+from hypersums.polyring import RatPoly
 
 CELLS = [(m, r) for r in range(9) for m in range(1, 26)]
 
@@ -38,8 +39,17 @@ def test_memos_give_the_same_polynomials_in_any_order():
         exactnum.clear_derived_caches()
         cold.update(build([cell]))
     assert ascending == descending == cold
-    for m, r in CELLS:
+    for m, r in CELLS + [(m, r) for r in (0, 1, 29, 31) for m in range(59, 62)]:
         assert hessenberg.leading_minor(m - 1, r) == hessenberg.det(hessenberg.build_matrix(m, r))
+
+
+def test_leading_minors_multiply_no_polynomials(monkeypatch):
+    exactnum.clear_derived_caches()
+    calls = []
+    real_mul = RatPoly.__mul__
+    monkeypatch.setattr(RatPoly, "__mul__", lambda a, b: calls.append(1) or real_mul(a, b))
+    assert hessenberg.leading_minor(57, 29).degree == 57
+    assert calls == []
 
 
 def test_a_changed_bernoulli_number_reaches_every_filled_memo(corrupt_bernoulli):

@@ -257,7 +257,7 @@ def test_hyper_sum_newton_at_m_0_and_small_n():
             hyper_sum_newton(*bad)
 
 
-@pytest.mark.parametrize("m, r", [(58, 29), (60, 30)])
+@pytest.mark.parametrize("m, r", [(58, 29), (60, 30), (120, 100)])
 def test_five_routes_agree_at_high_degree(m, r):
     routes = [
         hyper_sum_poly_q(m, r).poly,
