@@ -52,7 +52,6 @@ _EXPORTS = {
     "polyring": (
         "RatPoly",
         "constant",
-        "divide_exact",
         "monomial",
         "poly",
         "sum_of_products",

@@ -27,7 +27,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 
-# largest n for the brute-force recursion, whose lists grow linearly in n
+# largest n of eval --method bruteforce, whose recursion lists grow linearly in n,
+# and of table, whose cells grow in digits with n
 MAX_BRUTEFORCE_N = 10**6
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM,
 # eval takes about 5 s (auto, q), 6 s (c), 3.5-4 s (chain), 3 s (lemma) and
@@ -45,16 +46,12 @@ def _fail_usage(message: str) -> "SystemExit":
     return SystemExit(EXIT_USAGE)
 
 
-def _check_bruteforce_n(n: int) -> None:
-    if n > MAX_BRUTEFORCE_N:
-        raise _fail_usage(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     m, r, n = args.m, args.r, args.n
     method = args.method
     if method == "bruteforce":
-        _check_bruteforce_n(n)
+        if n > MAX_BRUTEFORCE_N:
+            raise _fail_usage(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
         value = Fraction(hypersum.hyper_sum_bruteforce(m, r, n))
     elif method == "auto":
         value = hypersum.hyper_sum_poly(m, r).eval(n)
@@ -177,7 +174,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
-    _check_bruteforce_n(n)
     cells = [
         (m, r, hypersum.hyper_sum_newton(m, r, n))
         for m in range(0, args.max_m + 1)
@@ -194,13 +190,15 @@ def cmd_table(args: argparse.Namespace) -> int:
             )
         )
     else:
-        width = max(len(str(v)) for _, _, v in cells)
+        texts = [str(v) for _, _, v in cells]
+        width = max(map(len, texts))
+        cols = args.max_r + 1
         print(f"S(m, r, {n}) for m <= {args.max_m}, r <= {args.max_r}")
-        header = "m\\r " + " ".join(str(r).rjust(width) for r in range(args.max_r + 1))
+        header = "m\\r " + " ".join(str(r).rjust(width) for r in range(cols))
         print(header)
         for m in range(0, args.max_m + 1):
-            row = [v for mm, _, v in cells if mm == m]
-            print(f"{m:<4}" + " ".join(str(v).rjust(width) for v in row))
+            row = texts[m * cols : (m + 1) * cols]
+            print(f"{m:<4}" + " ".join(t.rjust(width) for t in row))
     return EXIT_OK
 
 
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="tabulate S(m, r, n) over a grid")
     p_table.add_argument("--max-m", type=_int_in(0, MAX_TABLE_M_R), default=5)
     p_table.add_argument("--max-r", type=_int_in(0, MAX_TABLE_M_R), default=4)
-    p_table.add_argument("--n", type=_int_in(0), required=True)
+    p_table.add_argument("--n", type=_int_in(0, MAX_BRUTEFORCE_N), required=True)
     p_table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_table.set_defaults(func=cmd_table)
 

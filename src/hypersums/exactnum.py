@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -142,9 +143,15 @@ _STIRLING = StirlingTable()
 _DERIVED_CACHES: list[Callable[[], None]] = []
 
 
-def register_cache(clear_fn: Callable[[], None]) -> None:
-    """Register a cache-clearing callback (used by dependent modules)."""
-    _DERIVED_CACHES.append(clear_fn)
+def memo(fn: Callable) -> Callable:
+    """``lru_cache(maxsize=None)`` whose cache :func:`clear_derived_caches` flushes.
+
+    Every memo of the package is made with it, so a value derived from the
+    tables can never outlive a change of them.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+    _DERIVED_CACHES.append(cached.cache_clear)
+    return cached
 
 
 def clear_derived_caches() -> None:

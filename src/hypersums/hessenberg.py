@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exactnum import bernoulli, binomial, register_cache
+from .exactnum import bernoulli, binomial, memo
 from .polyring import RatPoly, constant, poly_to_json, sum_of_products, to_text
 
 
@@ -129,7 +128,7 @@ def det(h: HessenbergMatrix) -> RatPoly:
     return minors[-1]
 
 
-@lru_cache(maxsize=None)
+@memo
 def _leading(order: int, r: int) -> RatPoly:
     """p_order of every (m, r) matrix with m > order; memoised per (order, r).
 
@@ -159,9 +158,6 @@ def leading_minor(order: int, r: int) -> RatPoly:
     """det(build_matrix(order + 1, r)), from the minors memoised at r."""
     _check_params(order + 1, r)
     return _leading(order, r)
-
-
-register_cache(_leading.cache_clear)
 
 
 def matrix_to_text(h: HessenbergMatrix, at: Fraction | None = None) -> str:

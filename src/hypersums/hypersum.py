@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, islice
 from math import comb, factorial, lcm
 from typing import Iterator
@@ -32,7 +31,7 @@ from .exactnum import (
     Rational,
     bernoulli,
     binomial,
-    register_cache,
+    memo,
     rising_factorial,
     sign_pow,
     stirling1_row,
@@ -41,14 +40,12 @@ from .exactnum import (
 from .polyring import (
     RatPoly,
     constant,
-    divide_exact,
     monomial,
     poly,
     sum_of_products,
     to_N_frame,
     to_n_frame,
     to_u_form,
-    zero,
 )
 
 # -- structured results -------------------------------------------------------
@@ -117,7 +114,7 @@ def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
     return row[n]
 
 
-@lru_cache(maxsize=None)
+@memo
 def _surjection_counts(m: int) -> tuple[int, ...]:
     """(0! {m 0}, 1! {m 1}, ..., m! {m m}): a(m, k) = k (a(m-1, k) + a(m-1, k-1))."""
     row = [1]
@@ -159,16 +156,17 @@ def s2_closed(r: int, n: int) -> Rational:
 # -- power sums and the expansion over them -----------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def s1_poly(r: int) -> RatPoly:
-    """C(n+r, r+1) = n(n+1)...(n+r) / (r+1)! expanded as a polynomial in n."""
-    out = constant(Fraction(1, factorial(r + 1)))
-    for t in range(r + 1):
-        out = out * poly([t, 1])
-    return out
+    """C(n+r, r+1) = n(n+1)...(n+r) / (r+1)! expanded as a polynomial in n.
+
+    The rising product is sum_k [r+1, k] n^k over the unsigned first-kind
+    Stirling row.
+    """
+    return RatPoly.from_integers(stirling1_row(r + 1), factorial(r + 1))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _bernoulli_over_lcm(top: int) -> tuple[tuple[int, ...], int]:
     """(D B_0, ..., D B_top) and D, the lcm of the denominators of B_0..B_top."""
     values = [bernoulli(t) for t in range(top + 1)]
@@ -176,7 +174,7 @@ def _bernoulli_over_lcm(top: int) -> tuple[tuple[int, ...], int]:
     return tuple(b.numerator * (den // b.denominator) for b in values), den
 
 
-@lru_cache(maxsize=None)
+@memo
 def power_sum_poly(m: int) -> RatPoly:
     """The ordinary power sum 1^m + ... + n^m as a polynomial in n.
 
@@ -192,7 +190,7 @@ def power_sum_poly(m: int) -> RatPoly:
     return RatPoly.from_integers(nums, (m + 1) * b_den)
 
 
-@lru_cache(maxsize=None)
+@memo
 def q_poly(r: int, i: int) -> RatPoly:
     """Weight polynomial of degree r-i multiplying the (m+i)-th power sum.
 
@@ -226,7 +224,7 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
 # -- explicit coefficients ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def _c_weights(r: int) -> tuple[tuple[int, ...], ...]:
     """Row i < r: the signed Stirling weights (-1)^j C(i+j, i) [r, i+j+1], j < r-i."""
     row = stirling1_row(r)
@@ -328,7 +326,7 @@ def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
 # -- the centered-variable recurrence -----------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def _lemma_poly(m: int, r: int) -> RatPoly:
     """S(m, r) by the centered recurrence from S(1, r) ... S(m-1, r), which
     are memoised per (m, r), so growing m at fixed r runs each step once."""
@@ -367,7 +365,7 @@ def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
 # -- determinant route ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def faulhaber_det(m: int, r: int) -> FaulhaberPoly:
     """The centered factor polynomial from the Hessenberg determinant.
 
@@ -389,7 +387,7 @@ def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
 # -- parity-split coefficient recurrences --------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def _centered_factor_rec(m: int, r: int) -> RatPoly:
     """The centered factor G(m, r) in N, grown by the parity-split recurrence.
 
@@ -431,16 +429,20 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
     """The factor polynomial in u = n(n+r), plus its prefactor tag.
 
     Odd m: S(m, r) = S(1, r) * F(u) and the tag is "s1".  Even m:
-    S(m, r) = S(2, r) * F(u) with tag "s2"; here the centered factor is
-    divided exactly by the degree-one factor of S(2, r) before converting,
-    and a nonzero remainder would mean an internal inconsistency.
+    S(m, r) = S(2, r) * F(u) with tag "s2"; here the centered factor, odd in
+    N, is divided by the factor (2/(r+2)) N of S(2, r) before converting,
+    and a nonzero constant term would mean an internal inconsistency.
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got ({m}, {r})")
     g = faulhaber_det(m, r).poly
     if m % 2 == 1:
         return to_u_form(g), "s1"
-    quotient = divide_exact(g, poly([0, Fraction(2, r + 2)], "N", r))
+    if g.coefficient(0):
+        raise ValueError(f"the centered factor G({m}, {r}) is not divisible by N")
+    quotient = RatPoly.from_integers(
+        [(r + 2) * a for a in g.numerators[1:]], 2 * g.denominator, "N", r
+    )
     return to_u_form(quotient), "s2"
 
 
@@ -453,9 +455,10 @@ def stirling_product_form(m: int, r: int) -> tuple[RatPoly, RatPoly]:
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    left = zero()
-    for j in range(1, r + 1):
-        left = left + power_sum_poly(j).scale(stirling1_unsigned(r, j))
+    row = stirling1_row(r)
+    left = sum_of_products(
+        (RatPoly.from_integers((row[j],), 1), power_sum_poly(j)) for j in range(1, r + 1)
+    )
     return left, faulhaber_det(m, r).poly
 
 
@@ -512,7 +515,7 @@ def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
 # -- canonical provider ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def hyper_sum_poly(m: int, r: int) -> RatPoly:
     """S(m, r) as a plain polynomial in n, for any m >= 0, r >= 0.
 
@@ -540,17 +543,3 @@ ROUTE_DOMAIN = {
     "lemma": (1, 0),
     "det": (1, 0),
 }
-
-
-for _cached in (
-    s1_poly,
-    power_sum_poly,
-    q_poly,
-    _bernoulli_over_lcm,
-    _c_weights,
-    _lemma_poly,
-    faulhaber_det,
-    _centered_factor_rec,
-    hyper_sum_poly,
-):
-    register_cache(_cached.cache_clear)

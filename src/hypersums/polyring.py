@@ -5,14 +5,17 @@ over one positive integer denominator, the layout of FLINT's ``fmpq_poly``.
 The pair is kept primitive: gcd(denominator, all numerators) = 1 and the
 last numerator is nonzero, so the zero polynomial is the empty tuple over 1
 and ``degree`` of zero is None.  This form is unique, so equality is
-comparison of the integers.  Ring operations work on the integers alone and
-normalise once; ``coeffs`` yields the coefficients as canonical
-``Fraction`` values, built on first use.  There is no floating point.
+comparison of the integers.  ``coeffs`` yields the coefficients as
+canonical ``Fraction`` values, built on first use.  There is no floating
+point.
 
-A sum of several products (each minor of the Hessenberg determinant, each
-step of the centered recurrence, the power-sum expansion) goes through
-:func:`sum_of_products`, which accumulates all products over one common
-denominator and normalises the sum once, not after every ``*`` and ``+``.
+Every ring operation goes through one kernel, :func:`sum_of_products`,
+which accumulates products of integer numerators over one common
+denominator and normalises the sum once: ``a * b`` is the sum of one
+product, ``a + b`` and ``a - b`` the sum of 1 * a and +-1 * b, and
+``a.scale(c)`` the product of the constant c with a.  A longer sum (each
+minor of the Hessenberg determinant, each step of the centered recurrence,
+the power-sum expansion) is one call, not a chain of ``*`` and ``+``.
 
 Each polynomial carries a variable tag:
 
@@ -144,64 +147,27 @@ class RatPoly:
     def leading_coefficient(self) -> Rational:
         return self.coefficient(len(self.numerators) - 1)
 
-    def _require_same_frame(self, other: RatPoly) -> None:
-        if self.var != other.var or self.r != other.r:
-            raise ValueError(
-                f"frame mismatch: {self.var}[r={self.r}] vs {other.var}[r={other.r}]"
-            )
-
     # -- ring operations -------------------------------------------------
 
-    def _combine(self, other: RatPoly, sign: int) -> RatPoly:
-        """self + sign * other over the lcm of the two denominators."""
-        self._require_same_frame(other)
-        if not other.numerators:
-            return self
-        b = other.numerators if sign > 0 else [-y for y in other.numerators]
-        if not self.numerators:
-            return _raw(tuple(b), other.denominator, self.var, self.r)
-        a, da, db = self.numerators, self.denominator, other.denominator
-        g = gcd(da, db)
-        sa, sb = db // g, da // g
-        den = da * sa
-        if len(a) < len(b):
-            a, b, sa, sb = b, a, sb, sa
-        out = [x * sa for x in a] if sa != 1 else list(a)
-        for i, y in enumerate(b):
-            out[i] += y * sb
-        return _primitive(out, den, self.var, self.r)
+    def _unit(self, c: int) -> RatPoly:
+        return _raw((c,), 1, self.var, self.r)
 
     def __add__(self, other: RatPoly) -> RatPoly:
-        return self._combine(other, 1)
+        return sum_of_products([(self._unit(1), self), (self._unit(1), other)], self.var, self.r)
 
     def __sub__(self, other: RatPoly) -> RatPoly:
-        return self._combine(other, -1)
+        return sum_of_products([(self._unit(1), self), (self._unit(-1), other)], self.var, self.r)
 
     def __neg__(self) -> RatPoly:
         return _raw(tuple(-a for a in self.numerators), self.denominator, self.var, self.r)
 
     def __mul__(self, other: RatPoly) -> RatPoly:
-        self._require_same_frame(other)
-        a, b = self.numerators, other.numerators
-        if not a or not b:
-            return _raw((), 1, self.var, self.r)
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(b):
-            if y:
-                for i, x in enumerate(a, j):
-                    out[i] += x * y
-        return _primitive(out, self.denominator * other.denominator, self.var, self.r)
+        return sum_of_products([(self, other)], self.var, self.r)
 
     def scale(self, c: Rational | int) -> RatPoly:
         c = Fraction(c)
-        if not c or not self.numerators:
-            return _raw((), 1, self.var, self.r)
-        num = c.numerator
-        return _primitive(
-            [num * a for a in self.numerators], self.denominator * c.denominator, self.var, self.r
-        )
+        factor = RatPoly.from_integers((c.numerator,), c.denominator, self.var, self.r)
+        return sum_of_products([(factor, self)], self.var, self.r)
 
     def eval(self, x: Rational | int) -> Rational:
         """Exact value at x: integer Horner over x = p/q, one division at the end."""
@@ -275,26 +241,29 @@ def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
     """sum(a * b for a, b in pairs) in the frame (var, r), normalised once.
 
     The products are accumulated in integers over the lcm of their
-    denominators and reduced at the end.  Every factor must be in the frame,
-    as for ``*``; an empty sum, or a sum of zeros, is the zero polynomial.
+    denominators and reduced at the end.  Every factor must be in the frame
+    (``ValueError`` otherwise, which is how ``*``, ``+`` and ``-`` reject
+    mixed frames); an empty sum, or a sum of zeros, is the zero polynomial.
     """
     _check_frame(var, r)
     terms = []
+    den = size = 1
     for a, b in pairs:
         for f in (a, b):
             if f.var != var or f.r != r:
                 raise ValueError(f"frame mismatch: {var}[r={r}] vs {f.var}[r={f.r}]")
-        if a.numerators and b.numerators:
-            terms.append((a, b))
+        x, y = a.numerators, b.numerators
+        if x and y:
+            d = a.denominator * b.denominator
+            # the shorter factor drives the outer loop
+            terms.append((x, y, d) if len(x) >= len(y) else (y, x, d))
+            den = lcm(den, d)
+            size = max(size, len(x) + len(y) - 1)
     if not terms:
         return _raw((), 1, var, r)
-    den = lcm(*(a.denominator * b.denominator for a, b in terms))
-    out = [0] * max(len(a.numerators) + len(b.numerators) - 1 for a, b in terms)
-    for a, b in terms:
-        x, y = a.numerators, b.numerators
-        if len(x) < len(y):
-            x, y = y, x
-        s = den // (a.denominator * b.denominator)
+    out = [0] * size
+    for x, y, d in terms:
+        s = den // d
         for j, v in enumerate(y):
             if v:
                 v *= s
@@ -354,35 +323,6 @@ def to_u_form(p: RatPoly) -> RatPoly:
         raise ValueError("to_u_form requires an even polynomial")
     halved = _raw(p.numerators[::2], p.denominator, "u", p.r)
     return halved.shift(Fraction(p.r * p.r, 4))
-
-
-def divide_exact(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Exact polynomial division; raises if the remainder is nonzero.
-
-    Fraction-free long division of the numerators: each step multiplies the
-    remainder and the partial quotient by the divisor's leading numerator.
-    """
-    p._require_same_frame(q)
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem, b = list(p.numerators), q.numerators
-    lead = b[-1]
-    quot = [0] * max(1, len(rem) - len(b) + 1)
-    scale = 1
-    for d in range(len(rem) - len(b), -1, -1):
-        c = rem[d + len(b) - 1]
-        if c:
-            rem = [x * lead for x in rem]
-            quot = [x * lead for x in quot]
-            scale *= lead
-            quot[d] = c
-            for i, y in enumerate(b):
-                rem[i + d] -= c * y
-    if any(rem):
-        raise ValueError("division is not exact (nonzero remainder)")
-    return RatPoly.from_integers(
-        [x * q.denominator for x in quot], scale * p.denominator, p.var, p.r
-    )
 
 
 # -- rendering ---------------------------------------------------------------

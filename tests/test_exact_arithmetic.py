@@ -1,10 +1,11 @@
-"""No floating point in the package source.
+"""Syntax-tree guards on the package source: no floating point, one memo.
 
 A true division ``/`` between two ints gives a float in Python, so one stray
 ``/`` in integer kernel code would silently turn an exact value inexact.
 The source is walked as a syntax tree: any ``/`` or ``/=``, float literal or
 use of the name ``float`` fails the test.  The one allowed use is the timing
-field ``VerifyReport.wall_time`` in ``verify.py``.
+field ``VerifyReport.wall_time`` in ``verify.py``.  The memo guard is
+described at its tests below.
 """
 
 from __future__ import annotations
@@ -75,3 +76,42 @@ def test_guard_catches_each_kind(tmp_path):
         "kernel.py:5: float literal 0.0",
         "kernel.py:5: the name float",
     ]
+
+
+# -- memo guard ------------------------------------------------------------------------
+#
+# ``exactnum.memo`` is the one way to memoise: it registers each cache with
+# ``clear_derived_caches``, the flush a change of the Bernoulli table relies
+# on.  A bare ``lru_cache`` elsewhere would make a memo that misses it.
+
+
+def lru_cache_uses(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id == "lru_cache")
+            or (isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+            or (isinstance(node, ast.alias) and node.name == "lru_cache")
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_lru_cache_is_named_only_in_exactnum():
+    others = sorted(p for p in SOURCE.glob("*.py") if p.name != "exactnum.py")
+    assert lru_cache_uses(SOURCE / "exactnum.py") != []
+    assert [use for path in others for use in lru_cache_uses(path)] == []
+
+
+def test_memo_guard_catches_each_spelling(tmp_path):
+    bad = tmp_path / "routes.py"
+    bad.write_text(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(m):\n"
+        "    return m\n"
+        "g = lru_cache(f)\n"
+    )
+    assert sorted(lru_cache_uses(bad)) == ["routes.py:2", "routes.py:3", "routes.py:6"]

@@ -14,7 +14,7 @@ import sys
 import threading
 from fractions import Fraction
 
-from hypersums import exactnum, hessenberg
+from hypersums import exactnum, hessenberg, hypersum, verify
 from hypersums.hypersum import ROUTES, faulhaber_det, faulhaber_rec
 from hypersums.polyring import RatPoly
 
@@ -50,6 +50,20 @@ def test_leading_minors_multiply_no_polynomials(monkeypatch):
     monkeypatch.setattr(RatPoly, "__mul__", lambda a, b: calls.append(1) or real_mul(a, b))
     assert hessenberg.leading_minor(57, 29).degree == 57
     assert calls == []
+
+
+def test_the_flush_empties_every_memo_of_the_package():
+    verify.run_all(4, 2, 4)
+    hypersum.hyper_sum_newton(3, 2, 9)
+    memos = {
+        name: fn
+        for module in (hessenberg, hypersum)
+        for name, fn in vars(module).items()
+        if callable(getattr(fn, "cache_info", None))
+    }
+    assert [name for name, fn in memos.items() if not fn.cache_info().currsize] == []
+    exactnum.clear_derived_caches()
+    assert [name for name, fn in memos.items() if fn.cache_info().currsize] == []
 
 
 def test_a_changed_bernoulli_number_reaches_every_filled_memo(corrupt_bernoulli):

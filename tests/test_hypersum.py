@@ -372,6 +372,13 @@ def test_u_form_rejects_r0():
         faulhaber_u_form(3, 0)
 
 
+def test_u_form_refuses_a_centered_factor_that_is_not_odd(corrupt_bernoulli):
+    # with B_3 != 0 the even-m factor G(4, 1) gains a constant term
+    with corrupt_bernoulli(3, Fraction(1, 7)):
+        with pytest.raises(ValueError):
+            faulhaber_u_form(4, 1)
+
+
 # -- half-shifted power sums ---------------------------------------------------------------
 
 

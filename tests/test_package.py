@@ -7,7 +7,7 @@ import sys
 
 PUBLIC = (
     "FaulhaberPoly HessenbergMatrix HyperSumPoly RatPoly Rational VerifyReport bernoulli "
-    "binomial build_matrix coeff_c coffey_residual constant det divide_exact faulhaber_det "
+    "binomial build_matrix coeff_c coffey_residual constant det faulhaber_det "
     "faulhaber_r1 faulhaber_rec faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
     "hyper_sum_poly_q lemma_recurrence_family monomial poly power_sum_poly q_poly r_stirling1 "
@@ -44,3 +44,4 @@ def test_deleted_helpers_are_gone():
 
     assert not hasattr(hypersums, "from_u_form")
     assert not hasattr(hypersums, "coeff_recurrence_step")
+    assert not hasattr(hypersums, "divide_exact")

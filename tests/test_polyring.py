@@ -12,7 +12,6 @@ from hypersums.hypersum import hyper_sum_bruteforce
 from hypersums.polyring import (
     RatPoly,
     constant,
-    divide_exact,
     monomial,
     poly,
     poly_from_json,
@@ -54,10 +53,12 @@ def test_difference_of_squares():
 
 
 def test_frame_mixing_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"frame mismatch: n\[r=0\] vs N\[r=2\]"):
         poly([1], "n") + poly([1], "N", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"frame mismatch: N\[r=2\] vs N\[r=3\]"):
         poly([1], "N", 2) * poly([1], "N", 3)
+    with pytest.raises(ValueError, match=r"frame mismatch: u\[r=1\] vs N\[r=1\]"):
+        poly([1], "u", 1) - poly([1], "N", 1)
 
 
 def test_trailing_zeros_trimmed_and_degree():
@@ -174,18 +175,6 @@ def test_to_u_form_rejects_non_even():
         to_u_form(poly([0, 1], "N", 2))
     with pytest.raises(ValueError):
         to_u_form(poly([1, 0, 1]))  # n-frame
-
-
-# -- exact division ----------------------------------------------------------------
-
-
-def test_divide_exact():
-    num = poly([0, 0, 2, 3])  # n^2(3n + 2)
-    assert divide_exact(num, poly([0, 1])) == poly([0, 2, 3])
-    with pytest.raises(ValueError):
-        divide_exact(poly([1, 1]), poly([0, 1]))
-    with pytest.raises(ZeroDivisionError):
-        divide_exact(poly([1, 1]), zero())
 
 
 # -- rendering ---------------------------------------------------------------------
