@@ -15,12 +15,7 @@ from fractions import Fraction
 
 from . import hessenberg, hypersum, verify
 from .exactnum import rational_to_json
-from .polyring import (
-    RatPoly,
-    poly_to_json,
-    to_latex,
-    to_text,
-)
+from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -140,9 +135,9 @@ def cmd_det(args: argparse.Namespace) -> int:
     if r == 0:
         # the centered variable coincides with n; display it that way
         matrix = hessenberg.HessenbergMatrix(
-            m, r, tuple(tuple(RatPoly(e.coeffs) for e in row) for row in matrix.entries)
+            m, r, tuple(tuple(map(to_n_frame, row)) for row in matrix.entries)
         )
-        determinant = RatPoly(determinant.coeffs)
+        determinant = to_n_frame(determinant)
     center = None if args.at is None else Fraction(args.at) + Fraction(r, 2)
     if args.format == "json":
         payload = hessenberg.matrix_to_json(matrix)

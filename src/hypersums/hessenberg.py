@@ -19,10 +19,11 @@ The entries depend on (i, j, r) alone, so the matrix for (m, r) is the
 leading block of the matrix for every larger m, and its leading principal
 minors are shared: :func:`leading_minor` memoises them per (order, r).
 There the superdiagonal product h[j,j+1] ... h[k-1,k] = (r+j+1) ... (r+k)
-is a plain integer, so each term of a minor is one constant times an
-earlier minor, with no polynomial product.  :func:`det` evaluates any
-given matrix by the same recurrence with polynomial products, and is the
-reference the memoised minors are tested against.
+is a plain integer and the entry below the diagonal a plain number, so
+each term of a minor is one number times an earlier minor, with no
+polynomial product.  :func:`det` evaluates any given matrix by the same
+recurrence with polynomial products, and is the reference the memoised
+minors are tested against.
 """
 
 from __future__ import annotations
@@ -62,19 +63,19 @@ class HessenbergMatrix:
         return self.entries[i - 1][j - 1]
 
 
+def _below(p: int, j: int, r: int) -> tuple[int, int]:
+    """Entry (p-1, j) below the diagonal, r C(p, j) B_{p-j}, as (numerator, denominator)."""
+    b = bernoulli(p - j)
+    return r * binomial(p, j) * b.numerator, b.denominator
+
+
 def _row(i: int, r: int) -> tuple[RatPoly, ...]:
     """Entries (i, 1) ... (i, i+1) of row i, through the superdiagonal."""
     p = i + 1
-    zero = RatPoly.from_integers((), 1, "N", r)
     below = []
     for j in range(1, i):
-        b = bernoulli(p - j)
-        if r and b:
-            below.append(
-                RatPoly.from_integers((r * binomial(p, j) * b.numerator,), b.denominator, "N", r)
-            )
-        else:
-            below.append(zero)
+        num, den = _below(p, j, r)
+        below.append(RatPoly.from_integers((num,), den, "N", r))
     diagonal = RatPoly.from_integers((0, -p), 1, "N", r)
     return (*below, diagonal, RatPoly.from_integers((r + p,), 1, "N", r))
 
@@ -134,7 +135,7 @@ def _leading(order: int, r: int) -> RatPoly:
 
     Row k = order of the recurrence in :func:`det` with the superdiagonal
     entries h[t,t+1] = r+t+1 multiplied out in integers: the term of column
-    j < k is one constant, (-1)^(k-j) (r+j+1)...(r+k) h[k,j], times p_{j-1},
+    j < k is one number, (-1)^(k-j) (r+j+1)...(r+k) h[k,j], times p_{j-1},
     and the integer product gains one factor as j runs down from k-1.  The
     columns with a zero entry h[k,j] (a zero Bernoulli number, or r = 0)
     are left out.
@@ -147,10 +148,9 @@ def _leading(order: int, r: int) -> RatPoly:
     signed = 1
     for j in range(k - 1, 0, -1):
         signed *= -(r + j + 1)
-        b = bernoulli(p - j)
-        if r and b:
-            weight = signed * r * binomial(p, j) * b.numerator
-            pairs.append((RatPoly.from_integers((weight,), b.denominator, "N", r), minors[j - 1]))
+        num, den = _below(p, j, r)
+        if num:
+            pairs.append((Fraction(signed * num, den), minors[j - 1]))
     return sum_of_products(pairs, "N", r)
 
 

@@ -338,9 +338,7 @@ def _lemma_poly(m: int, r: int) -> RatPoly:
     for k in range(1, m - 1):
         b = bernoulli(m - k)
         if b:
-            weight = RatPoly.from_integers(
-                (-r * comb(m, k) * b.numerator,), b.denominator * (m + r)
-            )
+            weight = Fraction(-r * comb(m, k) * b.numerator, b.denominator * (m + r))
             pairs.append((weight, lower[k - 1]))
     return sum_of_products(pairs)
 
@@ -408,9 +406,7 @@ def _centered_factor_rec(m: int, r: int) -> RatPoly:
     pairs = [(RatPoly.from_integers((0, m), m + r, "N", r), lower[m - 2])]
     for k in range(m - 2, 0, -2):
         b = bernoulli(m - k)
-        weight = RatPoly.from_integers(
-            (-r * comb(m, k) * b.numerator,), b.denominator * (m + r), "N", r
-        )
+        weight = Fraction(-r * comb(m, k) * b.numerator, b.denominator * (m + r))
         pairs.append((weight, lower[k - 1]))
     return sum_of_products(pairs, "N", r)
 
@@ -456,9 +452,7 @@ def stirling_product_form(m: int, r: int) -> tuple[RatPoly, RatPoly]:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     row = stirling1_row(r)
-    left = sum_of_products(
-        (RatPoly.from_integers((row[j],), 1), power_sum_poly(j)) for j in range(1, r + 1)
-    )
+    left = sum_of_products((row[j], power_sum_poly(j)) for j in range(1, r + 1))
     return left, faulhaber_det(m, r).poly
 
 
@@ -501,13 +495,10 @@ def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     # the weighted sum runs over the exponents k <= e+1 of the other parity than e
     e = 2 * m - 1 if parity == "odd" else 2 * m
-    pairs = [
-        (constant(1), hyper_sum_poly(e, r + 1)),
-        (constant(Fraction(-1, 2)), hyper_sum_poly(e, r)),
-    ]
+    pairs = [(1, hyper_sum_poly(e, r + 1)), (Fraction(-1, 2), hyper_sum_poly(e, r))]
     for k in range(e % 2 + 1, e + 2, 2):
         b = bernoulli(e + 1 - k)
-        weight = RatPoly.from_integers((-comb(e + 1, k) * b.numerator,), (e + 1) * b.denominator)
+        weight = Fraction(-comb(e + 1, k) * b.numerator, (e + 1) * b.denominator)
         pairs.append((weight, hyper_sum_poly(k, r)))
     return sum_of_products(pairs)
 

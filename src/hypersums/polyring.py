@@ -6,16 +6,19 @@ The pair is kept primitive: gcd(denominator, all numerators) = 1 and the
 last numerator is nonzero, so the zero polynomial is the empty tuple over 1
 and ``degree`` of zero is None.  This form is unique, so equality is
 comparison of the integers.  ``coeffs`` yields the coefficients as
-canonical ``Fraction`` values, built on first use.  There is no floating
-point.
+canonical ``Fraction`` values.  There is no floating point: coefficients
+and constant factors are ``int`` or ``Fraction``, and anything else raises
+``TypeError``.
 
 Every ring operation goes through one kernel, :func:`sum_of_products`,
 which accumulates products of integer numerators over one common
 denominator and normalises the sum once: ``a * b`` is the sum of one
 product, ``a + b`` and ``a - b`` the sum of 1 * a and +-1 * b, and
-``a.scale(c)`` the product of the constant c with a.  A longer sum (each
-minor of the Hessenberg determinant, each step of the centered recurrence,
-the power-sum expansion) is one call, not a chain of ``*`` and ``+``.
+``a.scale(c)`` the product of the number c with a.  A factor of the kernel
+is a polynomial or a plain number, so a constant weight is never wrapped
+as a polynomial.  A longer sum (each minor of the Hessenberg determinant,
+each step of the centered recurrence, the power-sum expansion) is one
+call, not a chain of ``*`` and ``+``.
 
 Each polynomial carries a variable tag:
 
@@ -54,7 +57,6 @@ def _raw(nums: tuple[int, ...], den: int, var: str, r: int) -> RatPoly:
     _set(p, "denominator", den)
     _set(p, "var", var)
     _set(p, "r", r)
-    _set(p, "_coeffs", None)
     return p
 
 
@@ -73,7 +75,7 @@ def _primitive(nums: list[int], den: int, var: str, r: int) -> RatPoly:
 class RatPoly:
     """Immutable dense polynomial over Rational: integer numerators over one denominator."""
 
-    __slots__ = ("numerators", "denominator", "var", "r", "_coeffs")
+    __slots__ = ("numerators", "denominator", "var", "r")
 
     numerators: tuple[int, ...]
     denominator: int
@@ -82,9 +84,12 @@ class RatPoly:
 
     def __new__(cls, coeffs, var: str = "n", r: int = 0) -> RatPoly:
         _check_frame(var, r)
-        fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in fracs))
-        return _primitive([c.numerator * (den // c.denominator) for c in fracs], den, var, r)
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+        den = lcm(*(c.denominator for c in coeffs))
+        return _primitive([c.numerator * (den // c.denominator) for c in coeffs], den, var, r)
 
     @classmethod
     def from_integers(cls, numerators, denominator: int, var: str = "n", r: int = 0) -> RatPoly:
@@ -124,11 +129,9 @@ class RatPoly:
 
     @property
     def coeffs(self) -> tuple[Rational, ...]:
-        """Coefficients in ascending degree as canonical Fractions."""
-        if self._coeffs is None:
-            den = self.denominator
-            _set(self, "_coeffs", tuple(Fraction(a, den) for a in self.numerators))
-        return self._coeffs
+        """Coefficients in ascending degree as canonical Fractions, built on each call."""
+        den = self.denominator
+        return tuple(Fraction(a, den) for a in self.numerators)
 
     @property
     def degree(self) -> int | None:
@@ -149,14 +152,11 @@ class RatPoly:
 
     # -- ring operations -------------------------------------------------
 
-    def _unit(self, c: int) -> RatPoly:
-        return _raw((c,), 1, self.var, self.r)
-
     def __add__(self, other: RatPoly) -> RatPoly:
-        return sum_of_products([(self._unit(1), self), (self._unit(1), other)], self.var, self.r)
+        return sum_of_products([(1, self), (1, other)], self.var, self.r)
 
     def __sub__(self, other: RatPoly) -> RatPoly:
-        return sum_of_products([(self._unit(1), self), (self._unit(-1), other)], self.var, self.r)
+        return sum_of_products([(1, self), (-1, other)], self.var, self.r)
 
     def __neg__(self) -> RatPoly:
         return _raw(tuple(-a for a in self.numerators), self.denominator, self.var, self.r)
@@ -165,9 +165,7 @@ class RatPoly:
         return sum_of_products([(self, other)], self.var, self.r)
 
     def scale(self, c: Rational | int) -> RatPoly:
-        c = Fraction(c)
-        factor = RatPoly.from_integers((c.numerator,), c.denominator, self.var, self.r)
-        return sum_of_products([(factor, self)], self.var, self.r)
+        return sum_of_products([(c, self)], self.var, self.r)
 
     def eval(self, x: Rational | int) -> Rational:
         """Exact value at x: integer Horner over x = p/q, one division at the end."""
@@ -237,24 +235,36 @@ class RatPoly:
 # -- sums of products -------------------------------------------------------
 
 
+def _factor(f, var: str, r: int) -> tuple[tuple[int, ...], int]:
+    """(numerators, denominator) of a kernel factor: a polynomial in the
+    frame, or an int or Fraction, which has no frame."""
+    if f.__class__ is RatPoly:
+        if f.var != var or f.r != r:
+            raise ValueError(f"frame mismatch: {var}[r={r}] vs {f.var}[r={f.r}]")
+        return f.numerators, f.denominator
+    if isinstance(f, (int, Fraction)):
+        return ((f.numerator,) if f else ()), f.denominator
+    raise TypeError(f"a factor must be a RatPoly, int or Fraction, got {f!r}")
+
+
 def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
     """sum(a * b for a, b in pairs) in the frame (var, r), normalised once.
 
     The products are accumulated in integers over the lcm of their
-    denominators and reduced at the end.  Every factor must be in the frame
-    (``ValueError`` otherwise, which is how ``*``, ``+`` and ``-`` reject
-    mixed frames); an empty sum, or a sum of zeros, is the zero polynomial.
+    denominators and reduced at the end.  A factor is a polynomial, which
+    must be in the frame (``ValueError`` otherwise, which is how ``*``,
+    ``+`` and ``-`` reject mixed frames), or an ``int`` or ``Fraction``,
+    which has no frame; any other type raises ``TypeError``.  An empty sum,
+    or a sum of zeros, is the zero polynomial.
     """
     _check_frame(var, r)
     terms = []
     den = size = 1
     for a, b in pairs:
-        for f in (a, b):
-            if f.var != var or f.r != r:
-                raise ValueError(f"frame mismatch: {var}[r={r}] vs {f.var}[r={f.r}]")
-        x, y = a.numerators, b.numerators
+        x, dx = _factor(a, var, r)
+        y, dy = _factor(b, var, r)
         if x and y:
-            d = a.denominator * b.denominator
+            d = dx * dy
             # the shorter factor drives the outer loop
             terms.append((x, y, d) if len(x) >= len(y) else (y, x, d))
             den = lcm(den, d)
@@ -345,8 +355,9 @@ def to_text(p: RatPoly) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    coeffs = p.coeffs
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         term = _term_text(abs(c) if parts else c, k, p.var)
@@ -372,8 +383,9 @@ def to_latex(p: RatPoly) -> str:
         return "0"
     var = _latex_var(p)
     parts: list[str] = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    coeffs = p.coeffs
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         mag = abs(c)

@@ -100,7 +100,7 @@ class VerifyReport:
 
 
 def _first_coeff_mismatch(a: RatPoly, b: RatPoly) -> int:
-    for k in range(max(len(a.coeffs), len(b.coeffs))):
+    for k in range(max(len(a.numerators), len(b.numerators))):
         if a.coefficient(k) != b.coefficient(k):
             return k
     return -1
@@ -182,20 +182,17 @@ def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks
             rhs = sum_of_products(
                 [
                     (RatPoly.from_integers((r, 1), r), hypersum.hyper_sum_poly(m, r)),
-                    (RatPoly.from_integers((-1,), r), hypersum.hyper_sum_poly(m + 1, r)),
+                    (Fraction(-1, r), hypersum.hyper_sum_poly(m + 1, r)),
                 ]
             )
             yield _poly_check("order-lift-recurrence", {"m": m, "r": r}, lhs, rhs)
 
 
-def _bernoulli_pairs(m: int, r: int, c: int) -> list[tuple[RatPoly, RatPoly]]:
+def _bernoulli_pairs(m: int, r: int, c: int) -> list[tuple[Fraction, RatPoly]]:
     """(c C(m,k) B_{m-k}, S(k, r)) for 1 <= k <= m-2: the terms of sum_k C(m,k) B_{m-k} S(k, r)."""
-    pairs = []
-    for k in range(1, m - 1):
-        b = bernoulli(m - k)
-        weight = RatPoly.from_integers((c * comb(m, k) * b.numerator,), b.denominator)
-        pairs.append((weight, hypersum.hyper_sum_poly(k, r)))
-    return pairs
+    return [
+        (c * comb(m, k) * bernoulli(m - k), hypersum.hyper_sum_poly(k, r)) for k in range(1, m - 1)
+    ]
 
 
 def check_centered_recurrence(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
@@ -217,8 +214,8 @@ def check_half_step(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
             lhs = hypersum.hyper_sum_poly(m - 1, r + 1).scale(m)
             rhs = sum_of_products(
                 [
-                    (RatPoly.from_integers((1,), 1), hypersum.hyper_sum_poly(m, r)),
-                    (RatPoly.from_integers((m,), 2), hypersum.hyper_sum_poly(m - 1, r)),
+                    (1, hypersum.hyper_sum_poly(m, r)),
+                    (Fraction(m, 2), hypersum.hyper_sum_poly(m - 1, r)),
                     *_bernoulli_pairs(m, r, 1),
                 ]
             )

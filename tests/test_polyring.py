@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -59,6 +60,20 @@ def test_frame_mixing_rejected():
         poly([1], "N", 2) * poly([1], "N", 3)
     with pytest.raises(ValueError, match=r"frame mismatch: u\[r=1\] vs N\[r=1\]"):
         poly([1], "u", 1) - poly([1], "N", 1)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, "1/2", Decimal("0.5")])
+def test_coefficients_and_scale_factors_are_int_or_fraction(bad):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for build in (
+        lambda: poly([1, bad]),
+        lambda: constant(bad),
+        lambda: monomial(2, bad, "N", 3),
+        lambda: RatPoly((bad,), "u", 1),
+        lambda: poly([1, 2]).scale(bad),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_trailing_zeros_trimmed_and_degree():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypersums import polyring
 from hypersums.polyring import RatPoly, sum_of_products
 
 FRAMES = (("n", 0), ("N", 0), ("N", 1), ("N", 6), ("u", 2), ("u", 5))
@@ -189,6 +190,58 @@ def test_sum_of_products_rejects_a_factor_in_another_frame(frame, other, a, b, f
     pair = (bad, good) if first else (good, bad)
     with pytest.raises(ValueError, match="frame mismatch"):
         sum_of_products([(good, good), pair], *frame)
+    with pytest.raises(ValueError, match="frame mismatch"):
+        sum_of_products([(3, good), (bad, Fraction(1, 2))], *frame)
+
+
+# a number factor is an int or a Fraction, and it has no frame
+numbers = st.one_of(st.integers(-(10**9), 10**9), rationals, st.just(0))
+
+
+@relaxed
+@given(frames, st.lists(st.tuples(numbers, coeff_lists, st.booleans()), max_size=6))
+def test_a_number_factor_acts_as_its_constant_polynomial(frame, pairs):
+    mixed = [(c, RatPoly(a, *frame)) if first else (RatPoly(a, *frame), c) for c, a, first in pairs]
+    wrapped = [(RatPoly((c,), *frame), RatPoly(a, *frame)) for c, a, _ in pairs]
+    assert_matches(
+        sum_of_products(mixed, *frame), sum_of_products(wrapped, *frame).coeffs, frame
+    )
+
+
+@relaxed
+@given(frames, coeff_lists, coeff_lists)
+def test_mixed_sum_equals_the_sum_of_scaled_polynomials(frame, a, b):
+    p, q = RatPoly(a, *frame), RatPoly(b, *frame)
+    got = sum_of_products([(Fraction(1, 2), p), (3, q)], *frame)
+    assert got == p.scale(Fraction(1, 2)) + q.scale(3)
+
+
+def test_a_number_factor_passes_with_a_centered_polynomial():
+    g = RatPoly((1, 0, Fraction(2, 7)), "N", 3)
+    got = sum_of_products([(2, g), (g, Fraction(-1, 3)), (5, 7)], "N", 3)
+    assert got == RatPoly((Fraction(5, 3) + 35, 0, Fraction(10, 21)), "N", 3)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None, 1j, [1]])
+def test_a_factor_that_is_neither_a_polynomial_nor_a_number_is_refused(bad):
+    g = RatPoly((1, 2), "N", 3)
+    for pairs in ([(bad, g)], [(g, bad)], [(1, g), (2, bad)]):
+        with pytest.raises(TypeError, match="RatPoly, int or Fraction"):
+            sum_of_products(pairs, "N", 3)
+    with pytest.raises(TypeError):
+        g.scale(bad)
+
+
+def test_add_sub_and_scale_build_one_polynomial(monkeypatch):
+    p = RatPoly((1, 2, Fraction(3, 4), 5), "N", 2)
+    q = RatPoly((Fraction(1, 2), 0, 7), "N", 2)
+    built = []
+    real_raw = polyring._raw
+    monkeypatch.setattr(polyring, "_raw", lambda *args: built.append(args) or real_raw(*args))
+    for op in (lambda: p + q, lambda: p - q, lambda: p.scale(Fraction(2, 3))):
+        built.clear()
+        op()
+        assert len(built) == 1
 
 
 # -- the integer comparison with a list of values ----------------------------------
