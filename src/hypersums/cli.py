@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import hessenberg, hypersum, verify
+from . import hessenberg, hypersum  # verify is imported by cmd_verify alone
 from .exactnum import rational_to_json
 from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
@@ -25,15 +25,16 @@ EXIT_CROSSCHECK = 3
 # largest n of eval --method bruteforce, whose recursion lists grow linearly in n,
 # and of table, whose cells grow in digits with n
 MAX_BRUTEFORCE_N = 10**6
-# largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM,
-# eval takes about 5 s (auto, q), 6 s (c), 3.5-4 s (chain), 3 s (lemma) and
-# 0.7-0.8 s (det), poly and det 0.6-0.9 s
+# largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM, eval takes
+# 2.5 s (auto), 3.1 s (c), 1.7-1.8 s (chain, lemma) and 0.35 s (det), poly and det 0.4 s
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there
 MAX_TABLE_M_R = 100
 # largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 2 s there
 MAX_VERIFY_GRID = (30, 15, 100)
+# most digits of a printed int: sys.get_int_max_str_digits() refuses longer ones by default
+MAX_DIGITS = 4300
 
 
 def _fail_usage(message: str) -> "SystemExit":
@@ -41,9 +42,22 @@ def _fail_usage(message: str) -> "SystemExit":
     return SystemExit(EXIT_USAGE)
 
 
+def _refuse_long_value(flag: str, m: int, r: int, n: int, factor_digits: int = 0) -> None:
+    """Exit 2 unless S(m, r, n) <= (n + r)^(m + r), times a factor of ``factor_digits``
+    digits, surely prints: (m + r) d + 1 + factor_digits <= MAX_DIGITS for the d digits
+    of n + r, that is n + r < 10^d_max."""
+    d_max = (MAX_DIGITS - 1 - factor_digits) // max(m + r, 1)
+    if n + r >= 10**d_max:
+        raise _fail_usage(
+            f"{flag} is too large for m={m}, r={r}: the value could pass {MAX_DIGITS} "
+            f"digits, the most that can be printed; need n + r < 10^{d_max}"
+        )
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     m, r, n = args.m, args.r, args.n
     method = args.method
+    _refuse_long_value("--n", m, r, n)
     if method == "bruteforce":
         if n > MAX_BRUTEFORCE_N:
             raise _fail_usage(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
@@ -130,6 +144,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_det(args: argparse.Namespace) -> int:
     m, r = args.m, args.r
+    if args.at is not None:
+        # for n >= 1 the value is (-1)^(m-1) (r+2)...(r+m) S(m, r, n) / C(n+r, r+1)
+        _refuse_long_value("--at", m, r, args.at, (m - 1) * len(str(m + r)))
     matrix = hessenberg.build_matrix(m, r)
     determinant = hessenberg.det(matrix)
     if r == 0:
@@ -159,7 +176,10 @@ def cmd_det(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.run_all(args.max_m, args.max_r, args.max_n)
+    from . import verify
+
+    given = (args.max_m, args.max_r, args.max_n)
+    report = verify.run_all(*(d if g is None else g for g, d in zip(given, verify.DEFAULT_GRID)))
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
@@ -250,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.set_defaults(func=cmd_det)
 
     p_verify = sub.add_parser("verify", help="run the cross-method verification suite")
-    for flag, default, cap in zip(
-        ("--max-m", "--max-r", "--max-n"), verify.DEFAULT_GRID, MAX_VERIFY_GRID
-    ):
-        p_verify.add_argument(flag, type=_int_in(1, cap), default=default)
+    # the grid left out defaults to verify.DEFAULT_GRID, filled in by cmd_verify
+    for flag, cap in zip(("--max-m", "--max-r", "--max-n"), MAX_VERIFY_GRID):
+        p_verify.add_argument(flag, type=_int_in(1, cap))
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -13,10 +13,10 @@ behind a lock so concurrent readers always see consistent values.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable
 
 Rational = Fraction
 

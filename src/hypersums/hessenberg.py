@@ -22,30 +22,27 @@ There the superdiagonal product h[j,j+1] ... h[k-1,k] = (r+j+1) ... (r+k)
 is a plain integer and the entry below the diagonal a plain number, so
 each term of a minor is one number times an earlier minor, with no
 polynomial product.  :func:`det` evaluates any given matrix by the same
-recurrence with polynomial products, and is the reference the memoised
-minors are tested against.
+recurrence, with its constant entries as numbers, and is the reference the
+memoised minors are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import bernoulli, binomial, memo
 from .polyring import RatPoly, constant, poly_to_json, sum_of_products, to_text
 
 
-@dataclass(frozen=True)
-class HessenbergMatrix:
+class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
     """Square lower Hessenberg matrix with RatPoly entries (bandwidth 1 above)."""
 
-    m: int
-    r: int
-    entries: tuple[tuple[RatPoly, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        order = len(self.entries)
-        for i, row in enumerate(self.entries):
+    def __new__(cls, m: int, r: int, entries: tuple) -> HessenbergMatrix:
+        order = len(entries)
+        for i, row in enumerate(entries):
             if len(row) != order:
                 raise ValueError("matrix must be square")
             for j, e in enumerate(row):
@@ -53,6 +50,7 @@ class HessenbergMatrix:
                     raise ValueError(
                         f"entry ({i + 1}, {j + 1}) above the superdiagonal is nonzero"
                     )
+        return super().__new__(cls, m, r, entries)
 
     @property
     def order(self) -> int:
@@ -102,6 +100,14 @@ def build_matrix(m: int, r: int) -> HessenbergMatrix:
     return HessenbergMatrix(m, r, rows)
 
 
+def _number(e: RatPoly):
+    """An entry of degree <= 0 as its int or Fraction value; any other entry as itself."""
+    if len(e.numerators) > 1:
+        return e
+    a = e.numerators[0] if e.numerators else 0
+    return a if e.denominator == 1 else Fraction(a, e.denominator)
+
+
 def det(h: HessenbergMatrix) -> RatPoly:
     """Exact determinant via the leading-principal-minor recurrence.
 
@@ -112,16 +118,20 @@ def det(h: HessenbergMatrix) -> RatPoly:
 
     The empty matrix has determinant 1.  Each p_k is one sum of products of
     (entry times signed superdiagonal product, earlier minor) pairs, reduced
-    once; the terms whose entry h[k,j] is zero are left out.
+    once; the terms whose entry h[k,j] is zero are left out.  Constant entries
+    enter the products as numbers, so on a :func:`build_matrix` matrix,
+    constant off the diagonal, no two polynomials are multiplied.
     """
     frame_r = h.entries[0][0].r if h.order else h.r
     minors = [constant(1, "N", frame_r)]
     # signed[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1] for j < k = len(minors)
-    signed: tuple[RatPoly, ...] = ()
+    signed: tuple = ()
     for row in h.entries:
         k = len(minors)
+        row = [_number(e) for e in row[: k + 1]]
         pairs = [(row[k - 1], minors[k - 1])]
-        pairs += [(row[j] * signed[j], minors[j]) for j in range(k - 1) if row[j].numerators]
+        # a polynomial entry has degree >= 1 here, so only a number can be zero
+        pairs += [(row[j] * signed[j], minors[j]) for j in range(k - 1) if row[j]]
         minors.append(sum_of_products(pairs, "N", frame_r))
         if k < h.order:
             neg_sup = -row[k]

@@ -20,11 +20,11 @@ cross-method comparison is always same-frame.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, factorial, lcm
-from typing import Iterator
 
 from . import hessenberg
 from .exactnum import (
@@ -51,18 +51,13 @@ from .polyring import (
 # -- structured results -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperSumPoly:
+class HyperSumPoly(namedtuple("HyperSumPoly", "m r poly method")):
     """S(m, r, n) as a polynomial in n, tagged with its computation route."""
 
-    m: int
-    r: int
-    poly: RatPoly
-    method: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FaulhaberPoly:
+class FaulhaberPoly(namedtuple("FaulhaberPoly", "m r poly")):
     """A polynomial in N_r = n + r/2 that is even or odd in N_r.
 
     From ``faulhaber_det`` and ``faulhaber_rec`` it is the degree m-1 factor
@@ -72,9 +67,7 @@ class FaulhaberPoly:
     the power sum S(m, 1, n) itself, of degree m+1 in N_1 = n + 1/2.
     """
 
-    m: int
-    r: int
-    poly: RatPoly
+    __slots__ = ()
 
     @property
     def g_coeffs(self) -> tuple[Rational, ...]:

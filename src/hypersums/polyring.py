@@ -6,9 +6,9 @@ The pair is kept primitive: gcd(denominator, all numerators) = 1 and the
 last numerator is nonzero, so the zero polynomial is the empty tuple over 1
 and ``degree`` of zero is None.  This form is unique, so equality is
 comparison of the integers.  ``coeffs`` yields the coefficients as
-canonical ``Fraction`` values.  There is no floating point: coefficients
-and constant factors are ``int`` or ``Fraction``, and anything else raises
-``TypeError``.
+canonical ``Fraction`` values.  There is no floating point: coefficients,
+constant factors, shifts and evaluation points are ``int`` or ``Fraction``,
+and anything else raises ``TypeError``.
 
 Every ring operation goes through one kernel, :func:`sum_of_products`,
 which accumulates products of integer numerators over one common
@@ -50,6 +50,13 @@ def _check_frame(var: str, r: int) -> None:
         raise ValueError("n-frame polynomials carry no r context")
 
 
+def _exact(x, what: str):
+    """x itself when it is an int or Fraction; ``TypeError`` for anything else."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{what} must be int or Fraction, got {x!r}")
+    return x
+
+
 def _raw(nums: tuple[int, ...], den: int, var: str, r: int) -> RatPoly:
     """Wrap a pair already in primitive form, in a frame already checked."""
     p = object.__new__(RatPoly)
@@ -84,10 +91,7 @@ class RatPoly:
 
     def __new__(cls, coeffs, var: str = "n", r: int = 0) -> RatPoly:
         _check_frame(var, r)
-        coeffs = tuple(coeffs)
-        for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+        coeffs = tuple(_exact(c, "coefficients") for c in coeffs)
         den = lcm(*(c.denominator for c in coeffs))
         return _primitive([c.numerator * (den // c.denominator) for c in coeffs], den, var, r)
 
@@ -161,8 +165,10 @@ class RatPoly:
     def __neg__(self) -> RatPoly:
         return _raw(tuple(-a for a in self.numerators), self.denominator, self.var, self.r)
 
-    def __mul__(self, other: RatPoly) -> RatPoly:
+    def __mul__(self, other: RatPoly | Rational | int) -> RatPoly:
         return sum_of_products([(self, other)], self.var, self.r)
+
+    __rmul__ = __mul__
 
     def scale(self, c: Rational | int) -> RatPoly:
         return sum_of_products([(c, self)], self.var, self.r)
@@ -170,9 +176,9 @@ class RatPoly:
     def eval(self, x: Rational | int) -> Rational:
         """Exact value at x: integer Horner over x = p/q, one division at the end."""
         nums = self.numerators
+        p, q = _exact(x, "an evaluation point").numerator, x.denominator
         if not nums:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
         acc = 0
         qk = 1  # q^(degree - k) alongside the numerator of x^k
         for a in reversed(nums):
@@ -202,7 +208,7 @@ class RatPoly:
         h(y) = sum a_k q^(d-k) y^k; the Taylor shift of h by the integer s is
         done in place by repeated synthetic division, and x^j picks up q^j.
         """
-        c = Fraction(c)
+        c = Fraction(_exact(c, "a shift"))
         if not c or not self.numerators:
             return self
         s, q = c.numerator, c.denominator
@@ -367,12 +373,6 @@ def to_text(p: RatPoly) -> str:
     return "".join(parts).strip()
 
 
-def _latex_var(p: RatPoly) -> str:
-    if p.var == "N":
-        return f"N_{{{p.r}}}"
-    return p.var
-
-
 def _latex_frac(num: str, den: int) -> str:
     return num if den == 1 else f"\\frac{{{num}}}{{{den}}}"
 
@@ -381,7 +381,7 @@ def to_latex(p: RatPoly) -> str:
     """LaTeX form, descending degree, explicit \\frac for every fraction."""
     if p.is_zero():
         return "0"
-    var = _latex_var(p)
+    var = f"N_{{{p.r}}}" if p.var == "N" else p.var
     parts: list[str] = []
     coeffs = p.coeffs
     for k in range(len(coeffs) - 1, -1, -1):

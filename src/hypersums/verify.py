@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
-from typing import Iterator
+from types import SimpleNamespace
 
 from . import hessenberg, hypersum
 from .exactnum import (
@@ -31,31 +32,21 @@ from .exactnum import (
 from .polyring import RatPoly, monomial, poly, poly_to_json, sum_of_products, to_n_frame
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name params passed detail", defaults=("",))):
     """Outcome of one named check at one grid cell."""
 
-    name: str
-    params: dict
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        out = {"name": self.name, "params": self.params, "passed": self.passed}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        """The fields, with the detail only when there is one."""
+        return {key: v for key, v in self._asdict().items() if key != "detail" or v}
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(SimpleNamespace):
     """Deterministic record of a verification run."""
 
-    m_max: int
-    r_max: int
-    n_max: int
-    checks: list[CheckResult] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, m_max: int, r_max: int, n_max: int, checks: list, wall_time) -> None:
+        super().__init__(m_max=m_max, r_max=r_max, n_max=n_max, checks=checks, wall_time=wall_time)
 
     @property
     def passed(self) -> bool:
@@ -64,10 +55,6 @@ class VerifyReport:
     @property
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def merge(self, other: "VerifyReport") -> None:
-        self.checks.extend(other.checks)
-        self.wall_time += other.wall_time
 
     def to_json(self) -> dict:
         return {
@@ -99,13 +86,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _first_coeff_mismatch(a: RatPoly, b: RatPoly) -> int:
-    for k in range(max(len(a.numerators), len(b.numerators))):
-        if a.coefficient(k) != b.coefficient(k):
-            return k
-    return -1
-
-
 def _check(name: str, params: dict, ok: bool, detail: str = "") -> CheckResult:
     """A check whose detail is kept only when it failed."""
     return CheckResult(name, params, ok, "" if ok else detail)
@@ -115,7 +95,8 @@ def _poly_check(name: str, params: dict, a: RatPoly, b: RatPoly) -> CheckResult:
     """An equality check of two polynomials; a failure carries both of them."""
     if a == b:
         return CheckResult(name, params, True)
-    k = _first_coeff_mismatch(a, b)
+    degrees = range(max(len(a.numerators), len(b.numerators)))
+    k = next((k for k in degrees if a.coefficient(k) != b.coefficient(k)), -1)
     pair = json.dumps({"left": poly_to_json(a), "right": poly_to_json(b)})
     return CheckResult(name, params, False, f"first differing coefficient at degree {k}; {pair}")
 
@@ -301,11 +282,8 @@ def run_grid(m_max: int, r_max: int, n_max: int) -> VerifyReport:
         for m in range(0, m_max + 2)
         for r, row in enumerate(hypersum.value_table(m, r_max + 1, n_max))
     }
-    report = VerifyReport(m_max, r_max, n_max)
-    for check in GRID_CHECKS:
-        report.checks.extend(check(m_max, r_max, n_max, values))
-    report.wall_time = time.perf_counter() - start
-    return report
+    checks = [c for check in GRID_CHECKS for c in check(m_max, r_max, n_max, values)]
+    return VerifyReport(m_max, r_max, n_max, checks, time.perf_counter() - start)
 
 
 # -- golden fixtures -----------------------------------------------------------
@@ -456,6 +434,6 @@ def run_all(
     m_max: int = DEFAULT_GRID[0], r_max: int = DEFAULT_GRID[1], n_max: int = DEFAULT_GRID[2]
 ) -> VerifyReport:
     """Default full run: grid checks plus golden fixtures."""
-    report = run_grid(m_max, r_max, n_max)
-    report.merge(golden_fixtures())
-    return report
+    grid, golden = run_grid(m_max, r_max, n_max), golden_fixtures()
+    checks, seconds = grid.checks + golden.checks, grid.wall_time + golden.wall_time
+    return VerifyReport(m_max, r_max, n_max, checks, seconds)

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from hypersums.cli import MAX_BRUTEFORCE_N, MAX_TABLE_M_R, build_parser, main
-from hypersums.hessenberg import build_matrix, det
+from hypersums.exactnum import rising_factorial, sign_pow
+from hypersums.hessenberg import build_matrix, det, leading_minor
 from hypersums.hypersum import faulhaber_det, hyper_sum_bruteforce, hyper_sum_newton
-from hypersums.polyring import poly_from_json
+from hypersums.polyring import RatPoly, poly_from_json
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -135,6 +136,58 @@ def test_bruteforce_n_cap_exit_2(capsys):
     assert code == 2 and out == ""
 
 
+# Python prints no int of more than 4300 digits; both values have more (the first 4306)
+TOO_LONG = {
+    "eval": ("eval", "--m", "200", "--r", "200", "--n", str(10**12)),
+    "det": ("det", "--m", "200", "--r", "200", "--at", str(10**30)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind", TOO_LONG)
+def test_values_too_long_to_print_exit_2_before_evaluating(capsys, monkeypatch, kind, fmt):
+    monkeypatch.setattr(RatPoly, "eval", lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(SystemExit) as exc:
+        main([*TOO_LONG[kind], "--format", fmt])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "could pass 4300 digits" in err
+
+
+def test_the_largest_n_the_digit_bound_admits_still_prints(capsys):
+    # (m + r) d + 1 <= 4300 digits for n + r of d <= 21 digits at (200, 1)
+    n = 10**21 - 2
+    argv = ("eval", "--m", "200", "--r", "1", "--n", str(n), "--format")
+    for fmt in ("text", "json"):
+        code, out = run_cli(capsys, *argv, fmt)
+        assert code == 0
+        value = int(out) if fmt == "text" else int(json.loads(out)["value"][0])
+        assert value == hyper_sum_newton(200, 1, n) and len(str(value)) > 4200
+    assert run_cli(capsys, "eval", "--m", "200", "--r", "1", "--n", str(n + 1)) == (2, "")
+
+
+def test_the_largest_at_the_digit_bound_admits_still_prints(capsys):
+    # the bound adds (m - 1) digits(m + r) for the factor (r+2)...(r+m): n + r < 10^136 at (30, 1)
+    m, r, n = 30, 1, 10**136 - 2
+    code, out = run_cli(capsys, "det", "--m", str(m), "--r", str(r), "--at", str(n))
+    assert code == 0
+    value = Fraction(out.splitlines()[-1].removeprefix("det value = "))
+    assert value == sign_pow(m - 1) * rising_factorial(r + 2, m - 1) * Fraction(
+        hyper_sum_newton(m, r, n), math.comb(n + r, r + 1)
+    )
+    assert run_cli(capsys, "det", "--m", str(m), "--r", str(r), "--at", str(n + 1)) == (2, "")
+
+
+@pytest.mark.parametrize("m", [2, 7, 20, 41])
+def test_the_det_digit_bound_holds_at_n_0(m):
+    # the bound's factor rests on S(m, r, n) = C(n+r, r+1) G(n + r/2), empty at n = 0
+    for r in range(1, 31):
+        value = leading_minor(m - 1, r).eval(Fraction(r, 2))
+        bound = (m + r) * len(str(r)) + 1 + (m - 1) * len(str(m + r))
+        assert len(str(abs(value.numerator))) <= bound and len(str(value.denominator)) <= bound
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,8 +218,9 @@ def test_caps_accept_the_boundary():
         assert (args.m, args.r) == (200, 200)
     args = parser.parse_args(["verify", "--max-m", "30", "--max-r", "15", "--max-n", "100"])
     assert (args.max_m, args.max_r, args.max_n) == (30, 15, 100)
+    # a grid bound left out is filled in from verify.DEFAULT_GRID when the command runs
     args = parser.parse_args(["verify"])
-    assert (args.max_m, args.max_r, args.max_n) == (10, 6, 15)
+    assert (args.max_m, args.max_r, args.max_n) == (None, None, None)
     assert MAX_TABLE_M_R == 100
     args = parser.parse_args(["table", "--max-m", "100", "--max-r", "100", "--n", "1"])
     assert (args.max_m, args.max_r) == (100, 100)
@@ -348,6 +402,16 @@ def test_verify_json_report(capsys):
     blob = json.loads(out)
     assert blob["status"] == "pass"
     assert blob["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "flags, grid",
+    [((), (10, 6, 15)), (("--max-m", "3"), (3, 6, 15)), (("--max-n", "4"), (10, 6, 4))],
+)
+def test_verify_grid_defaults_to_the_default_grid(capsys, flags, grid):
+    code, out = run_cli(capsys, "verify", *flags, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["grid"] == dict(zip(("m_max", "r_max", "n_max"), grid))
 
 
 def test_verify_fault_injection_exit_1(capsys, corrupt_bernoulli):

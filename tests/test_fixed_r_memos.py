@@ -52,6 +52,17 @@ def test_leading_minors_multiply_no_polynomials(monkeypatch):
     assert calls == []
 
 
+def test_det_of_the_built_matrix_multiplies_no_polynomials(monkeypatch):
+    exactnum.clear_derived_caches()
+    matrix = hessenberg.build_matrix(58, 29)
+    calls = []
+    real_mul = RatPoly.__mul__
+    monkeypatch.setattr(RatPoly, "__mul__", lambda a, b: calls.append(1) or real_mul(a, b))
+    determinant = hessenberg.det(matrix)
+    assert calls == []
+    assert determinant == hessenberg.leading_minor(57, 29)
+
+
 def test_the_flush_empties_every_memo_of_the_package():
     verify.run_all(4, 2, 4)
     hypersum.hyper_sum_newton(3, 2, 9)

@@ -76,6 +76,19 @@ def test_coefficients_and_scale_factors_are_int_or_fraction(bad):
             build()
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, "1/2", "3"])
+def test_shifts_and_evaluation_points_are_int_or_fraction(bad):
+    # Fraction(0.1) would shift by 3602879701896397/36028797018963968, not 1/10
+    p = poly([0, 1])
+    with pytest.raises(TypeError, match="a shift must be int or Fraction"):
+        p.shift(bad)
+    for q in (p, poly([])):
+        with pytest.raises(TypeError, match="an evaluation point must be int or Fraction"):
+            q.eval(bad)
+    assert p.shift(Fraction(1, 10)) == poly([Fraction(1, 10), 1])
+    assert p.eval(Fraction(1, 2)) == Fraction(1, 2)
+
+
 def test_trailing_zeros_trimmed_and_degree():
     p = poly([1, 2, 0, 0])
     assert p.coeffs == (Fraction(1), Fraction(2))
