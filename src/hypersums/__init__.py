@@ -47,7 +47,6 @@ _EXPORTS = {
         "s1_closed",
         "s1_poly",
         "s2_closed",
-        "stirling_product_form",
     ),
     "polyring": (
         "RatPoly",

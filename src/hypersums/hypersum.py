@@ -197,11 +197,13 @@ def q_poly(r: int, i: int) -> RatPoly:
     )
 
 
+@memo
 def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
     """S(m, r) via the alternating expansion over ordinary power sums.
 
     S(m, r, n) = (1/(r-1)!) sum_{i=0}^{r-1} (-1)^i q_{r-1,i}(n) S_{m+i}(n).
     Note the index shift: weights of order r-1 produce the r-fold sum.
+    Memoised: this build is both the ``q`` route and :func:`hyper_sum_poly`.
     """
     if r < 1:
         raise ValueError(f"the power-sum expansion needs r >= 1, got {r}")
@@ -273,10 +275,13 @@ def coeff_c(m: int, r: int, k: int) -> Rational:
 def coeff_c_reduced_k1(m: int, r: int) -> Rational:
     """The collapsed single-sum form of the linear coefficient.
 
-    c^1 = ((-1)^m / (r-1)!) sum_{i=0}^{r-1} [r, i+1] B_{m+i}.
+    c^1 = ((-1)^m / (r-1)!) sum_{i=0}^{r-1} [r, i+1] B_{m+i}, summed in
+    integers over the common Bernoulli denominator.
     """
-    total = sum(stirling1_unsigned(r, i + 1) * bernoulli(m + i) for i in range(r))
-    return Fraction(sign_pow(m), factorial(r - 1)) * total
+    b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
+    row = stirling1_row(r)
+    total = sum(row[i + 1] * b_nums[m + i] for i in range(r))
+    return Fraction(sign_pow(m) * total, factorial(r - 1) * b_den)
 
 
 def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
@@ -435,20 +440,6 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
     return to_u_form(quotient), "s2"
 
 
-def stirling_product_form(m: int, r: int) -> tuple[RatPoly, RatPoly]:
-    """Factor r! S(m, r, n) as (Stirling-weighted power sums) x (centered factor).
-
-    Returns (sum_{j=1}^{r} [r, j] S_j(n) as a polynomial in n, the centered
-    factor in N); their product, after moving the factor to the n-frame,
-    equals r! S(m, r, n).
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    row = stirling1_row(r)
-    left = sum_of_products((row[j], power_sum_poly(j)) for j in range(1, r + 1))
-    return left, faulhaber_det(m, r).poly
-
-
 # -- ordinary power sums in the half-shifted variable ---------------------------
 
 
@@ -499,12 +490,11 @@ def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
 # -- canonical provider ----------------------------------------------------------
 
 
-@memo
 def hyper_sum_poly(m: int, r: int) -> RatPoly:
     """S(m, r) as a plain polynomial in n, for any m >= 0, r >= 0.
 
-    Identity checks go through this single provider; its output is
-    cross-validated against the other four routes by the verifier.
+    Identity checks go through this single provider, the memoised ``q``
+    route; the verifier cross-validates it against the other four routes.
     """
     if r == 0:
         return monomial(m)  # n^m; for m = 0 the constant 1

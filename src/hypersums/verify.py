@@ -24,6 +24,7 @@ from types import SimpleNamespace
 from . import hessenberg, hypersum
 from .exactnum import (
     bernoulli,
+    memo,
     r_stirling1,
     rational_to_json,
     rising_factorial,
@@ -117,8 +118,12 @@ def check_routes(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
             (ref_name, ref), *others = produced.items()
             for name, p in others:
                 yield _poly_check(f"route-equality[{ref_name}={name}]", cell, ref, p)
+            # equal polynomials are compared with the recursion table once
+            mismatch = {}
             for name, p in produced.items():
-                bad = p.first_mismatch(values[m, r])
+                if p not in mismatch:
+                    mismatch[p] = p.first_mismatch(values[m, r])
+                bad = mismatch[p]
                 yield _check(
                     f"eval-vs-recursion[{name}]", cell, bad is None, f"first divergence at n={bad}"
                 )
@@ -141,18 +146,19 @@ def check_centered_factor(m_max: int, r_max: int, n_max: int, values: dict) -> C
             yield _poly_check(
                 "centered-factor[det=rec]", cell, det_form.poly, hypersum.faulhaber_rec(m, r).poly
             )
-            g = det_form.g_coeffs
+            # the g coefficients' numerators over the positive denominator carry their signs
+            p = det_form.poly
+            g = p.numerators[p.degree % 2 :: 2]
             ok = (
-                det_form.poly.parity() == ("even" if m % 2 == 1 else "odd")
+                p.parity() == ("even" if m % 2 == 1 else "odd")
                 and len(g) == (m + 1) // 2
-                and all(c != 0 for c in g)
+                and all(g)
                 and g[-1] > 0
-                and all(a * b < 0 for a, b in zip(g, g[1:]))
-                and g[-1] == Fraction(factorial(r + 1) * factorial(m), factorial(m + r))
+                and all((a > 0) != (b > 0) for a, b in zip(g, g[1:]))
+                and g[-1] * factorial(m + r) == factorial(r + 1) * factorial(m) * p.denominator
             )
-            yield _check(
-                "centered-factor-structure", cell, ok, json.dumps([rational_to_json(c) for c in g])
-            )
+            detail = "" if ok else json.dumps([rational_to_json(c) for c in det_form.g_coeffs])
+            yield _check("centered-factor-structure", cell, ok, detail)
 
 
 def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
@@ -169,11 +175,12 @@ def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks
             yield _poly_check("order-lift-recurrence", {"m": m, "r": r}, lhs, rhs)
 
 
-def _bernoulli_pairs(m: int, r: int, c: int) -> list[tuple[Fraction, RatPoly]]:
-    """(c C(m,k) B_{m-k}, S(k, r)) for 1 <= k <= m-2: the terms of sum_k C(m,k) B_{m-k} S(k, r)."""
-    return [
-        (c * comb(m, k) * bernoulli(m - k), hypersum.hyper_sum_poly(k, r)) for k in range(1, m - 1)
-    ]
+@memo
+def _bernoulli_sum(m: int, r: int) -> RatPoly:
+    """sum_{k=1}^{m-2} C(m,k) B_{m-k} S(k, r), shared by the centered and half-step checks."""
+    return sum_of_products(
+        (comb(m, k) * bernoulli(m - k), hypersum.hyper_sum_poly(k, r)) for k in range(1, m - 1)
+    )
 
 
 def check_centered_recurrence(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
@@ -183,7 +190,7 @@ def check_centered_recurrence(m_max: int, r_max: int, n_max: int, values: dict) 
             lhs = hypersum.hyper_sum_poly(m, r).scale(m + r)
             shifted = RatPoly.from_integers((m * r, 2 * m), 2)
             rhs = sum_of_products(
-                [(shifted, hypersum.hyper_sum_poly(m - 1, r)), *_bernoulli_pairs(m, r, -r)]
+                [(shifted, hypersum.hyper_sum_poly(m - 1, r)), (-r, _bernoulli_sum(m, r))]
             )
             yield _poly_check("centered-recurrence", {"m": m, "r": r}, lhs, rhs)
 
@@ -197,7 +204,7 @@ def check_half_step(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
                 [
                     (1, hypersum.hyper_sum_poly(m, r)),
                     (Fraction(m, 2), hypersum.hyper_sum_poly(m - 1, r)),
-                    *_bernoulli_pairs(m, r, 1),
+                    (1, _bernoulli_sum(m, r)),
                 ]
             )
             yield _poly_check("half-step-recurrence", {"m": m, "r": r}, lhs, rhs)

@@ -9,11 +9,14 @@ on a memo that outlived a change of the Bernoulli table.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 import sys
 import threading
 from fractions import Fraction
 
+import hypersums
 from hypersums import exactnum, hessenberg, hypersum, verify
 from hypersums.hypersum import ROUTES, faulhaber_det, faulhaber_rec
 from hypersums.polyring import RatPoly
@@ -66,12 +69,19 @@ def test_det_of_the_built_matrix_multiplies_no_polynomials(monkeypatch):
 def test_the_flush_empties_every_memo_of_the_package():
     verify.run_all(4, 2, 4)
     hypersum.hyper_sum_newton(3, 2, 9)
+    modules = [
+        importlib.import_module(f"hypersums.{info.name}")
+        for info in pkgutil.iter_modules(hypersums.__path__)
+    ]
     memos = {
-        name: fn
-        for module in (hessenberg, hypersum)
+        f"{module.__name__}.{name}": fn
+        for module in modules
         for name, fn in vars(module).items()
         if callable(getattr(fn, "cache_info", None))
     }
+    # every memo registered with the flush is one of them
+    assert {id(clear.__self__) for clear in exactnum._DERIVED_CACHES} == set(map(id, memos.values()))
+    assert {"hypersums.hypersum.hyper_sum_poly_q", "hypersums.verify._bernoulli_sum"} <= set(memos)
     assert [name for name, fn in memos.items() if not fn.cache_info().currsize] == []
     exactnum.clear_derived_caches()
     assert [name for name, fn in memos.items() if fn.cache_info().currsize] == []

@@ -31,7 +31,6 @@ from hypersums.hypersum import (
     s1_closed,
     s1_poly,
     s2_closed,
-    stirling_product_form,
     value_table,
 )
 from hypersums.polyring import monomial, poly, to_n_frame
@@ -464,30 +463,6 @@ def test_quintic_difference_alternative_factoring():
         [Fraction(-17, 63)]
     )
     assert lhs == (prefactor * bracket).scale(Fraction(1, 240))
-
-
-# -- weighted product form ------------------------------------------------------------------
-
-
-def test_stirling_product_form_r1():
-    left, right = stirling_product_form(4, 1)
-    assert left == power_sum_poly(1)
-    assert right == faulhaber_det(4, 1).poly
-
-
-def test_stirling_product_form_value():
-    left, right = stirling_product_form(2, 2)
-    assert left == power_sum_poly(1) + power_sum_poly(2)
-    value = left.eval(3) * right.eval(Fraction(3) + 1)  # N = n + r/2 = 4
-    assert value == factorial(2) * hyper_sum_bruteforce(2, 2, 3) == 40
-
-
-def test_stirling_product_form_symbolic():
-    for m in range(1, 5):
-        for r in range(1, 5):
-            left, right = stirling_product_form(m, r)
-            product = left * to_n_frame(right)
-            assert product == hyper_sum_poly(m, r).scale(factorial(r)), (m, r)
 
 
 # -- provider and structural invariants ------------------------------------------------------

@@ -19,7 +19,7 @@ PUBLIC = (
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
     "hyper_sum_poly_q lemma_recurrence_family monomial poly power_sum_poly q_poly r_stirling1 "
     "rising_factorial run_all run_grid s1_closed s1_poly s2_closed stirling1_unsigned "
-    "stirling_product_form sum_of_products to_N_frame to_latex to_n_frame to_text to_u_form zero"
+    "sum_of_products to_N_frame to_latex to_n_frame to_text to_u_form zero"
 ).split()
 
 # runs in a fresh interpreter, so that nothing but a bare `import hypersums` precedes it
@@ -52,6 +52,8 @@ def test_deleted_helpers_are_gone():
     assert not hasattr(hypersums, "from_u_form")
     assert not hasattr(hypersums, "coeff_recurrence_step")
     assert not hasattr(hypersums, "divide_exact")
+    assert not hasattr(hypersums, "stirling_product_form")
+    assert not hasattr(hypersums.hypersum, "stirling_product_form")
 
 
 # runs in a fresh interpreter: what a cold CLI request loads beyond what the

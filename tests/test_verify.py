@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
 
 from hypersums import cli, hypersum
-from hypersums.verify import golden_fixtures, run_all, run_grid
+from hypersums.polyring import RatPoly, poly
+from hypersums.verify import check_routes, golden_fixtures, run_all, run_grid
 
 
 def test_small_grid_passes():
@@ -34,6 +37,72 @@ def test_grid_checks_every_route_in_the_table(monkeypatch):
     )
     failed = {c.name for c in run_grid(2, 1, 2).failures}
     assert failed == {"route-equality[q=c]", "eval-vs-recursion[c]"}
+
+
+def off_by_n(m: int, r: int) -> hypersum.HyperSumPoly:
+    """A wrong route: S(m, r, n) + n, which differs from S at every n >= 1."""
+    return hypersum.HyperSumPoly(m, r, hypersum.hyper_sum_poly_q(m, r).poly + poly([0, 1]), "wrong")
+
+
+def routes_with_comparisons(monkeypatch, m_max: int, r_max: int, n_max: int):
+    """The check_routes results on the grid, and the number of table comparisons made."""
+    values = {
+        (m, r): row
+        for m in range(m_max + 1)
+        for r, row in enumerate(hypersum.value_table(m, r_max, n_max))
+    }
+    calls = []
+    real = RatPoly.first_mismatch
+    monkeypatch.setattr(RatPoly, "first_mismatch", lambda p, v: calls.append(1) or real(p, v))
+    checks = list(check_routes(m_max, r_max, n_max, values))
+    return checks, len(calls)
+
+
+def test_equal_route_polynomials_are_compared_with_the_table_once(monkeypatch):
+    checks, comparisons = routes_with_comparisons(monkeypatch, 3, 2, 6)
+    assert all(c.passed for c in checks)
+    assert comparisons == 3 * 2
+
+
+def test_two_routes_with_the_same_wrong_polynomial_both_fail(monkeypatch):
+    monkeypatch.setitem(hypersum.ROUTES, "c", off_by_n)
+    monkeypatch.setitem(hypersum.ROUTES, "chain", off_by_n)
+    checks, comparisons = routes_with_comparisons(monkeypatch, 3, 2, 6)
+    assert comparisons == 3 * 2 * 2  # the right and the wrong polynomial of each cell
+    failed = [c for c in checks if not c.passed]
+    names = ("route-equality[q=c]", "route-equality[q=chain]")
+    names += ("eval-vs-recursion[c]", "eval-vs-recursion[chain]")
+    cells = [(m, r) for m in range(1, 4) for r in range(1, 3)]
+    assert [(c.name, c.params["m"], c.params["r"]) for c in failed] == [
+        (name, m, r) for m, r in cells for name in names
+    ]
+    assert {c.detail for c in failed if c.name in names[2:]} == {"first divergence at n=1"}
+
+
+def test_a_wrong_reference_route_fails_every_equality_and_only_its_own_evaluation(monkeypatch):
+    monkeypatch.setitem(hypersum.ROUTES, "q", off_by_n)
+    report = run_grid(3, 2, 6)
+    others = [name for name in hypersum.ROUTES if name != "q"]
+    failed = {c.name for c in report.failures}
+    assert failed == {f"route-equality[q={name}]" for name in others} | {"eval-vs-recursion[q]"}
+    assert len(report.failures) == 3 * 2 * (len(others) + 1)  # at every cell
+
+
+# sha256 of the JSON of [c.to_json() for c in run_all(8, 4, 10).checks], keys
+# sorted, taken before verify shared its builds and comparisons, with the
+# Bernoulli table clean and with one entry corrupted
+REPORT_DIGESTS = [
+    (None, "b48f80b22ea078dc2b9d8b0d195db7a717f7f9f9b6b6946e5362d26089ab4d1a"),
+    ((2, Fraction(1, 7)), "bf35ef3a5818cd9fb6976e4c6235459fe076ae57d0dc6cef42a2293b2ebf452b"),
+    ((4, Fraction(1, 31)), "96ab9bf26a3b4da6e3d07a48e9dfa2665c80bac1ca98cda160b598e55f4dec1b"),
+]
+
+
+@pytest.mark.parametrize("corruption, digest", REPORT_DIGESTS, ids=["clean", "B2", "B4"])
+def test_the_report_is_unchanged(corruption, digest, corrupt_bernoulli):
+    with corrupt_bernoulli(*corruption) if corruption else nullcontext():
+        checks = [c.to_json() for c in run_all(8, 4, 10).checks]
+    assert hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_golden_fixtures_pass():
