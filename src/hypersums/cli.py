@@ -22,11 +22,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
 
-# largest n of eval --method bruteforce, whose recursion lists grow linearly in n,
-# and of table, whose cells grow in digits with n
+# largest n of eval --method bruteforce and of table, whose cells grow in digits with n.
+# The recursion of eval --method bruteforce builds r + 1 rows of n + 1 integers of up to
+# (m + r) d digits, for the d digits of n + r, so it also needs (r + 1)(n + 1)(m + r) d <=
+# MAX_BRUTEFORCE_WORK.  Cold on a 2-CPU Xeon VM the largest admitted n takes at most 0.6 s
+# and 106 MB at (200, 200), (200, 0), (0, 200) and (1, 1), where the cap on n binds
 MAX_BRUTEFORCE_N = 10**6
+MAX_BRUTEFORCE_WORK = 10**8
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM, eval takes
-# 2.5 s (auto), 3.1 s (c), 1.7-1.8 s (chain, lemma) and 0.35 s (det), poly and det 0.4 s
+# 3.1-3.8 s (auto, q), 4.9-5.2 s (c), 3.0-4.2 s (chain, lemma) and 0.5-0.6 s (det), poly and
+# det 0.4-0.6 s (two runs each on a shared VM, whose speed varies by tens of percent)
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there
@@ -61,6 +66,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if method == "bruteforce":
         if n > MAX_BRUTEFORCE_N:
             raise _fail_usage(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
+        work = (r + 1) * (n + 1) * (m + r) * len(str(n + r))
+        if work > MAX_BRUTEFORCE_WORK:
+            raise _fail_usage(
+                f"the brute-force recursion needs (r + 1)(n + 1)(m + r) d <= {MAX_BRUTEFORCE_WORK} "
+                f"for the d digits of n + r, got {work} at m={m}, r={r}, n={n}"
+            )
         value = Fraction(hypersum.hyper_sum_bruteforce(m, r, n))
     elif method == "auto":
         value = hypersum.hyper_sum_poly(m, r).eval(n)

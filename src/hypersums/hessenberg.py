@@ -64,6 +64,8 @@ class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
 def _below(p: int, j: int, r: int) -> tuple[int, int]:
     """Entry (p-1, j) below the diagonal, r C(p, j) B_{p-j}, as (numerator, denominator)."""
     b = bernoulli(p - j)
+    if not b:
+        return 0, 1
     return r * binomial(p, j) * b.numerator, b.denominator
 
 

@@ -20,6 +20,7 @@ cross-method comparison is always same-frame.  Everything is exact.
 
 from __future__ import annotations
 
+import threading
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -41,7 +42,6 @@ from .polyring import (
     RatPoly,
     constant,
     monomial,
-    poly,
     sum_of_products,
     to_N_frame,
     to_n_frame,
@@ -160,11 +160,37 @@ def s1_poly(r: int) -> RatPoly:
 
 
 @memo
+def _bernoulli_row() -> tuple[list[int], list[int], threading.Lock]:
+    """(nums, dens, lock), grown by :func:`_bernoulli_over_lcm`: nums[t] = D B_t over
+    D = dens[-1], and dens[t] the lcm of the denominators of B_0..B_t.  A memo, so
+    that the flush, and with it a changed table, starts it over."""
+    return [1], [1], threading.Lock()
+
+
+@memo
 def _bernoulli_over_lcm(top: int) -> tuple[tuple[int, ...], int]:
-    """(D B_0, ..., D B_top) and D, the lcm of the denominators of B_0..B_top."""
-    values = [bernoulli(t) for t in range(top + 1)]
-    den = lcm(*(b.denominator for b in values))
-    return tuple(b.numerator * (den // b.denominator) for b in values), den
+    """(D B_0, ..., D B_top) and D, the lcm of the denominators of B_0..B_top.
+
+    Read off one row that is grown, never rebuilt: the row for t extends
+    the row for t - 1 by D B_t, and is rescaled only when B_t brings a new
+    prime into the lcm, which by von Staudt-Clausen happens at t = p - 1 for
+    each prime p (at t = 1 for p = 2).  A shorter row is the prefix of the
+    grown one divided by D / D_top.
+    """
+    nums, dens, lock = _bernoulli_row()
+    with lock:
+        for t in range(len(nums), top + 1):
+            b = bernoulli(t)
+            den = dens[-1]
+            if den % b.denominator:
+                scale = lcm(den, b.denominator) // den
+                nums[:] = [a * scale for a in nums]
+                den *= scale
+            nums.append(b.numerator * (den // b.denominator))
+            dens.append(den)
+        over = dens[-1] // dens[top]
+        row = nums[: top + 1] if over == 1 else [a // over for a in nums[: top + 1]]
+    return tuple(row), dens[top]
 
 
 @memo
@@ -172,14 +198,16 @@ def power_sum_poly(m: int) -> RatPoly:
     """The ordinary power sum 1^m + ... + n^m as a polynomial in n.
 
     Computed from the Bernoulli-number formula
-    S_m(n) = (1/(m+1)) sum_{t=1}^{m+1} (-1)^(m+1-t) C(m+1, t) B_{m+1-t} n^t.
+    S_m(n) = (1/(m+1)) sum_{t=1}^{m+1} (-1)^(m+1-t) C(m+1, t) B_{m+1-t} n^t,
+    with the binomial taken only for the nonzero Bernoulli numbers.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     b_nums, b_den = _bernoulli_over_lcm(m)
-    nums = [0] + [
-        sign_pow(m + 1 - t) * comb(m + 1, t) * b_nums[m + 1 - t] for t in range(1, m + 2)
-    ]
+    nums = [0] * (m + 2)
+    for e, b in enumerate(b_nums):
+        if b:
+            nums[m + 1 - e] = sign_pow(e) * comb(m + 1, e) * b
     return RatPoly.from_integers(nums, (m + 1) * b_den)
 
 
@@ -192,8 +220,8 @@ def q_poly(r: int, i: int) -> RatPoly:
     """
     if i < 0 or i > r:
         raise ValueError(f"need 0 <= i <= r, got (r={r}, i={i})")
-    return poly(
-        [binomial(i + j, i) * stirling1_unsigned(r + 1, i + j + 1) for j in range(r - i + 1)]
+    return RatPoly.from_integers(
+        [binomial(i + j, i) * stirling1_unsigned(r + 1, i + j + 1) for j in range(r - i + 1)], 1
     )
 
 
@@ -237,8 +265,9 @@ def _c_numerators(m: int, r: int, ks: tuple[int, ...]) -> tuple[list[int], int]:
     negative t absorbing the out-of-range index combinations: the terms
     vanish unless 0 <= m+i+j+1-k (the Bernoulli index, at most m+r-1) and
     i+j+1 <= r (the Stirling column).  The inner sum over j is an integer
-    over the common Bernoulli denominator D; the binomial row is built once
-    per i.
+    over the common Bernoulli denominator D.  Per i, the products
+    C(top, e) D B_{top-e}, top = m+i+1, are built once, and only where the
+    Bernoulli number is nonzero, so a term is one multiplication.
     """
     b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
     tops = lcm(*range(m + 1, m + r + 1))
@@ -246,13 +275,17 @@ def _c_numerators(m: int, r: int, ks: tuple[int, ...]) -> tuple[list[int], int]:
     totals = [0] * len(ks)
     for i, weights in enumerate(_c_weights(r)):
         top = m + i + 1
-        binoms = [comb(top, t) for t in range(min(top, k_max) + 1)]
+        products = [0] * (min(top, k_max) + 1)  # e = k - j >= 1: products[0] is never read
+        for e in range(1, len(products)):
+            b = b_nums[top - e]
+            if b:
+                products[e] = comb(top, e) * b
         for at, k in enumerate(ks):
             inner = 0
             for j in range(max(0, k - top), min(k, r - i)):
-                b = b_nums[top + j - k]
-                if b:
-                    inner += weights[j] * binoms[k - j] * b
+                c = products[k - j]
+                if c:
+                    inner += weights[j] * c
             totals[at] += inner * (tops // top)
     nums = [sign_pow(m + 1 - k) * total for k, total in zip(ks, totals)]
     return nums, factorial(r - 1) * b_den * tops

@@ -18,7 +18,9 @@ product, ``a + b`` and ``a - b`` the sum of 1 * a and +-1 * b, and
 is a polynomial or a plain number, so a constant weight is never wrapped
 as a polynomial.  A longer sum (each minor of the Hessenberg determinant,
 each step of the centered recurrence, the power-sum expansion) is one
-call, not a chain of ``*`` and ``+``.
+call, not a chain of ``*`` and ``+``.  The outer loop of a product runs over
+the sparser factor and skips its zeros (see :func:`sum_of_products`): in
+the power-sum expansion, over the power sums, half Bernoulli zeros.
 
 Each polynomial carries a variable tag:
 
@@ -262,6 +264,11 @@ def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
     ``+`` and ``-`` reject mixed frames), or an ``int`` or ``Fraction``,
     which has no frame; any other type raises ``TypeError``.  An empty sum,
     or a sum of zeros, is the zero polynomial.
+
+    The outer loop of a product runs over its number factor, with no count
+    of zeros, and of two polynomials over the one that minimises (its
+    nonzero entries) x (the other's length + 2); a zero entry of the outer
+    factor costs no inner loop.
     """
     _check_frame(var, r)
     terms = []
@@ -270,11 +277,14 @@ def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
         x, dx = _factor(a, var, r)
         y, dy = _factor(b, var, r)
         if x and y:
-            d = dx * dy
-            # the shorter factor drives the outer loop
-            terms.append((x, y, d) if len(x) >= len(y) else (y, x, d))
+            d, nx, ny = dx * dy, len(x), len(y)
+            if nx == 1 or ny == 1:
+                y_outer = ny == 1
+            else:
+                y_outer = (ny - y.count(0)) * (nx + 2) <= (nx - x.count(0)) * (ny + 2)
+            terms.append((x, y, d) if y_outer else (y, x, d))  # (inner, outer, denominator)
             den = lcm(den, d)
-            size = max(size, len(x) + len(y) - 1)
+            size = max(size, nx + ny - 1)
     if not terms:
         return _raw((), 1, var, r)
     out = [0] * size

@@ -179,7 +179,9 @@ def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks
 def _bernoulli_sum(m: int, r: int) -> RatPoly:
     """sum_{k=1}^{m-2} C(m,k) B_{m-k} S(k, r), shared by the centered and half-step checks."""
     return sum_of_products(
-        (comb(m, k) * bernoulli(m - k), hypersum.hyper_sum_poly(k, r)) for k in range(1, m - 1)
+        (comb(m, k) * b, hypersum.hyper_sum_poly(k, r))
+        for k in range(1, m - 1)
+        if (b := bernoulli(m - k))  # a zero Bernoulli number adds no term
     )
 
 

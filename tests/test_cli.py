@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums.cli import MAX_BRUTEFORCE_N, MAX_TABLE_M_R, build_parser, main
+from hypersums.cli import (
+    MAX_BRUTEFORCE_N,
+    MAX_BRUTEFORCE_WORK,
+    MAX_TABLE_M_R,
+    build_parser,
+    main,
+)
 from hypersums.exactnum import rising_factorial, sign_pow
 from hypersums.hessenberg import build_matrix, det, leading_minor
 from hypersums.hypersum import faulhaber_det, hyper_sum_bruteforce, hyper_sum_newton
@@ -134,6 +140,25 @@ def test_bruteforce_n_cap_exit_2(capsys):
     assert code == 2 and out == ""
     code, out = run_cli(capsys, "table", "--n", too_big)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+# the largest n with (r + 1)(n + 1)(m + r) d <= 10^8 for the d digits of n + r
+@pytest.mark.parametrize("m, r, n", [(200, 200, 413), (0, 200, 799)])
+def test_bruteforce_work_budget_exit_2_before_computing(capsys, monkeypatch, fmt, m, r, n):
+    assert MAX_BRUTEFORCE_WORK == 10**8
+    argv = ["eval", "--m", str(m), "--r", str(r), "--method", "bruteforce", "--format", fmt]
+    code, out = run_cli(capsys, *argv, "--n", str(n))
+    assert code == 0
+    value = int(out) if fmt == "text" else int(json.loads(out)["value"][0])
+    assert value == hyper_sum_newton(m, r, n)
+    monkeypatch.setattr("hypersums.hypersum.value_table", lambda *a: pytest.fail("computed"))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", str(n + 1)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and f"<= {MAX_BRUTEFORCE_WORK}" in err
 
 
 # Python prints no int of more than 4300 digits; both values have more (the first 4306)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import sys
+import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
-from hypersums import hessenberg
+from hypersums import exactnum, hessenberg
+from hypersums.exactnum import bernoulli
 from hypersums.hypersum import (
     ROUTE_DOMAIN,
     ROUTES,
+    _bernoulli_over_lcm,
     coeff_c,
     coeff_c_reduced_k1,
     coffey_residual,
@@ -34,6 +40,7 @@ from hypersums.hypersum import (
     value_table,
 )
 from hypersums.polyring import monomial, poly, to_n_frame
+from hypersums.verify import run_all
 
 # -- defining recursion -------------------------------------------------------
 
@@ -104,6 +111,67 @@ def test_power_sum_poly_matches_recursion():
         p = power_sum_poly(m)
         for n in range(12):
             assert p.eval(n) == hyper_sum_bruteforce(m, 1, n)
+
+
+def test_the_integer_bernoulli_row_matches_its_definition():
+    expected = {}
+    for t in range(401):
+        values = [bernoulli(j) for j in range(t + 1)]
+        den = lcm(*(b.denominator for b in values))
+        expected[t] = tuple(b.numerator * (den // b.denominator) for b in values), den
+    orders = [random.Random(seed).sample(range(401), 401) for seed in range(9)]
+    exactnum.clear_derived_caches()
+    assert {t: _bernoulli_over_lcm(t) for t in orders[8]} == expected
+    # cold again, grown and read from 8 threads at once, each in its own order
+    exactnum.clear_derived_caches()
+    results: list = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(i: int) -> None:
+        start.wait()
+        results[i] = {t: _bernoulli_over_lcm(t) for t in orders[i]}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(result == expected for result in results)
+
+
+def _depth(frame) -> int:
+    depth = 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_a_cold_bernoulli_row_is_grown_without_recursion(monkeypatch):
+    # a fresh table, so that the Bernoulli numbers are grown cold as well
+    monkeypatch.setattr(exactnum, "_BERNOULLI", exactnum.BernoulliTable())
+    exactnum.clear_derived_caches()
+    deepest = base = _depth(sys._getframe())
+
+    def probe(frame, event, arg):
+        nonlocal deepest
+        if event == "call":
+            deepest = max(deepest, _depth(frame))
+
+    sys.setprofile(probe)
+    try:
+        row, den = _bernoulli_over_lcm(399)
+    finally:
+        sys.setprofile(None)
+        exactnum.clear_derived_caches()
+    # the prime p enters the lcm at B_{p-1}: 397 has, 401 not yet
+    assert len(row) == 400 and den % 397 == 0 and den % 401 != 0
+    assert deepest - base <= 5
 
 
 # -- weight polynomials -------------------------------------------------------------
@@ -269,6 +337,44 @@ def test_five_routes_agree_at_high_degree(m, r):
     assert all(p == routes[0] for p in routes)
     n = 10**12 + 39
     assert routes[0].eval(n) == newton_oracle(m, r, n)
+
+
+# sha256 per route of repr((m, r, numerators, denominator)) for each cell of DIGEST_CELLS in
+# the route's domain, in order: a change to any one coefficient of any route fails
+DIGEST_CELLS = [(m, r) for m in range(25) for r in range(13)] + [(58, 29), (60, 30)]
+ROUTE_DIGESTS = {
+    "q": "bcb49f52ec3e8e10fe7e1da61a55f8ae402eeef292f4396ed43a1d1b120e916b",
+    "c": "bcb49f52ec3e8e10fe7e1da61a55f8ae402eeef292f4396ed43a1d1b120e916b",
+    "chain": "bcb49f52ec3e8e10fe7e1da61a55f8ae402eeef292f4396ed43a1d1b120e916b",
+    "lemma": "cf70693795e22b4dc5d404ebb73fe62a98335b0399b5ff06b1401751b2582a91",
+    "det": "cf70693795e22b4dc5d404ebb73fe62a98335b0399b5ff06b1401751b2582a91",
+}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_the_route_polynomials_are_unchanged(name):
+    m_min, r_min = ROUTE_DOMAIN[name]
+    digest = hashlib.sha256()
+    for m, r in DIGEST_CELLS:
+        if m >= m_min and r >= r_min:
+            p = ROUTES[name](m, r).poly
+            digest.update(repr((m, r, p.numerators, p.denominator)).encode())
+    assert digest.hexdigest() == ROUTE_DIGESTS[name]
+
+
+# B_3 enters S(m, r) through the power sums from m = 4 on (q, c, chain) and through the
+# recurrences and the matrix (lemma, det), B_5 from m = 6 on; a route that skips the odd
+# indices instead of the zero values misses the change
+@pytest.mark.parametrize("j, value, m_min", [(3, Fraction(1, 7), 4), (5, Fraction(1, 11), 6)])
+def test_a_corrupted_odd_index_bernoulli_number_reaches_every_route(
+    corrupt_bernoulli, j, value, m_min
+):
+    cells = [(m, r) for m in range(m_min, 13) for r in (1, 3, 6)]
+    good = {(name, m, r): route(m, r).poly for name, route in ROUTES.items() for m, r in cells}
+    with corrupt_bernoulli(j, value):
+        changed = [key for key, p in good.items() if ROUTES[key[0]](*key[1:]).poly != p]
+        assert not run_all(8, 4, 10).passed
+    assert changed == list(good)
 
 
 # -- determinant route ----------------------------------------------------------------
