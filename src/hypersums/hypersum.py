@@ -7,7 +7,8 @@ module produces that polynomial by five independent methods:
 
 * ``hyper_sum_poly_q``     -- expansion over ordinary power sums with
                               Stirling-weighted polynomial coefficients,
-* ``hyper_sum_poly_c``     -- direct double-sum formula for each coefficient,
+* ``hyper_sum_poly_c``     -- explicit coefficient formula, a sum of r products
+                              of Stirling and Bernoulli polynomials,
 * ``hyper_sum_poly_chain`` -- coefficient recurrence lifting r by one at a time,
 * ``lemma_recurrence_family`` -- the Bernoulli-weighted recurrence in the
                               centered variable N_r = n + r/2,
@@ -31,12 +32,10 @@ from . import hessenberg
 from .exactnum import (
     Rational,
     bernoulli,
-    binomial,
     memo,
     rising_factorial,
     sign_pow,
     stirling1_row,
-    stirling1_unsigned,
 )
 from .polyring import (
     RatPoly,
@@ -220,9 +219,8 @@ def q_poly(r: int, i: int) -> RatPoly:
     """
     if i < 0 or i > r:
         raise ValueError(f"need 0 <= i <= r, got (r={r}, i={i})")
-    return RatPoly.from_integers(
-        [binomial(i + j, i) * stirling1_unsigned(r + 1, i + j + 1) for j in range(r - i + 1)], 1
-    )
+    row = stirling1_row(r + 1)
+    return RatPoly.from_integers([comb(i + j, i) * row[i + j + 1] for j in range(r - i + 1)], 1)
 
 
 @memo
@@ -248,61 +246,54 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
 
 
 @memo
-def _c_weights(r: int) -> tuple[tuple[int, ...], ...]:
-    """Row i < r: the signed Stirling weights (-1)^j C(i+j, i) [r, i+j+1], j < r-i."""
+def _c_weights(r: int) -> tuple[RatPoly, ...]:
+    """W_i(x) = sum_{j<r-i} (-1)^j C(i+j, i) [r, i+j+1] x^j for i < r, over the
+    unsigned first-kind Stirling row [r, .]."""
     row = stirling1_row(r)
     return tuple(
-        tuple(sign_pow(j) * comb(i + j, i) * row[i + j + 1] for j in range(r - i))
+        RatPoly.from_integers(
+            [sign_pow(j) * comb(i + j, i) * row[i + j + 1] for j in range(r - i)], 1
+        )
         for i in range(r)
     )
 
 
-def _c_numerators(m: int, r: int, ks: tuple[int, ...]) -> tuple[list[int], int]:
-    """Numerators of c^k, k in ks (1 <= k <= m+r), over one common denominator.
+def _c_poly(m: int, r: int, d: int) -> RatPoly:
+    """c^1 n + ... + c^d n^d: the hyper-sum polynomial up to degree d <= m+r.
 
-    A double sum over the Stirling weights of :func:`_c_weights`, binomials
-    C(m+i+1, k-j) and Bernoulli numbers B_{m+i+1+j-k}, with B_t = 0 for
-    negative t absorbing the out-of-range index combinations: the terms
-    vanish unless 0 <= m+i+j+1-k (the Bernoulli index, at most m+r-1) and
-    i+j+1 <= r (the Stirling column).  The inner sum over j is an integer
-    over the common Bernoulli denominator D.  Per i, the products
-    C(top, e) D B_{top-e}, top = m+i+1, are built once, and only where the
-    Bernoulli number is nonzero, so a term is one multiplication.
+    c^k is (-1)^(m+1-k) / (r-1)! times the coefficient of x^k in the sum of
+    r products W_i(x) P_i(x), with W_i from :func:`_c_weights` and
+    P_i(x) = sum_{e>=1} C(m+i+1, e) B_{m+i+1-e} x^e / (m+i+1).  Only
+    e <= d reaches x^k for k <= d, so P_i stops there; it is built in
+    integers over the common Bernoulli denominator D, and only where the
+    Bernoulli number is nonzero.  The r products are one kernel call.
     """
     b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
-    tops = lcm(*range(m + 1, m + r + 1))
-    k_max = max(ks)
-    totals = [0] * len(ks)
+    pairs = []
     for i, weights in enumerate(_c_weights(r)):
         top = m + i + 1
-        products = [0] * (min(top, k_max) + 1)  # e = k - j >= 1: products[0] is never read
-        for e in range(1, len(products)):
+        nums = [0] * (min(top, d) + 1)
+        for e in range(1, len(nums)):
             b = b_nums[top - e]
             if b:
-                products[e] = comb(top, e) * b
-        for at, k in enumerate(ks):
-            inner = 0
-            for j in range(max(0, k - top), min(k, r - i)):
-                c = products[k - j]
-                if c:
-                    inner += weights[j] * c
-            totals[at] += inner * (tops // top)
-    nums = [sign_pow(m + 1 - k) * total for k, total in zip(ks, totals)]
-    return nums, factorial(r - 1) * b_den * tops
+                nums[e] = comb(top, e) * b
+        pairs.append((weights, RatPoly.from_integers(nums, top)))
+    total = sum_of_products(pairs)
+    signed = [sign_pow(m + 1 - k) * a for k, a in enumerate(total.numerators[: d + 1])]
+    return RatPoly.from_integers(signed, factorial(r - 1) * b_den * total.denominator)
 
 
 def coeff_c(m: int, r: int, k: int) -> Rational:
     """Coefficient of n^k in the degree m+r hyper-sum polynomial (r >= 1).
 
-    Double sum over the Stirling triangle and Bernoulli numbers; see
-    :func:`_c_numerators`.
+    Read off :func:`_c_poly` built only up to degree k, so a low
+    coefficient costs O(r^2), not a whole build.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if not 1 <= k <= m + r:
         raise ValueError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
-    (num,), den = _c_numerators(m, r, (k,))
-    return Fraction(num, den)
+    return _c_poly(m, r, k).coefficient(k)
 
 
 def coeff_c_reduced_k1(m: int, r: int) -> Rational:
@@ -318,11 +309,10 @@ def coeff_c_reduced_k1(m: int, r: int) -> Rational:
 
 
 def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
-    """S(m, r) assembled coefficient by coefficient, as :func:`coeff_c` gives them."""
+    """S(m, r) from the explicit coefficients: :func:`_c_poly` up to degree m+r."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    nums, den = _c_numerators(m, r, tuple(range(1, m + r + 1)))
-    return HyperSumPoly(m, r, RatPoly.from_integers([0, *nums], den), "c-form")
+    return HyperSumPoly(m, r, _c_poly(m, r, m + r), "c-form")
 
 
 def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:

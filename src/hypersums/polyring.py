@@ -30,7 +30,8 @@ Each polynomial carries a variable tag:
 
 The tag and its r context are advisory metadata enforced at operation
 boundaries: mixing frames is almost always a bug, because the same formula
-looks completely different in n, N and u.
+looks completely different in n, N and u.  The r context is a non-negative
+``int``; anything else raises.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ _set = object.__setattr__
 def _check_frame(var: str, r: int) -> None:
     if var not in _VARS:
         raise ValueError(f"unknown variable tag {var!r}")
+    if r.__class__ is not int:
+        raise TypeError(f"the r context must be an int, got {r!r}")
+    if r < 0:
+        raise ValueError(f"the r context must be >= 0, got {r}")
     if var == "n" and r != 0:
         raise ValueError("n-frame polynomials carry no r context")
 
@@ -325,6 +330,7 @@ def to_N_frame(p: RatPoly, r: int) -> RatPoly:
     """Rewrite an n-frame polynomial in N = n + r/2 (substitute n = N - r/2)."""
     if p.var != "n":
         raise ValueError(f"to_N_frame expects an n-frame polynomial, got {p.var!r}")
+    _check_frame("N", r)
     shifted = p.shift(Fraction(-r, 2))
     return _raw(shifted.numerators, shifted.denominator, "N", r)
 
@@ -354,62 +360,43 @@ def to_u_form(p: RatPoly) -> RatPoly:
 # -- rendering ---------------------------------------------------------------
 
 
-def _term_text(c: Fraction, k: int, var: str) -> str:
-    if k == 0:
-        return str(c)
-    if c == 1:
-        head = var
-    elif c == -1:
-        head = f"-{var}"
-    else:
-        head = f"{c}*{var}"
-    return head if k == 1 else f"{head}^{k}"
+def _render(p: RatPoly, term) -> str:
+    """The nonzero terms in descending degree, ``term(|c|, k)`` each, joined by
+    their signs: a leading ``-`` on the first term, `` - `` or `` + `` after it."""
+    parts = []
+    for k in range(len(p.numerators) - 1, -1, -1):
+        a = p.numerators[k]
+        if a:
+            sign = ("-" if a < 0 else "") if not parts else (" - " if a < 0 else " + ")
+            parts.append(sign + term(Fraction(abs(a), p.denominator), k))
+    return "".join(parts) or "0"
 
 
 def to_text(p: RatPoly) -> str:
     """Plain-text form, descending degree, exact fractions (never decimals)."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    coeffs = p.coeffs
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        term = _term_text(abs(c) if parts else c, k, p.var)
-        if parts:
-            parts.append("- " if c < 0 else "+ ")
-        parts.append(term + " " if k else term)
-    return "".join(parts).strip()
 
+    def term(c: Fraction, k: int) -> str:
+        if k == 0:
+            return str(c)
+        head = p.var if c == 1 else f"{c}*{p.var}"
+        return head if k == 1 else f"{head}^{k}"
 
-def _latex_frac(num: str, den: int) -> str:
-    return num if den == 1 else f"\\frac{{{num}}}{{{den}}}"
+    return _render(p, term)
 
 
 def to_latex(p: RatPoly) -> str:
     """LaTeX form, descending degree, explicit \\frac for every fraction."""
-    if p.is_zero():
-        return "0"
     var = f"N_{{{p.r}}}" if p.var == "N" else p.var
-    parts: list[str] = []
-    coeffs = p.coeffs
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
+
+    def term(c: Fraction, k: int) -> str:
         if k == 0:
-            body = _latex_frac(str(mag.numerator), mag.denominator)
+            num = str(c.numerator)
         else:
             pw = var if k == 1 else f"{var}^{{{k}}}"
-            num = pw if mag.numerator == 1 else f"{mag.numerator} {pw}"
-            body = _latex_frac(num, mag.denominator)
-        if not parts:
-            parts.append("-" + body if c < 0 else body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+            num = pw if c.numerator == 1 else f"{c.numerator} {pw}"
+        return num if c.denominator == 1 else f"\\frac{{{num}}}{{{c.denominator}}}"
+
+    return _render(p, term)
 
 
 def poly_to_json(p: RatPoly) -> dict:
@@ -427,5 +414,5 @@ def poly_from_json(obj: dict) -> RatPoly:
     return RatPoly(
         tuple(rational_from_json(c) for c in obj["coeffs"]),
         str(obj["var"]),
-        int(obj["r"]),
+        obj["r"],
     )

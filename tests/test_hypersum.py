@@ -225,6 +225,18 @@ def test_coeff_c_linear_reduction():
     for m in range(0, 7):
         for r in range(1, 5):
             assert coeff_c(m, r, 1) == coeff_c_reduced_k1(m, r)
+    # fast only while a single coefficient is built to its own degree: a full
+    # (200, 200) build takes seconds
+    assert coeff_c(200, 200, 1) == coeff_c_reduced_k1(200, 200)
+
+
+def test_coeff_c_is_the_c_route_coefficient_at_every_k():
+    # coeff_c builds only up to degree k; the route builds up to m + r
+    for m in range(0, 13):
+        for r in range(1, 7):
+            route = hyper_sum_poly_c(m, r).poly
+            for k in range(1, m + r + 1):
+                assert coeff_c(m, r, k) == route.coefficient(k), (m, r, k)
 
 
 def test_coeff_c_rejects_out_of_range():

@@ -222,6 +222,32 @@ def test_latex_rendering():
     assert to_latex(poly([Fraction(1, 2), 1])) == "n + \\frac{1}{2}"
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2", Fraction(2), None])
+def test_frame_r_must_be_an_int(bad):
+    with pytest.raises(TypeError):
+        RatPoly((1, 2), "N", bad)
+    with pytest.raises(TypeError):
+        RatPoly.from_integers((1, 2), 1, "u", bad)
+    with pytest.raises(TypeError):
+        to_N_frame(poly([1, 2]), bad)
+
+
+@pytest.mark.parametrize("var", ["N", "u"])
+def test_frame_r_must_be_non_negative(var):
+    with pytest.raises(ValueError):
+        RatPoly((1, 2), var, -3)
+    with pytest.raises(ValueError):
+        to_N_frame(poly([1, 2]), -3)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "7", True, -3])
+def test_json_refuses_a_bad_r(bad):
+    blob = poly_to_json(G57)
+    blob["r"] = bad
+    with pytest.raises((TypeError, ValueError)):
+        poly_from_json(blob)
+
+
 def test_json_round_trip():
     blob = poly_to_json(G57)
     assert blob["var"] == "N" and blob["r"] == 7
