@@ -8,6 +8,9 @@ Bernoulli numbers use the B_1 = -1/2 convention throughout.  This matters:
 with B_1 = +1/2 the power-sum formula used by the polynomial routes would be
 silently wrong.  Tables grow on demand and are cached; growth is serialized
 behind a lock so concurrent readers always see consistent values.
+
+Every product C(n, k) B_{n-k} of the package, a coefficient of the Bernoulli
+polynomial B_n(x), is read from one table, :func:`bernoulli_row`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import threading
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 Rational = Fraction
 
@@ -162,6 +165,44 @@ def clear_derived_caches() -> None:
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j with B_0 = 1, B_1 = -1/2 (memoized)."""
     return _BERNOULLI.value(j)
+
+
+@memo
+def _bernoulli_numerators() -> tuple[list[int], list[int], threading.Lock]:
+    """(nums, dens, lock): nums[t] = D B_t over D = dens[-1], and dens[t] the lcm of
+    the denominators of B_0..B_{t-1}.  A memo, so that the flush starts it over."""
+    return [], [1], threading.Lock()
+
+
+@memo
+def bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
+    """(row, D): row[k] = D C(n, k) B_{n-k} for 1 <= k <= n and row[0] = 0, the
+    coefficients of B_n(x) - B_n over D, the lcm of the denominators of B_0..B_{n-1}.
+
+    Row n reads B_0..B_{n-1} only, and takes the binomial only where the
+    Bernoulli number is nonzero.  The integers D B_t come from one row that is
+    grown, never rebuilt, and rescaled only when B_t brings a new prime into
+    the lcm (at t = p - 1, by von Staudt-Clausen); its prefix B_0..B_{n-1} is
+    divided back by the primes that entered after B_{n-1}.
+    """
+    if n < 0:
+        raise ValueError(f"Bernoulli row index must be >= 0, got {n}")
+    nums, dens, lock = _bernoulli_numerators()
+    with lock:
+        for t in range(len(nums), n):
+            b = bernoulli(t)
+            den = dens[-1]
+            if den % b.denominator:
+                scale = lcm(den, b.denominator) // den
+                nums[:] = [a * scale for a in nums]
+                den *= scale
+            nums.append(b.numerator * (den // b.denominator))
+            dens.append(den)
+        low = nums[:n][::-1]  # D B_{n-1}, ..., D B_0
+        over = dens[-1] // dens[n]
+    if over != 1:
+        low = [a // over for a in low]
+    return (0, *[comb(n, k) * a if a else 0 for k, a in enumerate(low, 1)]), dens[n]
 
 
 def stirling1_unsigned(m: int, n: int) -> int:

@@ -7,6 +7,8 @@ are (at most linear) polynomials in the centered variable N = n + r/2:
 * superdiagonal, row i:             r + i + 1
 * below the diagonal, (i, j):       r C(i+1, j) B_{i+1-j}
 
+Row i below the diagonal is r times the Bernoulli polynomial row i+1 of
+:func:`~hypersums.exactnum.bernoulli_row`, read up to column i-1.
 The zero entries visible in small instances are Bernoulli zeros (odd-index
 Bernoulli numbers vanish).  Determinants are evaluated by the division-free
 leading-principal-minor recurrence, which is exact over the polynomial ring
@@ -19,11 +21,11 @@ The entries depend on (i, j, r) alone, so the matrix for (m, r) is the
 leading block of the matrix for every larger m, and its leading principal
 minors are shared: :func:`leading_minor` memoises them per (order, r).
 There the superdiagonal product h[j,j+1] ... h[k-1,k] = (r+j+1) ... (r+k)
-is a plain integer and the entry below the diagonal a plain number, so
-each term of a minor is one number times an earlier minor, with no
-polynomial product.  :func:`det` evaluates any given matrix by the same
-recurrence, with its constant entries as numbers, and is the reference the
-memoised minors are tested against.
+is a plain integer and the entry below the diagonal an integer over its
+Bernoulli row's D, so a minor is a sum of integers times earlier minors,
+divided by D once, with no polynomial product.  :func:`det` evaluates any
+given matrix by the same recurrence, with its constant entries as numbers,
+and is the reference the memoised minors are tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactnum import bernoulli, binomial, memo
+from .exactnum import bernoulli_row, memo
 from .polyring import RatPoly, constant, poly_to_json, sum_of_products, to_text
 
 
@@ -61,21 +63,11 @@ class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
         return self.entries[i - 1][j - 1]
 
 
-def _below(p: int, j: int, r: int) -> tuple[int, int]:
-    """Entry (p-1, j) below the diagonal, r C(p, j) B_{p-j}, as (numerator, denominator)."""
-    b = bernoulli(p - j)
-    if not b:
-        return 0, 1
-    return r * binomial(p, j) * b.numerator, b.denominator
-
-
 def _row(i: int, r: int) -> tuple[RatPoly, ...]:
     """Entries (i, 1) ... (i, i+1) of row i, through the superdiagonal."""
     p = i + 1
-    below = []
-    for j in range(1, i):
-        num, den = _below(p, j, r)
-        below.append(RatPoly.from_integers((num,), den, "N", r))
+    nums, den = bernoulli_row(p)
+    below = [RatPoly.from_integers((r * a,), den, "N", r) for a in nums[1:i]]
     diagonal = RatPoly.from_integers((0, -p), 1, "N", r)
     return (*below, diagonal, RatPoly.from_integers((r + p,), 1, "N", r))
 
@@ -148,22 +140,24 @@ def _leading(order: int, r: int) -> RatPoly:
     Row k = order of the recurrence in :func:`det` with the superdiagonal
     entries h[t,t+1] = r+t+1 multiplied out in integers: the term of column
     j < k is one number, (-1)^(k-j) (r+j+1)...(r+k) h[k,j], times p_{j-1},
-    and the integer product gains one factor as j runs down from k-1.  The
-    columns with a zero entry h[k,j] (a zero Bernoulli number, or r = 0)
-    are left out.
+    and the integer product gains one factor as j runs down from k-1.  With
+    h[k,j] = r row[j] / D from the Bernoulli polynomial row k+1, the sum is
+    taken over D and divided by D once; a zero entry (a zero Bernoulli
+    number, or r = 0) adds no term.
     """
     if order == 0:
         return constant(1, "N", r)
     k, p = order, order + 1
     minors = [_leading(j, r) for j in range(k)]
-    pairs = [(RatPoly.from_integers((0, -p), 1, "N", r), minors[k - 1])]
-    signed = 1
+    nums, den = bernoulli_row(p)
+    pairs = [(RatPoly.from_integers((0, -p * den), 1, "N", r), minors[k - 1])]
+    signed = r
     for j in range(k - 1, 0, -1):
         signed *= -(r + j + 1)
-        num, den = _below(p, j, r)
-        if num:
-            pairs.append((Fraction(signed * num, den), minors[j - 1]))
-    return sum_of_products(pairs, "N", r)
+        if nums[j]:
+            pairs.append((signed * nums[j], minors[j - 1]))
+    total = sum_of_products(pairs, "N", r)
+    return RatPoly.from_integers(total.numerators, total.denominator * den, "N", r)
 
 
 def leading_minor(order: int, r: int) -> RatPoly:
@@ -172,11 +166,18 @@ def leading_minor(order: int, r: int) -> RatPoly:
     return _leading(order, r)
 
 
+def _cells(h: HessenbergMatrix, render) -> list[list]:
+    """``render`` of each entry, row-major, called once per distinct (integers, frame) key."""
+    firsts = {(e.numerators, e.denominator, e.var, e.r): e for row in h.entries for e in row}
+    rendered = {key: render(e) for key, e in firsts.items()}
+    return [[rendered[e.numerators, e.denominator, e.var, e.r] for e in row] for row in h.entries]
+
+
 def matrix_to_text(h: HessenbergMatrix, at: Fraction | None = None) -> str:
     """Aligned pretty-print with exact entries, or with their values at ``at``."""
     if h.order == 0:
         return "( )  # empty matrix, order 0"
-    cells = [[to_text(e) if at is None else str(e.eval(at)) for e in row] for row in h.entries]
+    cells = _cells(h, to_text if at is None else lambda e: str(e.eval(at)))
     widths = [max(len(cells[i][j]) for i in range(h.order)) for j in range(h.order)]
     lines = []
     for row in cells:
@@ -186,10 +187,6 @@ def matrix_to_text(h: HessenbergMatrix, at: Fraction | None = None) -> str:
 
 
 def matrix_to_json(h: HessenbergMatrix) -> dict:
-    """Row-major JSON export; entries follow the polynomial schema."""
-    return {
-        "m": h.m,
-        "r": h.r,
-        "order": h.order,
-        "entries": [[poly_to_json(e) for e in row] for row in h.entries],
-    }
+    """Row-major JSON export; entries follow the polynomial schema, and equal
+    entries share one object."""
+    return {"m": h.m, "r": h.r, "order": h.order, "entries": _cells(h, poly_to_json)}

@@ -21,7 +21,6 @@ cross-method comparison is always same-frame.  Everything is exact.
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -32,6 +31,7 @@ from . import hessenberg
 from .exactnum import (
     Rational,
     bernoulli,
+    bernoulli_row,
     memo,
     rising_factorial,
     sign_pow,
@@ -159,55 +159,19 @@ def s1_poly(r: int) -> RatPoly:
 
 
 @memo
-def _bernoulli_row() -> tuple[list[int], list[int], threading.Lock]:
-    """(nums, dens, lock), grown by :func:`_bernoulli_over_lcm`: nums[t] = D B_t over
-    D = dens[-1], and dens[t] the lcm of the denominators of B_0..B_t.  A memo, so
-    that the flush, and with it a changed table, starts it over."""
-    return [1], [1], threading.Lock()
-
-
-@memo
-def _bernoulli_over_lcm(top: int) -> tuple[tuple[int, ...], int]:
-    """(D B_0, ..., D B_top) and D, the lcm of the denominators of B_0..B_top.
-
-    Read off one row that is grown, never rebuilt: the row for t extends
-    the row for t - 1 by D B_t, and is rescaled only when B_t brings a new
-    prime into the lcm, which by von Staudt-Clausen happens at t = p - 1 for
-    each prime p (at t = 1 for p = 2).  A shorter row is the prefix of the
-    grown one divided by D / D_top.
-    """
-    nums, dens, lock = _bernoulli_row()
-    with lock:
-        for t in range(len(nums), top + 1):
-            b = bernoulli(t)
-            den = dens[-1]
-            if den % b.denominator:
-                scale = lcm(den, b.denominator) // den
-                nums[:] = [a * scale for a in nums]
-                den *= scale
-            nums.append(b.numerator * (den // b.denominator))
-            dens.append(den)
-        over = dens[-1] // dens[top]
-        row = nums[: top + 1] if over == 1 else [a // over for a in nums[: top + 1]]
-    return tuple(row), dens[top]
-
-
-@memo
 def power_sum_poly(m: int) -> RatPoly:
     """The ordinary power sum 1^m + ... + n^m as a polynomial in n.
 
     Computed from the Bernoulli-number formula
     S_m(n) = (1/(m+1)) sum_{t=1}^{m+1} (-1)^(m+1-t) C(m+1, t) B_{m+1-t} n^t,
-    with the binomial taken only for the nonzero Bernoulli numbers.
+    the Bernoulli polynomial row m+1 with alternating signs.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    b_nums, b_den = _bernoulli_over_lcm(m)
-    nums = [0] * (m + 2)
-    for e, b in enumerate(b_nums):
-        if b:
-            nums[m + 1 - e] = sign_pow(e) * comb(m + 1, e) * b
-    return RatPoly.from_integers(nums, (m + 1) * b_den)
+    row, den = bernoulli_row(m + 1)
+    nums = list(row)
+    nums[m % 2 :: 2] = [-a for a in nums[m % 2 :: 2]]  # (-1)^(m+1-t)
+    return RatPoly.from_integers(nums, (m + 1) * den)
 
 
 @memo
@@ -258,61 +222,60 @@ def _c_weights(r: int) -> tuple[RatPoly, ...]:
     )
 
 
-def _c_poly(m: int, r: int, d: int) -> RatPoly:
-    """c^1 n + ... + c^d n^d: the hyper-sum polynomial up to degree d <= m+r.
-
-    c^k is (-1)^(m+1-k) / (r-1)! times the coefficient of x^k in the sum of
-    r products W_i(x) P_i(x), with W_i from :func:`_c_weights` and
-    P_i(x) = sum_{e>=1} C(m+i+1, e) B_{m+i+1-e} x^e / (m+i+1).  Only
-    e <= d reaches x^k for k <= d, so P_i stops there; it is built in
-    integers over the common Bernoulli denominator D, and only where the
-    Bernoulli number is nonzero.  The r products are one kernel call.
-    """
-    b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
-    pairs = []
-    for i, weights in enumerate(_c_weights(r)):
-        top = m + i + 1
-        nums = [0] * (min(top, d) + 1)
-        for e in range(1, len(nums)):
-            b = b_nums[top - e]
-            if b:
-                nums[e] = comb(top, e) * b
-        pairs.append((weights, RatPoly.from_integers(nums, top)))
-    total = sum_of_products(pairs)
-    signed = [sign_pow(m + 1 - k) * a for k, a in enumerate(total.numerators[: d + 1])]
-    return RatPoly.from_integers(signed, factorial(r - 1) * b_den * total.denominator)
-
-
 def coeff_c(m: int, r: int, k: int) -> Rational:
     """Coefficient of n^k in the degree m+r hyper-sum polynomial (r >= 1).
 
-    Read off :func:`_c_poly` built only up to degree k, so a low
-    coefficient costs O(r^2), not a whole build.
+    The coefficient of x^k in the products of :func:`hyper_sum_poly_c` alone:
+    sum_i sum_{j<r-i} W_i[j] C(m+i+1, k-j) B_{m+i+1-k+j} / (m+i+1), with the
+    same sign and (r-1)!, so one coefficient costs O(r^2) products over the
+    Bernoulli polynomial rows, not a whole build.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if not 1 <= k <= m + r:
         raise ValueError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
-    return _c_poly(m, r, k).coefficient(k)
+    total = Fraction(0)
+    for i, weights in enumerate(_c_weights(r)):
+        row, den = bernoulli_row(m + i + 1)
+        w = weights.numerators  # over the denominator 1
+        js = range(max(0, k - m - i - 1), min(len(w), k + 1))  # 0 <= k - j <= m + i + 1
+        total += Fraction(sum(w[j] * row[k - j] for j in js), (m + i + 1) * den)
+    return total * Fraction(sign_pow(m + 1 - k), factorial(r - 1))
 
 
 def coeff_c_reduced_k1(m: int, r: int) -> Rational:
     """The collapsed single-sum form of the linear coefficient.
 
-    c^1 = ((-1)^m / (r-1)!) sum_{i=0}^{r-1} [r, i+1] B_{m+i}, summed in
-    integers over the common Bernoulli denominator.
+    c^1 = ((-1)^m / (r-1)!) sum_{i=0}^{r-1} [r, i+1] B_{m+i}, summed over the
+    Bernoulli numbers themselves, not the polynomial rows that :func:`coeff_c`
+    reads.
     """
-    b_nums, b_den = _bernoulli_over_lcm(m + r - 1)
     row = stirling1_row(r)
-    total = sum(row[i + 1] * b_nums[m + i] for i in range(r))
-    return Fraction(sign_pow(m) * total, factorial(r - 1) * b_den)
+    total = sum(row[i + 1] * bernoulli(m + i) for i in range(r))
+    return total * Fraction(sign_pow(m), factorial(r - 1))
 
 
 def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
-    """S(m, r) from the explicit coefficients: :func:`_c_poly` up to degree m+r."""
+    """S(m, r) from the explicit coefficients c^1, ..., c^{m+r}.
+
+    c^k is (-1)^(m+1-k) / (r-1)! times the coefficient of x^k in the sum of
+    r products W_i(x) P_i(x), with W_i from :func:`_c_weights` and
+    P_i(x) = sum_{e>=1} C(m+i+1, e) B_{m+i+1-e} x^e / (m+i+1), the Bernoulli
+    polynomial row m+i+1 over m+i+1.  The r products are one kernel call.
+    """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    return HyperSumPoly(m, r, _c_poly(m, r, m + r), "c-form")
+    pairs = []
+    for i, weights in enumerate(_c_weights(r)):
+        row, den = bernoulli_row(m + i + 1)
+        # the row's D divides the short W_i: reducing the long row by it would cost more
+        over_den = RatPoly.from_integers(weights.numerators, den)
+        pairs.append((over_den, RatPoly.from_integers(row, m + i + 1)))
+    total = sum_of_products(pairs)
+    nums = list(total.numerators)
+    nums[m % 2 :: 2] = [-a for a in nums[m % 2 :: 2]]  # (-1)^(m+1-k)
+    poly = RatPoly.from_integers(nums, factorial(r - 1) * total.denominator)
+    return HyperSumPoly(m, r, poly, "c-form")
 
 
 def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
@@ -354,13 +317,12 @@ def _lemma_poly(m: int, r: int) -> RatPoly:
     if m == 1:
         return s1_poly(r)
     lower = [_lemma_poly(k, r) for k in range(1, m)]
+    row, den = bernoulli_row(m)
     # m (n + r/2) / (m+r) times S(m-1, r), then the nonzero Bernoulli terms
     pairs = [(RatPoly.from_integers((m * r, 2 * m), 2 * (m + r)), lower[m - 2])]
-    for k in range(1, m - 1):
-        b = bernoulli(m - k)
-        if b:
-            weight = Fraction(-r * comb(m, k) * b.numerator, b.denominator * (m + r))
-            pairs.append((weight, lower[k - 1]))
+    for k, a in enumerate(row[1 : m - 1], 1):
+        if a:
+            pairs.append((Fraction(-r * a, den * (m + r)), lower[k - 1]))
     return sum_of_products(pairs)
 
 
@@ -424,11 +386,10 @@ def _centered_factor_rec(m: int, r: int) -> RatPoly:
     if m == 1:
         return constant(1, "N", r)
     lower = [_centered_factor_rec(k, r) for k in range(1, m)]
+    row, den = bernoulli_row(m)
     pairs = [(RatPoly.from_integers((0, m), m + r, "N", r), lower[m - 2])]
     for k in range(m - 2, 0, -2):
-        b = bernoulli(m - k)
-        weight = Fraction(-r * comb(m, k) * b.numerator, b.denominator * (m + r))
-        pairs.append((weight, lower[k - 1]))
+        pairs.append((Fraction(-r * row[k], den * (m + r)), lower[k - 1]))
     return sum_of_products(pairs, "N", r)
 
 
@@ -502,11 +463,10 @@ def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     # the weighted sum runs over the exponents k <= e+1 of the other parity than e
     e = 2 * m - 1 if parity == "odd" else 2 * m
+    row, den = bernoulli_row(e + 1)
     pairs = [(1, hyper_sum_poly(e, r + 1)), (Fraction(-1, 2), hyper_sum_poly(e, r))]
     for k in range(e % 2 + 1, e + 2, 2):
-        b = bernoulli(e + 1 - k)
-        weight = Fraction(-comb(e + 1, k) * b.numerator, (e + 1) * b.denominator)
-        pairs.append((weight, hyper_sum_poly(k, r)))
+        pairs.append((Fraction(-row[k], (e + 1) * den), hyper_sum_poly(k, r)))
     return sum_of_products(pairs)
 
 

@@ -18,12 +18,12 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from types import SimpleNamespace
 
 from . import hessenberg, hypersum
 from .exactnum import (
-    bernoulli,
+    bernoulli_row,
     memo,
     r_stirling1,
     rational_to_json,
@@ -178,10 +178,11 @@ def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks
 @memo
 def _bernoulli_sum(m: int, r: int) -> RatPoly:
     """sum_{k=1}^{m-2} C(m,k) B_{m-k} S(k, r), shared by the centered and half-step checks."""
+    row, den = bernoulli_row(m)
     return sum_of_products(
-        (comb(m, k) * b, hypersum.hyper_sum_poly(k, r))
-        for k in range(1, m - 1)
-        if (b := bernoulli(m - k))  # a zero Bernoulli number adds no term
+        (Fraction(a, den), hypersum.hyper_sum_poly(k, r))
+        for k, a in enumerate(row[1 : m - 1], 1)
+        if a  # a zero Bernoulli number adds no term
     )
 
 

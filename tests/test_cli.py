@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypersums import hessenberg
 from hypersums.cli import (
     MAX_BRUTEFORCE_N,
     MAX_BRUTEFORCE_WORK,
@@ -349,6 +351,87 @@ def test_det_at_value(capsys):
     assert code == 0
     assert "det value = 479880" in out
     assert "N = 17/2" in out
+
+
+
+# sha256 of the det stdout bytes, taken before the matrix was rendered once per distinct entry
+DET_DIGESTS = [
+    (
+        (59, 5, None, "text"),
+        "d922915625dda0a78641afde1b3a593b0f2d263de2522367b6707e7fa290009f",
+    ),
+    (
+        (59, 5, None, "json"),
+        "9e2a933a99bd801a2abf8165a2ce21a7ef593861d2119347089e71fa5890bd1d",
+    ),
+    (
+        (59, 5, "123456789", "text"),
+        "983b1276745f691d69963e52a6625343dce50c66eb2aeaf8ba08611b64ab083e",
+    ),
+    (
+        (59, 5, "123456789", "json"),
+        "8c303981908bf837f3116bbea3227140928c1bf6ea738dd17418c18605761f05",
+    ),
+    (
+        (51, 25, None, "text"),
+        "39d2cdf064c70c41bb8a856b214c472c2d30d0389a4d27f21ccb4a8013817982",
+    ),
+    (
+        (51, 25, None, "json"),
+        "a70ee28a40f02ac4ffdaae42b03a4c77456f69e178cf7a31fba7bb9ba379039c",
+    ),
+    (
+        (51, 25, "123456789", "text"),
+        "ab0c9ffb90d652913a59269160ec20986b1947a3fc1777bd6a8e6dcd7448c56e",
+    ),
+    (
+        (51, 25, "123456789", "json"),
+        "a611044ba34842e6b3f8704845e48ba90dd049ce7f0ec43629c37fb09ba2d01b",
+    ),
+    (
+        (1, 0, None, "text"),
+        "bc54d1a8614dad78f35989588e646da11fec4e48dc522525dc2d9a1e2bbba03c",
+    ),
+    (
+        (1, 0, None, "json"),
+        "2822e97572470ebcfa8c868b52a88b5c564147a15c25b9bbff1d844e933ccb39",
+    ),
+    (
+        (1, 0, "123456789", "text"),
+        "06378113224466776d63b218f70d9af4ca14ae07d1bfc45790b471b4d39ecd55",
+    ),
+    (
+        (1, 0, "123456789", "json"),
+        "61ec2081913783bc61bc623e72940af4fa7d4008baf807a53037869770a7c60d",
+    ),
+]
+
+
+@pytest.mark.parametrize("cell, digest", DET_DIGESTS)
+def test_det_output_is_unchanged(capsys, cell, digest):
+    m, r, at, fmt = cell
+    argv = ["det", "--m", str(m), "--r", str(r), "--format", fmt]
+    code, out = run_cli(capsys, *argv, *(() if at is None else ("--at", at)))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_det_renders_each_distinct_entry_once(monkeypatch):
+    matrix = build_matrix(59, 5)
+    distinct = {e for row in matrix.entries for e in row}
+    assert len(distinct) < matrix.order**2 // 2
+    calls = []
+
+    def counted(fn):
+        return lambda e, *args: calls.append(e) or fn(e, *args)
+
+    monkeypatch.setattr(hessenberg, "poly_to_json", counted(hessenberg.poly_to_json))
+    monkeypatch.setattr(hessenberg, "to_text", counted(hessenberg.to_text))
+    monkeypatch.setattr(RatPoly, "eval", counted(RatPoly.eval))
+    hessenberg.matrix_to_json(matrix)
+    hessenberg.matrix_to_text(matrix)
+    hessenberg.matrix_to_text(matrix, Fraction(7, 2))
+    assert len(calls) == 3 * len(distinct)
 
 
 DET_TEXT = {

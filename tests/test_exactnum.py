@@ -7,13 +7,15 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 
+from hypersums import exactnum
 from hypersums.exactnum import (
     StirlingTable,
     bernoulli,
+    bernoulli_row,
     binomial,
     r_stirling1,
     rational_from_json,
@@ -129,6 +131,76 @@ def test_bernoulli_odd_vanish_and_even_signs():
         value = bernoulli(2 * t)
         assert value != 0
         assert (value > 0) == (t % 2 == 1), f"sign of B_{2 * t}"
+
+
+def test_the_bernoulli_polynomial_rows_match_their_definition():
+    expected = {}
+    for n in range(401):
+        den = lcm(*(bernoulli(j).denominator for j in range(n)))
+        row = [Fraction(0)] + [comb(n, k) * bernoulli(n - k) * den for k in range(1, n + 1)]
+        expected[n] = tuple(int(a) for a in row), den
+    orders = [random.Random(seed).sample(range(401), 401) for seed in range(9)]
+    exactnum.clear_derived_caches()
+    assert {n: bernoulli_row(n) for n in orders[8]} == expected
+    # cold in increasing order, where no row is read after a later prime entered
+    exactnum.clear_derived_caches()
+    assert {n: bernoulli_row(n) for n in range(401)} == expected
+    # cold again, grown and read from 8 threads at once, each in its own order
+    exactnum.clear_derived_caches()
+    results: list = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(i: int) -> None:
+        start.wait()
+        results[i] = {n: bernoulli_row(n) for n in orders[i]}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(result == expected for result in results)
+
+
+def _depth(frame) -> int:
+    depth = 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_a_cold_bernoulli_polynomial_row_is_grown_without_recursion(monkeypatch):
+    # a fresh table, so that the Bernoulli numbers are grown cold as well
+    monkeypatch.setattr(exactnum, "_BERNOULLI", exactnum.BernoulliTable())
+    exactnum.clear_derived_caches()
+    deepest = base = _depth(sys._getframe())
+
+    def probe(frame, event, arg):
+        nonlocal deepest
+        if event == "call":
+            deepest = max(deepest, _depth(frame))
+
+    sys.setprofile(probe)
+    try:
+        row, den = bernoulli_row(400)
+    finally:
+        sys.setprofile(None)
+        exactnum.clear_derived_caches()
+    # row 400 reads B_0..B_399, and the prime p enters the lcm at B_{p-1}: 397 has, 401 not yet
+    assert len(row) == 401 and den % 397 == 0 and den % 401 != 0
+    assert deepest - base <= 5
+
+
+def test_a_negative_bernoulli_row_index_is_refused():
+    exactnum.clear_derived_caches()  # cold, where nothing else would fail
+    with pytest.raises(ValueError):
+        bernoulli_row(-1)
 
 
 def test_corrupt_bernoulli_is_scoped(corrupt_bernoulli):

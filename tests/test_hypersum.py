@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 import hashlib
-import random
-import sys
-import threading
+import time
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import pytest
 
-from hypersums import exactnum, hessenberg
+from hypersums import exactnum, hessenberg, hypersum, verify
 from hypersums.exactnum import bernoulli
 from hypersums.hypersum import (
     ROUTE_DOMAIN,
     ROUTES,
-    _bernoulli_over_lcm,
     coeff_c,
     coeff_c_reduced_k1,
     coffey_residual,
@@ -113,67 +110,6 @@ def test_power_sum_poly_matches_recursion():
             assert p.eval(n) == hyper_sum_bruteforce(m, 1, n)
 
 
-def test_the_integer_bernoulli_row_matches_its_definition():
-    expected = {}
-    for t in range(401):
-        values = [bernoulli(j) for j in range(t + 1)]
-        den = lcm(*(b.denominator for b in values))
-        expected[t] = tuple(b.numerator * (den // b.denominator) for b in values), den
-    orders = [random.Random(seed).sample(range(401), 401) for seed in range(9)]
-    exactnum.clear_derived_caches()
-    assert {t: _bernoulli_over_lcm(t) for t in orders[8]} == expected
-    # cold again, grown and read from 8 threads at once, each in its own order
-    exactnum.clear_derived_caches()
-    results: list = [None] * 8
-    start = threading.Barrier(8)
-
-    def work(i: int) -> None:
-        start.wait()
-        results[i] = {t: _bernoulli_over_lcm(t) for t in orders[i]}
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(result == expected for result in results)
-
-
-def _depth(frame) -> int:
-    depth = 0
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth
-
-
-def test_a_cold_bernoulli_row_is_grown_without_recursion(monkeypatch):
-    # a fresh table, so that the Bernoulli numbers are grown cold as well
-    monkeypatch.setattr(exactnum, "_BERNOULLI", exactnum.BernoulliTable())
-    exactnum.clear_derived_caches()
-    deepest = base = _depth(sys._getframe())
-
-    def probe(frame, event, arg):
-        nonlocal deepest
-        if event == "call":
-            deepest = max(deepest, _depth(frame))
-
-    sys.setprofile(probe)
-    try:
-        row, den = _bernoulli_over_lcm(399)
-    finally:
-        sys.setprofile(None)
-        exactnum.clear_derived_caches()
-    # the prime p enters the lcm at B_{p-1}: 397 has, 401 not yet
-    assert len(row) == 400 and den % 397 == 0 and den % 401 != 0
-    assert deepest - base <= 5
-
-
 # -- weight polynomials -------------------------------------------------------------
 
 
@@ -231,12 +167,25 @@ def test_coeff_c_linear_reduction():
 
 
 def test_coeff_c_is_the_c_route_coefficient_at_every_k():
-    # coeff_c builds only up to degree k; the route builds up to m + r
-    for m in range(0, 13):
-        for r in range(1, 7):
-            route = hyper_sum_poly_c(m, r).poly
-            for k in range(1, m + r + 1):
-                assert coeff_c(m, r, k) == route.coefficient(k), (m, r, k)
+    # coeff_c sums the products for x^k alone; the route multiplies the polynomials out
+    cells = [(m, r) for m in range(0, 13) for r in range(1, 7)] + [(60, 30)]
+    for m, r in cells:
+        route = hyper_sum_poly_c(m, r).poly
+        for k in range(1, m + r + 1):
+            assert coeff_c(m, r, k) == route.coefficient(k), (m, r, k)
+
+
+def test_a_high_coefficient_costs_a_small_part_of_the_route_build():
+    exactnum.bernoulli(220)  # the table warm, as for the route build below
+
+    def cold(fn, *args) -> float:
+        exactnum.clear_derived_caches()
+        start = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - start
+
+    one = min(cold(coeff_c, 120, 100, 220) for _ in range(3))
+    assert one < cold(hyper_sum_poly_c, 120, 100) / 10
 
 
 def test_coeff_c_rejects_out_of_range():
@@ -387,6 +336,29 @@ def test_a_corrupted_odd_index_bernoulli_number_reaches_every_route(
         changed = [key for key, p in good.items() if ROUTES[key[0]](*key[1:]).poly != p]
         assert not run_all(8, 4, 10).passed
     assert changed == list(good)
+
+
+def test_a_wrong_bernoulli_row_entry_fails_the_recursion_check_of_every_route(monkeypatch):
+    # Bernoulli row 6 is read by the power sum S_5 (q, chain), by P_i at m + i + 1 = 6 (c),
+    # by the centered recurrence at m = 6 (lemma) and by Hessenberg row 5 (det).  q, c and
+    # chain read the wrong C(6, 2) B_4 alike and still agree with one another, so route
+    # agreement cannot guard the shared row; the recursion table does, for every route
+    original = exactnum.bernoulli_row
+
+    def wrong(n: int) -> tuple[tuple[int, ...], int]:
+        row, den = original(n)
+        return ((*row[:2], row[2] + den, *row[3:]) if n == 6 else row), den
+
+    for module in (exactnum, hypersum, hessenberg, verify):
+        assert module.bernoulli_row is original
+        monkeypatch.setattr(module, "bernoulli_row", wrong)
+    exactnum.clear_derived_caches()
+    try:
+        failed = {c.name for c in run_all(8, 4, 10).failures}
+    finally:
+        monkeypatch.undo()
+        exactnum.clear_derived_caches()
+    assert {f"eval-vs-recursion[{name}]" for name in ROUTES} <= failed
 
 
 # -- determinant route ----------------------------------------------------------------
