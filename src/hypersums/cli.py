@@ -9,7 +9,6 @@ exact ("p/q", never decimals).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -40,6 +39,12 @@ MAX_TABLE_M_R = 100
 MAX_VERIFY_GRID = (30, 15, 100)
 # most digits of a printed int: sys.get_int_max_str_digits() refuses longer ones by default
 MAX_DIGITS = 4300
+
+
+def _print_json(payload) -> None:
+    import json  # only the JSON paths pay for it
+
+    print(json.dumps(payload))
 
 
 def _fail_usage(message: str) -> "SystemExit":
@@ -88,11 +93,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise _fail_usage(f"--method {method} requires m >= {m_min} and r >= {r_min}")
         value = hypersum.ROUTES[method](m, r).poly.eval(n)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"m": m, "r": r, "n": n, "method": method, "value": rational_to_json(value)}
-            )
-        )
+        _print_json({"m": m, "r": r, "n": n, "method": method, "value": rational_to_json(value)})
     else:
         print(value)
     return EXIT_OK
@@ -135,7 +136,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
                 "prefactor": f"binomial(n+{r}, {r + 1})",
                 "bracket": poly_to_json(bracket),
             }
-        print(json.dumps(payload))
+        _print_json(payload)
     elif args.format == "latex":
         print(to_latex(p))
     elif factored:
@@ -162,9 +163,8 @@ def cmd_det(args: argparse.Namespace) -> int:
     determinant = hessenberg.det(matrix)
     if r == 0:
         # the centered variable coincides with n; display it that way
-        matrix = hessenberg.HessenbergMatrix(
-            m, r, tuple(tuple(map(to_n_frame, row)) for row in matrix.entries)
-        )
+        entries = hessenberg.map_entries(matrix, to_n_frame)
+        matrix = hessenberg.HessenbergMatrix(m, r, tuple(map(tuple, entries)))
         determinant = to_n_frame(determinant)
     center = None if args.at is None else Fraction(args.at) + Fraction(r, 2)
     if args.format == "json":
@@ -173,7 +173,7 @@ def cmd_det(args: argparse.Namespace) -> int:
         if center is not None:
             payload["at"] = args.at
             payload["value"] = rational_to_json(determinant.eval(center))
-        print(json.dumps(payload))
+        _print_json(payload)
         return EXIT_OK
     print(f"matrix of order {matrix.order} (m={m}, r={r}):")
     print(hessenberg.matrix_to_text(matrix))
@@ -192,7 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     given = (args.max_m, args.max_r, args.max_n)
     report = verify.run_all(*(d if g is None else g for g, d in zip(given, verify.DEFAULT_GRID)))
     if args.format == "json":
-        print(json.dumps(report.to_json()))
+        _print_json(report.to_json())
     else:
         print(report.summary_text())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
@@ -210,11 +210,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         for m, r, v in cells:
             print(f"{m},{r},{v}")
     elif args.format == "json":
-        print(
-            json.dumps(
-                {"n": n, "cells": [{"m": m, "r": r, "value": str(v)} for m, r, v in cells]}
-            )
-        )
+        _print_json({"n": n, "cells": [{"m": m, "r": r, "value": str(v)} for m, r, v in cells]})
     else:
         texts = [str(v) for _, _, v in cells]
         width = max(map(len, texts))

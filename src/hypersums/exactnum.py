@@ -10,7 +10,8 @@ silently wrong.  Tables grow on demand and are cached; growth is serialized
 behind a lock so concurrent readers always see consistent values.
 
 Every product C(n, k) B_{n-k} of the package, a coefficient of the Bernoulli
-polynomial B_n(x), is read from one table, :func:`bernoulli_row`.
+polynomial B_n(x), is read from one table, :func:`bernoulli_row`, whose rows
+are grown in order, each from the one before it.
 """
 
 from __future__ import annotations
@@ -168,41 +169,35 @@ def bernoulli(j: int) -> Fraction:
 
 
 @memo
-def _bernoulli_numerators() -> tuple[list[int], list[int], threading.Lock]:
-    """(nums, dens, lock): nums[t] = D B_t over D = dens[-1], and dens[t] the lcm of
-    the denominators of B_0..B_{t-1}.  A memo, so that the flush starts it over."""
-    return [], [1], threading.Lock()
+def _bernoulli_rows() -> tuple[list[tuple[tuple[int, ...], int]], threading.Lock]:
+    """(rows, lock): rows[n] is the value of :func:`bernoulli_row` at n, grown in
+    order under the lock.  A memo, so that the flush starts the rows over."""
+    return [((0,), 1)], threading.Lock()
 
 
-@memo
 def bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
     """(row, D): row[k] = D C(n, k) B_{n-k} for 1 <= k <= n and row[0] = 0, the
     coefficients of B_n(x) - B_n over D, the lcm of the denominators of B_0..B_{n-1}.
 
-    Row n reads B_0..B_{n-1} only, and takes the binomial only where the
-    Bernoulli number is nonzero.  The integers D B_t come from one row that is
-    grown, never rebuilt, and rescaled only when B_t brings a new prime into
-    the lcm (at t = p - 1, by von Staudt-Clausen); its prefix B_0..B_{n-1} is
-    divided back by the primes that entered after B_{n-1}.
+    Row n reads B_0..B_{n-1} only.  It is grown from row n-1 by the Appell
+    step B_n'(x) = n B_{n-1}(x): with D_n = lcm(D_{n-1}, den B_{n-1}),
+    row_n[1] = n D_n B_{n-1} and row_n[k] = (n/k) (D_n/D_{n-1}) row_{n-1}[k-1]
+    for k >= 2, an exact division, so a zero Bernoulli number gives a zero
+    entry.  A row already grown is returned without the lock.
     """
     if n < 0:
         raise ValueError(f"Bernoulli row index must be >= 0, got {n}")
-    nums, dens, lock = _bernoulli_numerators()
-    with lock:
-        for t in range(len(nums), n):
-            b = bernoulli(t)
-            den = dens[-1]
-            if den % b.denominator:
-                scale = lcm(den, b.denominator) // den
-                nums[:] = [a * scale for a in nums]
-                den *= scale
-            nums.append(b.numerator * (den // b.denominator))
-            dens.append(den)
-        low = nums[:n][::-1]  # D B_{n-1}, ..., D B_0
-        over = dens[-1] // dens[n]
-    if over != 1:
-        low = [a // over for a in low]
-    return (0, *[comb(n, k) * a if a else 0 for k, a in enumerate(low, 1)]), dens[n]
+    rows, lock = _bernoulli_rows()
+    if n >= len(rows):
+        with lock:
+            for p in range(len(rows), n + 1):
+                prev, den = rows[-1]
+                b = bernoulli(p - 1)
+                d = lcm(den, b.denominator)
+                scale = p * (d // den)
+                low = [scale * a // k for k, a in enumerate(prev[1:], 2)]
+                rows.append(((0, p * b.numerator * (d // b.denominator), *low), d))
+    return rows[n]
 
 
 def stirling1_unsigned(m: int, n: int) -> int:

@@ -63,11 +63,12 @@ class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
         return self.entries[i - 1][j - 1]
 
 
-def _row(i: int, r: int) -> tuple[RatPoly, ...]:
-    """Entries (i, 1) ... (i, i+1) of row i, through the superdiagonal."""
+def _row(i: int, r: int, zero: RatPoly) -> tuple[RatPoly, ...]:
+    """Entries (i, 1) ... (i, i+1) of row i, through the superdiagonal; a zero
+    entry below the diagonal (r = 0, or a zero Bernoulli number) is ``zero``."""
     p = i + 1
     nums, den = bernoulli_row(p)
-    below = [RatPoly.from_integers((r * a,), den, "N", r) for a in nums[1:i]]
+    below = [RatPoly.from_integers((r * a,), den, "N", r) if r * a else zero for a in nums[1:i]]
     diagonal = RatPoly.from_integers((0, -p), 1, "N", r)
     return (*below, diagonal, RatPoly.from_integers((r + p,), 1, "N", r))
 
@@ -82,14 +83,14 @@ def _check_params(m: int, r: int) -> None:
 def build_matrix(m: int, r: int) -> HessenbergMatrix:
     """The order m-1 matrix for parameters (m, r); empty when m = 1.
 
-    Entries are built from integers; the entries above the superdiagonal are
-    one shared zero polynomial.
+    Entries are built from integers; the zero entries, above the
+    superdiagonal and below the diagonal alike, are one shared zero polynomial.
     """
     _check_params(m, r)
     order = m - 1
     zero = RatPoly.from_integers((), 1, "N", r)
     rows = tuple(
-        (*_row(i, r)[:order], *(zero,) * (order - i - 1)) for i in range(1, order + 1)
+        (*_row(i, r, zero)[:order], *(zero,) * (order - i - 1)) for i in range(1, order + 1)
     )
     return HessenbergMatrix(m, r, rows)
 
@@ -166,18 +167,18 @@ def leading_minor(order: int, r: int) -> RatPoly:
     return _leading(order, r)
 
 
-def _cells(h: HessenbergMatrix, render) -> list[list]:
-    """``render`` of each entry, row-major, called once per distinct (integers, frame) key."""
+def map_entries(h: HessenbergMatrix, fn) -> list[list]:
+    """``fn`` of each entry, row-major, called once per distinct (integers, frame) key."""
     firsts = {(e.numerators, e.denominator, e.var, e.r): e for row in h.entries for e in row}
-    rendered = {key: render(e) for key, e in firsts.items()}
-    return [[rendered[e.numerators, e.denominator, e.var, e.r] for e in row] for row in h.entries]
+    done = {key: fn(e) for key, e in firsts.items()}
+    return [[done[e.numerators, e.denominator, e.var, e.r] for e in row] for row in h.entries]
 
 
 def matrix_to_text(h: HessenbergMatrix, at: Fraction | None = None) -> str:
     """Aligned pretty-print with exact entries, or with their values at ``at``."""
     if h.order == 0:
         return "( )  # empty matrix, order 0"
-    cells = _cells(h, to_text if at is None else lambda e: str(e.eval(at)))
+    cells = map_entries(h, to_text if at is None else lambda e: str(e.eval(at)))
     widths = [max(len(cells[i][j]) for i in range(h.order)) for j in range(h.order)]
     lines = []
     for row in cells:
@@ -189,4 +190,4 @@ def matrix_to_text(h: HessenbergMatrix, at: Fraction | None = None) -> str:
 def matrix_to_json(h: HessenbergMatrix) -> dict:
     """Row-major JSON export; entries follow the polynomial schema, and equal
     entries share one object."""
-    return {"m": h.m, "r": h.r, "order": h.order, "entries": _cells(h, poly_to_json)}
+    return {"m": h.m, "r": h.r, "order": h.order, "entries": map_entries(h, poly_to_json)}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import hessenberg
+from hypersums import cli, hessenberg
 from hypersums.cli import (
     MAX_BRUTEFORCE_N,
     MAX_BRUTEFORCE_WORK,
@@ -404,6 +404,39 @@ DET_DIGESTS = [
         (1, 0, "123456789", "json"),
         "61ec2081913783bc61bc623e72940af4fa7d4008baf807a53037869770a7c60d",
     ),
+    # taken before the r = 0 matrix was re-labelled once per distinct entry
+    (
+        (59, 0, None, "text"),
+        "5eca117989de33e12bfaa4dec7f2a1b25bee0a371c9acfe2b74d1038dd9e85b8",
+    ),
+    (
+        (59, 0, None, "json"),
+        "d4f773adce5955f5ef44cdc2d3356bb3ee789d9cdaec32e35542fbdbdfd0d592",
+    ),
+    (
+        (59, 0, "123456789", "text"),
+        "454546da117d18b87645cb9d5e9decbfcb0124ea5fa1343835dbfba8724b3087",
+    ),
+    (
+        (59, 0, "123456789", "json"),
+        "9d39d2bf9d87046345df99eec010bffc0dc05eaacb610da1e4a66d2e8f12f51c",
+    ),
+    (
+        (2, 0, None, "text"),
+        "ff8dc16ffee3923a84587c51b85c7e33fd91397612bd6a4d16580830e7c6fa6a",
+    ),
+    (
+        (2, 0, None, "json"),
+        "1d13677f6eab944267ed509933a8cf0248900a47a714d470c86236b07cb58969",
+    ),
+    (
+        (2, 0, "123456789", "text"),
+        "4e7fe7afc6fdef8fbdb39d9e72d81d539a3991dabedfe6dbe3c48b0bbe834df8",
+    ),
+    (
+        (2, 0, "123456789", "json"),
+        "c2518655e5f2ec5faa21527bc436ee5ca8725ef5b3dd32e9108ae8d0ff82bec2",
+    ),
 ]
 
 
@@ -432,6 +465,25 @@ def test_det_renders_each_distinct_entry_once(monkeypatch):
     hessenberg.matrix_to_text(matrix)
     hessenberg.matrix_to_text(matrix, Fraction(7, 2))
     assert len(calls) == 3 * len(distinct)
+
+
+def test_det_at_r0_relabels_each_distinct_entry_once(capsys, monkeypatch):
+    matrix = build_matrix(59, 0)
+    distinct = {e for row in matrix.entries for e in row}
+    assert len(distinct) < 200 < matrix.order**2
+    calls = []
+    relabel = cli.to_n_frame
+    monkeypatch.setattr(cli, "to_n_frame", lambda p: calls.append(p) or relabel(p))
+    code, _ = run_cli(capsys, "det", "--m", "59", "--r", "0", "--format", "json")
+    assert code == 0
+    assert len(calls) <= len(distinct) + 1  # plus the determinant
+
+
+def test_the_matrix_zeros_are_one_shared_polynomial():
+    for m, r in ((59, 0), (59, 5), (12, 3)):
+        matrix = build_matrix(m, r)
+        zeros = {id(e) for row in matrix.entries for e in row if e.is_zero()}
+        assert len(zeros) == 1, (m, r)
 
 
 DET_TEXT = {

@@ -142,7 +142,7 @@ def test_the_bernoulli_polynomial_rows_match_their_definition():
     orders = [random.Random(seed).sample(range(401), 401) for seed in range(9)]
     exactnum.clear_derived_caches()
     assert {n: bernoulli_row(n) for n in orders[8]} == expected
-    # cold in increasing order, where no row is read after a later prime entered
+    # cold in increasing order, where each read grows exactly one row
     exactnum.clear_derived_caches()
     assert {n: bernoulli_row(n) for n in range(401)} == expected
     # cold again, grown and read from 8 threads at once, each in its own order
