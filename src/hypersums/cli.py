@@ -107,7 +107,8 @@ def _factored_parts(m: int, r: int) -> tuple[Fraction, RatPoly]:
 
 def cmd_poly(args: argparse.Namespace) -> int:
     m, r = args.m, args.r
-    factored = args.var == "N" and args.factored
+    if args.factored and args.var != "N":
+        raise _fail_usage("--factored requires --var N")
     if args.var == "n":
         if r == 0 or m == 0:
             p = hypersum.hyper_sum_poly(m, r)
@@ -129,7 +130,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = {**fields, "poly": poly_to_json(p)}
-        if factored:
+        if args.factored:
             scale, bracket = _factored_parts(m, r)
             payload["factored"] = {
                 "scale": rational_to_json(scale),
@@ -139,7 +140,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
         _print_json(payload)
     elif args.format == "latex":
         print(to_latex(p))
-    elif factored:
+    elif args.factored:
         scale, bracket = _factored_parts(m, r)
         print(f"({scale}) * binomial(n+{r}, {r + 1}) * [{to_text(bracket)}]")
     elif args.var == "u":

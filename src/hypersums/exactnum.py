@@ -6,8 +6,8 @@ canonical: gcd(|num|, den) = 1, den >= 1, zero is 0/1.
 
 Bernoulli numbers use the B_1 = -1/2 convention throughout.  This matters:
 with B_1 = +1/2 the power-sum formula used by the polynomial routes would be
-silently wrong.  Tables grow on demand and are cached; growth is serialized
-behind a lock so concurrent readers always see consistent values.
+silently wrong.  Every table grows on demand as a :class:`GrownTable`; the
+number tables are never flushed, the memos (the rows below among them) are.
 
 Every product C(n, k) B_{n-k} of the package, a coefficient of the Bernoulli
 polynomial B_n(x), is read from one table, :func:`bernoulli_row`, whose rows
@@ -53,8 +53,34 @@ def rising_factorial(r: int, m: int) -> int:
     return out
 
 
-class BernoulliTable:
-    """Grow-on-demand cache of Bernoulli numbers, B_1 = -1/2 convention.
+class GrownTable:
+    """Entries 0, 1, 2, ... of a table grown on demand, in index order.
+
+    Entry 0 is ``first``; entry k is ``step(entries)`` of the list of entries
+    0..k-1, computed under the table's one lock, so each step runs once and in
+    order.  An entry already grown is read without the lock.  Like a list, the
+    table answers a negative index with its last entry: readers refuse one.
+    """
+
+    def __init__(self, first, step: Callable[[list], object]) -> None:
+        self._entries = [first]
+        self._step = step
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, k: int):
+        entries = self._entries
+        if k >= len(entries):
+            with self._lock:
+                while len(entries) <= k:
+                    entries.append(self._step(entries))
+        return entries[k]
+
+
+def bernoulli_table() -> GrownTable:
+    """A cold table of the Bernoulli numbers, B_1 = -1/2 convention.
 
     Even indices come from the tangent numbers T_1, T_2, ... (Brent and
     Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
@@ -67,46 +93,27 @@ class BernoulliTable:
     and T_j = col_j[j-1]; only the latest column is kept, so growth by one
     index costs O(j) integer operations.  Odd indices above 1 are zero.
     """
+    column: list[int] = []  # col_t of the last tangent number T_t computed
 
-    def __init__(self) -> None:
-        self._values: list[Fraction] = [Fraction(1)]
-        self._column: list[int] = []  # col_t of the last tangent number T_t computed
-        self._lock = threading.Lock()
-
-    def _grow_column(self) -> None:
-        prev = self._column
-        j = len(prev) + 1
-        col = [(j - 1) * prev[0]] if prev else [1]
-        for s in range(1, j - 1):
-            col.append((j - s - 1) * prev[s] + (j - s + 1) * col[-1])
-        if j > 1:
+    def step(values: list[Fraction]) -> Fraction:
+        nonlocal column
+        k = len(values)
+        if k % 2:
+            return Fraction(-1, 2) if k == 1 else Fraction(0)
+        prev, t = column, k // 2  # B_k is the first to need T_t
+        col = [(t - 1) * prev[0]] if prev else [1]
+        for s in range(1, t - 1):
+            col.append((t - s - 1) * prev[s] + (t - s + 1) * col[-1])
+        if t > 1:
             col.append(2 * col[-1])
-        self._column = col
+        column, four = col, 4**t
+        return Fraction(sign_pow(t - 1) * k * col[-1], four * (four - 1))
 
-    def value(self, j: int) -> Fraction:
-        if j < 0:
-            raise ValueError(f"bernoulli index must be >= 0, got {j}")
-        if j >= len(self._values):
-            with self._lock:
-                while len(self._values) <= j:
-                    k = len(self._values)
-                    if k == 1:
-                        self._values.append(Fraction(-1, 2))
-                    elif k % 2:
-                        self._values.append(Fraction(0))
-                    else:
-                        t = k // 2
-                        while len(self._column) < t:
-                            self._grow_column()
-                        four = 4**t
-                        self._values.append(
-                            Fraction(sign_pow(t - 1) * k * self._column[-1], four * (four - 1))
-                        )
-        return self._values[j]
+    return GrownTable(Fraction(1), step)
 
 
-class StirlingTable:
-    """r-Stirling numbers of the first kind, one triangle of rows per r.
+def _next_stirling_row(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The r-Stirling row m + 1 after row m = ``rows[-1]``, ([m, 0]_r, ..., [m, m]_r).
 
     [m, n]_r counts the permutations of m elements with n cycles in which the
     r smallest elements lie in distinct cycles (Broder, "The r-Stirling
@@ -114,35 +121,15 @@ class StirlingTable:
 
         [m+1, n]_r = m [m, n]_r + [m, n-1]_r   (m >= r).
 
-    At r = 0 this is the plain unsigned triangle [m, n].  Row m of triangle r
-    is the tuple ([m, 0]_r, ..., [m, m]_r).  Rows already grown are read
-    without the lock; growth appends whole rows under it.
+    At r = 0 this is the plain unsigned triangle [m, n].
     """
-
-    def __init__(self) -> None:
-        self._rows: dict[int, list[tuple[int, ...]]] = {}  # r -> rows for m = r, r+1, ...
-        self._lock = threading.Lock()
-
-    def row(self, m: int, r: int = 0) -> tuple[int, ...]:
-        if r < 0 or m < r:
-            raise ValueError(f"Stirling row needs 0 <= r <= m, got m={m}, r={r}")
-        rows = self._rows.get(r)
-        if rows is None or len(rows) <= m - r:
-            with self._lock:
-                rows = self._rows.setdefault(r, [(0,) * r + (1,)])
-                while len(rows) <= m - r:
-                    prev = rows[-1]
-                    mm = r + len(rows) - 1
-                    rows.append(tuple(mm * a + b for a, b in zip((*prev, 0), (0, *prev))))
-        return rows[m - r]
-
-    def value(self, m: int, n: int, r: int = 0) -> int:
-        row = self.row(m, r)
-        return row[n] if 0 <= n <= m else 0
+    prev = rows[-1]
+    m = len(prev) - 1
+    return tuple(m * a + b for a, b in zip((*prev, 0), (0, *prev)))
 
 
-_BERNOULLI = BernoulliTable()
-_STIRLING = StirlingTable()
+_BERNOULLI = bernoulli_table()
+_STIRLING: dict[int, GrownTable] = {}  # r -> the r-Stirling triangle, row m at index m - r
 
 _DERIVED_CACHES: list[Callable[[], None]] = []
 
@@ -165,14 +152,25 @@ def clear_derived_caches() -> None:
 
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j with B_0 = 1, B_1 = -1/2 (memoized)."""
-    return _BERNOULLI.value(j)
+    if j < 0:
+        raise ValueError(f"bernoulli index must be >= 0, got {j}")
+    return _BERNOULLI[j]
 
 
 @memo
-def _bernoulli_rows() -> tuple[list[tuple[tuple[int, ...], int]], threading.Lock]:
-    """(rows, lock): rows[n] is the value of :func:`bernoulli_row` at n, grown in
-    order under the lock.  A memo, so that the flush starts the rows over."""
-    return [((0,), 1)], threading.Lock()
+def _bernoulli_rows() -> GrownTable:
+    """The table of :func:`bernoulli_row`.  A memo, so that the flush starts it over."""
+
+    def appell_step(rows: list[tuple[tuple[int, ...], int]]) -> tuple[tuple[int, ...], int]:
+        p = len(rows)
+        prev, den = rows[-1]
+        b = bernoulli(p - 1)
+        d = lcm(den, b.denominator)
+        scale = p * (d // den)
+        low = [scale * a // k for k, a in enumerate(prev[1:], 2)]
+        return (0, p * b.numerator * (d // b.denominator), *low), d
+
+    return GrownTable(((0,), 1), appell_step)
 
 
 def bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
@@ -182,39 +180,39 @@ def bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
     Row n reads B_0..B_{n-1} only.  It is grown from row n-1 by the Appell
     step B_n'(x) = n B_{n-1}(x): with D_n = lcm(D_{n-1}, den B_{n-1}),
     row_n[1] = n D_n B_{n-1} and row_n[k] = (n/k) (D_n/D_{n-1}) row_{n-1}[k-1]
-    for k >= 2, an exact division, so a zero Bernoulli number gives a zero
-    entry.  A row already grown is returned without the lock.
+    for k >= 2, an exact division, so a zero Bernoulli number gives a zero entry.
     """
     if n < 0:
         raise ValueError(f"Bernoulli row index must be >= 0, got {n}")
-    rows, lock = _bernoulli_rows()
-    if n >= len(rows):
-        with lock:
-            for p in range(len(rows), n + 1):
-                prev, den = rows[-1]
-                b = bernoulli(p - 1)
-                d = lcm(den, b.denominator)
-                scale = p * (d // den)
-                low = [scale * a // k for k, a in enumerate(prev[1:], 2)]
-                rows.append(((0, p * b.numerator * (d // b.denominator), *low), d))
-    return rows[n]
+    if n > len(_BERNOULLI):
+        bernoulli(n - 1)  # grown first, so that no table grows inside the other's step
+    return _bernoulli_rows()[n]
+
+
+def _stirling_row(m: int, r: int) -> tuple[int, ...]:
+    if r < 0 or m < r:
+        raise ValueError(f"Stirling row needs 0 <= r <= m, got m={m}, r={r}")
+    if r not in _STIRLING:
+        _STIRLING.setdefault(r, GrownTable((0,) * r + (1,), _next_stirling_row))
+    return _STIRLING[r][m - r]
 
 
 def stirling1_unsigned(m: int, n: int) -> int:
     """Unsigned Stirling number of the first kind [m, n]; 0 when n > m."""
     if m < 0 or n < 0:
         raise ValueError(f"stirling1_unsigned: need m, n >= 0, got ({m}, {n})")
-    return _STIRLING.value(m, n)
+    return _stirling_row(m, 0)[n] if n <= m else 0
 
 
 def stirling1_row(m: int) -> tuple[int, ...]:
     """Row ([m, 0], ..., [m, m]) of the unsigned first-kind triangle."""
-    return _STIRLING.row(m)
+    return _stirling_row(m, 0)
 
 
 def r_stirling1(m: int, n: int, r: int) -> int:
     """r-Stirling number of the first kind [m, n]_r (requires m >= r)."""
-    return _STIRLING.value(m, n, r)
+    row = _stirling_row(m, r)
+    return row[n] if 0 <= n <= m else 0
 
 
 # --- JSON serialization -----------------------------------------------------

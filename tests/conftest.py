@@ -22,7 +22,7 @@ def corrupt_bernoulli():
     @contextmanager
     def corrupt(j: int, value: Fraction):
         exactnum.bernoulli(j)
-        table = exactnum._BERNOULLI._values
+        table = exactnum._BERNOULLI._entries
         original = table[j]
         table[j] = Fraction(value)
         exactnum.clear_derived_caches()

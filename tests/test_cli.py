@@ -273,6 +273,17 @@ def test_poly_centered_and_factored(capsys):
     assert out.strip() == "(1/10296) * binomial(n+7, 8) * [48*N^5 - 1176*N^3 + 6419*N]"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("var", ["n", "u"])
+def test_poly_factored_without_var_N_exit_2(capsys, var, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--m", "3", "--r", "1", "--var", var, "--format", fmt, "--factored"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "--factored requires --var N" in err
+
+
 def test_poly_json_round_trip(capsys):
     code, out = run_cli(
         capsys, "poly", "--m", "5", "--r", "7", "--var", "N", "--format", "json"

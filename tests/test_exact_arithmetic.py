@@ -1,11 +1,11 @@
-"""Syntax-tree guards on the package source: no floating point, one memo.
+"""Syntax-tree guards on the package source: no floating point, one memo, one lock.
 
 A true division ``/`` between two ints gives a float in Python, so one stray
 ``/`` in integer kernel code would silently turn an exact value inexact.
 The source is walked as a syntax tree: any ``/`` or ``/=``, float literal or
 use of the name ``float`` fails the test; the timing field
 ``VerifyReport.wall_time`` holds a ``time.perf_counter`` difference and
-needs none of them.  The memo guard is described at its tests below.
+needs none of them.  The memo and lock guards are described at their tests below.
 """
 
 from __future__ import annotations
@@ -93,3 +93,51 @@ def test_memo_guard_catches_each_spelling(tmp_path):
         "g = lru_cache(f)\n"
     )
     assert sorted(lru_cache_uses(bad)) == ["routes.py:2", "routes.py:3", "routes.py:6"]
+
+
+# -- lock guard ------------------------------------------------------------------------
+#
+# ``exactnum.GrownTable`` is the one table that grows under a lock: in index order,
+# each step once, an entry already grown read without it.  A lock made anywhere else
+# is a second copy of that policy.
+
+
+def lock_sites(path: Path) -> list[tuple[str, str | None, int]]:
+    """(file, enclosing class or None, line) of each call of Lock or RLock."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("Lock", "RLock"):
+                    found.append((path.name, owner, child.lineno))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_a_lock_is_made_only_in_the_grown_table():
+    sites = [site for path in sorted(SOURCE.glob("*.py")) for site in lock_sites(path)]
+    assert [(name, owner) for name, owner, _ in sites] == [("exactnum.py", "GrownTable")]
+
+
+def test_lock_guard_catches_each_spelling(tmp_path):
+    bad = tmp_path / "tables.py"
+    bad.write_text(
+        "import threading\n"
+        "from threading import Lock, RLock\n"
+        "class Table:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.RLock()\n"
+        "def rows():\n"
+        "    return [], Lock()\n"
+        "LOCK = RLock()\n"
+    )
+    assert lock_sites(bad) == [
+        ("tables.py", "Table", 5),
+        ("tables.py", None, 7),
+        ("tables.py", None, 8),
+    ]

@@ -7,13 +7,14 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, lcm
 
 import pytest
 
 from hypersums import exactnum
 from hypersums.exactnum import (
-    StirlingTable,
+    GrownTable,
     bernoulli,
     bernoulli_row,
     binomial,
@@ -147,14 +148,20 @@ def test_the_bernoulli_polynomial_rows_match_their_definition():
     assert {n: bernoulli_row(n) for n in range(401)} == expected
     # cold again, grown and read from 8 threads at once, each in its own order
     exactnum.clear_derived_caches()
-    results: list = [None] * 8
-    start = threading.Barrier(8)
+    assert all(result == expected for result in read_in_threads(bernoulli_row, orders[:8]))
+
+
+def read_in_threads(read, orders: list[list]) -> list[dict]:
+    """{key: read(key) for key in order} for each order, the orders read at once from
+    one thread each, with a short switch interval so that the threads interleave."""
+    results: list = [None] * len(orders)
+    start = threading.Barrier(len(orders))
 
     def work(i: int) -> None:
         start.wait()
-        results[i] = {n: bernoulli_row(n) for n in orders[i]}
+        results[i] = {key: read(key) for key in orders[i]}
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -165,7 +172,7 @@ def test_the_bernoulli_polynomial_rows_match_their_definition():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(result == expected for result in results)
+    return results
 
 
 def _depth(frame) -> int:
@@ -177,7 +184,7 @@ def _depth(frame) -> int:
 
 def test_a_cold_bernoulli_polynomial_row_is_grown_without_recursion(monkeypatch):
     # a fresh table, so that the Bernoulli numbers are grown cold as well
-    monkeypatch.setattr(exactnum, "_BERNOULLI", exactnum.BernoulliTable())
+    monkeypatch.setattr(exactnum, "_BERNOULLI", exactnum.bernoulli_table())
     exactnum.clear_derived_caches()
     deepest = base = _depth(sys._getframe())
 
@@ -197,10 +204,12 @@ def test_a_cold_bernoulli_polynomial_row_is_grown_without_recursion(monkeypatch)
     assert deepest - base <= 5
 
 
-def test_a_negative_bernoulli_row_index_is_refused():
-    exactnum.clear_derived_caches()  # cold, where nothing else would fail
+# a table, like a list, would answer index -1 with its last entry
+@pytest.mark.parametrize("read", [bernoulli, bernoulli_row, stirling1_row])
+def test_a_negative_index_is_refused(read):
+    exactnum.clear_derived_caches()  # the rows cold, where nothing else would fail
     with pytest.raises(ValueError):
-        bernoulli_row(-1)
+        read(-1)
 
 
 def test_corrupt_bernoulli_is_scoped(corrupt_bernoulli):
@@ -320,28 +329,33 @@ def test_concurrent_growth_is_consistent():
         assert v == bernoulli(40 + i % 2)
 
 
-def test_stirling_table_threads_match_one_thread():
-    cells = [(m, r) for r in range(9) for m in range(r, 121)]
-    one_thread = StirlingTable()
-    expected = {cell: one_thread.row(*cell) for cell in cells}
-    table = StirlingTable()
-    orders = [cells, cells[::-1]] + [random.Random(i).sample(cells, len(cells)) for i in range(6)]
-    results: list = [None] * len(orders)
-    start = threading.Barrier(len(orders))
+# cold tables, each read in 8 orders from 8 threads at once: the Bernoulli numbers
+# B_0..B_400, and the rows m <= 120 of the r-Stirling triangles for r <= 8
+TABLES = [(exactnum.bernoulli_table, 401)] + [
+    (partial(GrownTable, (0,) * r + (1,), exactnum._next_stirling_row), 121 - r) for r in range(9)
+]
 
-    def work(i: int) -> None:
-        start.wait()
-        results[i] = {cell: table.row(*cell) for cell in orders[i]}
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(result == expected for result in results)
+@pytest.mark.parametrize("make, size", TABLES)
+def test_table_threads_match_one_thread(make, size):
+    one_thread = make()
+    expected = {k: one_thread[k] for k in range(size)}
+    orders = [list(range(size)), list(range(size))[::-1]]
+    orders += [random.Random(i).sample(range(size), size) for i in range(6)]
+    assert all(result == expected for result in read_in_threads(make().__getitem__, orders))
+
+
+def test_each_step_of_a_grown_table_runs_once_and_in_order():
+    steps: list[int] = []  # the index of each entry as its step runs
+
+    def step(entries: list[int]) -> int:
+        steps.append(len(entries))
+        return 3 * entries[-1] + len(entries)
+
+    one_thread = GrownTable(1, step)
+    expected = {k: one_thread[k] for k in range(300)}
+    steps.clear()
+    table = GrownTable(1, step)
+    orders = [random.Random(i).sample(range(300), 300) for i in range(8)]
+    assert all(result == expected for result in read_in_threads(table.__getitem__, orders))
+    assert steps == list(range(1, 300))
