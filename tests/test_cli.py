@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from hypersums import cli, hessenberg
+from hypersums import cli, exactnum, hessenberg
 from hypersums.cli import (
     MAX_BRUTEFORCE_N,
     MAX_BRUTEFORCE_WORK,
@@ -300,6 +302,24 @@ def test_poly_latex(capsys):
     )
     assert code == 0
     assert out.strip() == "\\frac{N_{7}^{4}}{99} - \\frac{35 N_{7}^{2}}{198} + \\frac{7}{16}"
+
+
+@pytest.mark.parametrize(
+    "m, latex",
+    [
+        (5, "\\frac{1}{1584} \\binom{n+7}{8} \\left[16 N_{7}^{4} - 280 N_{7}^{2} + 693\\right]"),
+        (
+            6,
+            "\\frac{1}{10296} \\binom{n+7}{8} "
+            "\\left[48 N_{7}^{5} - 1176 N_{7}^{3} + 6419 N_{7}\\right]",
+        ),
+    ],
+    ids=["m5", "m6"],
+)
+def test_poly_factored_latex(capsys, m, latex):
+    # the factored form of the text format, typeset
+    argv = ["poly", "--m", str(m), "--r", "7", "--var", "N", "--factored", "--format", "latex"]
+    assert run_cli(capsys, *argv) == (0, latex + "\n")
 
 
 def test_poly_eval_consistency(capsys):
@@ -649,6 +669,76 @@ def test_table_json(capsys):
 def test_bad_format_exit_2(capsys):
     code, _ = run_cli(capsys, "eval", "--m", "1", "--r", "1", "--n", "1", "--format", "xml")
     assert code == 2
+
+
+# -- the JSON printer ----------------------------------------------------------------
+
+JSON_REQUESTS = [
+    ("eval", "--m", "3", "--r", "1", "--n", "3"),
+    ("poly", "--m", "5", "--r", "7", "--var", "n"),
+    ("poly", "--m", "5", "--r", "7", "--var", "N", "--factored"),
+    ("poly", "--m", "5", "--r", "7", "--var", "u"),
+    ("det", "--m", "1", "--r", "0"),  # an empty matrix
+    ("det", "--m", "2", "--r", "0", "--at", "123456789"),
+    ("det", "--m", "59", "--r", "5"),
+    ("verify", "--max-m", "4", "--max-r", "3", "--max-n", "6"),
+    ("table", "--max-m", "0", "--max-r", "0", "--n", "0"),
+    ("table", "--max-m", "5", "--max-r", "4", "--n", "7"),
+]
+
+
+def run_json(capsys, monkeypatch, *argv: str) -> tuple[int, str, list]:
+    """Run a JSON request, recording each payload handed to the printer."""
+    payloads = []
+    printer = cli._print_json
+    monkeypatch.setattr(cli, "_print_json", lambda p: payloads.append(p) or printer(p))
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    return code, out, payloads
+
+
+@pytest.mark.parametrize("argv", JSON_REQUESTS, ids=" ".join)
+def test_the_json_printer_writes_the_bytes_of_json_dumps(capsys, monkeypatch, argv):
+    code, out, payloads = run_json(capsys, monkeypatch, *argv)
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0]) + "\n"
+
+
+def test_the_json_printer_writes_a_failing_report_as_json_dumps(
+    capsys, monkeypatch, corrupt_bernoulli
+):
+    # the failure details hold quotes and serialized polynomials
+    with corrupt_bernoulli(2, Fraction(1, 7)):
+        code, out, payloads = run_json(
+            capsys, monkeypatch, "verify", "--max-m", "4", "--max-r", "3", "--max-n", "6"
+        )
+    assert code == 1 and len(payloads) == 1
+    assert payloads[0]["failures"] and '\\"' in out
+    assert out == json.dumps(payloads[0]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{}, {"a": []}, {"a": [[], [1, [2]], {"b": "\u00e9\"\\"}], "c": 1.5, "d": None, "e": (1, 2)}],
+)
+def test_the_json_printer_matches_json_dumps_on_other_values(capsys, payload):
+    cli._print_json(payload)
+    assert capsys.readouterr().out == json.dumps(payload) + "\n"
+
+
+def test_det_json_holds_one_row_encoding_at_a_time(tmp_path):
+    # encoded in one piece, the 148 KB document needs 2.3-2.7 MB; one row at a time, about 1 MB
+    exactnum.clear_derived_caches()
+    path = tmp_path / "det.json"
+    with path.open("w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["det", "--m", "59", "--r", "5", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert json.loads(path.read_text())["order"] == 58
+    assert peak < 1.6e6
 
 
 # -- environment and real process ----------------------------------------------------
