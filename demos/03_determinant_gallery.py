@@ -22,12 +22,12 @@ print(f"\ndet = {to_text(d)}")
 
 g = faulhaber_det(5, 7)
 print(f"scaled by (-1)^4 / 9*10*11*12 = 1/{rising_factorial(9, 4)}:")
-print(f"  G = {to_text(g.poly)}")
+print(f"  G = {to_text(g)}")
 
 # Sanity: multiply back by the binomial prefactor and compare with the
 # recursion at a concrete point.
 n = 5
-value = Fraction(hyper_sum_bruteforce(1, 7, n)) * g.poly.eval(Fraction(n) + Fraction(7, 2))
+value = Fraction(hyper_sum_bruteforce(1, 7, n)) * g.eval(Fraction(n) + Fraction(7, 2))
 assert value == hyper_sum_bruteforce(5, 7, n)
 print(f"  C(n+7, 8) * G(N) at n = {n}: {value}  == S(5, 7, {n})  OK")
 

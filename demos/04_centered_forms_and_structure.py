@@ -23,11 +23,12 @@ from hypersums import (
 print("centered factors G(N) for r = 3:")
 for m in range(1, 9):
     g = faulhaber_det(m, 3)
-    print(f"  m = {m} ({g.poly.parity():>5}): {to_text(g.poly)}")
+    print(f"  m = {m} ({g.parity():>5}): {to_text(g)}")
 
 print("\nsign pattern of the structural coefficients (highest degree first):")
 for m in range(1, 9):
-    g = faulhaber_det(m, 3).g_coeffs
+    p = faulhaber_det(m, 3)
+    g = p.coeffs[p.degree % 2 :: 2]  # the powers of N with the parity of the degree
     pattern = "".join("+" if c > 0 else "-" for c in reversed(g))
     print(f"  m = {m}: {pattern}")
 
@@ -42,7 +43,7 @@ print("u-form reproduces the recursion at n = 1..5  OK")
 # Ordinary power sums (r = 1) in the half-shifted variable N = n + 1/2.
 print("\nordinary power sums written in N = n + 1/2:")
 for m in (5, 6, 7, 8):
-    print(f"  m = {m}: {to_text(faulhaber_r1(m).poly)}")
+    print(f"  m = {m}: {to_text(faulhaber_r1(m))}")
 
 # A worked identity: the difference of the order-4 and half the order-3
 # quintic hyper-sums factors completely.

@@ -26,7 +26,6 @@ _EXPORTS = {
     ),
     "hessenberg": ("HessenbergMatrix", "build_matrix", "det"),
     "hypersum": (
-        "FaulhaberPoly",
         "HyperSumPoly",
         "coeff_c",
         "coffey_residual",

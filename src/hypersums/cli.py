@@ -91,20 +91,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"for the d digits of n + r, got {work} at m={m}, r={r}, n={n}"
             )
         value = Fraction(hypersum.hyper_sum_bruteforce(m, r, n))
-    elif method == "auto":
-        value = hypersum.hyper_sum_poly(m, r).eval(n)
-        if value.denominator != 1 or value != hypersum.hyper_sum_newton(m, r, n):
+    else:
+        if method == "auto":
+            p = hypersum.hyper_sum_poly(m, r)
+        else:
+            m_min, r_min = hypersum.ROUTE_DOMAIN[method]
+            if m < m_min or r < r_min:
+                raise _fail_usage(f"--method {method} requires m >= {m_min} and r >= {r_min}")
+            p = hypersum.ROUTES[method](m, r).poly
+        value = p.eval(n)
+        # every route is checked against the Newton basis, which reads no Bernoulli number
+        if value != hypersum.hyper_sum_newton(m, r, n):
             print(
                 f"internal error: polynomial route gives {value}, not the integer "
                 f"of the Newton-basis oracle, at (m={m}, r={r}, n={n})",
                 file=sys.stderr,
             )
             return EXIT_CROSSCHECK
-    else:
-        m_min, r_min = hypersum.ROUTE_DOMAIN[method]
-        if m < m_min or r < r_min:
-            raise _fail_usage(f"--method {method} requires m >= {m_min} and r >= {r_min}")
-        value = hypersum.ROUTES[method](m, r).poly.eval(n)
     if args.format == "json":
         _print_json({"m": m, "r": r, "n": n, "method": method, "value": rational_to_json(value)})
     else:
@@ -112,16 +115,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _factored_parts(m: int, r: int) -> tuple[Fraction, RatPoly]:
-    """Split the centered factor into 1/D times an integer-coefficient bracket."""
-    g = hypersum.faulhaber_det(m, r).poly
-    return Fraction(1, g.denominator), g.scale(g.denominator)
-
-
 def cmd_poly(args: argparse.Namespace) -> int:
     m, r = args.m, args.r
     if args.factored and args.var != "N":
         raise _fail_usage("--factored requires --var N")
+    s1_text = f"binomial(n+{r}, {r + 1})"  # S(1, r, n)
     if args.var == "n":
         if r == 0 or m == 0:
             p = hypersum.hyper_sum_poly(m, r)
@@ -133,8 +131,10 @@ def cmd_poly(args: argparse.Namespace) -> int:
     elif args.var == "N":
         if m < 1:
             raise _fail_usage("--var N requires m >= 1")
-        p = hypersum.faulhaber_det(m, r).poly
+        p = hypersum.faulhaber_det(m, r)
         fields = {"m": m, "r": r, "method": "determinant"}
+        if args.factored:  # 1/D times the integer bracket
+            scale, bracket = Fraction(1, p.denominator), p.scale(p.denominator)
     else:  # u
         if m < 1 or r < 1:
             raise _fail_usage("--var u requires m >= 1 and r >= 1")
@@ -144,30 +144,23 @@ def cmd_poly(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {**fields, "poly": poly_to_json(p)}
         if args.factored:
-            scale, bracket = _factored_parts(m, r)
             payload["factored"] = {
                 "scale": rational_to_json(scale),
-                "prefactor": f"binomial(n+{r}, {r + 1})",
+                "prefactor": s1_text,
                 "bracket": poly_to_json(bracket),
             }
         _print_json(payload)
+    elif args.factored and args.format == "latex":
+        print(
+            f"{to_latex(RatPoly((scale,)))} \\binom{{n+{r}}}{{{r + 1}}} "
+            f"\\left[{to_latex(bracket)}\\right]"
+        )
     elif args.factored:
-        scale, bracket = _factored_parts(m, r)
-        if args.format == "latex":
-            print(
-                f"{to_latex(RatPoly((scale,)))} \\binom{{n+{r}}}{{{r + 1}}} "
-                f"\\left[{to_latex(bracket)}\\right]"
-            )
-        else:
-            print(f"({scale}) * binomial(n+{r}, {r + 1}) * [{to_text(bracket)}]")
+        print(f"({scale}) * {s1_text} * [{to_text(bracket)}]")
     elif args.format == "latex":
         print(to_latex(p))
     elif args.var == "u":
-        pre = (
-            f"binomial(n+{r}, {r + 1})"
-            if prefactor == "s1"
-            else f"(2n+{r})/{r + 2} * binomial(n+{r}, {r + 1})"
-        )
+        pre = s1_text if prefactor == "s1" else f"(2n+{r})/{r + 2} * {s1_text}"
         print(f"{pre} * F(u) with F(u) = {to_text(p)}, u = n*(n+{r})")
     else:
         print(to_text(p))

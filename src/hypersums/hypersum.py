@@ -16,7 +16,8 @@ module produces that polynomial by five independent methods:
 
 All routes return polynomials in the n-frame; the centered (N) and product
 (u = n(n+r)) frames are produced by explicit conversions so that
-cross-method comparison is always same-frame.  Everything is exact.
+cross-method comparison is always same-frame.  The paper's centered factor G,
+with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -54,24 +55,6 @@ class HyperSumPoly(namedtuple("HyperSumPoly", "m r poly method")):
     """S(m, r, n) as a polynomial in n, tagged with its computation route."""
 
     __slots__ = ()
-
-
-class FaulhaberPoly(namedtuple("FaulhaberPoly", "m r poly")):
-    """A polynomial in N_r = n + r/2 that is even or odd in N_r.
-
-    From ``faulhaber_det`` and ``faulhaber_rec`` it is the degree m-1 factor
-    with S(m, r, n) = S(1, r, n) times it; for r >= 1 it is even or odd in
-    N_r according as m is odd or even, with nonzero coefficients of strictly
-    alternating sign and positive leading term.  From ``faulhaber_r1`` it is
-    the power sum S(m, 1, n) itself, of degree m+1 in N_1 = n + 1/2.
-    """
-
-    __slots__ = ()
-
-    @property
-    def g_coeffs(self) -> tuple[Rational, ...]:
-        """Coefficients of the powers of N with the parity of the degree, ascending."""
-        return self.poly.coeffs[self.poly.degree % 2 :: 2]
 
 
 # -- the defining recursion (value oracle) ------------------------------------
@@ -347,22 +330,21 @@ def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
 
 
 @memo
-def faulhaber_det(m: int, r: int) -> FaulhaberPoly:
-    """The centered factor polynomial from the Hessenberg determinant.
+def faulhaber_det(m: int, r: int) -> RatPoly:
+    """The centered factor G(m, r) in N_r = n + r/2, from the Hessenberg determinant.
 
     G(m, r) = (-1)^(m-1) / (r+2)^(m-1 rising) * det of the order m-1 matrix;
     the empty determinant makes G(1, r) = 1.  The determinant is the memoised
     leading principal minor at r, so growing m at fixed r adds one minor.
+    S(m, r, n) = S(1, r, n) G(N_r); for r >= 1, G has the parity of m - 1 and alternating signs.
     """
     d = hessenberg.leading_minor(m - 1, r)
-    scaled = d.scale(Fraction(sign_pow(m - 1), rising_factorial(r + 2, m - 1)))
-    return FaulhaberPoly(m, r, scaled)
+    return d.scale(Fraction(sign_pow(m - 1), rising_factorial(r + 2, m - 1)))
 
 
 def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
     """S(m, r) = C(n+r, r+1) times the determinant factor, expanded in n."""
-    g_n = to_n_frame(faulhaber_det(m, r).poly)
-    return HyperSumPoly(m, r, s1_poly(r) * g_n, "determinant")
+    return HyperSumPoly(m, r, s1_poly(r) * to_n_frame(faulhaber_det(m, r)), "determinant")
 
 
 # -- parity-split coefficient recurrences --------------------------------------
@@ -393,11 +375,11 @@ def _centered_factor_rec(m: int, r: int) -> RatPoly:
     return sum_of_products(pairs, "N", r)
 
 
-def faulhaber_rec(m: int, r: int) -> FaulhaberPoly:
-    """The centered factor polynomial grown coefficientwise (no determinant)."""
+def faulhaber_rec(m: int, r: int) -> RatPoly:
+    """The centered factor G(m, r) in N, grown coefficientwise (no determinant)."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    return FaulhaberPoly(m, r, _centered_factor_rec(m, r))
+    return _centered_factor_rec(m, r)
 
 
 # -- classical product form -----------------------------------------------------
@@ -413,7 +395,7 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got ({m}, {r})")
-    g = faulhaber_det(m, r).poly
+    g = faulhaber_det(m, r)
     if m % 2 == 1:
         return to_u_form(g), "s1"
     if g.coefficient(0):
@@ -427,7 +409,7 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
 # -- ordinary power sums in the half-shifted variable ---------------------------
 
 
-def faulhaber_r1(m: int) -> FaulhaberPoly:
+def faulhaber_r1(m: int) -> RatPoly:
     """S_m(n) written in N = n + 1/2: C(n+1, 2) times the r = 1 centered factor.
 
     Equals the half-shift of the Bernoulli-formula polynomial; even or odd
@@ -436,7 +418,7 @@ def faulhaber_r1(m: int) -> FaulhaberPoly:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    return FaulhaberPoly(m, 1, to_N_frame(s1_poly(1), 1) * faulhaber_det(m, 1).poly)
+    return to_N_frame(s1_poly(1), 1) * faulhaber_det(m, 1)
 
 
 # -- parity-split lifting relations ---------------------------------------------

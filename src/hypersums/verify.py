@@ -142,12 +142,9 @@ def check_centered_factor(m_max: int, r_max: int, n_max: int, values: dict) -> C
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
             cell = {"m": m, "r": r}
-            det_form = hypersum.faulhaber_det(m, r)
-            yield _poly_check(
-                "centered-factor[det=rec]", cell, det_form.poly, hypersum.faulhaber_rec(m, r).poly
-            )
+            p = hypersum.faulhaber_det(m, r)
+            yield _poly_check("centered-factor[det=rec]", cell, p, hypersum.faulhaber_rec(m, r))
             # the g coefficients' numerators over the positive denominator carry their signs
-            p = det_form.poly
             g = p.numerators[p.degree % 2 :: 2]
             ok = (
                 p.parity() == ("even" if m % 2 == 1 else "odd")
@@ -157,7 +154,9 @@ def check_centered_factor(m_max: int, r_max: int, n_max: int, values: dict) -> C
                 and all((a > 0) != (b > 0) for a, b in zip(g, g[1:]))
                 and g[-1] * factorial(m + r) == factorial(r + 1) * factorial(m) * p.denominator
             )
-            detail = "" if ok else json.dumps([rational_to_json(c) for c in det_form.g_coeffs])
+            detail = "" if ok else json.dumps(
+                [rational_to_json(c) for c in p.coeffs[p.degree % 2 :: 2]]
+            )
             yield _check("centered-factor-structure", cell, ok, detail)
 
 
@@ -304,13 +303,13 @@ def _golden_checks() -> Checks:
     yield _poly_check(
         "golden-centered-factor",
         {"m": 5, "r": 7},
-        hypersum.faulhaber_det(5, 7).poly,
+        hypersum.faulhaber_det(5, 7),
         poly([Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7),
     )
     yield _poly_check(
         "golden-centered-factor",
         {"m": 6, "r": 7},
-        hypersum.faulhaber_det(6, 7).poly,
+        hypersum.faulhaber_det(6, 7),
         poly(
             [0, Fraction(6419, 10296), 0, Fraction(-49, 429), 0, Fraction(2, 429)], "N", 7
         ),
@@ -357,7 +356,7 @@ def _golden_checks() -> Checks:
     yield _poly_check(
         "golden-half-shifted-power-sum",
         {"m": 7},
-        hypersum.faulhaber_r1(7).poly,
+        hypersum.faulhaber_r1(7),
         poly(
             [
                 Fraction(17, 2048), 0, Fraction(-31, 384), 0,
@@ -370,7 +369,7 @@ def _golden_checks() -> Checks:
     yield _poly_check(
         "golden-half-shifted-power-sum",
         {"m": 8},
-        hypersum.faulhaber_r1(8).poly,
+        hypersum.faulhaber_r1(8),
         poly(
             [
                 0, Fraction(127, 3840), 0, Fraction(-31, 144), 0,
@@ -405,7 +404,8 @@ def _golden_checks() -> Checks:
 
     # five coefficient relations tying index 9 to indices 1..8, at r = 10
     r = 10
-    g = {m: hypersum.faulhaber_det(m, r).g_coeffs for m in (1, 3, 5, 7, 8, 9)}
+    factors = {m: hypersum.faulhaber_det(m, r) for m in (1, 3, 5, 7, 8, 9)}
+    g = {m: p.coeffs[p.degree % 2 :: 2] for m, p in factors.items()}
     relations = [
         g[9][0]
         == Fraction(3, 19) * g[1][0]

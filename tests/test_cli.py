@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import cli, exactnum, hessenberg
+from hypersums import cli, exactnum, hessenberg, hypersum
 from hypersums.cli import (
     MAX_BRUTEFORCE_N,
     MAX_BRUTEFORCE_WORK,
@@ -108,8 +108,10 @@ def test_eval_json_schema(capsys):
         (2, 10**12),
     ],
 )
-def test_eval_crosscheck_mismatch_exit_3(capsys, corrupt_bernoulli, r, n):
-    argv = ("eval", "--m", "4", "--r", str(r), "--n", str(n))
+@pytest.mark.parametrize("method", ["auto", "q", "c", "chain", "lemma", "det"])
+def test_eval_crosscheck_mismatch_exit_3(capsys, corrupt_bernoulli, method, r, n):
+    # every polynomial method is checked, not only auto: each route reads the bad B_2
+    argv = ("eval", "--m", "4", "--r", str(r), "--n", str(n), "--method", method)
     with corrupt_bernoulli(2, Fraction(1, 7)):
         assert run_cli(capsys, *argv) == (3, "")
     code, out = run_cli(capsys, *argv)
@@ -276,6 +278,17 @@ def test_poly_centered_and_factored(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_poly_factored_reads_the_centered_factor_once(capsys, monkeypatch, fmt):
+    calls = []
+    real = hypersum.faulhaber_det
+    monkeypatch.setattr(hypersum, "faulhaber_det", lambda m, r: calls.append((m, r)) or real(m, r))
+    argv = ("poly", "--m", "5", "--r", "7", "--var", "N", "--factored", "--format", fmt)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert calls == [(5, 7)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 @pytest.mark.parametrize("var", ["n", "u"])
 def test_poly_factored_without_var_N_exit_2(capsys, var, fmt):
     with pytest.raises(SystemExit) as exc:
@@ -293,7 +306,7 @@ def test_poly_json_round_trip(capsys):
     assert code == 0
     blob = json.loads(out)
     check_poly_blob(blob["poly"])
-    assert poly_from_json(blob["poly"]) == faulhaber_det(5, 7).poly
+    assert poly_from_json(blob["poly"]) == faulhaber_det(5, 7)
 
 
 def test_poly_latex(capsys):

@@ -27,7 +27,7 @@ CELLS = [(m, r) for r in range(9) for m in range(1, 26)]
 def build(cells) -> dict:
     """(lemma S(m, r), determinant G(m, r), coefficientwise G(m, r)) per cell."""
     return {
-        (m, r): (ROUTES["lemma"](m, r).poly, faulhaber_det(m, r).poly, faulhaber_rec(m, r).poly)
+        (m, r): (ROUTES["lemma"](m, r).poly, faulhaber_det(m, r), faulhaber_rec(m, r))
         for m, r in cells
     }
 

@@ -39,6 +39,11 @@ from hypersums.hypersum import (
 from hypersums.polyring import monomial, poly, to_n_frame
 from hypersums.verify import run_all
 
+
+def g_coeffs(p):
+    """Coefficients of the powers of N with the parity of the degree, ascending."""
+    return p.coeffs[p.degree % 2 :: 2]
+
 # -- defining recursion -------------------------------------------------------
 
 
@@ -384,19 +389,19 @@ def test_hyper_sum_det_factored_displays():
 
 
 def test_faulhaber_det_displays():
-    assert faulhaber_det(5, 7).poly == poly(
+    assert faulhaber_det(5, 7) == poly(
         [Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7
     )
-    assert faulhaber_det(6, 7).poly == poly(
+    assert faulhaber_det(6, 7) == poly(
         [0, Fraction(6419, 10296), 0, Fraction(-49, 429), 0, Fraction(2, 429)], "N", 7
     )
     for r in range(5):
-        assert faulhaber_det(1, r).poly == poly([1], "N", r)
+        assert faulhaber_det(1, r) == poly([1], "N", r)
 
 
 def test_faulhaber_det_r0_is_pure_power():
     for m in range(1, 9):
-        assert faulhaber_det(m, 0).poly == monomial(m - 1, 1, "N", 0)
+        assert faulhaber_det(m, 0) == monomial(m - 1, 1, "N", 0)
 
 
 # -- coefficientwise recurrences -------------------------------------------------------
@@ -404,26 +409,26 @@ def test_faulhaber_det_r0_is_pure_power():
 
 def test_faulhaber_rec_seed():
     for r in range(0, 6):
-        assert faulhaber_rec(2, r).poly == poly([0, Fraction(2, r + 2)], "N", r)
+        assert faulhaber_rec(2, r) == poly([0, Fraction(2, r + 2)], "N", r)
 
 
 def test_faulhaber_rec_matches_det():
     for r in range(0, 7):
         for m in range(1, 13):
-            assert faulhaber_rec(m, r).poly == faulhaber_det(m, r).poly, (m, r)
+            assert faulhaber_rec(m, r) == faulhaber_det(m, r), (m, r)
 
 
 def test_top_coefficient_relation_at_r10():
-    g8 = faulhaber_rec(8, 10).g_coeffs
-    g9 = faulhaber_rec(9, 10).g_coeffs
+    g8 = g_coeffs(faulhaber_rec(8, 10))
+    g9 = g_coeffs(faulhaber_rec(9, 10))
     assert g9[4] == Fraction(9, 19) * g8[3]
 
 
 def test_g_coeffs_layout():
     g = faulhaber_det(5, 7)
-    assert g.g_coeffs == (Fraction(7, 16), Fraction(-35, 198), Fraction(1, 99))
+    assert g_coeffs(g) == (Fraction(7, 16), Fraction(-35, 198), Fraction(1, 99))
     h = faulhaber_det(6, 7)
-    assert h.g_coeffs == (Fraction(6419, 10296), Fraction(-49, 429), Fraction(2, 429))
+    assert g_coeffs(h) == (Fraction(6419, 10296), Fraction(-49, 429), Fraction(2, 429))
 
 
 # -- u-form ------------------------------------------------------------------------------
@@ -472,7 +477,7 @@ def test_u_form_refuses_a_centered_factor_that_is_not_odd(corrupt_bernoulli):
 
 
 def test_faulhaber_r1_displays():
-    assert faulhaber_r1(7).poly == poly(
+    assert faulhaber_r1(7) == poly(
         [
             Fraction(17, 2048), 0, Fraction(-31, 384), 0,
             Fraction(49, 192), 0, Fraction(-7, 24), 0, Fraction(1, 8),
@@ -480,7 +485,7 @@ def test_faulhaber_r1_displays():
         "N",
         1,
     )
-    assert faulhaber_r1(8).poly == poly(
+    assert faulhaber_r1(8) == poly(
         [
             0, Fraction(127, 3840), 0, Fraction(-31, 144), 0,
             Fraction(49, 120), 0, Fraction(-1, 3), 0, Fraction(1, 9),
@@ -488,18 +493,18 @@ def test_faulhaber_r1_displays():
         "N",
         1,
     )
-    assert faulhaber_r1(1).poly == poly([Fraction(-1, 8), 0, Fraction(1, 2)], "N", 1)
+    assert faulhaber_r1(1) == poly([Fraction(-1, 8), 0, Fraction(1, 2)], "N", 1)
 
 
 def test_faulhaber_r1_equals_shifted_bernoulli_form():
     for m in range(1, 11):
         shifted = power_sum_poly(m).shift(Fraction(-1, 2))
-        assert faulhaber_r1(m).poly.coeffs == shifted.coeffs
+        assert faulhaber_r1(m).coeffs == shifted.coeffs
 
 
 def test_faulhaber_r1_f_coeffs_alternate():
     for m in range(1, 11):
-        f = faulhaber_r1(m).g_coeffs
+        f = g_coeffs(faulhaber_r1(m))
         assert len(f) == (m + 1) // 2 + 1
         assert all(c != 0 for c in f)
         assert all(a * b < 0 for a, b in zip(f, f[1:]))
@@ -512,7 +517,7 @@ def test_faulhaber_r1_reuses_the_cached_determinant(monkeypatch):
     monkeypatch.setattr(
         hessenberg, "leading_minor", lambda order, r: calls.append(order) or real_minor(order, r)
     )
-    assert faulhaber_r1(9).poly.coeffs == power_sum_poly(9).shift(Fraction(-1, 2)).coeffs
+    assert faulhaber_r1(9).coeffs == power_sum_poly(9).shift(Fraction(-1, 2)).coeffs
     assert calls == []
 
 

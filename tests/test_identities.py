@@ -67,8 +67,8 @@ def test_centered_factor_structure_full_grid():
     for r in range(1, 7):
         for m in range(1, 13):
             form = faulhaber_det(m, r)
-            assert form.poly.parity() == ("even" if m % 2 == 1 else "odd"), (m, r)
-            g = form.g_coeffs
+            assert form.parity() == ("even" if m % 2 == 1 else "odd"), (m, r)
+            g = form.coeffs[form.degree % 2 :: 2]
             assert len(g) == (m + 1) // 2
             assert all(c != 0 for c in g), (m, r)
             assert g[-1] > 0

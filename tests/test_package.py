@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import build_matrix, faulhaber_det, hyper_sum_det, run_grid
+from hypersums import build_matrix, hyper_sum_det, run_grid
 from hypersums.hessenberg import HessenbergMatrix
 from hypersums.polyring import poly
 
 PUBLIC = (
-    "FaulhaberPoly HessenbergMatrix HyperSumPoly RatPoly Rational VerifyReport bernoulli "
+    "HessenbergMatrix HyperSumPoly RatPoly Rational VerifyReport bernoulli "
     "binomial build_matrix coeff_c coffey_residual constant det faulhaber_det "
     "faulhaber_r1 faulhaber_rec faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
@@ -48,12 +48,16 @@ def test_public_names_resolve_after_bare_import():
 
 def test_deleted_helpers_are_gone():
     import hypersums
+    import hypersums.cli
 
     assert not hasattr(hypersums, "from_u_form")
     assert not hasattr(hypersums, "coeff_recurrence_step")
     assert not hasattr(hypersums, "divide_exact")
     assert not hasattr(hypersums, "stirling_product_form")
     assert not hasattr(hypersums.hypersum, "stirling_product_form")
+    assert not hasattr(hypersums, "FaulhaberPoly")
+    assert not hasattr(hypersums.hypersum, "FaulhaberPoly")
+    assert not hasattr(hypersums.cli, "_factored_parts")
 
 
 # runs in a fresh interpreter: what a cold CLI request loads beyond what the
@@ -79,7 +83,6 @@ def test_the_cli_imports_neither_dataclasses_nor_verify():
 
 RECORDS = {
     "HyperSumPoly": lambda: hyper_sum_det(3, 2),
-    "FaulhaberPoly": lambda: faulhaber_det(3, 2),
     "HessenbergMatrix": lambda: build_matrix(3, 2),
     "CheckResult": lambda: run_grid(1, 1, 1).checks[0],
 }
