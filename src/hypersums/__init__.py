@@ -19,7 +19,6 @@ _EXPORTS = {
     "exactnum": (
         "Rational",
         "bernoulli",
-        "binomial",
         "r_stirling1",
         "rising_factorial",
         "stirling1_unsigned",

@@ -20,7 +20,7 @@ import threading
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 Rational = Fraction
 
@@ -28,19 +28,6 @@ Rational = Fraction
 def sign_pow(exponent: int) -> int:
     """(-1)**exponent as an int, valid for negative exponents too."""
     return -1 if exponent % 2 else 1
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0; zero when k is out of [0, n].
-
-    Out-of-range k returns 0 rather than raising because the summation
-    formulas here rely on vanishing terms at the index boundaries.
-    """
-    if n < 0:
-        raise ValueError(f"binomial: n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def rising_factorial(r: int, m: int) -> int:
@@ -223,16 +210,3 @@ def r_stirling1(m: int, n: int, r: int) -> int:
 
 def rational_to_json(x: Fraction) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
-
-
-def rational_from_json(obj: object) -> Fraction:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(s, str) for s in obj)
-    ):
-        raise ValueError(f"not a serialized rational: {obj!r}")
-    num, den = int(obj[0]), int(obj[1])
-    if den <= 0:
-        raise ValueError(f"serialized rational must have positive denominator: {obj!r}")
-    return Fraction(num, den)

@@ -58,10 +58,6 @@ class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
     def order(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> RatPoly:
-        """1-indexed access."""
-        return self.entries[i - 1][j - 1]
-
 
 def _row(i: int, r: int, zero: RatPoly) -> tuple[RatPoly, ...]:
     """Entries (i, 1) ... (i, i+1) of row i, through the superdiagonal; a zero
@@ -135,8 +131,9 @@ def det(h: HessenbergMatrix) -> RatPoly:
 
 
 @memo
-def _leading(order: int, r: int) -> RatPoly:
-    """p_order of every (m, r) matrix with m > order; memoised per (order, r).
+def leading_minor(order: int, r: int) -> RatPoly:
+    """det(build_matrix(order + 1, r)): p_order of every (m, r) matrix with
+    m > order, memoised per (order, r).
 
     Row k = order of the recurrence in :func:`det` with the superdiagonal
     entries h[t,t+1] = r+t+1 multiplied out in integers: the term of column
@@ -144,12 +141,13 @@ def _leading(order: int, r: int) -> RatPoly:
     and the integer product gains one factor as j runs down from k-1.  With
     h[k,j] = r row[j] / D from the Bernoulli polynomial row k+1, the sum is
     taken over D and divided by D once; a zero entry (a zero Bernoulli
-    number, or r = 0) adds no term.
+    number, or r = 0) adds no term.  A refused (order, r) leaves no entry.
     """
+    _check_params(order + 1, r)
     if order == 0:
         return constant(1, "N", r)
     k, p = order, order + 1
-    minors = [_leading(j, r) for j in range(k)]
+    minors = [leading_minor(j, r) for j in range(k)]
     nums, den = bernoulli_row(p)
     pairs = [(RatPoly.from_integers((0, -p * den), 1, "N", r), minors[k - 1])]
     signed = r
@@ -159,12 +157,6 @@ def _leading(order: int, r: int) -> RatPoly:
             pairs.append((signed * nums[j], minors[j - 1]))
     total = sum_of_products(pairs, "N", r)
     return RatPoly.from_integers(total.numerators, total.denominator * den, "N", r)
-
-
-def leading_minor(order: int, r: int) -> RatPoly:
-    """det(build_matrix(order + 1, r)), from the minors memoised at r."""
-    _check_params(order + 1, r)
-    return _leading(order, r)
 
 
 def map_entries(h: HessenbergMatrix, fn) -> list[list]:

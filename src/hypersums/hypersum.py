@@ -213,8 +213,8 @@ def coeff_c(m: int, r: int, k: int) -> Rational:
     same sign and (r-1)!, so one coefficient costs O(r^2) products over the
     Bernoulli polynomial rows, not a whole build.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    if m < 0 or r < 1:
+        raise ValueError(f"need m >= 0 and r >= 1, got ({m}, {r})")
     if not 1 <= k <= m + r:
         raise ValueError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
     total = Fraction(0)
@@ -246,8 +246,8 @@ def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     P_i(x) = sum_{e>=1} C(m+i+1, e) B_{m+i+1-e} x^e / (m+i+1), the Bernoulli
     polynomial row m+i+1 over m+i+1.  The r products are one kernel call.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    if m < 0 or r < 1:
+        raise ValueError(f"need m >= 0 and r >= 1, got ({m}, {r})")
     pairs = []
     for i, weights in enumerate(_c_weights(r)):
         row, den = bernoulli_row(m + i + 1)
@@ -319,8 +319,8 @@ def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
 
     where the sum is empty for m = 2.
     """
-    if m_max < 1:
-        raise ValueError(f"need m_max >= 1, got {m_max}")
+    if m_max < 1 or r < 0:
+        raise ValueError(f"need m_max >= 1 and r >= 0, got ({m_max}, {r})")
     return tuple(
         HyperSumPoly(m, r, _lemma_poly(m, r), "lemma-chain") for m in range(1, m_max + 1)
     )
@@ -351,8 +351,9 @@ def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
 
 
 @memo
-def _centered_factor_rec(m: int, r: int) -> RatPoly:
-    """The centered factor G(m, r) in N, grown by the parity-split recurrence.
+def faulhaber_rec(m: int, r: int) -> RatPoly:
+    """The centered factor G(m, r) in N, grown coefficientwise by the
+    parity-split recurrence (no determinant).
 
     With G(1) = 1, for m >= 2
 
@@ -363,23 +364,19 @@ def _centered_factor_rec(m: int, r: int) -> RatPoly:
     coefficient of N^(2j) (odd m) or N^(2j+1) (even m) gives the
     coefficientwise recurrences g[m, j] = (m g[m-1, j - (m odd)]
     - r sum_k C(m, k) B_{m-k} g[k, j]) / (m+r), seeded with g[1] = (1,) and
-    g[2] = (2/(r+2),).  Each G(k) is memoised per (k, r).
+    g[2] = (2/(r+2),).  Each G(k) is memoised per (k, r); a refused m leaves
+    no entry.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     if m == 1:
         return constant(1, "N", r)
-    lower = [_centered_factor_rec(k, r) for k in range(1, m)]
+    lower = [faulhaber_rec(k, r) for k in range(1, m)]
     row, den = bernoulli_row(m)
     pairs = [(RatPoly.from_integers((0, m), m + r, "N", r), lower[m - 2])]
     for k in range(m - 2, 0, -2):
         pairs.append((Fraction(-r * row[k], den * (m + r)), lower[k - 1]))
     return sum_of_products(pairs, "N", r)
-
-
-def faulhaber_rec(m: int, r: int) -> RatPoly:
-    """The centered factor G(m, r) in N, grown coefficientwise (no determinant)."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return _centered_factor_rec(m, r)
 
 
 # -- classical product form -----------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactnum import Rational, rational_from_json, rational_to_json
+from .exactnum import Rational, rational_to_json
 
 _VARS = ("n", "N", "u")
 
@@ -156,10 +156,6 @@ class RatPoly:
         if 0 <= k < len(self.numerators):
             return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
-
-    @property
-    def leading_coefficient(self) -> Rational:
-        return self.coefficient(len(self.numerators) - 1)
 
     # -- ring operations -------------------------------------------------
 
@@ -406,13 +402,3 @@ def poly_to_json(p: RatPoly) -> dict:
         "r": p.r,
         "coeffs": [rational_to_json(c) for c in p.coeffs],
     }
-
-
-def poly_from_json(obj: dict) -> RatPoly:
-    if not isinstance(obj, dict) or not {"var", "r", "coeffs"} <= set(obj):
-        raise ValueError(f"not a serialized polynomial: {obj!r}")
-    return RatPoly(
-        tuple(rational_from_json(c) for c in obj["coeffs"]),
-        str(obj["var"]),
-        obj["r"],
-    )

@@ -139,7 +139,8 @@ def test_criterion_5_structure():
             assert g[-1] > 0
             # leading value forced by the degree m+r coefficient and the
             # binomial prefactor: computed from both pieces, not assumed
-            forced = coeff_c(m, r, m + r) / s1_poly(r).leading_coefficient
+            s1 = s1_poly(r)
+            forced = coeff_c(m, r, m + r) / s1.coefficient(s1.degree)
             assert forced == Fraction(factorial(r + 1) * factorial(m), factorial(m + r))
             assert g[-1] == forced, (m, r)
 

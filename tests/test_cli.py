@@ -23,8 +23,13 @@ from hypersums.cli import (
 )
 from hypersums.exactnum import rising_factorial, sign_pow
 from hypersums.hessenberg import build_matrix, det, leading_minor
-from hypersums.hypersum import faulhaber_det, hyper_sum_bruteforce, hyper_sum_newton
-from hypersums.polyring import RatPoly, poly_from_json
+from hypersums.hypersum import (
+    faulhaber_det,
+    hyper_sum_bruteforce,
+    hyper_sum_newton,
+    hyper_sum_poly,
+)
+from hypersums.polyring import RatPoly, poly_to_json
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -306,7 +311,7 @@ def test_poly_json_round_trip(capsys):
     assert code == 0
     blob = json.loads(out)
     check_poly_blob(blob["poly"])
-    assert poly_from_json(blob["poly"]) == faulhaber_det(5, 7)
+    assert blob["poly"] == poly_to_json(faulhaber_det(5, 7))
 
 
 def test_poly_latex(capsys):
@@ -340,7 +345,8 @@ def test_poly_eval_consistency(capsys):
     code, out = run_cli(
         capsys, "poly", "--m", "4", "--r", "2", "--format", "json"
     )
-    p = poly_from_json(json.loads(out)["poly"])
+    p = hyper_sum_poly(4, 2)
+    assert json.loads(out)["poly"] == poly_to_json(p)
     code, out = run_cli(capsys, "eval", "--m", "4", "--r", "2", "--n", "3")
     assert p.eval(3) == int(out)
 
@@ -387,7 +393,7 @@ def test_det_json_matches_library(capsys):
     for row in blob["entries"]:
         for cell in row:
             check_poly_blob(cell)
-    assert poly_from_json(blob["det"]) == det(build_matrix(3, 2))
+    assert blob["det"] == poly_to_json(det(build_matrix(3, 2)))
 
 
 def test_det_at_value(capsys):
@@ -697,6 +703,12 @@ JSON_REQUESTS = [
     ("verify", "--max-m", "4", "--max-r", "3", "--max-n", "6"),
     ("table", "--max-m", "0", "--max-r", "0", "--n", "0"),
     ("table", "--max-m", "5", "--max-r", "4", "--n", "7"),
+    # the documents the CI console-script step pipes through json.tool
+    ("eval", "--m", "4", "--r", "1", "--n", "30"),
+    ("poly", "--m", "6", "--r", "7", "--var", "u"),
+    ("det", "--m", "12", "--r", "5", "--at", "3"),
+    ("table", "--max-m", "4", "--max-r", "3", "--n", "9"),
+    ("verify",),
 ]
 
 

@@ -16,6 +16,8 @@ import sys
 import threading
 from fractions import Fraction
 
+import pytest
+
 import hypersums
 from hypersums import exactnum, hessenberg, hypersum, verify
 from hypersums.hypersum import ROUTES, faulhaber_det, faulhaber_rec
@@ -53,6 +55,21 @@ def test_leading_minors_multiply_no_polynomials(monkeypatch):
     monkeypatch.setattr(RatPoly, "__mul__", lambda a, b: calls.append(1) or real_mul(a, b))
     assert hessenberg.leading_minor(57, 29).degree == 57
     assert calls == []
+
+
+def test_the_memos_refuse_their_own_domain_and_keep_no_entry():
+    exactnum.clear_derived_caches()
+    refusals = [
+        (hypersum.faulhaber_rec, (0, 3)),
+        (hessenberg.leading_minor, (-1, 3)),
+        (hessenberg.leading_minor, (2, -1)),
+        (hypersum.lemma_recurrence_family, (3, -1)),
+    ]
+    for fn, args in refusals:
+        with pytest.raises(ValueError):
+            fn(*args)
+    for memo in (hypersum.faulhaber_rec, hessenberg.leading_minor, hypersum._lemma_poly):
+        assert memo.cache_info().currsize == 0, memo
 
 
 def test_det_of_the_built_matrix_multiplies_no_polynomials(monkeypatch):

@@ -198,6 +198,8 @@ def test_coeff_c_rejects_out_of_range():
         coeff_c(2, 3, 0)
     with pytest.raises(ValueError):
         coeff_c(2, 3, 6)
+    with pytest.raises(ValueError):
+        coeff_c(-1, 3, 1)
 
 
 def test_chain_reproduces_explicit_coefficients():
@@ -232,8 +234,8 @@ def test_five_routes_agree_spot():
 def test_route_domain_matches_route(name):
     assert set(ROUTE_DOMAIN) == set(ROUTES)
     m_min, r_min = ROUTE_DOMAIN[name]
-    for m in range(4):
-        for r in range(4):
+    for m in range(-2, 4):
+        for r in range(-2, 4):
             if m >= m_min and r >= r_min:
                 p = ROUTES[name](m, r).poly
                 for n in range(8):
@@ -241,6 +243,25 @@ def test_route_domain_matches_route(name):
             else:
                 with pytest.raises(ValueError):
                     ROUTES[name](m, r)
+
+
+# the library's guards below each domain, called directly: the CLI admits only m, r >= 0
+# and never reaches them; a ZeroDivisionError or a polynomial here is a leak
+BELOW_THE_DOMAIN = {
+    "c at m=-1": lambda: hyper_sum_poly_c(-1, 1),
+    "coeff_c at m=-1": lambda: coeff_c(-1, 3, 1),
+    "lemma route at r=-1": lambda: ROUTES["lemma"](2, -1),
+    "lemma family at r=-1": lambda: lemma_recurrence_family(3, -1),
+    "q at r=0": lambda: hyper_sum_poly_q(2, 0),
+    "chain at r=0": lambda: hyper_sum_poly_chain(2, 0),
+    "det at m=0": lambda: hyper_sum_det(0, 2),
+}
+
+
+@pytest.mark.parametrize("call", BELOW_THE_DOMAIN.values(), ids=BELOW_THE_DOMAIN)
+def test_below_the_domain_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def stirling2_row(m: int) -> list[int]:
@@ -574,4 +595,4 @@ def test_hyper_sum_poly_structure():
             p = hyper_sum_poly(m, r)
             assert p.coefficient(0) == 0
             assert p.degree == m + r
-            assert p.leading_coefficient == Fraction(factorial(m), factorial(m + r))
+            assert p.coefficient(p.degree) == Fraction(factorial(m), factorial(m + r))

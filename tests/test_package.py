@@ -14,7 +14,7 @@ from hypersums.polyring import poly
 
 PUBLIC = (
     "HessenbergMatrix HyperSumPoly RatPoly Rational VerifyReport bernoulli "
-    "binomial build_matrix coeff_c coffey_residual constant det faulhaber_det "
+    "build_matrix coeff_c coffey_residual constant det faulhaber_det "
     "faulhaber_r1 faulhaber_rec faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
     "hyper_sum_poly_q lemma_recurrence_family monomial poly power_sum_poly q_poly r_stirling1 "
@@ -58,6 +58,14 @@ def test_deleted_helpers_are_gone():
     assert not hasattr(hypersums, "FaulhaberPoly")
     assert not hasattr(hypersums.hypersum, "FaulhaberPoly")
     assert not hasattr(hypersums.cli, "_factored_parts")
+    for name in ("binomial", "rational_from_json"):
+        assert not hasattr(hypersums, name)
+        assert not hasattr(hypersums.exactnum, name)
+    assert not hasattr(hypersums.polyring, "poly_from_json")
+    assert not hasattr(hypersums.polyring.RatPoly, "leading_coefficient")
+    assert not hasattr(hypersums.hessenberg.HessenbergMatrix, "entry")
+    assert not hasattr(hypersums.hypersum, "_centered_factor_rec")
+    assert not hasattr(hypersums.hessenberg, "_leading")
 
 
 # runs in a fresh interpreter: what a cold CLI request loads beyond what the
