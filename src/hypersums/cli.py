@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: eval, poly, det, verify, table.  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid arguments, 3 internal cross-check mismatch.  Values are always
-exact ("p/q", never decimals).
+diagnostics to stderr.  Values are always exact ("p/q", never decimals).
+Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid
+arguments, from argparse or a ``DomainError`` the library raises; 3 a failed
+internal check, a ``CrossCheckError``.  :func:`main` alone turns either into
+its exit code and one stderr line, with nothing printed to stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import hessenberg, hypersum  # verify is imported by cmd_verify alone
-from .exactnum import rational_to_json
+from .exactnum import CrossCheckError, DomainError, rational_to_json
 from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
 EXIT_OK = 0
@@ -60,18 +62,13 @@ def _print_json(payload: dict) -> None:
     write("}\n")
 
 
-def _fail_usage(message: str) -> "SystemExit":
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
-
-
 def _refuse_long_value(flag: str, m: int, r: int, n: int, factor_digits: int = 0) -> None:
-    """Exit 2 unless S(m, r, n) <= (n + r)^(m + r), times a factor of ``factor_digits``
+    """Refuse unless S(m, r, n) <= (n + r)^(m + r), times a factor of ``factor_digits``
     digits, surely prints: (m + r) d + 1 + factor_digits <= MAX_DIGITS for the d digits
     of n + r, that is n + r < 10^d_max."""
     d_max = (MAX_DIGITS - 1 - factor_digits) // max(m + r, 1)
     if n + r >= 10**d_max:
-        raise _fail_usage(
+        raise DomainError(
             f"{flag} is too large for m={m}, r={r}: the value could pass {MAX_DIGITS} "
             f"digits, the most that can be printed; need n + r < 10^{d_max}"
         )
@@ -83,10 +80,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _refuse_long_value("--n", m, r, n)
     if method == "bruteforce":
         if n > MAX_BRUTEFORCE_N:
-            raise _fail_usage(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
+            raise DomainError(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
         work = (r + 1) * (n + 1) * (m + r) * len(str(n + r))
         if work > MAX_BRUTEFORCE_WORK:
-            raise _fail_usage(
+            raise DomainError(
                 f"the brute-force recursion needs (r + 1)(n + 1)(m + r) d <= {MAX_BRUTEFORCE_WORK} "
                 f"for the d digits of n + r, got {work} at m={m}, r={r}, n={n}"
             )
@@ -95,19 +92,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if method == "auto":
             p = hypersum.hyper_sum_poly(m, r)
         else:
-            m_min, r_min = hypersum.ROUTE_DOMAIN[method]
-            if m < m_min or r < r_min:
-                raise _fail_usage(f"--method {method} requires m >= {m_min} and r >= {r_min}")
             p = hypersum.ROUTES[method](m, r).poly
         value = p.eval(n)
         # every route is checked against the Newton basis, which reads no Bernoulli number
         if value != hypersum.hyper_sum_newton(m, r, n):
-            print(
-                f"internal error: polynomial route gives {value}, not the integer "
-                f"of the Newton-basis oracle, at (m={m}, r={r}, n={n})",
-                file=sys.stderr,
+            raise CrossCheckError(
+                f"polynomial route gives {value}, not the integer "
+                f"of the Newton-basis oracle, at (m={m}, r={r}, n={n})"
             )
-            return EXIT_CROSSCHECK
     if args.format == "json":
         _print_json({"m": m, "r": r, "n": n, "method": method, "value": rational_to_json(value)})
     else:
@@ -118,7 +110,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_poly(args: argparse.Namespace) -> int:
     m, r = args.m, args.r
     if args.factored and args.var != "N":
-        raise _fail_usage("--factored requires --var N")
+        raise DomainError("--factored requires --var N")
     s1_text = f"binomial(n+{r}, {r + 1})"  # S(1, r, n)
     if args.var == "n":
         if r == 0 or m == 0:
@@ -129,15 +121,11 @@ def cmd_poly(args: argparse.Namespace) -> int:
             p, method = result.poly, result.method
         fields: dict = {"m": m, "r": r, "method": method}
     elif args.var == "N":
-        if m < 1:
-            raise _fail_usage("--var N requires m >= 1")
         p = hypersum.faulhaber_det(m, r)
         fields = {"m": m, "r": r, "method": "determinant"}
         if args.factored:  # 1/D times the integer bracket
             scale, bracket = Fraction(1, p.denominator), p.scale(p.denominator)
     else:  # u
-        if m < 1 or r < 1:
-            raise _fail_usage("--var u requires m >= 1 and r >= 1")
         p, prefactor = hypersum.faulhaber_u_form(m, r)
         fields = {"m": m, "r": r, "prefactor": prefactor}
 
@@ -308,7 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DomainError as exc:  # refused like an argparse error: one line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+    except CrossCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
 
 
 if __name__ == "__main__":

@@ -25,6 +25,14 @@ from math import lcm
 Rational = Fraction
 
 
+class DomainError(ValueError):
+    """An argument outside the domain of the function it was passed to."""
+
+
+class CrossCheckError(ArithmeticError):
+    """A computed result that fails an independent check."""
+
+
 def sign_pow(exponent: int) -> int:
     """(-1)**exponent as an int, valid for negative exponents too."""
     return -1 if exponent % 2 else 1
@@ -33,7 +41,7 @@ def sign_pow(exponent: int) -> int:
 def rising_factorial(r: int, m: int) -> int:
     """r(r+1)...(r+m-1), empty product 1 when m = 0."""
     if r < 0 or m < 0:
-        raise ValueError(f"rising_factorial: need r, m >= 0, got ({r}, {m})")
+        raise DomainError(f"rising_factorial: need r, m >= 0, got ({r}, {m})")
     out = 1
     for t in range(m):
         out *= r + t
@@ -140,7 +148,7 @@ def clear_derived_caches() -> None:
 def bernoulli(j: int) -> Fraction:
     """Bernoulli number B_j with B_0 = 1, B_1 = -1/2 (memoized)."""
     if j < 0:
-        raise ValueError(f"bernoulli index must be >= 0, got {j}")
+        raise DomainError(f"bernoulli index must be >= 0, got {j}")
     return _BERNOULLI[j]
 
 
@@ -170,7 +178,7 @@ def bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
     for k >= 2, an exact division, so a zero Bernoulli number gives a zero entry.
     """
     if n < 0:
-        raise ValueError(f"Bernoulli row index must be >= 0, got {n}")
+        raise DomainError(f"Bernoulli row index must be >= 0, got {n}")
     if n > len(_BERNOULLI):
         bernoulli(n - 1)  # grown first, so that no table grows inside the other's step
     return _bernoulli_rows()[n]
@@ -178,7 +186,7 @@ def bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
 
 def _stirling_row(m: int, r: int) -> tuple[int, ...]:
     if r < 0 or m < r:
-        raise ValueError(f"Stirling row needs 0 <= r <= m, got m={m}, r={r}")
+        raise DomainError(f"Stirling row needs 0 <= r <= m, got m={m}, r={r}")
     if r not in _STIRLING:
         _STIRLING.setdefault(r, GrownTable((0,) * r + (1,), _next_stirling_row))
     return _STIRLING[r][m - r]
@@ -187,7 +195,7 @@ def _stirling_row(m: int, r: int) -> tuple[int, ...]:
 def stirling1_unsigned(m: int, n: int) -> int:
     """Unsigned Stirling number of the first kind [m, n]; 0 when n > m."""
     if m < 0 or n < 0:
-        raise ValueError(f"stirling1_unsigned: need m, n >= 0, got ({m}, {n})")
+        raise DomainError(f"stirling1_unsigned: need m, n >= 0, got ({m}, {n})")
     return _stirling_row(m, 0)[n] if n <= m else 0
 
 

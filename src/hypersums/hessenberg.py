@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactnum import bernoulli_row, memo
+from .exactnum import DomainError, bernoulli_row, memo
 from .polyring import RatPoly, constant, poly_to_json, sum_of_products, to_text
 
 
@@ -71,9 +71,9 @@ def _row(i: int, r: int, zero: RatPoly) -> tuple[RatPoly, ...]:
 
 def _check_params(m: int, r: int) -> None:
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise DomainError(f"need m >= 1, got {m}")
     if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
+        raise DomainError(f"need r >= 0, got {r}")
 
 
 def build_matrix(m: int, r: int) -> HessenbergMatrix:

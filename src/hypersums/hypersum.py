@@ -30,6 +30,8 @@ from math import comb, factorial, lcm
 
 from . import hessenberg
 from .exactnum import (
+    CrossCheckError,
+    DomainError,
     Rational,
     bernoulli,
     bernoulli_row,
@@ -69,7 +71,7 @@ def value_table(m: int, r_max: int, n_max: int) -> Iterator[list[int]]:
     the latest is kept.
     """
     if m < 0 or r_max < 0 or n_max < 0:
-        raise ValueError(f"need m, r, n >= 0, got ({m}, {r_max}, {n_max})")
+        raise DomainError(f"need m, r, n >= 0, got ({m}, {r_max}, {n_max})")
     row = [i**m for i in range(n_max + 1)]
     yield row
     for _ in range(r_max):
@@ -107,7 +109,7 @@ def hyper_sum_newton(m: int, r: int, n: int) -> int:
     C(n+r-1, r) when r >= 1.  It shares no table with the polynomial routes.
     """
     if m < 0 or r < 0 or n < 0:
-        raise ValueError(f"need m, r, n >= 0, got ({m}, {r}, {n})")
+        raise DomainError(f"need m, r, n >= 0, got ({m}, {r}, {n})")
     if m == 0:
         return 1 if r == 0 else comb(n + r - 1, r)
     total = 0
@@ -150,7 +152,7 @@ def power_sum_poly(m: int) -> RatPoly:
     the Bernoulli polynomial row m+1 with alternating signs.
     """
     if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
+        raise DomainError(f"need m >= 0, got {m}")
     row, den = bernoulli_row(m + 1)
     nums = list(row)
     nums[m % 2 :: 2] = [-a for a in nums[m % 2 :: 2]]  # (-1)^(m+1-t)
@@ -165,7 +167,7 @@ def q_poly(r: int, i: int) -> RatPoly:
     first-kind Stirling triangle; q_{0,0} = 1.
     """
     if i < 0 or i > r:
-        raise ValueError(f"need 0 <= i <= r, got (r={r}, i={i})")
+        raise DomainError(f"need 0 <= i <= r, got (r={r}, i={i})")
     row = stirling1_row(r + 1)
     return RatPoly.from_integers([comb(i + j, i) * row[i + j + 1] for j in range(r - i + 1)], 1)
 
@@ -179,7 +181,7 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
     Memoised: this build is both the ``q`` route and :func:`hyper_sum_poly`.
     """
     if r < 1:
-        raise ValueError(f"the power-sum expansion needs r >= 1, got {r}")
+        raise DomainError(f"the power-sum expansion needs r >= 1, got {r}")
     weight = factorial(r - 1)
     pairs = []
     for i in range(r):
@@ -214,9 +216,9 @@ def coeff_c(m: int, r: int, k: int) -> Rational:
     Bernoulli polynomial rows, not a whole build.
     """
     if m < 0 or r < 1:
-        raise ValueError(f"need m >= 0 and r >= 1, got ({m}, {r})")
+        raise DomainError(f"need m >= 0 and r >= 1, got ({m}, {r})")
     if not 1 <= k <= m + r:
-        raise ValueError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
+        raise DomainError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
     total = Fraction(0)
     for i, weights in enumerate(_c_weights(r)):
         row, den = bernoulli_row(m + i + 1)
@@ -247,7 +249,7 @@ def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     polynomial row m+i+1 over m+i+1.  The r products are one kernel call.
     """
     if m < 0 or r < 1:
-        raise ValueError(f"need m >= 0 and r >= 1, got ({m}, {r})")
+        raise DomainError(f"need m >= 0 and r >= 1, got ({m}, {r})")
     pairs = []
     for i, weights in enumerate(_c_weights(r)):
         row, den = bernoulli_row(m + i + 1)
@@ -277,7 +279,7 @@ def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
     result is normalised once, at the end.
     """
     if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+        raise DomainError(f"need r >= 1, got {r}")
     sums = [power_sum_poly(m + i) for i in range(r)]
     den = lcm(*(p.denominator for p in sums))
     vectors = [[a * (den // p.denominator) for a in p.numerators[1:]] for p in sums]
@@ -320,7 +322,7 @@ def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
     where the sum is empty for m = 2.
     """
     if m_max < 1 or r < 0:
-        raise ValueError(f"need m_max >= 1 and r >= 0, got ({m_max}, {r})")
+        raise DomainError(f"need m_max >= 1 and r >= 0, got ({m_max}, {r})")
     return tuple(
         HyperSumPoly(m, r, _lemma_poly(m, r), "lemma-chain") for m in range(1, m_max + 1)
     )
@@ -368,7 +370,7 @@ def faulhaber_rec(m: int, r: int) -> RatPoly:
     no entry.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise DomainError(f"need m >= 1, got {m}")
     if m == 1:
         return constant(1, "N", r)
     lower = [faulhaber_rec(k, r) for k in range(1, m)]
@@ -387,16 +389,17 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
 
     Odd m: S(m, r) = S(1, r) * F(u) and the tag is "s1".  Even m:
     S(m, r) = S(2, r) * F(u) with tag "s2"; here the centered factor, odd in
-    N, is divided by the factor (2/(r+2)) N of S(2, r) before converting,
-    and a nonzero constant term would mean an internal inconsistency.
+    N, is divided by the factor (2/(r+2)) N of S(2, r) before converting.
+    A centered factor without the parity of m - 1, the paper's theorem, is
+    refused with :class:`CrossCheckError`.
     """
     if m < 1 or r < 1:
-        raise ValueError(f"need m >= 1 and r >= 1, got ({m}, {r})")
+        raise DomainError(f"need m >= 1 and r >= 1, got ({m}, {r})")
     g = faulhaber_det(m, r)
+    if g.parity() != ("even" if m % 2 else "odd"):
+        raise CrossCheckError(f"the centered factor G({m}, {r}) lacks the parity of m - 1")
     if m % 2 == 1:
         return to_u_form(g), "s1"
-    if g.coefficient(0):
-        raise ValueError(f"the centered factor G({m}, {r}) is not divisible by N")
     quotient = RatPoly.from_integers(
         [(r + 2) * a for a in g.numerators[1:]], 2 * g.denominator, "N", r
     )
@@ -414,7 +417,7 @@ def faulhaber_r1(m: int) -> RatPoly:
     coefficients.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise DomainError(f"need m >= 1, got {m}")
     return to_N_frame(s1_poly(1), 1) * faulhaber_det(m, 1)
 
 
@@ -437,9 +440,9 @@ def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
     Both are identically zero; anything else indicates a broken route.
     """
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise DomainError(f"need m >= 1, got {m}")
     if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+        raise DomainError(f"parity must be 'odd' or 'even', got {parity!r}")
     # the weighted sum runs over the exponents k <= e+1 of the other parity than e
     e = 2 * m - 1 if parity == "odd" else 2 * m
     row, den = bernoulli_row(e + 1)
@@ -469,13 +472,4 @@ ROUTES = {
     "chain": hyper_sum_poly_chain,
     "lemma": lambda m, r: lemma_recurrence_family(m, r)[m - 1],
     "det": hyper_sum_det,
-}
-
-# smallest (m, r) each route accepts; it raises ValueError below either bound
-ROUTE_DOMAIN = {
-    "q": (0, 1),
-    "c": (0, 1),
-    "chain": (0, 1),
-    "lemma": (1, 0),
-    "det": (1, 0),
 }

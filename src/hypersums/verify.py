@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 from . import hessenberg, hypersum
 from .exactnum import (
+    DomainError,
     bernoulli_row,
     memo,
     r_stirling1,
@@ -284,7 +285,7 @@ GRID_CHECKS = (
 def run_grid(m_max: int, r_max: int, n_max: int) -> VerifyReport:
     """Run every grid-parameterized check; failures are collected, not raised."""
     if m_max < 1 or r_max < 1 or n_max < 1:
-        raise ValueError("grid bounds must be >= 1")
+        raise DomainError("grid bounds must be >= 1")
     start = time.perf_counter()
     values = {
         (m, r): row

@@ -21,7 +21,7 @@ from hypersums.cli import (
     build_parser,
     main,
 )
-from hypersums.exactnum import rising_factorial, sign_pow
+from hypersums.exactnum import DomainError, rising_factorial, sign_pow
 from hypersums.hessenberg import build_matrix, det, leading_minor
 from hypersums.hypersum import (
     faulhaber_det,
@@ -29,16 +29,21 @@ from hypersums.hypersum import (
     hyper_sum_newton,
     hyper_sum_poly,
 )
-from hypersums.polyring import RatPoly, poly_to_json
+from hypersums.polyring import RatPoly, poly, poly_to_json
 
 
-def run_cli(capsys, *argv: str) -> tuple[int, str]:
+def run_cli_full(capsys, *argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one request."""
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse and usage errors
         code = exc.code if isinstance(exc.code, int) else 2
-    out = capsys.readouterr().out
-    return code, out
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_cli(capsys, *argv: str) -> tuple[int, str]:
+    return run_cli_full(capsys, *argv)[:2]
 
 
 def check_rational_blob(blob) -> Fraction:
@@ -140,6 +145,25 @@ def test_eval_invalid_arguments_exit_2(capsys):
         capsys, "eval", "--m", "0", "--r", "1", "--n", "1", "--method", "lemma"
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("method", hypersum.ROUTES)
+def test_eval_refuses_exactly_where_the_route_does(capsys, method):
+    # the CLI keeps no copy of a route's domain: the route's own DomainError is the refusal
+    for m in range(4):
+        for r in range(4):
+            try:
+                hypersum.ROUTES[method](m, r)
+                refused = False
+            except DomainError:
+                refused = True
+            argv = ("eval", "--m", str(m), "--r", str(r), "--n", "5", "--method", method)
+            code, out, err = run_cli_full(capsys, *argv)
+            if refused:
+                assert (code, out) == (2, ""), (m, r)
+                assert err.count("\n") == 1 and err.startswith("error: ")
+            else:
+                assert (code, int(out)) == (0, hyper_sum_newton(m, r, 5)), (m, r)
 
 
 def test_bruteforce_n_cap_exit_2(capsys):
@@ -361,6 +385,27 @@ def test_poly_u_form(capsys):
     check_poly_blob(blob["poly"])
     code, _ = run_cli(capsys, "poly", "--m", "3", "--r", "0", "--var", "u")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_poly_u_form_of_a_wrong_centered_factor_exit_3(capsys, corrupt_bernoulli, fmt):
+    # under B_3 = 1/5 these factors lose the parity of m - 1; they once escaped main as a
+    # ValueError and exited 1, the code of a failed verify
+    with corrupt_bernoulli(3, Fraction(1, 5)):
+        for m in (4, 5):
+            for r in (1, 2):
+                argv = ("poly", "--m", str(m), "--r", str(r), "--var", "u", "--format", fmt)
+                code, out, err = run_cli_full(capsys, *argv)
+                assert (code, out) == (3, ""), (m, r)
+                assert err.count("\n") == 1 and err.startswith("internal error: ")
+
+
+def test_a_frame_mismatch_is_not_a_refusal(monkeypatch):
+    # mixing frames is a bug, not an argument outside a domain: it must not read as exit 2
+    monkeypatch.setattr(hypersum, "faulhaber_det", lambda m, r: poly([1]) * poly([1], "N", r))
+    with pytest.raises(ValueError) as exc:
+        main(["poly", "--m", "3", "--r", "1", "--var", "N"])
+    assert not isinstance(exc.value, DomainError)
 
 
 # -- det ----------------------------------------------------------------------
@@ -688,6 +733,44 @@ def test_table_json(capsys):
 def test_bad_format_exit_2(capsys):
     code, _ = run_cli(capsys, "eval", "--m", "1", "--r", "1", "--n", "1", "--format", "xml")
     assert code == 2
+
+
+# -- no valid request escapes main ----------------------------------------------------
+
+
+def cli_matrix():
+    """Every command at m <= 5, r <= 3: eval by each method, poly in each frame and
+    format with and without --factored, det with and without --at."""
+    for m in range(6):
+        for r in range(4):
+            cell = ("--m", str(m), "--r", str(r))
+            for method in ("auto", "bruteforce", *hypersum.ROUTES):
+                for n in ("0", "7"):
+                    yield ("eval", *cell, "--n", n, "--method", method)
+            for var in "nNu":
+                for fmt in ("text", "json", "latex"):
+                    yield ("poly", *cell, "--var", var, "--format", fmt)
+                    yield ("poly", *cell, "--var", var, "--format", fmt, "--factored")
+            if m >= 1:
+                yield ("det", *cell)
+                yield ("det", *cell, "--at", "7")
+
+
+@pytest.mark.parametrize("fault", [None, (3, Fraction(1, 5))], ids=["clean", "B3"])
+def test_no_valid_request_escapes_main(capsys, corrupt_bernoulli, fault):
+    # a refusal exits 2 and a failed check 3, each with one stderr line and empty stdout;
+    # under B_3 = 1/5, 18 poly --var u requests once raised ValueError out of main
+    codes = set()
+    with corrupt_bernoulli(*fault) if fault else contextlib.nullcontext():
+        for argv in cli_matrix():
+            code, out, err = run_cli_full(capsys, *argv)
+            codes.add(code)
+            if code:
+                assert code in (2, 3) and out == "", argv
+                assert err.count("\n") == 1 and err.startswith(
+                    "error: " if code == 2 else "internal error: "
+                ), argv
+    assert codes == ({0, 2} if fault is None else {0, 2, 3})
 
 
 # -- the JSON printer ----------------------------------------------------------------

@@ -10,9 +10,8 @@ from math import comb, factorial
 import pytest
 
 from hypersums import exactnum, hessenberg, hypersum, verify
-from hypersums.exactnum import bernoulli
+from hypersums.exactnum import CrossCheckError, DomainError, bernoulli
 from hypersums.hypersum import (
-    ROUTE_DOMAIN,
     ROUTES,
     coeff_c,
     coeff_c_reduced_k1,
@@ -230,6 +229,16 @@ def test_five_routes_agree_spot():
     assert all(p == routes[0] for p in routes)
 
 
+# the smallest (m, r) each route accepts, as documented; the route itself refuses below it
+ROUTE_DOMAIN = {
+    "q": (0, 1),
+    "c": (0, 1),
+    "chain": (0, 1),
+    "lemma": (1, 0),
+    "det": (1, 0),
+}
+
+
 @pytest.mark.parametrize("name", list(ROUTES))
 def test_route_domain_matches_route(name):
     assert set(ROUTE_DOMAIN) == set(ROUTES)
@@ -241,7 +250,7 @@ def test_route_domain_matches_route(name):
                 for n in range(8):
                     assert p.eval(n) == hyper_sum_bruteforce(m, r, n), (name, m, r, n)
             else:
-                with pytest.raises(ValueError):
+                with pytest.raises(DomainError):
                     ROUTES[name](m, r)
 
 
@@ -488,10 +497,12 @@ def test_u_form_rejects_r0():
 
 
 def test_u_form_refuses_a_centered_factor_that_is_not_odd(corrupt_bernoulli):
-    # with B_3 != 0 the even-m factor G(4, 1) gains a constant term
+    # with B_3 != 0 the factor G(m, 1) loses the parity of m - 1: the even-m factor G(4, 1)
+    # gains a constant term, and the odd-m factor G(5, 1) an odd power of N
     with corrupt_bernoulli(3, Fraction(1, 7)):
-        with pytest.raises(ValueError):
-            faulhaber_u_form(4, 1)
+        for m in (4, 5):
+            with pytest.raises(CrossCheckError):
+                faulhaber_u_form(m, 1)
 
 
 # -- half-shifted power sums ---------------------------------------------------------------
