@@ -10,13 +10,13 @@ from fractions import Fraction
 from math import comb
 
 from hypersums import (
+    RatPoly,
     faulhaber_det,
     faulhaber_r1,
     faulhaber_u_form,
     hyper_sum_bruteforce,
     hyper_sum_poly,
     monomial,
-    poly,
     to_text,
 )
 
@@ -48,11 +48,11 @@ for m in (5, 6, 7, 8):
 # A worked identity: the difference of the order-4 and half the order-3
 # quintic hyper-sums factors completely.
 lhs = hyper_sum_poly(5, 4) - hyper_sum_poly(5, 3).scale(Fraction(1, 2))
-prefactor = poly([0, 1]) * poly([1, 1]) * poly([2, 1]) * poly([3, 1]) * poly([3, 2])
+prefactor = RatPoly([0, 1]) * RatPoly([1, 1]) * RatPoly([2, 1]) * RatPoly([3, 1]) * RatPoly([3, 2])
 bracket = (
     monomial(4).shift(Fraction(3, 2)).scale(Fraction(5, 126))
     + monomial(2).shift(Fraction(3, 2)).scale(Fraction(-5, 252))
-    + poly([Fraction(-859, 2016)])
+    + RatPoly([Fraction(-859, 2016)])
 )
 assert lhs == (prefactor * bracket).scale(Fraction(1, 240))
 print(

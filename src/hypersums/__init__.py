@@ -48,16 +48,13 @@ _EXPORTS = {
     ),
     "polyring": (
         "RatPoly",
-        "constant",
         "monomial",
-        "poly",
         "sum_of_products",
         "to_N_frame",
         "to_latex",
         "to_n_frame",
         "to_text",
         "to_u_form",
-        "zero",
     ),
     "verify": ("VerifyReport", "golden_fixtures", "run_all", "run_grid"),
 }

@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import DomainError, bernoulli_row, memo
-from .polyring import RatPoly, constant, poly_to_json, sum_of_products, to_text
+from .polyring import RatPoly, poly_to_json, sum_of_products, to_text
 
 
 class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
@@ -114,7 +114,7 @@ def det(h: HessenbergMatrix) -> RatPoly:
     constant off the diagonal, no two polynomials are multiplied.
     """
     frame_r = h.entries[0][0].r if h.order else h.r
-    minors = [constant(1, "N", frame_r)]
+    minors = [RatPoly((1,), "N", frame_r)]
     # signed[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1] for j < k = len(minors)
     signed: tuple = ()
     for row in h.entries:
@@ -145,7 +145,7 @@ def leading_minor(order: int, r: int) -> RatPoly:
     """
     _check_params(order + 1, r)
     if order == 0:
-        return constant(1, "N", r)
+        return RatPoly((1,), "N", r)
     k, p = order, order + 1
     minors = [leading_minor(j, r) for j in range(k)]
     nums, den = bernoulli_row(p)

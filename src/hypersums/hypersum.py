@@ -42,7 +42,6 @@ from .exactnum import (
 )
 from .polyring import (
     RatPoly,
-    constant,
     monomial,
     sum_of_products,
     to_N_frame,
@@ -322,7 +321,7 @@ def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
     where the sum is empty for m = 2.
     """
     if m_max < 1 or r < 0:
-        raise DomainError(f"need m_max >= 1 and r >= 0, got ({m_max}, {r})")
+        raise DomainError(f"need m >= 1 and r >= 0, got ({m_max}, {r})")
     return tuple(
         HyperSumPoly(m, r, _lemma_poly(m, r), "lemma-chain") for m in range(1, m_max + 1)
     )
@@ -372,7 +371,7 @@ def faulhaber_rec(m: int, r: int) -> RatPoly:
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
     if m == 1:
-        return constant(1, "N", r)
+        return RatPoly((1,), "N", r)
     lower = [faulhaber_rec(k, r) for k in range(1, m)]
     row, den = bernoulli_row(m)
     pairs = [(RatPoly.from_integers((0, m), m + r, "N", r), lower[m - 2])]

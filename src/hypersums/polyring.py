@@ -302,21 +302,8 @@ def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
 # -- constructors ---------------------------------------------------------
 
 
-def poly(coeffs, var: str = "n", r: int = 0) -> RatPoly:
-    """Polynomial from an ascending coefficient sequence."""
-    return RatPoly(coeffs, var, r)
-
-
-def constant(c: Rational | int, var: str = "n", r: int = 0) -> RatPoly:
-    return RatPoly((c,), var, r)
-
-
 def monomial(k: int, c: Rational | int = 1, var: str = "n", r: int = 0) -> RatPoly:
     return RatPoly((0,) * k + (c,), var, r)
-
-
-def zero(var: str = "n", r: int = 0) -> RatPoly:
-    return RatPoly((), var, r)
 
 
 # -- frame conversions ------------------------------------------------------

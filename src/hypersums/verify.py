@@ -31,7 +31,7 @@ from .exactnum import (
     rising_factorial,
     sign_pow,
 )
-from .polyring import RatPoly, monomial, poly, poly_to_json, sum_of_products, to_n_frame
+from .polyring import RatPoly, monomial, poly_to_json, sum_of_products, to_n_frame
 
 
 class CheckResult(namedtuple("CheckResult", "name params passed detail", defaults=("",))):
@@ -305,19 +305,19 @@ def _golden_checks() -> Checks:
         "golden-centered-factor",
         {"m": 5, "r": 7},
         hypersum.faulhaber_det(5, 7),
-        poly([Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7),
+        RatPoly([Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7),
     )
     yield _poly_check(
         "golden-centered-factor",
         {"m": 6, "r": 7},
         hypersum.faulhaber_det(6, 7),
-        poly(
+        RatPoly(
             [0, Fraction(6419, 10296), 0, Fraction(-49, 429), 0, Fraction(2, 429)], "N", 7
         ),
     )
 
     # factored hyper-sum displays for (5, 7) and (6, 7)
-    bracket5 = poly([693, 0, -280, 0, 16], "N", 7)
+    bracket5 = RatPoly([693, 0, -280, 0, 16], "N", 7)
     expected5 = (hypersum.s1_poly(7) * to_n_frame(bracket5)).scale(Fraction(1, 1584))
     yield _poly_check(
         "golden-factored-hyper-sum",
@@ -325,7 +325,7 @@ def _golden_checks() -> Checks:
         hypersum.hyper_sum_det(5, 7).poly,
         expected5,
     )
-    bracket6 = poly([0, 6419, 0, -1176, 0, 48], "N", 7)
+    bracket6 = RatPoly([0, 6419, 0, -1176, 0, 48], "N", 7)
     expected6 = (hypersum.s1_poly(7) * to_n_frame(bracket6)).scale(Fraction(1, 10296))
     yield _poly_check(
         "golden-factored-hyper-sum",
@@ -337,7 +337,7 @@ def _golden_checks() -> Checks:
     # cubic hyper-sum display, r = 1..5:
     # S(3, r, n) = C(n+r, r+1) (6n^2 + 6rn + r(r-1)) / ((r+2)(r+3))
     for r in range(1, 6):
-        expected = (hypersum.s1_poly(r) * poly([r * (r - 1), 6 * r, 6])).scale(
+        expected = (hypersum.s1_poly(r) * RatPoly([r * (r - 1), 6 * r, 6])).scale(
             Fraction(1, (r + 2) * (r + 3))
         )
         yield _poly_check(
@@ -345,7 +345,7 @@ def _golden_checks() -> Checks:
         )
 
     # square-of-triangular identity: S_3(n) = C(n+1, 2)^2
-    triangular = poly([0, Fraction(1, 2), Fraction(1, 2)])
+    triangular = RatPoly([0, Fraction(1, 2), Fraction(1, 2)])
     yield _poly_check(
         "golden-cube-sum-square",
         {},
@@ -358,7 +358,7 @@ def _golden_checks() -> Checks:
         "golden-half-shifted-power-sum",
         {"m": 7},
         hypersum.faulhaber_r1(7),
-        poly(
+        RatPoly(
             [
                 Fraction(17, 2048), 0, Fraction(-31, 384), 0,
                 Fraction(49, 192), 0, Fraction(-7, 24), 0, Fraction(1, 8),
@@ -371,7 +371,7 @@ def _golden_checks() -> Checks:
         "golden-half-shifted-power-sum",
         {"m": 8},
         hypersum.faulhaber_r1(8),
-        poly(
+        RatPoly(
             [
                 0, Fraction(127, 3840), 0, Fraction(-31, 144), 0,
                 Fraction(49, 120), 0, Fraction(-1, 3), 0, Fraction(1, 9),
@@ -388,10 +388,12 @@ def _golden_checks() -> Checks:
     lhs = hypersum.hyper_sum_poly(5, 4) - hypersum.hyper_sum_poly(5, 3).scale(
         Fraction(1, 2)
     )
-    prefactor = poly([0, 1]) * poly([1, 1]) * poly([2, 1]) * poly([3, 1]) * poly([3, 2])
+    prefactor = (
+        RatPoly([0, 1]) * RatPoly([1, 1]) * RatPoly([2, 1]) * RatPoly([3, 1]) * RatPoly([3, 2])
+    )
     centered = monomial(4).shift(Fraction(3, 2)).scale(Fraction(5, 126)) + monomial(
         2
-    ).shift(Fraction(3, 2)).scale(Fraction(-5, 252)) + poly([Fraction(-859, 2016)])
+    ).shift(Fraction(3, 2)).scale(Fraction(-5, 252)) + RatPoly([Fraction(-859, 2016)])
     rhs = (prefactor * centered).scale(Fraction(1, 240))
     yield _poly_check("golden-parity-lift-difference", {"m": 5}, lhs, rhs)
 
@@ -401,7 +403,7 @@ def _golden_checks() -> Checks:
         expected = monomial(m - 1, sign_pow(m - 1) * rising_factorial(2, m - 1), "N", 0)
         yield _poly_check("golden-determinant-r0", {"m": m}, d, expected)
     d1 = hessenberg.det(hessenberg.build_matrix(1, 3))
-    yield _check("golden-determinant-empty", {"m": 1, "r": 3}, d1 == poly([1], "N", 3))
+    yield _check("golden-determinant-empty", {"m": 1, "r": 3}, d1 == RatPoly([1], "N", 3))
 
     # five coefficient relations tying index 9 to indices 1..8, at r = 10
     r = 10

@@ -28,7 +28,7 @@ from hypersums.hypersum import (
     q_poly,
     s1_poly,
 )
-from hypersums.polyring import RatPoly, monomial, poly, to_n_frame
+from hypersums.polyring import RatPoly, monomial, to_n_frame
 
 
 def report(criterion: int, description: str):
@@ -50,17 +50,17 @@ def report(criterion: int, description: str):
 @report(1, "centered factors and factored displays for (5,7)/(6,7), < 1 s")
 def test_criterion_1_golden_centered_factors():
     start = time.perf_counter()
-    assert faulhaber_det(5, 7) == poly(
+    assert faulhaber_det(5, 7) == RatPoly(
         [Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7
     )
-    assert faulhaber_det(6, 7) == poly(
+    assert faulhaber_det(6, 7) == RatPoly(
         [0, Fraction(6419, 10296), 0, Fraction(-49, 429), 0, Fraction(2, 429)], "N", 7
     )
-    bracket5 = poly([693, 0, -280, 0, 16], "N", 7)
+    bracket5 = RatPoly([693, 0, -280, 0, 16], "N", 7)
     assert hyper_sum_det(5, 7).poly == (s1_poly(7) * to_n_frame(bracket5)).scale(
         Fraction(1, 1584)
     )
-    bracket6 = poly([0, 6419, 0, -1176, 0, 48], "N", 7)
+    bracket6 = RatPoly([0, 6419, 0, -1176, 0, 48], "N", 7)
     assert hyper_sum_det(6, 7).poly == (s1_poly(7) * to_n_frame(bracket6)).scale(
         Fraction(1, 10296)
     )
@@ -70,7 +70,7 @@ def test_criterion_1_golden_centered_factors():
 
 @report(2, "half-shifted power sums for m = 7, 8 plus value spot checks")
 def test_criterion_2_golden_half_shifted():
-    assert faulhaber_r1(7) == poly(
+    assert faulhaber_r1(7) == RatPoly(
         [
             Fraction(17, 2048), 0, Fraction(-31, 384), 0,
             Fraction(49, 192), 0, Fraction(-7, 24), 0, Fraction(1, 8),
@@ -78,7 +78,7 @@ def test_criterion_2_golden_half_shifted():
         "N",
         1,
     )
-    assert faulhaber_r1(8) == poly(
+    assert faulhaber_r1(8) == RatPoly(
         [
             0, Fraction(127, 3840), 0, Fraction(-31, 144), 0,
             Fraction(49, 120), 0, Fraction(-1, 3), 0, Fraction(1, 9),
@@ -95,11 +95,13 @@ def test_criterion_2_golden_half_shifted():
 @report(3, "quintic difference identity holds symbolically")
 def test_criterion_3_golden_quintic_difference():
     lhs = hyper_sum_poly(5, 4) - hyper_sum_poly(5, 3).scale(Fraction(1, 2))
-    prefactor = poly([0, 1]) * poly([1, 1]) * poly([2, 1]) * poly([3, 1]) * poly([3, 2])
+    prefactor = (
+        RatPoly([0, 1]) * RatPoly([1, 1]) * RatPoly([2, 1]) * RatPoly([3, 1]) * RatPoly([3, 2])
+    )
     bracket = (
         monomial(4).shift(Fraction(3, 2)).scale(Fraction(5, 126))
         + monomial(2).shift(Fraction(3, 2)).scale(Fraction(-5, 252))
-        + poly([Fraction(-859, 2016)])
+        + RatPoly([Fraction(-859, 2016)])
     )
     assert (lhs - (prefactor * bracket).scale(Fraction(1, 240))).is_zero()
 
@@ -151,7 +153,7 @@ def test_criterion_6_identity_suite():
     for m in range(0, 9):
         for r in range(1, 6):
             lhs = hyper_sum_poly(m, r + 1)
-            rhs = (poly([r, 1]) * hyper_sum_poly(m, r)).scale(Fraction(1, r)) - (
+            rhs = (RatPoly([r, 1]) * hyper_sum_poly(m, r)).scale(Fraction(1, r)) - (
                 hyper_sum_poly(m + 1, r).scale(Fraction(1, r))
             )
             assert lhs == rhs, ("order-lift", m, r)
@@ -159,7 +161,7 @@ def test_criterion_6_identity_suite():
     for m in range(2, 9):
         for r in range(0, 5):
             lhs = hyper_sum_poly(m, r).scale(m + r)
-            rhs = (poly([Fraction(r, 2), 1]) * hyper_sum_poly(m - 1, r)).scale(m)
+            rhs = (RatPoly([Fraction(r, 2), 1]) * hyper_sum_poly(m - 1, r)).scale(m)
             for k in range(1, m - 1):
                 rhs = rhs - hyper_sum_poly(k, r).scale(
                     Fraction(r) * comb(m, k) * bernoulli(m - k)
@@ -207,7 +209,7 @@ def test_criterion_6_identity_suite():
 def test_criterion_7_determinant_oracle():
     def cofactor(rows: list[list[RatPoly]], frame_r: int) -> RatPoly:
         if not rows:
-            return poly([1], "N", frame_r)
+            return RatPoly([1], "N", frame_r)
         if len(rows) == 1:
             return rows[0][0]
         acc = None
@@ -225,10 +227,10 @@ def test_criterion_7_determinant_oracle():
             row = []
             for j in range(order):
                 if j > i + 1:
-                    row.append(poly([], "N", 0))
+                    row.append(RatPoly([], "N", 0))
                 else:
                     row.append(
-                        poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 2))], "N", 0)
+                        RatPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 2))], "N", 0)
                     )
             rows.append(tuple(row))
         h = HessenbergMatrix(order + 1, 0, tuple(rows))

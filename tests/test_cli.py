@@ -29,7 +29,7 @@ from hypersums.hypersum import (
     hyper_sum_newton,
     hyper_sum_poly,
 )
-from hypersums.polyring import RatPoly, poly, poly_to_json
+from hypersums.polyring import RatPoly, poly_to_json
 
 
 def run_cli_full(capsys, *argv: str) -> tuple[int, str, str]:
@@ -164,6 +164,12 @@ def test_eval_refuses_exactly_where_the_route_does(capsys, method):
                 assert err.count("\n") == 1 and err.startswith("error: ")
             else:
                 assert (code, int(out)) == (0, hyper_sum_newton(m, r, 5)), (m, r)
+
+
+def test_the_lemma_refusal_names_the_requested_m(capsys):
+    # the message names the flag the user typed, not the family's parameter m_max
+    argv = ("eval", "--m", "0", "--r", "2", "--n", "5", "--method", "lemma")
+    assert run_cli_full(capsys, *argv) == (2, "", "error: need m >= 1 and r >= 0, got (0, 2)\n")
 
 
 def test_bruteforce_n_cap_exit_2(capsys):
@@ -387,6 +393,26 @@ def test_poly_u_form(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "m, r, var, keys",
+    [
+        (3, 0, "n", {"method": "monomial"}),
+        (0, 2, "n", {"method": "q-form"}),
+        (3, 2, "n", {"method": "determinant"}),
+        (3, 2, "N", {"method": "determinant"}),
+        (3, 2, "u", {"prefactor": "s1"}),
+        (4, 2, "u", {"prefactor": "s2"}),
+    ],
+)
+def test_poly_json_names_the_served_path(capsys, m, r, var, keys):
+    # these names are planned to change; a change should show here
+    argv = ("poly", "--m", str(m), "--r", str(r), "--var", var, "--format", "json")
+    code, out = run_cli(capsys, *argv)
+    blob = json.loads(out)
+    assert code == 0
+    assert {k: blob[k] for k in blob.keys() & {"method", "prefactor"}} == keys
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_poly_u_form_of_a_wrong_centered_factor_exit_3(capsys, corrupt_bernoulli, fmt):
     # under B_3 = 1/5 these factors lose the parity of m - 1; they once escaped main as a
@@ -402,7 +428,7 @@ def test_poly_u_form_of_a_wrong_centered_factor_exit_3(capsys, corrupt_bernoulli
 
 def test_a_frame_mismatch_is_not_a_refusal(monkeypatch):
     # mixing frames is a bug, not an argument outside a domain: it must not read as exit 2
-    monkeypatch.setattr(hypersum, "faulhaber_det", lambda m, r: poly([1]) * poly([1], "N", r))
+    monkeypatch.setattr(hypersum, "faulhaber_det", lambda m, r: RatPoly([1]) * RatPoly([1], "N", r))
     with pytest.raises(ValueError) as exc:
         main(["poly", "--m", "3", "--r", "1", "--var", "N"])
     assert not isinstance(exc.value, DomainError)

@@ -16,14 +16,14 @@ from hypersums.hessenberg import (
     matrix_to_json,
     matrix_to_text,
 )
-from hypersums.polyring import RatPoly, monomial, poly
+from hypersums.polyring import RatPoly, monomial
 
 
 def cofactor_det(rows: list[list[RatPoly]], frame_r: int = 0) -> RatPoly:
     """Laplace expansion along the first row; exponential, but an oracle."""
     n = len(rows)
     if n == 0:
-        return poly([1], "N", frame_r)
+        return RatPoly([1], "N", frame_r)
     if n == 1:
         return rows[0][0]
     acc = None
@@ -40,10 +40,10 @@ def random_hessenberg(rng: random.Random, order: int) -> HessenbergMatrix:
         row = []
         for j in range(order):
             if j > i + 1:
-                row.append(poly([], "N", 0))
+                row.append(RatPoly([], "N", 0))
             else:
                 deg = rng.randint(0, 1)
-                row.append(poly([rng.randint(-4, 4) for _ in range(deg + 1)], "N", 0))
+                row.append(RatPoly([rng.randint(-4, 4) for _ in range(deg + 1)], "N", 0))
         rows.append(tuple(row))
     return HessenbergMatrix(order + 1, 0, tuple(rows))
 
@@ -55,34 +55,39 @@ def random_hessenberg(rng: random.Random, order: int) -> HessenbergMatrix:
 def test_build_order_two(r):
     h = build_matrix(3, r)
     assert h.order == 2
-    assert h.entries[0][0] == poly([0, -2], "N", r)
-    assert h.entries[0][1] == poly([r + 2], "N", r)
-    assert h.entries[1][0] == poly([Fraction(r, 2)], "N", r)
-    assert h.entries[1][1] == poly([0, -3], "N", r)
+    assert h.entries[0][0] == RatPoly([0, -2], "N", r)
+    assert h.entries[0][1] == RatPoly([r + 2], "N", r)
+    assert h.entries[1][0] == RatPoly([Fraction(r, 2)], "N", r)
+    assert h.entries[1][1] == RatPoly([0, -3], "N", r)
 
 
 def test_build_empty_for_m_1():
     h = build_matrix(1, 5)
     assert h.order == 0
-    assert det(h) == poly([1], "N", 5)
+    assert det(h) == RatPoly([1], "N", 5)
 
 
 def test_build_5_7_matches_display():
     h = build_matrix(5, 7)
     expected = [
-        [poly([0, -2], "N", 7), poly([9], "N", 7), poly([], "N", 7), poly([], "N", 7)],
+        [RatPoly([0, -2], "N", 7), RatPoly([9], "N", 7), RatPoly([], "N", 7), RatPoly([], "N", 7)],
         [
-            poly([Fraction(7, 2)], "N", 7),
-            poly([0, -3], "N", 7),
-            poly([10], "N", 7),
-            poly([], "N", 7),
+            RatPoly([Fraction(7, 2)], "N", 7),
+            RatPoly([0, -3], "N", 7),
+            RatPoly([10], "N", 7),
+            RatPoly([], "N", 7),
         ],
-        [poly([], "N", 7), poly([7], "N", 7), poly([0, -4], "N", 7), poly([11], "N", 7)],
         [
-            poly([Fraction(-7, 6)], "N", 7),
-            poly([], "N", 7),
-            poly([Fraction(35, 3)], "N", 7),
-            poly([0, -5], "N", 7),
+            RatPoly([], "N", 7),
+            RatPoly([7], "N", 7),
+            RatPoly([0, -4], "N", 7),
+            RatPoly([11], "N", 7),
+        ],
+        [
+            RatPoly([Fraction(-7, 6)], "N", 7),
+            RatPoly([], "N", 7),
+            RatPoly([Fraction(35, 3)], "N", 7),
+            RatPoly([0, -5], "N", 7),
         ],
     ]
     for i in range(4):
@@ -101,9 +106,9 @@ def test_build_rejects_bad_arguments():
 
 def test_shape_validation():
     bad = (
-        (poly([1], "N", 0), poly([1], "N", 0), poly([1], "N", 0)),
-        (poly([1], "N", 0), poly([1], "N", 0), poly([1], "N", 0)),
-        (poly([1], "N", 0), poly([1], "N", 0), poly([1], "N", 0)),
+        (RatPoly([1], "N", 0), RatPoly([1], "N", 0), RatPoly([1], "N", 0)),
+        (RatPoly([1], "N", 0), RatPoly([1], "N", 0), RatPoly([1], "N", 0)),
+        (RatPoly([1], "N", 0), RatPoly([1], "N", 0), RatPoly([1], "N", 0)),
     )
     with pytest.raises(ValueError):
         HessenbergMatrix(4, 0, bad)

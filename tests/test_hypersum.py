@@ -35,7 +35,7 @@ from hypersums.hypersum import (
     s2_closed,
     value_table,
 )
-from hypersums.polyring import monomial, poly, to_n_frame
+from hypersums.polyring import RatPoly, monomial, to_n_frame
 from hypersums.verify import run_all
 
 
@@ -102,9 +102,9 @@ def test_s1_poly_matches_binomial():
 
 
 def test_power_sum_poly_small():
-    assert power_sum_poly(0) == poly([0, 1])
-    assert power_sum_poly(1) == poly([0, Fraction(1, 2), Fraction(1, 2)])
-    assert power_sum_poly(3) == poly([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
+    assert power_sum_poly(0) == RatPoly([0, 1])
+    assert power_sum_poly(1) == RatPoly([0, Fraction(1, 2), Fraction(1, 2)])
+    assert power_sum_poly(3) == RatPoly([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
 
 
 def test_power_sum_poly_matches_recursion():
@@ -118,15 +118,15 @@ def test_power_sum_poly_matches_recursion():
 
 
 def test_q_poly_base_cases():
-    assert q_poly(0, 0) == poly([1])
+    assert q_poly(0, 0) == RatPoly([1])
     for r in range(1, 6):
-        assert q_poly(r, r) == poly([1])
+        assert q_poly(r, r) == RatPoly([1])
 
 
 def test_q_poly_row_oracle():
     # row [3, .] of the first-kind triangle is (0, 2, 3, 1)
-    assert q_poly(2, 0) == poly([2, 3, 1])
-    assert q_poly(2, 1) == poly([3, 2])
+    assert q_poly(2, 0) == RatPoly([2, 3, 1])
+    assert q_poly(2, 1) == RatPoly([3, 2])
 
 
 def test_q_poly_rejects_bad_index():
@@ -401,32 +401,32 @@ def test_a_wrong_bernoulli_row_entry_fails_the_recursion_check_of_every_route(mo
 
 def test_hyper_sum_det_cubic_display():
     for r in range(1, 6):
-        expected = (s1_poly(r) * poly([r * (r - 1), 6 * r, 6])).scale(
+        expected = (s1_poly(r) * RatPoly([r * (r - 1), 6 * r, 6])).scale(
             Fraction(1, (r + 2) * (r + 3))
         )
         assert hyper_sum_det(3, r).poly == expected
 
 
 def test_hyper_sum_det_factored_displays():
-    bracket5 = poly([693, 0, -280, 0, 16], "N", 7)
+    bracket5 = RatPoly([693, 0, -280, 0, 16], "N", 7)
     assert hyper_sum_det(5, 7).poly == (s1_poly(7) * to_n_frame(bracket5)).scale(
         Fraction(1, 1584)
     )
-    bracket6 = poly([0, 6419, 0, -1176, 0, 48], "N", 7)
+    bracket6 = RatPoly([0, 6419, 0, -1176, 0, 48], "N", 7)
     assert hyper_sum_det(6, 7).poly == (s1_poly(7) * to_n_frame(bracket6)).scale(
         Fraction(1, 10296)
     )
 
 
 def test_faulhaber_det_displays():
-    assert faulhaber_det(5, 7) == poly(
+    assert faulhaber_det(5, 7) == RatPoly(
         [Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7
     )
-    assert faulhaber_det(6, 7) == poly(
+    assert faulhaber_det(6, 7) == RatPoly(
         [0, Fraction(6419, 10296), 0, Fraction(-49, 429), 0, Fraction(2, 429)], "N", 7
     )
     for r in range(5):
-        assert faulhaber_det(1, r) == poly([1], "N", r)
+        assert faulhaber_det(1, r) == RatPoly([1], "N", r)
 
 
 def test_faulhaber_det_r0_is_pure_power():
@@ -439,7 +439,7 @@ def test_faulhaber_det_r0_is_pure_power():
 
 def test_faulhaber_rec_seed():
     for r in range(0, 6):
-        assert faulhaber_rec(2, r) == poly([0, Fraction(2, r + 2)], "N", r)
+        assert faulhaber_rec(2, r) == RatPoly([0, Fraction(2, r + 2)], "N", r)
 
 
 def test_faulhaber_rec_matches_det():
@@ -467,14 +467,14 @@ def test_g_coeffs_layout():
 def test_u_form_cubic():
     f, tag = faulhaber_u_form(3, 1)
     assert tag == "s1"
-    assert f == poly([0, Fraction(1, 2)], "u", 1)
+    assert f == RatPoly([0, Fraction(1, 2)], "u", 1)
 
 
 def test_u_form_base_even():
     for r in range(1, 5):
         f, tag = faulhaber_u_form(2, r)
         assert tag == "s2"
-        assert f == poly([1], "u", r)
+        assert f == RatPoly([1], "u", r)
 
 
 def test_u_form_5_7_matches_recursion():
@@ -509,7 +509,7 @@ def test_u_form_refuses_a_centered_factor_that_is_not_odd(corrupt_bernoulli):
 
 
 def test_faulhaber_r1_displays():
-    assert faulhaber_r1(7) == poly(
+    assert faulhaber_r1(7) == RatPoly(
         [
             Fraction(17, 2048), 0, Fraction(-31, 384), 0,
             Fraction(49, 192), 0, Fraction(-7, 24), 0, Fraction(1, 8),
@@ -517,7 +517,7 @@ def test_faulhaber_r1_displays():
         "N",
         1,
     )
-    assert faulhaber_r1(8) == poly(
+    assert faulhaber_r1(8) == RatPoly(
         [
             0, Fraction(127, 3840), 0, Fraction(-31, 144), 0,
             Fraction(49, 120), 0, Fraction(-1, 3), 0, Fraction(1, 9),
@@ -525,7 +525,7 @@ def test_faulhaber_r1_displays():
         "N",
         1,
     )
-    assert faulhaber_r1(1) == poly([Fraction(-1, 8), 0, Fraction(1, 2)], "N", 1)
+    assert faulhaber_r1(1) == RatPoly([Fraction(-1, 8), 0, Fraction(1, 2)], "N", 1)
 
 
 def test_faulhaber_r1_equals_shifted_bernoulli_form():
@@ -571,11 +571,13 @@ def test_coffey_residual_rejects_bad_parity():
 def test_quintic_difference_worked_example():
     # S(5, 4, n) - (1/2) S(5, 3, n) in fully factored form
     lhs = hyper_sum_poly(5, 4) - hyper_sum_poly(5, 3).scale(Fraction(1, 2))
-    prefactor = poly([0, 1]) * poly([1, 1]) * poly([2, 1]) * poly([3, 1]) * poly([3, 2])
+    prefactor = (
+        RatPoly([0, 1]) * RatPoly([1, 1]) * RatPoly([2, 1]) * RatPoly([3, 1]) * RatPoly([3, 2])
+    )
     bracket = (
         monomial(4).shift(Fraction(3, 2)).scale(Fraction(5, 126))
         + monomial(2).shift(Fraction(3, 2)).scale(Fraction(-5, 252))
-        + poly([Fraction(-859, 2016)])
+        + RatPoly([Fraction(-859, 2016)])
     )
     assert lhs == (prefactor * bracket).scale(Fraction(1, 240))
     assert lhs.eval(1) == Fraction(1, 2)  # both summands are 1 at n = 1
@@ -584,9 +586,11 @@ def test_quintic_difference_worked_example():
 def test_quintic_difference_alternative_factoring():
     # same difference, bracket written in powers of n(n+3)
     lhs = hyper_sum_poly(5, 4) - hyper_sum_poly(5, 3).scale(Fraction(1, 2))
-    prefactor = poly([0, 1]) * poly([1, 1]) * poly([2, 1]) * poly([3, 1]) * poly([3, 2])
-    u = poly([0, 3, 1])  # n(n+3)
-    bracket = (u * u).scale(Fraction(5, 126)) + u.scale(Fraction(10, 63)) + poly(
+    prefactor = (
+        RatPoly([0, 1]) * RatPoly([1, 1]) * RatPoly([2, 1]) * RatPoly([3, 1]) * RatPoly([3, 2])
+    )
+    u = RatPoly([0, 3, 1])  # n(n+3)
+    bracket = (u * u).scale(Fraction(5, 126)) + u.scale(Fraction(10, 63)) + RatPoly(
         [Fraction(-17, 63)]
     )
     assert lhs == (prefactor * bracket).scale(Fraction(1, 240))
@@ -597,7 +601,7 @@ def test_quintic_difference_alternative_factoring():
 
 def test_provider_covers_r0():
     assert hyper_sum_poly(3, 0) == monomial(3)
-    assert hyper_sum_poly(0, 0) == poly([1])
+    assert hyper_sum_poly(0, 0) == RatPoly([1])
 
 
 def test_hyper_sum_poly_structure():

@@ -12,7 +12,7 @@ from hypersums.hypersum import (
     hyper_sum_poly,
     q_poly,
 )
-from hypersums.polyring import poly
+from hypersums.polyring import RatPoly
 
 
 def test_order_lift_recurrence():
@@ -20,7 +20,7 @@ def test_order_lift_recurrence():
     for m in range(0, 9):
         for r in range(1, 6):
             lhs = hyper_sum_poly(m, r + 1)
-            rhs = (poly([r, 1]) * hyper_sum_poly(m, r)).scale(Fraction(1, r)) - (
+            rhs = (RatPoly([r, 1]) * hyper_sum_poly(m, r)).scale(Fraction(1, r)) - (
                 hyper_sum_poly(m + 1, r).scale(Fraction(1, r))
             )
             assert lhs == rhs, (m, r)
@@ -31,7 +31,7 @@ def test_centered_recurrence():
     for m in range(2, 9):
         for r in range(0, 5):
             lhs = hyper_sum_poly(m, r).scale(m + r)
-            rhs = (poly([Fraction(r, 2), 1]) * hyper_sum_poly(m - 1, r)).scale(m)
+            rhs = (RatPoly([Fraction(r, 2), 1]) * hyper_sum_poly(m - 1, r)).scale(m)
             for k in range(1, m - 1):
                 rhs = rhs - hyper_sum_poly(k, r).scale(
                     Fraction(r) * comb(m, k) * bernoulli(m - k)

@@ -10,16 +10,16 @@ import pytest
 
 from hypersums import build_matrix, hyper_sum_det, run_grid
 from hypersums.hessenberg import HessenbergMatrix
-from hypersums.polyring import poly
+from hypersums.polyring import RatPoly
 
 PUBLIC = (
     "HessenbergMatrix HyperSumPoly RatPoly Rational VerifyReport bernoulli "
-    "build_matrix coeff_c coffey_residual constant det faulhaber_det "
+    "build_matrix coeff_c coffey_residual det faulhaber_det "
     "faulhaber_r1 faulhaber_rec faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
-    "hyper_sum_poly_q lemma_recurrence_family monomial poly power_sum_poly q_poly r_stirling1 "
+    "hyper_sum_poly_q lemma_recurrence_family monomial power_sum_poly q_poly r_stirling1 "
     "rising_factorial run_all run_grid s1_closed s1_poly s2_closed stirling1_unsigned "
-    "sum_of_products to_N_frame to_latex to_n_frame to_text to_u_form zero"
+    "sum_of_products to_N_frame to_latex to_n_frame to_text to_u_form"
 ).split()
 
 # runs in a fresh interpreter, so that nothing but a bare `import hypersums` precedes it
@@ -58,6 +58,9 @@ def test_deleted_helpers_are_gone():
     assert not hasattr(hypersums, "FaulhaberPoly")
     assert not hasattr(hypersums.hypersum, "FaulhaberPoly")
     assert not hasattr(hypersums.cli, "_factored_parts")
+    for name in ("poly", "constant", "zero"):  # RatPoly(...) builds every polynomial
+        assert not hasattr(hypersums, name)
+        assert not hasattr(hypersums.polyring, name)
     for name in ("binomial", "rational_from_json"):
         assert not hasattr(hypersums, name)
         assert not hasattr(hypersums.exactnum, name)
@@ -117,10 +120,10 @@ def test_the_verify_report_is_a_record_by_fields():
 
 
 def test_a_hessenberg_matrix_must_be_square_and_zero_above_the_superdiagonal():
-    one, zero = poly([1], "N", 0), poly([], "N", 0)
+    one, zero = RatPoly([1], "N", 0), RatPoly([], "N", 0)
     with pytest.raises(ValueError, match="square"):
         HessenbergMatrix(3, 0, ((one, one), (one,)))
     with pytest.raises(ValueError, match=r"entry \(1, 3\) above the superdiagonal"):
-        HessenbergMatrix(4, 0, ((one, one, poly([Fraction(1, 2)], "N", 0)),) + ((one,) * 3,) * 2)
+        HessenbergMatrix(4, 0, ((one, one, RatPoly([Fraction(1, 2)], "N", 0)),) + ((one,) * 3,) * 2)
     ok = HessenbergMatrix(4, 0, ((one, one, zero),) + ((one,) * 3,) * 2)
     assert (ok.m, ok.r, ok.order) == (4, 0, 3)

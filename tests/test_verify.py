@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hypersums import cli, hypersum
-from hypersums.polyring import RatPoly, poly
+from hypersums.polyring import RatPoly
 from hypersums.verify import check_routes, golden_fixtures, run_all, run_grid
 
 
@@ -41,7 +41,8 @@ def test_grid_checks_every_route_in_the_table(monkeypatch):
 
 def off_by_n(m: int, r: int) -> hypersum.HyperSumPoly:
     """A wrong route: S(m, r, n) + n, which differs from S at every n >= 1."""
-    return hypersum.HyperSumPoly(m, r, hypersum.hyper_sum_poly_q(m, r).poly + poly([0, 1]), "wrong")
+    wrong = hypersum.hyper_sum_poly_q(m, r).poly + RatPoly([0, 1])
+    return hypersum.HyperSumPoly(m, r, wrong, "wrong")
 
 
 def routes_with_comparisons(monkeypatch, m_max: int, r_max: int, n_max: int):
