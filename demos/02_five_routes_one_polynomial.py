@@ -38,6 +38,3 @@ print("\nall five coefficient vectors identical  OK")
 for n in range(0, 16):
     assert polys[0].eval(n) == hyper_sum_bruteforce(m, r, n)
 print("evaluations match the defining recursion for n = 0..15  OK")
-
-# Each route carries its provenance tag, useful when results travel as JSON.
-print("\nprovenance tags:", sorted(h.method for h in routes.values()))

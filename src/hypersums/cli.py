@@ -2,15 +2,16 @@
 
 Subcommands: eval, poly, det, verify, table.  Data goes to stdout,
 diagnostics to stderr.  Values are always exact ("p/q", never decimals).
-Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid
-arguments, from argparse or a ``DomainError`` the library raises; 3 a failed
-internal check, a ``CrossCheckError``.  :func:`main` alone turns either into
-its exit code and one stderr line, with nothing printed to stdout.
+Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid arguments,
+from argparse or a ``DomainError`` the library raises; 3 a failed internal check, a
+``CrossCheckError``; 141 (128 + SIGPIPE) a stdout closed early.  :func:`main` alone turns
+each into its exit code, 2 and 3 with one stderr line and nothing printed to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CROSSCHECK = 3
+EXIT_BROKEN_PIPE = 141
 
 # largest n of eval --method bruteforce and of table, whose cells grow in digits with n.
 # The recursion of eval --method bruteforce builds r + 1 rows of n + 1 integers of up to
@@ -75,8 +77,7 @@ def _refuse_long_value(flag: str, m: int, r: int, n: int, factor_digits: int = 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    m, r, n = args.m, args.r, args.n
-    method = args.method
+    m, r, n, method = args.m, args.r, args.n, args.method
     _refuse_long_value("--n", m, r, n)
     if method == "bruteforce":
         if n > MAX_BRUTEFORCE_N:
@@ -117,8 +118,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
             p = hypersum.hyper_sum_poly(m, r)
             method = "monomial" if r == 0 else "q-form"
         else:
-            result = hypersum.hyper_sum_det(m, r)
-            p, method = result.poly, result.method
+            p, method = hypersum.hyper_sum_det(m, r).poly, "determinant"
         fields: dict = {"m": m, "r": r, "method": method}
     elif args.var == "N":
         p = hypersum.faulhaber_det(m, r)
@@ -297,13 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
+        return code
     except DomainError as exc:  # refused like an argparse error: one line, exit 2
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
     except CrossCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
+    except BrokenPipeError:  # no traceback; fd 1 to devnull, so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -52,8 +52,8 @@ from .polyring import (
 # -- structured results -------------------------------------------------------
 
 
-class HyperSumPoly(namedtuple("HyperSumPoly", "m r poly method")):
-    """S(m, r, n) as a polynomial in n, tagged with its computation route."""
+class HyperSumPoly(namedtuple("HyperSumPoly", "m r poly")):
+    """S(m, r, n) as a polynomial in n; the route that built it is named by its ``ROUTES`` key."""
 
     __slots__ = ()
 
@@ -187,7 +187,7 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
         q = q_poly(r - 1, i)
         signed = RatPoly.from_integers(q.numerators, sign_pow(i) * weight * q.denominator)
         pairs.append((signed, power_sum_poly(m + i)))
-    return HyperSumPoly(m, r, sum_of_products(pairs), "q-form")
+    return HyperSumPoly(m, r, sum_of_products(pairs))
 
 
 # -- explicit coefficients ----------------------------------------------------
@@ -259,7 +259,7 @@ def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     nums = list(total.numerators)
     nums[m % 2 :: 2] = [-a for a in nums[m % 2 :: 2]]  # (-1)^(m+1-k)
     poly = RatPoly.from_integers(nums, factorial(r - 1) * total.denominator)
-    return HyperSumPoly(m, r, poly, "c-form")
+    return HyperSumPoly(m, r, poly)
 
 
 def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
@@ -288,7 +288,7 @@ def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
             for a, b in zip(vectors, vectors[1:])
         ]
     nums = [0, *vectors[0]]
-    return HyperSumPoly(m, r, RatPoly.from_integers(nums, den * factorial(r - 1)), "coeff-chain")
+    return HyperSumPoly(m, r, RatPoly.from_integers(nums, den * factorial(r - 1)))
 
 
 # -- the centered-variable recurrence -----------------------------------------
@@ -322,9 +322,7 @@ def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
     """
     if m_max < 1 or r < 0:
         raise DomainError(f"need m >= 1 and r >= 0, got ({m_max}, {r})")
-    return tuple(
-        HyperSumPoly(m, r, _lemma_poly(m, r), "lemma-chain") for m in range(1, m_max + 1)
-    )
+    return tuple(HyperSumPoly(m, r, _lemma_poly(m, r)) for m in range(1, m_max + 1))
 
 
 # -- determinant route ---------------------------------------------------------
@@ -345,7 +343,7 @@ def faulhaber_det(m: int, r: int) -> RatPoly:
 
 def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
     """S(m, r) = C(n+r, r+1) times the determinant factor, expanded in n."""
-    return HyperSumPoly(m, r, s1_poly(r) * to_n_frame(faulhaber_det(m, r)), "determinant")
+    return HyperSumPoly(m, r, s1_poly(r) * to_n_frame(faulhaber_det(m, r)))
 
 
 # -- parity-split coefficient recurrences --------------------------------------

@@ -19,7 +19,6 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
-from types import SimpleNamespace
 
 from . import hessenberg, hypersum
 from .exactnum import (
@@ -44,11 +43,10 @@ class CheckResult(namedtuple("CheckResult", "name params passed detail", default
         return {key: v for key, v in self._asdict().items() if key != "detail" or v}
 
 
-class VerifyReport(SimpleNamespace):
+class VerifyReport(namedtuple("VerifyReport", "m_max r_max n_max checks wall_time")):
     """Deterministic record of a verification run."""
 
-    def __init__(self, m_max: int, r_max: int, n_max: int, checks: list, wall_time) -> None:
-        super().__init__(m_max=m_max, r_max=r_max, n_max=n_max, checks=checks, wall_time=wall_time)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -434,8 +432,7 @@ def _golden_checks() -> Checks:
 def golden_fixtures() -> VerifyReport:
     """Exact reproduction of the pinned closed-form displays."""
     start = time.perf_counter()
-    checks = list(_golden_checks())
-    return VerifyReport(0, 0, 0, checks, time.perf_counter() - start)
+    return VerifyReport(0, 0, 0, list(_golden_checks()), time.perf_counter() - start)
 
 
 # m_max, r_max, n_max: reaches Bernoulli numbers through index 14 and all the

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -897,3 +898,41 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "36"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_stdout_closed_mid_write_exits_141_without_a_traceback(fmt):
+    # the 131 KB table outgrows a 64 KiB pipe buffer, so the close always lands mid-write
+    argv = ["table", "--max-m", "30", "--max-r", "30", "--n", "1000", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypersums.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")  # 128 + SIGPIPE, as for `yes | head`
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_gone_before_the_exit_flush_exits_141(unbuffered):
+    # a short answer waits in stdout's buffer for the interpreter's exit flush unless
+    # PYTHONUNBUFFERED is set; that flush once failed with exit 120 and a message
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypersums.cli", "eval", "--m", "3", "--r", "1", "--n", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -69,6 +69,7 @@ def test_deleted_helpers_are_gone():
     assert not hasattr(hypersums.hessenberg.HessenbergMatrix, "entry")
     assert not hasattr(hypersums.hypersum, "_centered_factor_rec")
     assert not hasattr(hypersums.hessenberg, "_leading")
+    assert hypersums.hypersum.HyperSumPoly._fields == ("m", "r", "poly")  # no route tag
 
 
 # runs in a fresh interpreter: what a cold CLI request loads beyond what the
@@ -117,6 +118,8 @@ def test_the_verify_report_is_a_record_by_fields():
     same = type(report)(1, 1, 1, list(report.checks), report.wall_time)
     assert report == same and report.passed
     assert repr(report).startswith("VerifyReport(m_max=1, r_max=1, n_max=1, checks=[")
+    with pytest.raises(AttributeError):
+        report.checks = []
 
 
 def test_a_hessenberg_matrix_must_be_square_and_zero_above_the_superdiagonal():

@@ -42,7 +42,7 @@ def test_grid_checks_every_route_in_the_table(monkeypatch):
 def off_by_n(m: int, r: int) -> hypersum.HyperSumPoly:
     """A wrong route: S(m, r, n) + n, which differs from S at every n >= 1."""
     wrong = hypersum.hyper_sum_poly_q(m, r).poly + RatPoly([0, 1])
-    return hypersum.HyperSumPoly(m, r, wrong, "wrong")
+    return hypersum.HyperSumPoly(m, r, wrong)
 
 
 def routes_with_comparisons(monkeypatch, m_max: int, r_max: int, n_max: int):
