@@ -26,7 +26,6 @@ _EXPORTS = {
     "hessenberg": ("HessenbergMatrix", "build_matrix", "det"),
     "hypersum": (
         "HyperSumPoly",
-        "coeff_c",
         "coffey_residual",
         "faulhaber_det",
         "faulhaber_r1",

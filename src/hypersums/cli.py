@@ -295,8 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:  # --help prints and exits here; its text must not wait for the exit flush
+            sys.stdout.flush()
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
         return code

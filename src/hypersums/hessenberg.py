@@ -149,7 +149,7 @@ def leading_minor(order: int, r: int) -> RatPoly:
     k, p = order, order + 1
     minors = [leading_minor(j, r) for j in range(k)]
     nums, den = bernoulli_row(p)
-    pairs = [(RatPoly.from_integers((0, -p * den), 1, "N", r), minors[k - 1])]
+    pairs = [(((0, -p * den), 1), minors[k - 1])]
     signed = r
     for j in range(k - 1, 0, -1):
         signed *= -(r + j + 1)

@@ -42,7 +42,6 @@ from .exactnum import (
 )
 from .polyring import (
     RatPoly,
-    monomial,
     sum_of_products,
     to_N_frame,
     to_n_frame,
@@ -185,8 +184,8 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
     pairs = []
     for i in range(r):
         q = q_poly(r - 1, i)
-        signed = RatPoly.from_integers(q.numerators, sign_pow(i) * weight * q.denominator)
-        pairs.append((signed, power_sum_poly(m + i)))
+        signed = tuple(-a for a in q.numerators) if i % 2 else q.numerators
+        pairs.append(((signed, weight * q.denominator), power_sum_poly(m + i)))
     return HyperSumPoly(m, r, sum_of_products(pairs))
 
 
@@ -194,45 +193,22 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
 
 
 @memo
-def _c_weights(r: int) -> tuple[RatPoly, ...]:
-    """W_i(x) = sum_{j<r-i} (-1)^j C(i+j, i) [r, i+j+1] x^j for i < r, over the
-    unsigned first-kind Stirling row [r, .]."""
+def _c_weights(r: int) -> tuple[tuple[int, ...], ...]:
+    """The integer coefficients of W_i(x) = sum_{j<r-i} (-1)^j C(i+j, i) [r, i+j+1] x^j
+    for i < r, over the unsigned first-kind Stirling row [r, .]."""
     row = stirling1_row(r)
     return tuple(
-        RatPoly.from_integers(
-            [sign_pow(j) * comb(i + j, i) * row[i + j + 1] for j in range(r - i)], 1
-        )
+        tuple(sign_pow(j) * comb(i + j, i) * row[i + j + 1] for j in range(r - i))
         for i in range(r)
     )
-
-
-def coeff_c(m: int, r: int, k: int) -> Rational:
-    """Coefficient of n^k in the degree m+r hyper-sum polynomial (r >= 1).
-
-    The coefficient of x^k in the products of :func:`hyper_sum_poly_c` alone:
-    sum_i sum_{j<r-i} W_i[j] C(m+i+1, k-j) B_{m+i+1-k+j} / (m+i+1), with the
-    same sign and (r-1)!, so one coefficient costs O(r^2) products over the
-    Bernoulli polynomial rows, not a whole build.
-    """
-    if m < 0 or r < 1:
-        raise DomainError(f"need m >= 0 and r >= 1, got ({m}, {r})")
-    if not 1 <= k <= m + r:
-        raise DomainError(f"need 1 <= k <= m+r, got k={k} for (m={m}, r={r})")
-    total = Fraction(0)
-    for i, weights in enumerate(_c_weights(r)):
-        row, den = bernoulli_row(m + i + 1)
-        w = weights.numerators  # over the denominator 1
-        js = range(max(0, k - m - i - 1), min(len(w), k + 1))  # 0 <= k - j <= m + i + 1
-        total += Fraction(sum(w[j] * row[k - j] for j in js), (m + i + 1) * den)
-    return total * Fraction(sign_pow(m + 1 - k), factorial(r - 1))
 
 
 def coeff_c_reduced_k1(m: int, r: int) -> Rational:
     """The collapsed single-sum form of the linear coefficient.
 
     c^1 = ((-1)^m / (r-1)!) sum_{i=0}^{r-1} [r, i+1] B_{m+i}, summed over the
-    Bernoulli numbers themselves, not the polynomial rows that :func:`coeff_c`
-    reads.
+    Bernoulli numbers themselves, not the Bernoulli polynomial rows that
+    :func:`hyper_sum_poly_c` reads.
     """
     row = stirling1_row(r)
     total = sum(row[i + 1] * bernoulli(m + i) for i in range(r))
@@ -253,8 +229,7 @@ def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     for i, weights in enumerate(_c_weights(r)):
         row, den = bernoulli_row(m + i + 1)
         # the row's D divides the short W_i: reducing the long row by it would cost more
-        over_den = RatPoly.from_integers(weights.numerators, den)
-        pairs.append((over_den, RatPoly.from_integers(row, m + i + 1)))
+        pairs.append(((weights, den), (row, m + i + 1)))
     total = sum_of_products(pairs)
     nums = list(total.numerators)
     nums[m % 2 :: 2] = [-a for a in nums[m % 2 :: 2]]  # (-1)^(m+1-k)
@@ -303,10 +278,10 @@ def _lemma_poly(m: int, r: int) -> RatPoly:
     lower = [_lemma_poly(k, r) for k in range(1, m)]
     row, den = bernoulli_row(m)
     # m (n + r/2) / (m+r) times S(m-1, r), then the nonzero Bernoulli terms
-    pairs = [(RatPoly.from_integers((m * r, 2 * m), 2 * (m + r)), lower[m - 2])]
+    pairs = [(((m * r, 2 * m), 2 * (m + r)), lower[m - 2])]
     for k, a in enumerate(row[1 : m - 1], 1):
         if a:
-            pairs.append((Fraction(-r * a, den * (m + r)), lower[k - 1]))
+            pairs.append((((-r * a,), den * (m + r)), lower[k - 1]))
     return sum_of_products(pairs)
 
 
@@ -372,9 +347,9 @@ def faulhaber_rec(m: int, r: int) -> RatPoly:
         return RatPoly((1,), "N", r)
     lower = [faulhaber_rec(k, r) for k in range(1, m)]
     row, den = bernoulli_row(m)
-    pairs = [(RatPoly.from_integers((0, m), m + r, "N", r), lower[m - 2])]
+    pairs = [(((0, m), m + r), lower[m - 2])]
     for k in range(m - 2, 0, -2):
-        pairs.append((Fraction(-r * row[k], den * (m + r)), lower[k - 1]))
+        pairs.append((((-r * row[k],), den * (m + r)), lower[k - 1]))
     return sum_of_products(pairs, "N", r)
 
 
@@ -443,9 +418,9 @@ def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
     # the weighted sum runs over the exponents k <= e+1 of the other parity than e
     e = 2 * m - 1 if parity == "odd" else 2 * m
     row, den = bernoulli_row(e + 1)
-    pairs = [(1, hyper_sum_poly(e, r + 1)), (Fraction(-1, 2), hyper_sum_poly(e, r))]
+    pairs = [(1, hyper_sum_poly(e, r + 1)), (((-1,), 2), hyper_sum_poly(e, r))]
     for k in range(e % 2 + 1, e + 2, 2):
-        pairs.append((Fraction(-row[k], (e + 1) * den), hyper_sum_poly(k, r)))
+        pairs.append((((-row[k],), (e + 1) * den), hyper_sum_poly(k, r)))
     return sum_of_products(pairs)
 
 
@@ -459,7 +434,7 @@ def hyper_sum_poly(m: int, r: int) -> RatPoly:
     route; the verifier cross-validates it against the other four routes.
     """
     if r == 0:
-        return monomial(m)  # n^m; for m = 0 the constant 1
+        return RatPoly.from_integers((0,) * m + (1,), 1)  # n^m; for m = 0 the constant 1
     return hyper_sum_poly_q(m, r).poly
 
 

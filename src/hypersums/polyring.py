@@ -15,7 +15,7 @@ which accumulates products of integer numerators over one common
 denominator and normalises the sum once: ``a * b`` is the sum of one
 product, ``a + b`` and ``a - b`` the sum of 1 * a and +-1 * b, and
 ``a.scale(c)`` the product of the number c with a.  A factor of the kernel
-is a polynomial or a plain number, so a constant weight is never wrapped
+is a polynomial, a number or an integer row, so a weight is never wrapped
 as a polynomial.  A longer sum (each minor of the Hessenberg determinant,
 each step of the centered recurrence, the power-sum expansion) is one
 call, not a chain of ``*`` and ``+``.  The outer loop of a product runs over
@@ -245,15 +245,19 @@ class RatPoly:
 
 
 def _factor(f, var: str, r: int) -> tuple[tuple[int, ...], int]:
-    """(numerators, denominator) of a kernel factor: a polynomial in the
-    frame, or an int or Fraction, which has no frame."""
+    """(numerators, denominator) of a kernel factor: a polynomial in the frame,
+    or an int, Fraction or integer row, read as is, which has no frame."""
     if f.__class__ is RatPoly:
         if f.var != var or f.r != r:
             raise ValueError(f"frame mismatch: {var}[r={r}] vs {f.var}[r={f.r}]")
         return f.numerators, f.denominator
-    if isinstance(f, (int, Fraction)):
+    if f.__class__ is tuple:  # before isinstance, which is slow on a tuple
+        if len(f) == 2 and f[0].__class__ is tuple and f[1].__class__ is int and f[1] > 0:
+            if {int}.issuperset(map(type, f[0])):
+                return f
+    elif isinstance(f, (int, Fraction)):
         return ((f.numerator,) if f else ()), f.denominator
-    raise TypeError(f"a factor must be a RatPoly, int or Fraction, got {f!r}")
+    raise TypeError(f"a factor must be a RatPoly, int or Fraction, or an integer row, got {f!r}")
 
 
 def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
@@ -262,9 +266,12 @@ def sum_of_products(pairs, var: str = "n", r: int = 0) -> RatPoly:
     The products are accumulated in integers over the lcm of their
     denominators and reduced at the end.  A factor is a polynomial, which
     must be in the frame (``ValueError`` otherwise, which is how ``*``,
-    ``+`` and ``-`` reject mixed frames), or an ``int`` or ``Fraction``,
-    which has no frame; any other type raises ``TypeError``.  An empty sum,
-    or a sum of zeros, is the zero polynomial.
+    ``+`` and ``-`` reject mixed frames); an ``int`` or ``Fraction``; or an
+    integer row ``(numerators, denominator)``: a tuple of ints ascending by
+    degree over a positive int, read as is (no gcd, trailing zeros allowed).
+    Numbers and rows have no frame; any other factor, a malformed row
+    included, raises ``TypeError``.  An empty sum, or a sum of zeros, is the
+    zero polynomial.
 
     The outer loop of a product runs over its number factor, with no count
     of zeros, and of two polynomials over the one that minimises (its

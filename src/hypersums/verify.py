@@ -7,7 +7,7 @@ the order-lifting and parity-split recurrences, the weighted-sum identity,
 and the leading-coefficient laws.
 ``golden_fixtures`` pins a set of exact closed-form displays.  Failures are
 collected as data (never raised), each carrying both divergent objects in
-JSON form for debuggability.
+JSON form for debuggability; a detail is built only for a check that failed.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class VerifyReport(namedtuple("VerifyReport", "m_max r_max n_max checks wall_tim
         return "\n".join(lines)
 
 
-def _check(name: str, params: dict, ok: bool, detail: str = "") -> CheckResult:
-    """A check whose detail is kept only when it failed."""
-    return CheckResult(name, params, ok, "" if ok else detail)
+def _check(name: str, params: dict, ok: bool, describe=str) -> CheckResult:
+    """A check whose detail, ``describe()`` (empty by default), is built only when it failed."""
+    return CheckResult(name, params, ok, "" if ok else describe())
 
 
 def _poly_check(name: str, params: dict, a: RatPoly, b: RatPoly) -> CheckResult:
@@ -99,6 +99,13 @@ def _poly_check(name: str, params: dict, a: RatPoly, b: RatPoly) -> CheckResult:
     k = next((k for k in degrees if a.coefficient(k) != b.coefficient(k)), -1)
     pair = json.dumps({"left": poly_to_json(a), "right": poly_to_json(b)})
     return CheckResult(name, params, False, f"first differing coefficient at degree {k}; {pair}")
+
+
+def _defect_check(name: str, params: dict, defect: RatPoly, sides) -> CheckResult:
+    """An identity checked as a zero defect lhs - rhs; ``sides()`` builds (lhs, rhs) on failure."""
+    if defect.is_zero():
+        return CheckResult(name, params, True)
+    return _poly_check(name, params, *sides())
 
 
 # Each check family takes the grid bounds and the defining recursion's value
@@ -124,14 +131,19 @@ def check_routes(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
                     mismatch[p] = p.first_mismatch(values[m, r])
                 bad = mismatch[p]
                 yield _check(
-                    f"eval-vs-recursion[{name}]", cell, bad is None, f"first divergence at n={bad}"
+                    f"eval-vs-recursion[{name}]",
+                    cell,
+                    bad is None,
+                    lambda: f"first divergence at n={bad}",
                 )
-            lead = ref.coefficient(m + r)
+            # the coefficient of n^(m+r) is m!/(m+r)!, compared in integers
+            nums = ref.numerators
             yield _check(
                 "leading-coefficient",
                 cell,
-                lead == Fraction(factorial(m), factorial(m + r)),
-                f"got {lead}",
+                len(nums) > m + r
+                and nums[m + r] * factorial(m + r) == factorial(m) * ref.denominator,
+                lambda: f"got {ref.coefficient(m + r)}",
             )
 
 
@@ -153,10 +165,12 @@ def check_centered_factor(m_max: int, r_max: int, n_max: int, values: dict) -> C
                 and all((a > 0) != (b > 0) for a, b in zip(g, g[1:]))
                 and g[-1] * factorial(m + r) == factorial(r + 1) * factorial(m) * p.denominator
             )
-            detail = "" if ok else json.dumps(
-                [rational_to_json(c) for c in p.coeffs[p.degree % 2 :: 2]]
+            yield _check(
+                "centered-factor-structure",
+                cell,
+                ok,
+                lambda: json.dumps([rational_to_json(c) for c in p.coeffs[p.degree % 2 :: 2]]),
             )
-            yield _check("centered-factor-structure", cell, ok, detail)
 
 
 def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
@@ -166,8 +180,8 @@ def check_order_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks
             lhs = hypersum.hyper_sum_poly(m, r + 1)
             rhs = sum_of_products(
                 [
-                    (RatPoly.from_integers((r, 1), r), hypersum.hyper_sum_poly(m, r)),
-                    (Fraction(-1, r), hypersum.hyper_sum_poly(m + 1, r)),
+                    (((r, 1), r), hypersum.hyper_sum_poly(m, r)),
+                    (((-1,), r), hypersum.hyper_sum_poly(m + 1, r)),
                 ]
             )
             yield _poly_check("order-lift-recurrence", {"m": m, "r": r}, lhs, rhs)
@@ -178,7 +192,7 @@ def _bernoulli_sum(m: int, r: int) -> RatPoly:
     """sum_{k=1}^{m-2} C(m,k) B_{m-k} S(k, r), shared by the centered and half-step checks."""
     row, den = bernoulli_row(m)
     return sum_of_products(
-        (Fraction(a, den), hypersum.hyper_sum_poly(k, r))
+        (((a,), den), hypersum.hyper_sum_poly(k, r))
         for k, a in enumerate(row[1 : m - 1], 1)
         if a  # a zero Bernoulli number adds no term
     )
@@ -188,27 +202,29 @@ def check_centered_recurrence(m_max: int, r_max: int, n_max: int, values: dict) 
     """(m+r) S(m, r) = m (n + r/2) S(m-1, r) - r sum_k C(m,k) B_{m-k} S(k, r)."""
     for m in range(2, m_max + 1):
         for r in range(0, r_max + 1):
-            lhs = hypersum.hyper_sum_poly(m, r).scale(m + r)
-            shifted = RatPoly.from_integers((m * r, 2 * m), 2)
-            rhs = sum_of_products(
-                [(shifted, hypersum.hyper_sum_poly(m - 1, r)), (-r, _bernoulli_sum(m, r))]
+            s, lower = hypersum.hyper_sum_poly(m, r), hypersum.hyper_sum_poly(m - 1, r)
+            tail = _bernoulli_sum(m, r)
+            shifted = ((m * r, 2 * m), 2)  # m (n + r/2)
+            yield _defect_check(
+                "centered-recurrence",
+                {"m": m, "r": r},
+                sum_of_products([(m + r, s), (((-m * r, -2 * m), 2), lower), (r, tail)]),
+                lambda: (s.scale(m + r), sum_of_products([(shifted, lower), (-r, tail)])),
             )
-            yield _poly_check("centered-recurrence", {"m": m, "r": r}, lhs, rhs)
 
 
 def check_half_step(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
     """m S(m-1, r+1) = S(m, r) + (m/2) S(m-1, r) + sum_k C(m,k) B_{m-k} S(k, r)."""
     for m in range(2, m_max + 1):
         for r in range(0, r_max + 1):
-            lhs = hypersum.hyper_sum_poly(m - 1, r + 1).scale(m)
-            rhs = sum_of_products(
-                [
-                    (1, hypersum.hyper_sum_poly(m, r)),
-                    (Fraction(m, 2), hypersum.hyper_sum_poly(m - 1, r)),
-                    (1, _bernoulli_sum(m, r)),
-                ]
+            up, s = hypersum.hyper_sum_poly(m - 1, r + 1), hypersum.hyper_sum_poly(m, r)
+            lower, tail = hypersum.hyper_sum_poly(m - 1, r), _bernoulli_sum(m, r)
+            yield _defect_check(
+                "half-step-recurrence",
+                {"m": m, "r": r},
+                sum_of_products([(m, up), (-1, s), (((-m,), 2), lower), (-1, tail)]),
+                lambda: (up.scale(m), sum_of_products([(1, s), (((m,), 2), lower), (1, tail)])),
             )
-            yield _poly_check("half-step-recurrence", {"m": m, "r": r}, lhs, rhs)
 
 
 def check_weighted_sum(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
@@ -225,7 +241,7 @@ def check_weighted_sum(m_max: int, r_max: int, n_max: int, values: dict) -> Chec
                 None,
             )
             yield _check(
-                "weighted-sum-identity", {"m": m, "r": r}, bad is None, f"fails at n={bad}"
+                "weighted-sum-identity", {"m": m, "r": r}, bad is None, lambda: f"fails at n={bad}"
             )
 
 
@@ -239,7 +255,7 @@ def check_parity_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Check
                     f"parity-lift[{parity}]",
                     {"m": half_m, "r": r},
                     residual.is_zero(),
-                    str(residual),
+                    lambda: str(residual),
                 )
 
 
@@ -252,18 +268,18 @@ def check_weights_vs_r_stirling(m_max: int, r_max: int, n_max: int, values: dict
                 r_stirling1(r + n + 1, i + n + 1, n + 1) for n in range(0, min(n_max, 8) + 1)
             )
             yield _check(
-                "weights-vs-r-stirling", {"r": r, "i": i}, bad is None, f"fails at n={bad}"
+                "weights-vs-r-stirling", {"r": r, "i": i}, bad is None, lambda: f"fails at n={bad}"
             )
 
 
 def check_linear_coefficient(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
-    """The explicit linear coefficient matches its collapsed single-sum form."""
+    """The provider's linear coefficient matches its collapsed single-sum form."""
     for m in range(0, m_max + 1):
         for r in range(1, r_max + 1):
             yield _check(
                 "linear-coefficient-reduction",
                 {"m": m, "r": r},
-                hypersum.coeff_c(m, r, 1) == hypersum.coeff_c_reduced_k1(m, r),
+                hypersum.coeff_c_reduced_k1(m, r) == hypersum.hyper_sum_poly(m, r).coefficient(1),
             )
 
 

@@ -17,7 +17,6 @@ from hypersums.exactnum import bernoulli, r_stirling1, rising_factorial, sign_po
 from hypersums.hessenberg import HessenbergMatrix, build_matrix, det
 from hypersums.hypersum import (
     ROUTES,
-    coeff_c,
     coeff_c_reduced_k1,
     coffey_residual,
     faulhaber_det,
@@ -25,6 +24,7 @@ from hypersums.hypersum import (
     hyper_sum_bruteforce,
     hyper_sum_det,
     hyper_sum_poly,
+    hyper_sum_poly_c,
     q_poly,
     s1_poly,
 )
@@ -142,7 +142,8 @@ def test_criterion_5_structure():
             # leading value forced by the degree m+r coefficient and the
             # binomial prefactor: computed from both pieces, not assumed
             s1 = s1_poly(r)
-            forced = coeff_c(m, r, m + r) / s1.coefficient(s1.degree)
+            leading = hyper_sum_poly_c(m, r).poly.coefficient(m + r)
+            forced = leading / s1.coefficient(s1.degree)
             assert forced == Fraction(factorial(r + 1) * factorial(m), factorial(m + r))
             assert g[-1] == forced, (m, r)
 
@@ -199,10 +200,12 @@ def test_criterion_6_identity_suite():
     # collapsed linear coefficient and leading coefficient
     for m in range(0, 7):
         for r in range(1, 5):
-            assert coeff_c(m, r, 1) == coeff_c_reduced_k1(m, r), ("c1", m, r)
+            c1 = hyper_sum_poly_c(m, r).poly.coefficient(1)
+            assert c1 == coeff_c_reduced_k1(m, r), ("c1", m, r)
     for m in range(0, 9):
         for r in range(1, 6):
-            assert coeff_c(m, r, m + r) == Fraction(factorial(m), factorial(m + r))
+            leading = hyper_sum_poly_c(m, r).poly.coefficient(m + r)
+            assert leading == Fraction(factorial(m), factorial(m + r))
 
 
 @report(7, "determinant equals naive cofactor expansion (random + built matrices)")

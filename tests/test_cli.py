@@ -916,18 +916,16 @@ def test_a_stdout_closed_mid_write_exits_141_without_a_traceback(fmt):
     assert (proc.wait(timeout=60), err) == (141, b"")  # 128 + SIGPIPE, as for `yes | head`
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_a_reader_gone_before_the_exit_flush_exits_141(unbuffered):
-    # a short answer waits in stdout's buffer for the interpreter's exit flush unless
-    # PYTHONUNBUFFERED is set; that flush once failed with exit 120 and a message
+def run_into_a_closed_pipe(argv: list[str], unbuffered: bool = False):
+    """The command with stdout a pipe whose read end is closed before it starts."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hypersums.cli", "eval", "--m", "3", "--r", "1", "--n", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", "hypersums.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
@@ -935,4 +933,19 @@ def test_a_reader_gone_before_the_exit_flush_exits_141(unbuffered):
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_gone_before_the_exit_flush_exits_141(unbuffered):
+    # a short answer waits in stdout's buffer for the interpreter's exit flush unless
+    # PYTHONUNBUFFERED is set; that flush once failed with exit 120 and a message
+    proc = run_into_a_closed_pipe(["eval", "--m", "3", "--r", "1", "--n", "3"], unbuffered)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]], ids=["top", "eval"])
+def test_help_into_a_closed_stdout_exits_141(argv):
+    # argparse prints the help and exits inside parse_args, so the flush that fails
+    # must come before the interpreter's exit flush
+    proc = run_into_a_closed_pipe(argv)
     assert (proc.returncode, proc.stderr) == (141, b"")

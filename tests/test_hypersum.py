@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -13,7 +12,6 @@ from hypersums import exactnum, hessenberg, hypersum, verify
 from hypersums.exactnum import CrossCheckError, DomainError, bernoulli
 from hypersums.hypersum import (
     ROUTES,
-    coeff_c,
     coeff_c_reduced_k1,
     coffey_residual,
     faulhaber_det,
@@ -154,57 +152,48 @@ def test_q_route_rejects_r0():
         hyper_sum_poly_q(2, 0)
 
 
-def test_coeff_c_leading_values():
+def test_c_route_leading_values():
     for m in range(0, 7):
         for r in range(1, 5):
-            assert coeff_c(m, r, m + r) == Fraction(factorial(m), factorial(m + r))
-        assert coeff_c(m, 1, m + 1) == Fraction(1, m + 1)
+            route = hyper_sum_poly_c(m, r).poly
+            assert route.coefficient(m + r) == Fraction(factorial(m), factorial(m + r))
+        assert hyper_sum_poly_c(m, 1).poly.coefficient(m + 1) == Fraction(1, m + 1)
 
 
-def test_coeff_c_linear_reduction():
+def test_linear_coefficient_reduction():
     for m in range(0, 7):
         for r in range(1, 5):
-            assert coeff_c(m, r, 1) == coeff_c_reduced_k1(m, r)
-    # fast only while a single coefficient is built to its own degree: a full
-    # (200, 200) build takes seconds
-    assert coeff_c(200, 200, 1) == coeff_c_reduced_k1(200, 200)
+            assert hyper_sum_poly_c(m, r).poly.coefficient(1) == coeff_c_reduced_k1(m, r)
+    # the determinant route, the fastest full build at (200, 200)
+    assert coeff_c_reduced_k1(200, 200) == hyper_sum_det(200, 200).poly.coefficient(1)
 
 
-def test_coeff_c_is_the_c_route_coefficient_at_every_k():
-    # coeff_c sums the products for x^k alone; the route multiplies the polynomials out
+def explicit_coefficient(m: int, r: int, k: int) -> Fraction:
+    """c^k of S(m, r) by the paper's double sum, term by term in Fractions:
+    ((-1)^(m+1-k) / (r-1)!) sum_{i<r} sum_{j<r-i} (-1)^j C(i+j, i) [r, i+j+1]
+    C(m+i+1, k-j) B_{m+i+1-k+j} / (m+i+1), over 1 <= k-j <= m+i+1."""
+    total = Fraction(0)
+    for i in range(r):
+        for j in range(max(0, k - m - i - 1), min(r - i, k)):
+            weight = (-1) ** j * comb(i + j, i) * exactnum.stirling1_unsigned(r, i + j + 1)
+            total += weight * comb(m + i + 1, k - j) * bernoulli(m + i + 1 - k + j) / (m + i + 1)
+    return total * (-1) ** (m + 1 + k) / factorial(r - 1)  # the sign of (-1)^(m+1-k)
+
+
+def test_the_c_route_is_the_explicit_coefficient_formula_at_every_k():
+    # the formula sums the products for x^k alone; the route multiplies the polynomials out
     cells = [(m, r) for m in range(0, 13) for r in range(1, 7)] + [(60, 30)]
     for m, r in cells:
         route = hyper_sum_poly_c(m, r).poly
         for k in range(1, m + r + 1):
-            assert coeff_c(m, r, k) == route.coefficient(k), (m, r, k)
-
-
-def test_a_high_coefficient_costs_a_small_part_of_the_route_build():
-    exactnum.bernoulli(220)  # the table warm, as for the route build below
-
-    def cold(fn, *args) -> float:
-        exactnum.clear_derived_caches()
-        start = time.perf_counter()
-        fn(*args)
-        return time.perf_counter() - start
-
-    one = min(cold(coeff_c, 120, 100, 220) for _ in range(3))
-    assert one < cold(hyper_sum_poly_c, 120, 100) / 10
-
-
-def test_coeff_c_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        coeff_c(2, 3, 0)
-    with pytest.raises(ValueError):
-        coeff_c(2, 3, 6)
-    with pytest.raises(ValueError):
-        coeff_c(-1, 3, 1)
+            assert explicit_coefficient(m, r, k) == route.coefficient(k), (m, r, k)
 
 
 def test_chain_reproduces_explicit_coefficients():
     lifted = hyper_sum_poly_chain(2, 4).poly
+    explicit = hyper_sum_poly_c(2, 4).poly
     for k in range(1, 7):
-        assert lifted.coefficient(k) == coeff_c(2, 4, k)
+        assert lifted.coefficient(k) == explicit.coefficient(k)
 
 
 def test_lemma_family_members():
@@ -258,7 +247,6 @@ def test_route_domain_matches_route(name):
 # and never reaches them; a ZeroDivisionError or a polynomial here is a leak
 BELOW_THE_DOMAIN = {
     "c at m=-1": lambda: hyper_sum_poly_c(-1, 1),
-    "coeff_c at m=-1": lambda: coeff_c(-1, 3, 1),
     "lemma route at r=-1": lambda: ROUTES["lemma"](2, -1),
     "lemma family at r=-1": lambda: lemma_recurrence_family(3, -1),
     "q at r=0": lambda: hyper_sum_poly_q(2, 0),

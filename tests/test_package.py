@@ -14,7 +14,7 @@ from hypersums.polyring import RatPoly
 
 PUBLIC = (
     "HessenbergMatrix HyperSumPoly RatPoly Rational VerifyReport bernoulli "
-    "build_matrix coeff_c coffey_residual det faulhaber_det "
+    "build_matrix coffey_residual det faulhaber_det "
     "faulhaber_r1 faulhaber_rec faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
     "hyper_sum_poly_q lemma_recurrence_family monomial power_sum_poly q_poly r_stirling1 "

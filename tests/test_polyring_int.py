@@ -208,6 +208,38 @@ def test_a_number_factor_acts_as_its_constant_polynomial(frame, pairs):
     )
 
 
+@st.composite
+def int_rows(draw) -> tuple[tuple[int, ...], int]:
+    """An integer row (numerators, denominator) as the kernel reads it: negative entries,
+    a common factor (so not primitive), trailing zeros and the empty row included."""
+    nums = draw(st.lists(st.integers(-(10**6), 10**6), max_size=8))
+    k = draw(st.integers(1, 12))
+    zeros = draw(st.integers(0, 2))
+    return tuple(k * a for a in nums) + (0,) * zeros, k * draw(st.integers(1, 10**4))
+
+
+@relaxed
+@given(
+    frames,
+    st.lists(st.tuples(int_rows(), st.one_of(coeff_lists, int_rows()), st.booleans()), max_size=6),
+)
+def test_a_row_factor_acts_as_the_polynomial_it_spells(frame, pairs):
+    def poly(f) -> RatPoly:
+        return RatPoly.from_integers(*f, *frame) if isinstance(f, tuple) else RatPoly(f, *frame)
+
+    def other(f):
+        return f if isinstance(f, tuple) else RatPoly(f, *frame)
+
+    rowed = [(row, other(b)) if first else (other(b), row) for row, b, first in pairs]
+    wrapped = [(poly(row), poly(b)) for row, b, _ in pairs]
+    got = sum_of_products(rowed, *frame)
+    assert got == sum_of_products(wrapped, *frame)
+    want: list[Fraction] = []
+    for row, b, _ in pairs:
+        want = ref_add(want, ref_mul(list(poly(row).coeffs), list(poly(b).coeffs)))
+    assert_matches(got, want, frame)
+
+
 @relaxed
 @given(frames, coeff_lists, coeff_lists)
 def test_mixed_sum_equals_the_sum_of_scaled_polynomials(frame, a, b):
@@ -222,7 +254,10 @@ def test_a_number_factor_passes_with_a_centered_polynomial():
     assert got == RatPoly((Fraction(5, 3) + 35, 0, Fraction(10, 21)), "N", 3)
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None, 1j, [1]])
+MALFORMED_ROWS = [((1.5,), 2), ((1,), 0), ((1,), -2), ([1], 1), ((1,), 2, 3)]
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None, 1j, [1], *MALFORMED_ROWS])
 def test_a_factor_that_is_neither_a_polynomial_nor_a_number_is_refused(bad):
     g = RatPoly((1, 2), "N", 3)
     for pairs in ([(bad, g)], [(g, bad)], [(1, g), (2, bad)]):

@@ -96,10 +96,11 @@ REPORT_DIGESTS = [
     (None, "b48f80b22ea078dc2b9d8b0d195db7a717f7f9f9b6b6946e5362d26089ab4d1a"),
     ((2, Fraction(1, 7)), "bf35ef3a5818cd9fb6976e4c6235459fe076ae57d0dc6cef42a2293b2ebf452b"),
     ((4, Fraction(1, 31)), "96ab9bf26a3b4da6e3d07a48e9dfa2665c80bac1ca98cda160b598e55f4dec1b"),
+    ((3, Fraction(1, 5)), "558f46a7446d49bce46a0d863aceaab5293130fd872828e96d1f30bd23d21472"),
 ]
 
 
-@pytest.mark.parametrize("corruption, digest", REPORT_DIGESTS, ids=["clean", "B2", "B4"])
+@pytest.mark.parametrize("corruption, digest", REPORT_DIGESTS, ids=["clean", "B2", "B4", "B3"])
 def test_the_report_is_unchanged(corruption, digest, corrupt_bernoulli):
     with corrupt_bernoulli(*corruption) if corruption else nullcontext():
         checks = [c.to_json() for c in run_all(8, 4, 10).checks]
