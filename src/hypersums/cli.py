@@ -201,6 +201,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
+    # n^m at n = 1..m is unit lower triangular in the Newton weights of m, so this pins
+    # every weight that the cells read, at any r and n
+    for m in range(1, args.max_m + 1):
+        if any(hypersum.hyper_sum_newton(m, 0, k) != k**m for k in range(1, m + 1)):
+            raise CrossCheckError(f"the Newton weights of m = {m} do not give n^m at n <= m")
     cells = [
         (m, r, hypersum.hyper_sum_newton(m, r, n))
         for m in range(0, args.max_m + 1)

@@ -38,16 +38,20 @@ from .polyring import RatPoly, poly_to_json, sum_of_products, to_text
 
 
 class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
-    """Square lower Hessenberg matrix with RatPoly entries (bandwidth 1 above)."""
+    """Square lower Hessenberg matrix of order m - 1, entries RatPolys in frame r."""
 
     __slots__ = ()
 
     def __new__(cls, m: int, r: int, entries: tuple) -> HessenbergMatrix:
         order = len(entries)
+        if m != order + 1:
+            raise ValueError(f"a matrix of order {order} belongs to m = {order + 1}, not {m}")
         for i, row in enumerate(entries):
             if len(row) != order:
                 raise ValueError("matrix must be square")
             for j, e in enumerate(row):
+                if e.r != r:
+                    raise ValueError(f"entry ({i + 1}, {j + 1}) is in frame r = {e.r}, not {r}")
                 if j > i + 1 and not e.is_zero():
                     raise ValueError(
                         f"entry ({i + 1}, {j + 1}) above the superdiagonal is nonzero"
@@ -113,8 +117,7 @@ def det(h: HessenbergMatrix) -> RatPoly:
     enter the products as numbers, so on a :func:`build_matrix` matrix,
     constant off the diagonal, no two polynomials are multiplied.
     """
-    frame_r = h.entries[0][0].r if h.order else h.r
-    minors = [RatPoly((1,), "N", frame_r)]
+    minors = [RatPoly((1,), "N", h.r)]
     # signed[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1] for j < k = len(minors)
     signed: tuple = ()
     for row in h.entries:
@@ -123,7 +126,7 @@ def det(h: HessenbergMatrix) -> RatPoly:
         pairs = [(row[k - 1], minors[k - 1])]
         # a polynomial entry has degree >= 1 here, so only a number can be zero
         pairs += [(row[j] * signed[j], minors[j]) for j in range(k - 1) if row[j]]
-        minors.append(sum_of_products(pairs, "N", frame_r))
+        minors.append(sum_of_products(pairs, "N", h.r))
         if k < h.order:
             neg_sup = -row[k]
             signed = (*(prod * neg_sup for prod in signed), neg_sup)

@@ -111,8 +111,8 @@ def hyper_sum_newton(m: int, r: int, n: int) -> int:
     if m == 0:
         return 1 if r == 0 else comb(n + r - 1, r)
     total = 0
-    binom = comb(n + r, r + 1)  # C(n+r, k+r) at k = 1
-    for k, weight in enumerate(_surjection_counts(m)[1:], start=1):
+    binom = comb(n + r, r + 1)  # C(n+r, k+r) at k = 1, and 0 past k = n
+    for k, weight in enumerate(_surjection_counts(m)[1 : n + 1], start=1):
         total += weight * binom
         binom = binom * (n - k) // (k + r + 1)
     return total
@@ -396,27 +396,18 @@ def faulhaber_r1(m: int) -> RatPoly:
 # -- parity-split lifting relations ---------------------------------------------
 
 
-def coffey_residual(m: int, r: int, parity: str) -> RatPoly:
-    """Defect polynomial of the parity-split lift from order r to r + 1.
+def coffey_residual(e: int, r: int) -> RatPoly:
+    """Defect of the parity-split lift of exponent e from order r to r + 1,
 
-    For parity "odd" (exponent 2m-1):
+        S(e, r+1) - (1/2) S(e, r) - (1/(e+1)) sum_k C(e+1, k) B_{e+1-k} S(k, r)
 
-        S(2m-1, r+1) - (1/2) S(2m-1, r)
-            - (1/(2m)) sum_{k=1}^{m} C(2m, 2k) B_{2m-2k} S(2k, r)
-
-    and for parity "even" (exponent 2m):
-
-        S(2m, r+1) - (1/2) S(2m, r)
-            - (1/(2m+1)) sum_{k=1}^{m+1} C(2m+1, 2k-1) B_{2m+2-2k} S(2k-1, r).
-
-    Both are identically zero; anything else indicates a broken route.
+    over 1 <= k <= e+1 of the other parity than e; zero unless a route is broken.
+    Times e + 1 it is verify's half-step defect at m = e + 1 while the odd-index
+    Bernoulli numbers read are zero: the lift drops those terms by index, the
+    half-step recurrence by value, so a wrong B_3 parts the two checks.
     """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    if parity not in ("odd", "even"):
-        raise DomainError(f"parity must be 'odd' or 'even', got {parity!r}")
-    # the weighted sum runs over the exponents k <= e+1 of the other parity than e
-    e = 2 * m - 1 if parity == "odd" else 2 * m
+    if e < 1:
+        raise DomainError(f"need e >= 1, got {e}")
     row, den = bernoulli_row(e + 1)
     pairs = [(1, hyper_sum_poly(e, r + 1)), (((-1,), 2), hyper_sum_poly(e, r))]
     for k in range(e % 2 + 1, e + 2, 2):

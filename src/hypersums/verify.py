@@ -247,13 +247,13 @@ def check_weighted_sum(m_max: int, r_max: int, n_max: int, values: dict) -> Chec
 
 def check_parity_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
     """The parity-split lifts from order r to r + 1 leave a zero defect polynomial."""
-    for parity, top in (("odd", (m_max + 1) // 2), ("even", m_max // 2)):
-        for half_m in range(1, max(top, 1) + 1):
+    for parity, first in (("odd", 1), ("even", 2)):
+        for e in range(first, max(m_max, first) + 1, 2):
             for r in range(0, r_max + 1):
-                residual = hypersum.coffey_residual(half_m, r, parity)
+                residual = hypersum.coffey_residual(e, r)
                 yield _check(
                     f"parity-lift[{parity}]",
-                    {"m": half_m, "r": r},
+                    {"m": (e + 1) // 2, "r": r},
                     residual.is_zero(),
                     lambda: str(residual),
                 )

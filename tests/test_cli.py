@@ -757,6 +757,18 @@ def test_table_json(capsys):
     assert {"m": 1, "r": 1, "value": "3"} in blob["cells"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_table_with_a_wrong_newton_weight_exit_3(capsys, monkeypatch, fmt):
+    # a(4, 2) one too large: the cells would read 2422 for 7^4 = 2401 and exit 0
+    real = hypersum._surjection_counts
+    wrong = lambda m: real(m)[:2] + (real(m)[2] + 1,) + real(m)[3:] if m == 4 else real(m)
+    monkeypatch.setattr(hypersum, "_surjection_counts", wrong)
+    argv = ("table", "--max-m", "4", "--max-r", "2", "--n", "7", "--format", fmt)
+    code, out, err = run_cli_full(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("internal error: ")
+
+
 def test_bad_format_exit_2(capsys):
     code, _ = run_cli(capsys, "eval", "--m", "1", "--r", "1", "--n", "1", "--format", "xml")
     assert code == 2

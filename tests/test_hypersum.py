@@ -545,15 +545,15 @@ def test_faulhaber_r1_reuses_the_cached_determinant(monkeypatch):
 
 
 def test_coffey_residual_vanishes():
-    for m in range(1, 6):
+    for e in range(1, 11):
         for r in range(0, 5):
-            assert coffey_residual(m, r, "odd").is_zero(), (m, r, "odd")
-            assert coffey_residual(m, r, "even").is_zero(), (m, r, "even")
+            assert coffey_residual(e, r).is_zero(), (e, r)
 
 
-def test_coffey_residual_rejects_bad_parity():
-    with pytest.raises(ValueError):
-        coffey_residual(2, 1, "both")
+@pytest.mark.parametrize("e", [0, -1])
+def test_coffey_residual_refuses_an_exponent_below_1(e):
+    with pytest.raises(DomainError, match=f"need e >= 1, got {e}"):
+        coffey_residual(e, 1)
 
 
 def test_quintic_difference_worked_example():

@@ -128,5 +128,11 @@ def test_a_hessenberg_matrix_must_be_square_and_zero_above_the_superdiagonal():
         HessenbergMatrix(3, 0, ((one, one), (one,)))
     with pytest.raises(ValueError, match=r"entry \(1, 3\) above the superdiagonal"):
         HessenbergMatrix(4, 0, ((one, one, RatPoly([Fraction(1, 2)], "N", 0)),) + ((one,) * 3,) * 2)
-    ok = HessenbergMatrix(4, 0, ((one, one, zero),) + ((one,) * 3,) * 2)
+    rows = ((one, one, zero),) + ((one,) * 3,) * 2
+    # m and r must agree with the order and the frame of the entries
+    with pytest.raises(ValueError, match="order 3 belongs to m = 4, not 7"):
+        HessenbergMatrix(7, 3, rows)
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) is in frame r = 0, not 3"):
+        HessenbergMatrix(4, 3, rows)
+    ok = HessenbergMatrix(4, 0, rows)
     assert (ok.m, ok.r, ok.order) == (4, 0, 3)
