@@ -33,8 +33,9 @@ EXIT_BROKEN_PIPE = 141
 MAX_BRUTEFORCE_N = 10**6
 MAX_BRUTEFORCE_WORK = 10**8
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM, eval takes
-# 3.1-3.8 s (auto, q), 4.9-5.2 s (c), 3.0-4.2 s (chain, lemma) and 0.5-0.6 s (det), poly and
-# det 0.4-0.6 s (two runs each on a shared VM, whose speed varies by tens of percent)
+# 4.5-5.3 s (auto, q), 5.9-7.0 s (c), 3.7-3.9 s (chain), 0.5 s (lemma) and 0.7-0.8 s (det),
+# poly 0.9-1.0 s and det 0.7-0.8 s; at (200, 1) eval --method lemma takes 0.35-0.38 s (three
+# runs each on a shared VM, whose speed varies by tens of percent)
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there, and the JSON table 1.3-1.4 s at a peak RSS of 26 MB

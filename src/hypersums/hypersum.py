@@ -10,14 +10,16 @@ module produces that polynomial by five independent methods:
 * ``hyper_sum_poly_c``     -- explicit coefficient formula, a sum of r products
                               of Stirling and Bernoulli polynomials,
 * ``hyper_sum_poly_chain`` -- coefficient recurrence lifting r by one at a time,
-* ``lemma_recurrence_family`` -- the Bernoulli-weighted recurrence in the
-                              centered variable N_r = n + r/2,
+* ``lemma_recurrence_family`` -- the Bernoulli-weighted recurrence on the
+                              centered factor G in N_r = n + r/2,
 * ``hyper_sum_det``        -- Hessenberg determinant formula.
 
 All routes return polynomials in the n-frame; the centered (N) and product
 (u = n(n+r)) frames are produced by explicit conversions so that
 cross-method comparison is always same-frame.  The paper's centered factor G,
-with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``.  Everything is exact.
+with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma``
+and ``det`` routes build G, of degree m - 1, and multiply by S(1, r) once.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -270,34 +272,56 @@ def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
 
 
 @memo
-def _lemma_poly(m: int, r: int) -> RatPoly:
-    """S(m, r) by the centered recurrence from S(1, r) ... S(m-1, r), which
-    are memoised per (m, r), so growing m at fixed r runs each step once."""
+def _lemma_factor(m: int, r: int) -> RatPoly:
+    """The centered factor G(m, r) in N = n + r/2 by the centered recurrence
+    from G(1, r) ... G(m-1, r), which are memoised per (m, r), so growing m at
+    fixed r runs each step once.  Zero Bernoulli terms are skipped by value."""
     if m == 1:
-        return s1_poly(r)
-    lower = [_lemma_poly(k, r) for k in range(1, m)]
+        return RatPoly((1,), "N", r)
+    lower = [_lemma_factor(k, r) for k in range(1, m)]
     row, den = bernoulli_row(m)
-    # m (n + r/2) / (m+r) times S(m-1, r), then the nonzero Bernoulli terms
-    pairs = [(((m * r, 2 * m), 2 * (m + r)), lower[m - 2])]
+    # m N / (m+r) times G(m-1), then the nonzero Bernoulli terms
+    pairs = [(((0, m), m + r), lower[m - 2])]
     for k, a in enumerate(row[1 : m - 1], 1):
         if a:
             pairs.append((((-r * a,), den * (m + r)), lower[k - 1]))
-    return sum_of_products(pairs)
+    return sum_of_products(pairs, "N", r)
 
 
-def lemma_recurrence_family(m_max: int, r: int) -> tuple[HyperSumPoly, ...]:
+class _LemmaFamily:
+    """S(1, r) ... S(m_max, r) held as their centered factors; member m is
+    expanded in n, as C(n+r, r+1) G(m, r)(n + r/2), each time it is read.
+    Iteration runs through ``__getitem__`` up to its ``IndexError``."""
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, factors: tuple[RatPoly, ...]) -> None:
+        self._factors = factors
+
+    def __len__(self) -> int:
+        return len(self._factors)
+
+    def __getitem__(self, k: int) -> HyperSumPoly:
+        m = range(1, len(self._factors) + 1)[k]  # IndexError past either end
+        g = self._factors[m - 1]
+        return HyperSumPoly(m, g.r, s1_poly(g.r) * to_n_frame(g))
+
+
+def lemma_recurrence_family(m_max: int, r: int) -> _LemmaFamily:
     """S(1, r) ... S(m_max, r) grown bottom-up by the centered recurrence.
 
-    Seeds S(1, r, n) = C(n+r, r+1) and applies, for m >= 2,
+    S(m, r, n) = S(1, r, n) G(m, r)(N) with N = n + r/2, and the factor
+    C(n+r, r+1) is common to every term of the recurrence, so the recurrence
+    runs on G alone: G(1, r) = 1 and, for m >= 2,
 
-        (m+r) S(m, r) = m (n + r/2) S(m-1, r)
-                        - r sum_{k=1}^{m-2} C(m, k) B_{m-k} S(k, r),
+        (m+r) G(m, r) = m N G(m-1, r) - r sum_{k=1}^{m-2} C(m, k) B_{m-k} G(k, r),
 
-    where the sum is empty for m = 2.
+    where the sum is empty for m = 2.  The factors up to m_max are grown in
+    the call; a member is multiplied by C(n+r, r+1) only when it is read.
     """
     if m_max < 1 or r < 0:
         raise DomainError(f"need m >= 1 and r >= 0, got ({m_max}, {r})")
-    return tuple(HyperSumPoly(m, r, _lemma_poly(m, r)) for m in range(1, m_max + 1))
+    return _LemmaFamily(tuple(_lemma_factor(m, r) for m in range(1, m_max + 1)))
 
 
 # -- determinant route ---------------------------------------------------------

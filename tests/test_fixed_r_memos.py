@@ -64,12 +64,57 @@ def test_the_memos_refuse_their_own_domain_and_keep_no_entry():
         (hessenberg.leading_minor, (-1, 3)),
         (hessenberg.leading_minor, (2, -1)),
         (hypersum.lemma_recurrence_family, (3, -1)),
+        (hypersum.lemma_recurrence_family, (0, 3)),
     ]
     for fn, args in refusals:
         with pytest.raises(ValueError):
             fn(*args)
-    for memo in (hypersum.faulhaber_rec, hessenberg.leading_minor, hypersum._lemma_poly):
+    for memo in (hypersum.faulhaber_rec, hessenberg.leading_minor, hypersum._lemma_factor):
         assert memo.cache_info().currsize == 0, memo
+
+
+def test_reading_one_member_of_a_cold_lemma_family_converts_one_factor(monkeypatch):
+    expected = hypersum.hyper_sum_det(30, 7)
+    exactnum.clear_derived_caches()
+    calls = []
+    real_to_n_frame = hypersum.to_n_frame
+    monkeypatch.setattr(hypersum, "to_n_frame", lambda g: calls.append(g) or real_to_n_frame(g))
+    family = hypersum.lemma_recurrence_family(30, 7)
+    assert calls == []
+    assert family[29] == expected
+    assert calls == [faulhaber_det(30, 7)]
+
+
+def test_the_lemma_route_multiplies_no_polynomial_longer_than_its_factor(monkeypatch):
+    # the widest factor is G(57, 29), with 57 numerators; the same recurrence run
+    # on S itself would multiply S(57, 29), with 87
+    exactnum.clear_derived_caches()
+    widths = []
+    real_sum_of_products = hypersum.sum_of_products
+
+    def spy(pairs, *frame):
+        pairs = list(pairs)
+        widths.extend(len(f.numerators) for pair in pairs for f in pair if f.__class__ is RatPoly)
+        return real_sum_of_products(pairs, *frame)
+
+    monkeypatch.setattr(hypersum, "sum_of_products", spy)
+    assert ROUTES["lemma"](58, 29).poly.degree == 87
+    assert max(widths) == 57
+
+
+def test_the_lemma_factor_skips_bernoulli_zeros_by_value_and_faulhaber_rec_by_index(
+    corrupt_bernoulli,
+):
+    exactnum.clear_derived_caches()
+    lemma = {cell: hypersum._lemma_factor(*cell) for cell in CELLS}
+    rec = {cell: faulhaber_rec(*cell) for cell in CELLS}
+    assert all(lemma[cell] == faulhaber_det(*cell) == rec[cell] for cell in CELLS)
+    # B_3 enters the centered recurrence at m = 4, with the weight r; the
+    # parity-split recurrence reads no odd-index Bernoulli number
+    with corrupt_bernoulli(3, Fraction(1, 5)):
+        for m, r in CELLS:
+            assert (hypersum._lemma_factor(m, r) != lemma[m, r]) == (m >= 4 and r >= 1), (m, r)
+            assert faulhaber_rec(m, r) == rec[m, r], (m, r)
 
 
 def test_det_of_the_built_matrix_multiplies_no_polynomials(monkeypatch):

@@ -207,6 +207,19 @@ def test_lemma_family_members():
         assert lemma_recurrence_family(8, 0)[m - 1].poly == monomial(m)
 
 
+def test_lemma_family_is_a_sequence_of_its_members():
+    expected = [hyper_sum_det(m, 3) for m in range(1, 6)]
+    family = lemma_recurrence_family(5, 3)
+    assert len(family) == 5
+    assert list(family) == expected
+    assert [h.m for h in family] == [1, 2, 3, 4, 5]
+    assert family[-1] == family[4] == expected[4]
+    assert family[-5] == expected[0]
+    for k in (5, -6):
+        with pytest.raises(IndexError):
+            family[k]
+
+
 def test_five_routes_agree_spot():
     routes = [
         hyper_sum_poly_q(4, 3).poly,
