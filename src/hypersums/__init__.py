@@ -29,7 +29,6 @@ _EXPORTS = {
         "coffey_residual",
         "faulhaber_det",
         "faulhaber_r1",
-        "faulhaber_rec",
         "faulhaber_u_form",
         "hyper_sum_bruteforce",
         "hyper_sum_det",
@@ -39,6 +38,7 @@ _EXPORTS = {
         "hyper_sum_poly_chain",
         "hyper_sum_poly_q",
         "lemma_recurrence_family",
+        "newton_factor",
         "power_sum_poly",
         "q_poly",
         "s1_closed",

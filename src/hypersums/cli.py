@@ -33,9 +33,9 @@ EXIT_BROKEN_PIPE = 141
 MAX_BRUTEFORCE_N = 10**6
 MAX_BRUTEFORCE_WORK = 10**8
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM, eval takes
-# 4.5-5.3 s (auto, q), 5.9-7.0 s (c), 3.7-3.9 s (chain), 0.5 s (lemma) and 0.7-0.8 s (det),
-# poly 0.9-1.0 s and det 0.7-0.8 s; at (200, 1) eval --method lemma takes 0.35-0.38 s (three
-# runs each on a shared VM, whose speed varies by tens of percent)
+# 0.09-0.10 s (auto), 5.1-5.4 s (q), 5.9-7.0 s (c), 3.7-3.9 s (chain), 0.6 s (lemma) and
+# 0.9 s (det), poly 1.0 s and det 0.8-0.9 s; at (200, 1) eval --method lemma takes
+# 0.35-0.38 s (three runs each on a shared VM, whose speed varies by tens of percent)
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there, and the JSON table 1.3-1.4 s at a peak RSS of 26 MB
@@ -89,14 +89,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"the brute-force recursion needs (r + 1)(n + 1)(m + r) d <= {MAX_BRUTEFORCE_WORK} "
                 f"for the d digits of n + r, got {work} at m={m}, r={r}, n={n}"
             )
-        value = Fraction(hypersum.hyper_sum_bruteforce(m, r, n))
+        value = hypersum.hyper_sum_bruteforce(m, r, n)
+    elif method == "auto":  # the Newton basis, against which every route is checked below
+        hypersum.newton_weights(m)
+        value = hypersum.hyper_sum_newton(m, r, n)
     else:
-        if method == "auto":
-            p = hypersum.hyper_sum_poly(m, r)
-        else:
-            p = hypersum.ROUTES[method](m, r).poly
-        value = p.eval(n)
-        # every route is checked against the Newton basis, which reads no Bernoulli number
+        value = hypersum.ROUTES[method](m, r).poly.eval(n)
         if value != hypersum.hyper_sum_newton(m, r, n):
             raise CrossCheckError(
                 f"polynomial route gives {value}, not the integer "
@@ -202,11 +200,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
-    # n^m at n = 1..m is unit lower triangular in the Newton weights of m, so this pins
-    # every weight that the cells read, at any r and n
-    for m in range(1, args.max_m + 1):
-        if any(hypersum.hyper_sum_newton(m, 0, k) != k**m for k in range(1, m + 1)):
-            raise CrossCheckError(f"the Newton weights of m = {m} do not give n^m at n <= m")
+    for m in range(1, args.max_m + 1):  # every weight that the cells read
+        hypersum.newton_weights(m)
     cells = [
         (m, r, hypersum.hyper_sum_newton(m, r, n))
         for m in range(0, args.max_m + 1)

@@ -22,10 +22,10 @@ leading block of the matrix for every larger m, and its leading principal
 minors are shared: :func:`leading_minor` memoises them per (order, r).
 There the superdiagonal product h[j,j+1] ... h[k-1,k] = (r+j+1) ... (r+k)
 is a plain integer and the entry below the diagonal an integer over its
-Bernoulli row's D, so a minor is a sum of integers times earlier minors,
-divided by D once, with no polynomial product.  :func:`det` evaluates any
-given matrix by the same recurrence, with its constant entries as numbers,
-and is the reference the memoised minors are tested against.
+Bernoulli row's D, so a minor is a sum of integer rows over D times earlier
+minors, normalised once, with no polynomial product.  :func:`det` evaluates
+any given matrix by the same recurrence, with its constant entries as
+numbers, and is the reference the memoised minors are tested against.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def leading_minor(order: int, r: int) -> RatPoly:
     entries h[t,t+1] = r+t+1 multiplied out in integers: the term of column
     j < k is one number, (-1)^(k-j) (r+j+1)...(r+k) h[k,j], times p_{j-1},
     and the integer product gains one factor as j runs down from k-1.  With
-    h[k,j] = r row[j] / D from the Bernoulli polynomial row k+1, the sum is
-    taken over D and divided by D once; a zero entry (a zero Bernoulli
-    number, or r = 0) adds no term.  A refused (order, r) leaves no entry.
+    h[k,j] = r row[j] / D from the Bernoulli polynomial row k+1, that number
+    is an integer row over D; a zero entry (a zero Bernoulli number, or
+    r = 0) adds no term.  A refused (order, r) leaves no entry.
     """
     _check_params(order + 1, r)
     if order == 0:
@@ -152,14 +152,13 @@ def leading_minor(order: int, r: int) -> RatPoly:
     k, p = order, order + 1
     minors = [leading_minor(j, r) for j in range(k)]
     nums, den = bernoulli_row(p)
-    pairs = [(((0, -p * den), 1), minors[k - 1])]
+    pairs = [(((0, -p), 1), minors[k - 1])]
     signed = r
     for j in range(k - 1, 0, -1):
         signed *= -(r + j + 1)
         if nums[j]:
-            pairs.append((signed * nums[j], minors[j - 1]))
-    total = sum_of_products(pairs, "N", r)
-    return RatPoly.from_integers(total.numerators, total.denominator * den, "N", r)
+            pairs.append((((signed * nums[j],), den), minors[j - 1]))
+    return sum_of_products(pairs, "N", r)
 
 
 def map_entries(h: HessenbergMatrix, fn) -> list[list]:

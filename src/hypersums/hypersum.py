@@ -19,6 +19,8 @@ All routes return polynomials in the n-frame; the centered (N) and product
 cross-method comparison is always same-frame.  The paper's centered factor G,
 with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma``
 and ``det`` routes build G, of degree m - 1, and multiply by S(1, r) once.
+The Newton weights k! {m k} give S(m, r, n) (:func:`hyper_sum_newton`, proved by
+:func:`newton_weights`) and G (:func:`newton_factor`) with no Bernoulli number.
 Everything is exact.
 """
 
@@ -118,6 +120,33 @@ def hyper_sum_newton(m: int, r: int, n: int) -> int:
         total += weight * binom
         binom = binom * (n - k) // (k + r + 1)
     return total
+
+
+def newton_weights(m: int) -> tuple[int, ...]:
+    """The weights k! {m k} of :func:`hyper_sum_newton`, or :class:`CrossCheckError`:
+    n^m at n = 1..m is unit lower triangular in them, so agreement there fixes each one."""
+    if any(hyper_sum_newton(m, 0, k) != k**m for k in range(1, m + 1)):
+        raise CrossCheckError(f"the Newton weights of m = {m} do not give n^m at n <= m")
+    return _surjection_counts(m)
+
+
+def newton_factor(m: int, r: int) -> RatPoly:
+    """The centered factor G(m, r) in N = n + r/2 from the Newton weights a_k alone.
+
+    C(n+r, k+r) = C(n+r, r+1) (n-1)...(n-k+1) / ((r+2)...(r+k)), so G = P_1 / D_1 with
+    D_k = (r+k+1)...(r+m) and P_k = a_k D_k + (N - k - r/2) P_{k+1}, run on 2^(m-k) P_k
+    in x = 2N in integers: no Bernoulli number, no determinant, no shift.  The weights
+    are read unproved, so a wrong row gives a wrong G.
+    """
+    if m < 1 or r < 0:
+        raise DomainError(f"need m >= 1 and r >= 0, got ({m}, {r})")
+    a = _surjection_counts(m)
+    p, d = [a[m]], 1
+    for k in range(m - 1, 0, -1):
+        d *= r + k + 1
+        p = [u - (2 * k + r) * v for u, v in zip((0, *p), (*p, 0))]  # (x - 2k - r) p
+        p[0] += a[k] * d << (m - k)
+    return RatPoly.from_integers([c << j for j, c in enumerate(p)], d << (m - 1), "N", r)
 
 
 def s1_closed(r: int, n: int) -> Rational:
@@ -343,38 +372,6 @@ def faulhaber_det(m: int, r: int) -> RatPoly:
 def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
     """S(m, r) = C(n+r, r+1) times the determinant factor, expanded in n."""
     return HyperSumPoly(m, r, s1_poly(r) * to_n_frame(faulhaber_det(m, r)))
-
-
-# -- parity-split coefficient recurrences --------------------------------------
-
-
-@memo
-def faulhaber_rec(m: int, r: int) -> RatPoly:
-    """The centered factor G(m, r) in N, grown coefficientwise by the
-    parity-split recurrence (no determinant).
-
-    With G(1) = 1, for m >= 2
-
-        (m+r) G(m) = m N G(m-1) - r sum_{k} C(m, k) B_{m-k} G(k),
-
-    the sum over 1 <= k <= m-2 with k = m (mod 2), where B_{m-k} != 0.
-    G(m) is even in N for odd m and odd for even m, so reading off the
-    coefficient of N^(2j) (odd m) or N^(2j+1) (even m) gives the
-    coefficientwise recurrences g[m, j] = (m g[m-1, j - (m odd)]
-    - r sum_k C(m, k) B_{m-k} g[k, j]) / (m+r), seeded with g[1] = (1,) and
-    g[2] = (2/(r+2),).  Each G(k) is memoised per (k, r); a refused m leaves
-    no entry.
-    """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    if m == 1:
-        return RatPoly((1,), "N", r)
-    lower = [faulhaber_rec(k, r) for k in range(1, m)]
-    row, den = bernoulli_row(m)
-    pairs = [(((0, m), m + r), lower[m - 2])]
-    for k in range(m - 2, 0, -2):
-        pairs.append((((-r * row[k],), den * (m + r)), lower[k - 1]))
-    return sum_of_products(pairs, "N", r)
 
 
 # -- classical product form -----------------------------------------------------

@@ -148,13 +148,13 @@ def check_routes(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
 
 
 def check_centered_factor(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
-    """Determinant and coefficientwise centered factors agree, and have the
-    parity, length, alternating signs and leading term of the paper."""
+    """The determinant's centered factor equals the Bernoulli-free Newton factor and has
+    the parity, length, alternating signs and leading term of the paper."""
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
             cell = {"m": m, "r": r}
             p = hypersum.faulhaber_det(m, r)
-            yield _poly_check("centered-factor[det=rec]", cell, p, hypersum.faulhaber_rec(m, r))
+            yield _poly_check("centered-factor[det=newton]", cell, p, hypersum.newton_factor(m, r))
             # the g coefficients' numerators over the positive denominator carry their signs
             g = p.numerators[p.degree % 2 :: 2]
             ok = (
@@ -253,7 +253,7 @@ def check_parity_lift(m_max: int, r_max: int, n_max: int, values: dict) -> Check
                 residual = hypersum.coffey_residual(e, r)
                 yield _check(
                     f"parity-lift[{parity}]",
-                    {"m": (e + 1) // 2, "r": r},
+                    {"m": e, "r": r},
                     residual.is_zero(),
                     lambda: str(residual),
                 )

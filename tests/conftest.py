@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import exactnum
+from hypersums import exactnum, hypersum
 
 
 @pytest.fixture
@@ -33,3 +33,19 @@ def corrupt_bernoulli():
             exactnum.clear_derived_caches()
 
     return corrupt
+
+
+@pytest.fixture
+def wrong_newton_weight(monkeypatch):
+    """Make the Newton weight a(4, 2) = 2! {4 2} = 14 one too large, for every reader.
+
+    Values at m = 4 then read 2422 for 7^4 = 2401; the proof of :func:`newton_weights`
+    fails at n = 2, where the row gives 17 for 2^4.
+    """
+    real = hypersum._surjection_counts
+
+    def wrong(m: int) -> tuple[int, ...]:
+        row = real(m)
+        return row[:2] + (row[2] + 1,) + row[3:] if m == 4 else row
+
+    monkeypatch.setattr(hypersum, "_surjection_counts", wrong)

@@ -121,14 +121,16 @@ def test_eval_json_schema(capsys):
 )
 @pytest.mark.parametrize("method", ["auto", "q", "c", "chain", "lemma", "det"])
 def test_eval_crosscheck_mismatch_exit_3(capsys, corrupt_bernoulli, method, r, n):
-    # every polynomial method is checked, not only auto: each route reads the bad B_2
+    # every route reads the bad B_2 and is checked against the Newton basis; auto serves
+    # the Newton sum, which reads no Bernoulli number, so it stays right
     argv = ("eval", "--m", "4", "--r", str(r), "--n", str(n), "--method", method)
     with corrupt_bernoulli(2, Fraction(1, 7)):
-        assert run_cli(capsys, *argv) == (3, "")
+        corrupted = run_cli(capsys, *argv)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and int(out) == hyper_sum_newton(4, r, n)
     if n <= 30:
         assert int(out) == hyper_sum_bruteforce(4, r, n)
+    assert corrupted == ((0, out) if method == "auto" else (3, ""))
 
 
 def test_eval_invalid_arguments_exit_2(capsys):
@@ -758,15 +760,21 @@ def test_table_json(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_table_with_a_wrong_newton_weight_exit_3(capsys, monkeypatch, fmt):
-    # a(4, 2) one too large: the cells would read 2422 for 7^4 = 2401 and exit 0
-    real = hypersum._surjection_counts
-    wrong = lambda m: real(m)[:2] + (real(m)[2] + 1,) + real(m)[3:] if m == 4 else real(m)
-    monkeypatch.setattr(hypersum, "_surjection_counts", wrong)
+def test_table_with_a_wrong_newton_weight_exit_3(capsys, wrong_newton_weight, fmt):
+    # unproved, the cells would read 2422 for 7^4 = 2401 and exit 0
     argv = ("table", "--max-m", "4", "--max-r", "2", "--n", "7", "--format", fmt)
     code, out, err = run_cli_full(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_auto_with_a_wrong_newton_weight_exit_3(capsys, wrong_newton_weight, fmt):
+    for n in ("7", str(10**12)):
+        argv = ("eval", "--m", "4", "--r", "2", "--n", n, "--format", fmt)
+        code, out, err = run_cli_full(capsys, *argv)
+        assert (code, out) == (3, ""), n
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
 
 
 def test_bad_format_exit_2(capsys):

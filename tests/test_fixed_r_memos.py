@@ -1,10 +1,10 @@
 """The per-(m, r) memos behind the lemma route and the centered factors.
 
-The centered recurrence, the leading principal minors of the Hessenberg
-matrix and the coefficientwise centered factor are each grown in m at fixed
-r from memoised lower steps.  Their values must not depend on the order in
-which the cells are asked for, on other threads asking at the same time, or
-on a memo that outlived a change of the Bernoulli table.
+The centered recurrence and the leading principal minors of the Hessenberg
+matrix are each grown in m at fixed r from memoised lower steps.  Their
+values must not depend on the order in which the cells are asked for, on
+other threads asking at the same time, or on a memo that outlived a change
+of the Bernoulli table.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ import pytest
 
 import hypersums
 from hypersums import exactnum, hessenberg, hypersum, verify
-from hypersums.hypersum import ROUTES, faulhaber_det, faulhaber_rec
+from hypersums.hypersum import ROUTES, faulhaber_det, newton_factor
 from hypersums.polyring import RatPoly
 
 CELLS = [(m, r) for r in range(9) for m in range(1, 26)]
 
 
 def build(cells) -> dict:
-    """(lemma S(m, r), determinant G(m, r), coefficientwise G(m, r)) per cell."""
+    """(lemma S(m, r), determinant G(m, r), centered-recurrence G(m, r)) per cell."""
     return {
-        (m, r): (ROUTES["lemma"](m, r).poly, faulhaber_det(m, r), faulhaber_rec(m, r))
+        (m, r): (ROUTES["lemma"](m, r).poly, faulhaber_det(m, r), hypersum._lemma_factor(m, r))
         for m, r in cells
     }
 
@@ -60,7 +60,6 @@ def test_leading_minors_multiply_no_polynomials(monkeypatch):
 def test_the_memos_refuse_their_own_domain_and_keep_no_entry():
     exactnum.clear_derived_caches()
     refusals = [
-        (hypersum.faulhaber_rec, (0, 3)),
         (hessenberg.leading_minor, (-1, 3)),
         (hessenberg.leading_minor, (2, -1)),
         (hypersum.lemma_recurrence_family, (3, -1)),
@@ -69,7 +68,7 @@ def test_the_memos_refuse_their_own_domain_and_keep_no_entry():
     for fn, args in refusals:
         with pytest.raises(ValueError):
             fn(*args)
-    for memo in (hypersum.faulhaber_rec, hessenberg.leading_minor, hypersum._lemma_factor):
+    for memo in (hessenberg.leading_minor, hypersum._lemma_factor):
         assert memo.cache_info().currsize == 0, memo
 
 
@@ -102,19 +101,24 @@ def test_the_lemma_route_multiplies_no_polynomial_longer_than_its_factor(monkeyp
     assert max(widths) == 57
 
 
-def test_the_lemma_factor_skips_bernoulli_zeros_by_value_and_faulhaber_rec_by_index(
-    corrupt_bernoulli,
+@pytest.mark.parametrize(
+    "j, value",
+    [(2, Fraction(1, 7)), (3, Fraction(1, 5)), (4, Fraction(1, 31))],
+    ids=["B2", "B3", "B4"],
+)
+def test_the_lemma_factor_reads_each_bernoulli_number_and_the_newton_factor_none(
+    corrupt_bernoulli, j, value
 ):
     exactnum.clear_derived_caches()
     lemma = {cell: hypersum._lemma_factor(*cell) for cell in CELLS}
-    rec = {cell: faulhaber_rec(*cell) for cell in CELLS}
-    assert all(lemma[cell] == faulhaber_det(*cell) == rec[cell] for cell in CELLS)
-    # B_3 enters the centered recurrence at m = 4, with the weight r; the
-    # parity-split recurrence reads no odd-index Bernoulli number
-    with corrupt_bernoulli(3, Fraction(1, 5)):
+    newton = {cell: newton_factor(*cell) for cell in CELLS}
+    assert all(lemma[cell] == faulhaber_det(*cell) == newton[cell] for cell in CELLS)
+    # B_j enters the centered recurrence at m = j + 1, with the weight r; zero Bernoulli
+    # numbers are skipped by value, so the odd B_3 is read too
+    with corrupt_bernoulli(j, value):
         for m, r in CELLS:
-            assert (hypersum._lemma_factor(m, r) != lemma[m, r]) == (m >= 4 and r >= 1), (m, r)
-            assert faulhaber_rec(m, r) == rec[m, r], (m, r)
+            assert (hypersum._lemma_factor(m, r) != lemma[m, r]) == (m > j and r >= 1), (m, r)
+            assert newton_factor(m, r) == newton[m, r], (m, r)
 
 
 def test_det_of_the_built_matrix_multiplies_no_polynomials(monkeypatch):

@@ -16,7 +16,6 @@ from hypersums.hypersum import (
     coffey_residual,
     faulhaber_det,
     faulhaber_r1,
-    faulhaber_rec,
     faulhaber_u_form,
     hyper_sum_bruteforce,
     hyper_sum_det,
@@ -26,6 +25,8 @@ from hypersums.hypersum import (
     hyper_sum_poly_chain,
     hyper_sum_poly_q,
     lemma_recurrence_family,
+    newton_factor,
+    newton_weights,
     power_sum_poly,
     q_poly,
     s1_closed,
@@ -435,23 +436,41 @@ def test_faulhaber_det_r0_is_pure_power():
         assert faulhaber_det(m, 0) == monomial(m - 1, 1, "N", 0)
 
 
-# -- coefficientwise recurrences -------------------------------------------------------
+# -- the Newton factor ---------------------------------------------------------------
 
 
-def test_faulhaber_rec_seed():
+def test_newton_factor_seed():
     for r in range(0, 6):
-        assert faulhaber_rec(2, r) == RatPoly([0, Fraction(2, r + 2)], "N", r)
+        assert newton_factor(1, r) == RatPoly([1], "N", r)
+        assert newton_factor(2, r) == RatPoly([0, Fraction(2, r + 2)], "N", r)
 
 
-def test_faulhaber_rec_matches_det():
-    for r in range(0, 7):
-        for m in range(1, 13):
-            assert faulhaber_rec(m, r) == faulhaber_det(m, r), (m, r)
+def test_the_paper_s_theorem_at_every_r_by_the_newton_factor():
+    # S(m, r, n) = S(1, r, n) G(n + r/2) with G of the parity of m - 1: the Newton G
+    # reads no Bernoulli number and equals the determinant's at every r, not only r >= 1
+    for m, r in [(m, r) for m in range(1, 31) for r in range(m)] + [(200, 200)]:
+        g = newton_factor(m, r)
+        assert g == faulhaber_det(m, r), (m, r)
+        assert g.degree == m - 1 and g.parity() == ("odd" if m % 2 == 0 else "even"), (m, r)
+
+
+def test_newton_factor_refuses_m_0_and_negative_r():
+    for bad in ((0, 3), (3, -1)):
+        with pytest.raises(DomainError):
+            newton_factor(*bad)
+
+
+def test_newton_weights_are_proved_before_they_are_returned(wrong_newton_weight):
+    assert [newton_weights(m) for m in range(4)] == [(1,), (0, 1), (0, 1, 2), (0, 1, 6, 6)]
+    with pytest.raises(CrossCheckError):
+        newton_weights(4)
+    # the factor reads the weights unproved, so the wrong row gives a wrong G
+    assert newton_factor(4, 2) != faulhaber_det(4, 2)
 
 
 def test_top_coefficient_relation_at_r10():
-    g8 = g_coeffs(faulhaber_rec(8, 10))
-    g9 = g_coeffs(faulhaber_rec(9, 10))
+    g8 = g_coeffs(newton_factor(8, 10))
+    g9 = g_coeffs(newton_factor(9, 10))
     assert g9[4] == Fraction(9, 19) * g8[3]
 
 

@@ -15,10 +15,10 @@ from hypersums.polyring import RatPoly
 PUBLIC = (
     "HessenbergMatrix HyperSumPoly RatPoly Rational VerifyReport bernoulli "
     "build_matrix coffey_residual det faulhaber_det "
-    "faulhaber_r1 faulhaber_rec faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
+    "faulhaber_r1 faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
-    "hyper_sum_poly_q lemma_recurrence_family monomial power_sum_poly q_poly r_stirling1 "
-    "rising_factorial run_all run_grid s1_closed s1_poly s2_closed stirling1_unsigned "
+    "hyper_sum_poly_q lemma_recurrence_family monomial newton_factor power_sum_poly q_poly "
+    "r_stirling1 rising_factorial run_all run_grid s1_closed s1_poly s2_closed stirling1_unsigned "
     "sum_of_products to_N_frame to_latex to_n_frame to_text to_u_form"
 ).split()
 
@@ -58,6 +58,8 @@ def test_deleted_helpers_are_gone():
     assert not hasattr(hypersums, "FaulhaberPoly")
     assert not hasattr(hypersums.hypersum, "FaulhaberPoly")
     assert not hasattr(hypersums.cli, "_factored_parts")
+    assert not hasattr(hypersums, "faulhaber_rec")
+    assert not hasattr(hypersums.hypersum, "faulhaber_rec")
     for name in ("poly", "constant", "zero"):  # RatPoly(...) builds every polynomial
         assert not hasattr(hypersums, name)
         assert not hasattr(hypersums.polyring, name)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hypersums import cli, hypersum
+from hypersums.exactnum import bernoulli
 from hypersums.polyring import RatPoly
 from hypersums.verify import check_routes, golden_fixtures, run_all, run_grid
 
@@ -90,32 +91,34 @@ def test_a_wrong_reference_route_fails_every_equality_and_only_its_own_evaluatio
 
 
 # sha256 of the JSON of [c.to_json() for c in run_all(*grid).checks], keys sorted,
-# taken before verify shared its builds and comparisons (at (8, 4, 10)) and before the
-# parity lift took its exponent (at the grid edges, where the lift loops start and end),
-# with the Bernoulli table clean and with one entry corrupted
+# with the Bernoulli table clean and with one entry corrupted.  Taken when the centered
+# factor's partner became the Newton factor and the parity lift named its cells by their
+# exponent: clean, each report equals the one before with those two changes mapped in,
+# and under a corruption only the renamed family differs, where it now fails under B_2
+# and B_4 as well
 REPORT_DIGESTS = [
-    ((8, 4, 10), None, "b48f80b22ea078dc2b9d8b0d195db7a717f7f9f9b6b6946e5362d26089ab4d1a"),
+    ((8, 4, 10), None, "e11354c8d150b56424d2d6db9a69a2fe82ffef8f6c4a636612bd88c2368d2f0a"),
     (
         (8, 4, 10),
         (2, Fraction(1, 7)),
-        "bf35ef3a5818cd9fb6976e4c6235459fe076ae57d0dc6cef42a2293b2ebf452b",
+        "28682f76886ec5dc9b9ea7d41762ba70e939fa9b00894e9d2602f5f02c1cef7b",
     ),
     (
         (8, 4, 10),
         (4, Fraction(1, 31)),
-        "96ab9bf26a3b4da6e3d07a48e9dfa2665c80bac1ca98cda160b598e55f4dec1b",
+        "99fef78fa407142a759ea7794714bc8311a5f1b856dc1d0adc108fbf153d8e8d",
     ),
     (
         (8, 4, 10),
         (3, Fraction(1, 5)),
-        "558f46a7446d49bce46a0d863aceaab5293130fd872828e96d1f30bd23d21472",
+        "f999626eb25a935e7483dfa94dbc7c19211f1f85c94591c934897db200209ec5",
     ),
-    ((1, 1, 1), None, "7317fb0c5fd7246cdb4dca7a3a2ccbd64d818b9b1611988f22dfa113a5fad31d"),
-    ((3, 2, 4), None, "8e2ef203e388b7bb33b8193dd3ce79e12fe32d8efb9ce4762e774f0033d542f5"),
+    ((1, 1, 1), None, "05cb41156d41886d047f1594dd303ad2de68d40d4a090cd1a9e9955b8b32d02e"),
+    ((3, 2, 4), None, "2780247f07c401857e8d1a614175b44c87e1638c536ea7a5bcc1a3afb2c8325e"),
     (
         (3, 2, 4),
         (3, Fraction(1, 5)),
-        "d8ab493d579be91151e198c5e98e304354b10c1445ce97d032bc798ba6d5a21c",
+        "5e9509da9838b46e456d7fe3b0c9a50450b798aa3a6c427981412ea7cb2aa66f",
     ),
 ]
 
@@ -129,6 +132,32 @@ def test_the_report_is_unchanged(grid, corruption, digest, corrupt_bernoulli):
     with corrupt_bernoulli(*corruption) if corruption else nullcontext():
         checks = [c.to_json() for c in run_all(*grid).checks]
     assert hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest() == digest
+
+
+def centered_factor_failures(m_max: int = 8, r_max: int = 4, n_max: int = 10) -> tuple:
+    """The grid's failures: those of centered-factor[det=newton], and all of them."""
+    failures = run_grid(m_max, r_max, n_max).failures
+    return [c for c in failures if c.name == "centered-factor[det=newton]"], failures
+
+
+@pytest.mark.parametrize("j", range(2, 10))
+def test_the_newton_partner_fails_under_each_bernoulli_number_the_determinant_reads(
+    corrupt_bernoulli, j
+):
+    # the determinant of order m - 1 reads B_2 ... B_(m-1), the Newton factor none: its
+    # partner fails under every one of them, the even ones included
+    with corrupt_bernoulli(j, bernoulli(j) + Fraction(1, 3)):
+        partner, failures = centered_factor_failures()
+    assert failures
+    assert {(c.params["m"], c.params["r"]) for c in partner} == {
+        (m, r) for m in range(j + 1, 9) for r in range(1, 5)
+    }
+
+
+def test_the_newton_partner_fails_under_a_wrong_newton_weight(wrong_newton_weight):
+    partner, failures = centered_factor_failures()
+    assert failures == partner
+    assert {(c.params["m"], c.params["r"]) for c in partner} == {(4, r) for r in range(1, 5)}
 
 
 def test_golden_fixtures_pass():
