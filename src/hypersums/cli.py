@@ -2,6 +2,8 @@
 
 Subcommands: eval, poly, det, verify, table.  Data goes to stdout,
 diagnostics to stderr.  Values are always exact ("p/q", never decimals).
+Values and polynomials come from the Newton weights that ``hypersum.newton_weights`` proves;
+a route that ``eval`` names and the determinant that ``det`` prints are checked against them.
 Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid arguments,
 from argparse or a ``DomainError`` the library raises; 3 a failed internal check, a
 ``CrossCheckError``; 141 (128 + SIGPIPE) a stdout closed early.  :func:`main` alone turns
@@ -16,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import hessenberg, hypersum  # verify is imported by cmd_verify alone
-from .exactnum import CrossCheckError, DomainError, rational_to_json
+from .exactnum import CrossCheckError, DomainError, rational_to_json, rising_factorial, sign_pow
 from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
 EXIT_OK = 0
@@ -34,8 +36,8 @@ MAX_BRUTEFORCE_N = 10**6
 MAX_BRUTEFORCE_WORK = 10**8
 # largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM, eval takes
 # 0.09-0.10 s (auto), 5.1-5.4 s (q), 5.9-7.0 s (c), 3.7-3.9 s (chain), 0.6 s (lemma) and
-# 0.9 s (det), poly 1.0 s and det 0.8-0.9 s; at (200, 1) eval --method lemma takes
-# 0.35-0.38 s (three runs each on a shared VM, whose speed varies by tens of percent)
+# 0.9 s (det), poly 0.07-0.11 s (any --var), det 0.45-0.63 s; at (200, 1) poly 0.07-0.08 s
+# and eval --method lemma 0.35-0.38 s (three runs each on a shared VM of varying speed)
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there, and the JSON table 1.3-1.4 s at a peak RSS of 26 MB
@@ -90,15 +92,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"for the d digits of n + r, got {work} at m={m}, r={r}, n={n}"
             )
         value = hypersum.hyper_sum_bruteforce(m, r, n)
-    elif method == "auto":  # the Newton basis, against which every route is checked below
+    else:  # the proved Newton basis serves; a route asked for by name is checked against it
         hypersum.newton_weights(m)
         value = hypersum.hyper_sum_newton(m, r, n)
-    else:
-        value = hypersum.ROUTES[method](m, r).poly.eval(n)
-        if value != hypersum.hyper_sum_newton(m, r, n):
+        if method != "auto" and hypersum.ROUTES[method](m, r).poly.eval(n) != value:
             raise CrossCheckError(
-                f"polynomial route gives {value}, not the integer "
-                f"of the Newton-basis oracle, at (m={m}, r={r}, n={n})"
+                f"polynomial route {method} disagrees with the Newton-basis integer "
+                f"{value} at (m={m}, r={r}, n={n})"
             )
     if args.format == "json":
         _print_json({"m": m, "r": r, "n": n, "method": method, "value": rational_to_json(value)})
@@ -112,21 +112,20 @@ def cmd_poly(args: argparse.Namespace) -> int:
     if args.factored and args.var != "N":
         raise DomainError("--factored requires --var N")
     s1_text = f"binomial(n+{r}, {r + 1})"  # S(1, r, n)
-    if args.var == "n":
-        if r == 0 or m == 0:
-            p = hypersum.hyper_sum_poly(m, r)
-            method = "monomial" if r == 0 else "q-form"
-        else:
-            p, method = hypersum.hyper_sum_det(m, r).poly, "determinant"
-        fields: dict = {"m": m, "r": r, "method": method}
-    elif args.var == "N":
-        p = hypersum.faulhaber_det(m, r)
-        fields = {"m": m, "r": r, "method": "determinant"}
-        if args.factored:  # 1/D times the integer bracket
-            scale, bracket = Fraction(1, p.denominator), p.scale(p.denominator)
-    else:  # u
+    hypersum.newton_weights(m)  # each polynomial below is built from the proved weights
+    if args.var == "u":
         p, prefactor = hypersum.faulhaber_u_form(m, r)
-        fields = {"m": m, "r": r, "prefactor": prefactor}
+        fields: dict = {"m": m, "r": r, "prefactor": prefactor}
+    else:
+        fields = {"m": m, "r": r, "method": "newton"}
+        if args.var == "N":
+            p = hypersum.newton_factor(m, r)
+            if args.factored:  # 1/D times the integer bracket
+                scale, bracket = Fraction(1, p.denominator), p.scale(p.denominator)
+        elif m == 0:  # S(0, r, n) = C(n+r-1, r), and 1 at r = 0
+            p = hypersum.s1_poly(r - 1) if r else RatPoly((1,))
+        else:
+            p = hypersum.s1_poly(r) * to_n_frame(hypersum.newton_factor(m, r))
 
     if args.format == "json":
         payload = {**fields, "poly": poly_to_json(p)}
@@ -161,6 +160,10 @@ def cmd_det(args: argparse.Namespace) -> int:
         _refuse_long_value("--at", m, r, args.at, (m - 1) * len(str(m + r)))
     matrix = hessenberg.build_matrix(m, r)
     determinant = hessenberg.det(matrix)
+    hypersum.newton_weights(m)  # the determinant is (-1)^(m-1) (r+2)^(m-1 rising) G
+    g = hypersum.newton_factor(m, r).scale(sign_pow(m - 1) * rising_factorial(r + 2, m - 1))
+    if determinant != g:
+        raise CrossCheckError(f"the determinant differs from the Newton factor at (m={m}, r={r})")
     if r == 0:
         # the centered variable coincides with n; display it that way
         entries = hessenberg.map_entries(matrix, to_n_frame)

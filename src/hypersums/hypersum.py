@@ -383,12 +383,12 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
     Odd m: S(m, r) = S(1, r) * F(u) and the tag is "s1".  Even m:
     S(m, r) = S(2, r) * F(u) with tag "s2"; here the centered factor, odd in
     N, is divided by the factor (2/(r+2)) N of S(2, r) before converting.
-    A centered factor without the parity of m - 1, the paper's theorem, is
-    refused with :class:`CrossCheckError`.
+    The centered factor, :func:`newton_factor` with its weights unproved, is refused
+    with :class:`CrossCheckError` without the parity of m - 1, the paper's theorem.
     """
     if m < 1 or r < 1:
         raise DomainError(f"need m >= 1 and r >= 1, got ({m}, {r})")
-    g = faulhaber_det(m, r)
+    g = newton_factor(m, r)
     if g.parity() != ("even" if m % 2 else "odd"):
         raise CrossCheckError(f"the centered factor G({m}, {r}) lacks the parity of m - 1")
     if m % 2 == 1:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hypersums import exactnum, hypersum
+from hypersums.polyring import RatPoly
 
 
 @pytest.fixture
@@ -49,3 +50,18 @@ def wrong_newton_weight(monkeypatch):
         return row[:2] + (row[2] + 1,) + row[3:] if m == 4 else row
 
     monkeypatch.setattr(hypersum, "_surjection_counts", wrong)
+
+
+@pytest.fixture
+def newton_factor_without_parity(monkeypatch):
+    """Call to make :func:`newton_factor` lose the parity of m - 1, the paper's theorem:
+    the even-m factor G(m, r) gains a constant term, and the odd-m one the term N."""
+    real = hypersum.newton_factor
+
+    def wrong(m: int, r: int) -> RatPoly:
+        return real(m, r) + RatPoly([1 - m % 2, m % 2], "N", r)
+
+    def patch() -> None:
+        monkeypatch.setattr(hypersum, "newton_factor", wrong)
+
+    return patch

@@ -318,8 +318,8 @@ def test_poly_centered_and_factored(capsys):
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_poly_factored_reads_the_centered_factor_once(capsys, monkeypatch, fmt):
     calls = []
-    real = hypersum.faulhaber_det
-    monkeypatch.setattr(hypersum, "faulhaber_det", lambda m, r: calls.append((m, r)) or real(m, r))
+    real = hypersum.newton_factor
+    monkeypatch.setattr(hypersum, "newton_factor", lambda m, r: calls.append((m, r)) or real(m, r))
     argv = ("poly", "--m", "5", "--r", "7", "--var", "N", "--factored", "--format", fmt)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out
@@ -399,16 +399,16 @@ def test_poly_u_form(capsys):
 @pytest.mark.parametrize(
     "m, r, var, keys",
     [
-        (3, 0, "n", {"method": "monomial"}),
-        (0, 2, "n", {"method": "q-form"}),
-        (3, 2, "n", {"method": "determinant"}),
-        (3, 2, "N", {"method": "determinant"}),
+        (3, 0, "n", {"method": "newton"}),
+        (0, 2, "n", {"method": "newton"}),
+        (3, 2, "n", {"method": "newton"}),
+        (3, 2, "N", {"method": "newton"}),
         (3, 2, "u", {"prefactor": "s1"}),
         (4, 2, "u", {"prefactor": "s2"}),
     ],
 )
 def test_poly_json_names_the_served_path(capsys, m, r, var, keys):
-    # these names are planned to change; a change should show here
+    # n and N are served from the proved Newton factor, or at m = 0 its closed form
     argv = ("poly", "--m", str(m), "--r", str(r), "--var", var, "--format", "json")
     code, out = run_cli(capsys, *argv)
     blob = json.loads(out)
@@ -417,21 +417,30 @@ def test_poly_json_names_the_served_path(capsys, m, r, var, keys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
-def test_poly_u_form_of_a_wrong_centered_factor_exit_3(capsys, corrupt_bernoulli, fmt):
-    # under B_3 = 1/5 these factors lose the parity of m - 1; they once escaped main as a
-    # ValueError and exited 1, the code of a failed verify
+def test_poly_u_form_of_a_wrong_centered_factor_exit_3(
+    capsys, corrupt_bernoulli, newton_factor_without_parity, fmt
+):
+    # the u-form reads the Newton factor, which reads no Bernoulli number: under B_3 = 1/5
+    # it prints the clean bytes; a factor without the parity of m - 1 once escaped main as
+    # a ValueError and exited 1, the code of a failed verify
+    argvs = [
+        ("poly", "--m", str(m), "--r", str(r), "--var", "u", "--format", fmt)
+        for m in (4, 5)
+        for r in (1, 2)
+    ]
+    clean = [run_cli(capsys, *argv) for argv in argvs]
     with corrupt_bernoulli(3, Fraction(1, 5)):
-        for m in (4, 5):
-            for r in (1, 2):
-                argv = ("poly", "--m", str(m), "--r", str(r), "--var", "u", "--format", fmt)
-                code, out, err = run_cli_full(capsys, *argv)
-                assert (code, out) == (3, ""), (m, r)
-                assert err.count("\n") == 1 and err.startswith("internal error: ")
+        assert [run_cli(capsys, *argv) for argv in argvs] == clean
+    newton_factor_without_parity()
+    for argv in argvs:
+        code, out, err = run_cli_full(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
 
 
 def test_a_frame_mismatch_is_not_a_refusal(monkeypatch):
     # mixing frames is a bug, not an argument outside a domain: it must not read as exit 2
-    monkeypatch.setattr(hypersum, "faulhaber_det", lambda m, r: RatPoly([1]) * RatPoly([1], "N", r))
+    monkeypatch.setattr(hypersum, "newton_factor", lambda m, r: RatPoly([1]) * RatPoly([1], "N", r))
     with pytest.raises(ValueError) as exc:
         main(["poly", "--m", "3", "--r", "1", "--var", "N"])
     assert not isinstance(exc.value, DomainError)
@@ -666,6 +675,65 @@ def test_det_m0_rejected(capsys):
     assert code == 2
 
 
+# -- what poly and det print is checked -----------------------------------------------
+
+
+def trust_matrix():
+    """(m, argv) of every poly --var and --format at (4, 1) and (5, 2), --factored at
+    (4, 1) and (6, 3), and det in text and JSON, with and without --at 5, at (4, 1),
+    (5, 2) and (6, 3)."""
+    for m, r in ((4, 1), (5, 2)):
+        for var in ("n", "N", "u"):
+            for fmt in ("text", "json", "latex"):
+                yield m, ("poly", "--m", str(m), "--r", str(r), "--var", var, "--format", fmt)
+    for m, r in ((4, 1), (6, 3)):
+        for fmt in ("text", "json", "latex"):
+            argv = ("poly", "--m", str(m), "--r", str(r), "--var", "N", "--format", fmt)
+            yield m, (*argv, "--factored")
+    for m, r in ((4, 1), (5, 2), (6, 3)):
+        for fmt in ("text", "json"):
+            for at in ((), ("--at", "5")):
+                yield m, ("det", "--m", str(m), "--r", str(r), "--format", fmt, *at)
+
+
+TRUST_MATRIX = list(trust_matrix())
+
+
+@pytest.mark.parametrize(
+    "j, value",
+    [(2, Fraction(1, 7)), (3, Fraction(1, 5)), (4, Fraction(1, 31))],
+    ids=["B2", "B3", "B4"],
+)
+def test_poly_and_det_print_no_wrong_answer_under_a_wrong_bernoulli_number(
+    capsys, corrupt_bernoulli, j, value
+):
+    # poly prints the Newton factor, which reads no Bernoulli number; the determinant of
+    # order m - 1 reads B_2 .. B_(m-1), so at m > j it differs from the Newton factor's
+    # multiple and exits 3 before printing, and at m <= j it is right and prints
+    clean = {argv: run_cli_full(capsys, *argv) for _, argv in TRUST_MATRIX}
+    assert all(code == 0 and out for code, out, _ in clean.values())
+    with corrupt_bernoulli(j, value):
+        for m, argv in TRUST_MATRIX:
+            code, out, err = run_cli_full(capsys, *argv)
+            if argv[0] == "det" and m > j:
+                assert (code, out) == (3, ""), argv
+                assert err.count("\n") == 1 and err.startswith("internal error: ")
+            else:
+                assert (code, out, err) == clean[argv], argv
+
+
+def test_poly_and_det_with_a_wrong_newton_weight_exit_3(capsys, request):
+    clean = {argv: run_cli_full(capsys, *argv) for _, argv in TRUST_MATRIX}
+    request.getfixturevalue("wrong_newton_weight")  # a(4, 2) one too large from here on
+    for m, argv in TRUST_MATRIX:
+        code, out, err = run_cli_full(capsys, *argv)
+        if m == 4:
+            assert (code, out) == (3, ""), argv
+            assert err.count("\n") == 1 and "Newton weights of m = 4" in err
+        else:
+            assert (code, out, err) == clean[argv], argv
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -775,6 +843,17 @@ def test_eval_auto_with_a_wrong_newton_weight_exit_3(capsys, wrong_newton_weight
         code, out, err = run_cli_full(capsys, *argv)
         assert (code, out) == (3, ""), n
         assert err.count("\n") == 1 and err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_by_a_named_route_blames_a_wrong_newton_weight_not_the_route(
+    capsys, wrong_newton_weight, fmt
+):
+    # the q route gives the right 8400 here; the unproved weights would give 8421
+    argv = ("eval", "--m", "4", "--r", "2", "--n", "7", "--method", "q", "--format", fmt)
+    code, out, err = run_cli_full(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "Newton weights of m = 4" in err and "route" not in err
 
 
 def test_bad_format_exit_2(capsys):

@@ -516,13 +516,13 @@ def test_u_form_rejects_r0():
         faulhaber_u_form(3, 0)
 
 
-def test_u_form_refuses_a_centered_factor_that_is_not_odd(corrupt_bernoulli):
-    # with B_3 != 0 the factor G(m, 1) loses the parity of m - 1: the even-m factor G(4, 1)
-    # gains a constant term, and the odd-m factor G(5, 1) an odd power of N
-    with corrupt_bernoulli(3, Fraction(1, 7)):
-        for m in (4, 5):
-            with pytest.raises(CrossCheckError):
-                faulhaber_u_form(m, 1)
+def test_u_form_refuses_a_centered_factor_that_is_not_odd(newton_factor_without_parity):
+    # the even-m factor G(4, 1) gains a constant term, and the odd-m factor G(5, 1) an odd
+    # power of N
+    newton_factor_without_parity()
+    for m in (4, 5):
+        with pytest.raises(CrossCheckError):
+            faulhaber_u_form(m, 1)
 
 
 # -- half-shifted power sums ---------------------------------------------------------------
