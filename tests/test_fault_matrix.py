@@ -1,0 +1,174 @@
+"""The fault matrix behind ``verify.GRID_CHECKS``: each family earns its place.
+
+Every fault below fails at least one check of the default grid, so no family
+that is not run would have been the only one to see it, and three of the
+families are each the only one to see one fault.  The centered recurrence is
+not run because its defect is an exact combination of two families that are,
+which the last tests pin as a polynomial identity.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from fractions import Fraction
+
+import pytest
+
+from hypersums import exactnum, hypersum
+from hypersums.exactnum import bernoulli, bernoulli_row
+from hypersums.polyring import RatPoly, sum_of_products
+from hypersums.verify import DEFAULT_GRID, run_all
+
+
+@contextmanager
+def stirling_entry_off_by_one(m: int):
+    """Entry 2 of the unsigned Stirling row m one too large in the shared table,
+    the derived caches flushed on the way in and out."""
+    exactnum.stirling1_row(m + 1)  # grown past row m, so no later row is grown from the bad one
+    table = exactnum._STIRLING[0]._entries
+    original = table[m]
+    table[m] = original[:2] + (original[2] + 1,) + original[3:]
+    exactnum.clear_derived_caches()
+    try:
+        yield
+    finally:
+        table[m] = original
+        exactnum.clear_derived_caches()
+
+
+def value_table_off_by_one(m: int, r_max: int, n_max: int, real=hypersum.value_table):
+    """The recursion table with the one entry S(3, 2, 4) one too large."""
+    for r, row in enumerate(real(m, r_max, n_max)):
+        if (m, r) == (3, 2):
+            row = [v + 1 if n == 4 else v for n, v in enumerate(row)]
+        yield row
+
+
+def changed_at(fn, cell: tuple[int, int], change):
+    """``fn(m, r)``, with ``change`` applied to its value at ``cell`` alone."""
+
+    def wrong(m: int, r: int):
+        value = fn(m, r)
+        return change(value) if (m, r) == cell else value
+
+    return wrong
+
+
+FAULTS = (
+    [("bernoulli", j) for j in range(2, 17)]  # B_j + 1/3
+    + [("stirling", m) for m in range(3, 8)]
+    + [("newton-weight", 4), ("value-table", 2)]
+    + [("route", name) for name in hypersum.ROUTES]  # the sign flipped at (3, 2)
+    + [("provider", cell) for cell in ((1, 1), (4, 0), (5, 3), (10, 6))]  # doubled there
+)
+# the faults that one family alone catches, with the checks that fail under each
+ALONE = {
+    ("bernoulli", 16): {"parity-lift[even]"},
+    ("newton-weight", 4): {"centered-factor[det=newton]"},
+    ("value-table", 2): {f"eval-vs-recursion[{name}]" for name in hypersum.ROUTES},
+}
+
+
+def inject(kind: str, where, request, monkeypatch):
+    """Put one fault of ``FAULTS`` in place; the context manager returned undoes it on exit."""
+    if kind == "bernoulli":
+        corrupt = request.getfixturevalue("corrupt_bernoulli")
+        return corrupt(where, bernoulli(where) + Fraction(1, 3))
+    if kind == "stirling":
+        return stirling_entry_off_by_one(where)
+    if kind == "newton-weight":
+        request.getfixturevalue("wrong_newton_weight")
+    elif kind == "value-table":
+        monkeypatch.setattr(hypersum, "value_table", value_table_off_by_one)
+    elif kind == "route":
+        flipped = changed_at(
+            hypersum.ROUTES[where], (3, 2), lambda h: h._replace(poly=h.poly.scale(-1))
+        )
+        monkeypatch.setitem(hypersum.ROUTES, where, flipped)
+    else:
+        doubled = changed_at(hypersum.hyper_sum_poly, where, lambda p: p.scale(2))
+        monkeypatch.setattr(hypersum, "hyper_sum_poly", doubled)
+    return nullcontext()  # monkeypatch and the fixture undo the rest
+
+
+@pytest.mark.parametrize("kind, where", FAULTS, ids=[f"{k}-{w}" for k, w in FAULTS])
+def test_the_default_grid_fails_under_every_fault(kind, where, request, monkeypatch):
+    exactnum.clear_derived_caches()  # no value built before the fault can hide it
+    try:
+        with inject(kind, where, request, monkeypatch):
+            report = run_all(*DEFAULT_GRID)
+    finally:
+        exactnum.clear_derived_caches()  # and none built under it outlives it
+    assert report.failures
+    if (kind, where) in ALONE:
+        assert {c.name for c in report.failures} == ALONE[kind, where]
+
+
+# -- why the centered recurrence is not run ---------------------------------------
+
+
+def tail(m: int, r: int) -> RatPoly:
+    """T(m, r) = sum_{k=1}^{m-2} C(m, k) B_{m-k} S(k, r), read by both recurrences."""
+    row, den = bernoulli_row(m)
+    return sum_of_products(
+        (((a,), den), hypersum.hyper_sum_poly(k, r)) for k, a in enumerate(row[1 : m - 1], 1)
+    )
+
+
+def centered_defect(m: int, r: int) -> RatPoly:
+    """(m+r) S(m, r) - m (n + r/2) S(m-1, r) + r T(m, r)."""
+    s = hypersum.hyper_sum_poly
+    return sum_of_products(
+        [(m + r, s(m, r)), (((-m * r, -2 * m), 2), s(m - 1, r)), (r, tail(m, r))]
+    )
+
+
+def order_lift_defect(m: int, r: int) -> RatPoly:
+    """S(m, r+1) - ((n+r)/r) S(m, r) + (1/r) S(m+1, r), as ``order-lift-recurrence`` reads it."""
+    s = hypersum.hyper_sum_poly
+    return sum_of_products(
+        [(1, s(m, r + 1)), (((-r, -1), r), s(m, r)), (Fraction(1, r), s(m + 1, r))]
+    )
+
+
+def half_step_defect(m: int, r: int) -> RatPoly:
+    """m S(m-1, r+1) - S(m, r) - (m/2) S(m-1, r) - T(m, r), as ``half-step-recurrence`` reads it."""
+    s = hypersum.hyper_sum_poly
+    return sum_of_products(
+        [(m, s(m - 1, r + 1)), (-1, s(m, r)), (Fraction(-m, 2), s(m - 1, r)), (-1, tail(m, r))]
+    )
+
+
+CELLS = [(m, r) for m in range(2, 11) for r in range(1, 7)]
+
+
+def centered_defects_from_the_others() -> list[RatPoly]:
+    """C(m, r) per cell, after asserting C = m r O(m-1, r) - r H(m, r) there."""
+    defects = []
+    for m, r in CELLS:
+        c = centered_defect(m, r)
+        implied = sum_of_products(
+            [(m * r, order_lift_defect(m - 1, r)), (-r, half_step_defect(m, r))]
+        )
+        assert c == implied, (m, r)
+        defects.append(c)
+    return defects
+
+
+def test_the_centered_defect_is_implied_by_the_order_lift_and_half_step_defects():
+    assert all(c.is_zero() for c in centered_defects_from_the_others())
+
+
+@pytest.mark.parametrize("j, value", [(2, Fraction(1, 7)), (3, Fraction(1, 5))], ids=["B2", "B3"])
+def test_the_implication_holds_where_the_centered_recurrence_fails(corrupt_bernoulli, j, value):
+    with corrupt_bernoulli(j, value):
+        defects = centered_defects_from_the_others()
+    # the recurrence does fail, and the two families fail with it
+    assert not all(c.is_zero() for c in defects)
+
+
+def test_the_centered_defect_at_r_0_is_the_provider_against_itself():
+    # C(m, 0) = m (S(m, 0) - n S(m-1, 0)), zero on the provider's n^m
+    for m in range(2, 11):
+        assert centered_defect(m, 0).is_zero()
+        assert hypersum.hyper_sum_poly(m, 0) == RatPoly([0] * m + [1])

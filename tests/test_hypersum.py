@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersums import exactnum, hessenberg, hypersum, verify
 from hypersums.exactnum import CrossCheckError, DomainError, bernoulli
@@ -335,6 +337,22 @@ def test_five_routes_agree_at_high_degree(m, r):
     assert all(p == routes[0] for p in routes)
     n = 10**12 + 39
     assert routes[0].eval(n) == newton_oracle(m, r, n)
+
+
+# m, r >= 1 with m + r <= 60
+cells = st.integers(1, 59).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 60 - m)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(cells)
+def test_every_route_is_the_newton_sum_as_a_polynomial(cell):
+    # degree <= m + r and agreement at the m + r + 1 points n = 0..m+r fix the polynomial
+    m, r = cell
+    values = [hyper_sum_newton(m, r, n) for n in range(m + r + 1)]
+    for name, route in ROUTES.items():
+        p = route(m, r).poly
+        assert len(p.numerators) <= m + r + 1, name
+        assert p.first_mismatch(values) is None, name
 
 
 # sha256 per route of repr((m, r, numerators, denominator)) for each cell of DIGEST_CELLS in
