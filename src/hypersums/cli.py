@@ -42,8 +42,8 @@ MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there, and the JSON table 1.3-1.4 s at a peak RSS of 26 MB
 MAX_TABLE_M_R = 100
-# largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 0.55 s there
-# in-process, and a fresh `verify` process 0.6-0.9 s (cold, shared 2-CPU VM)
+# largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 0.45 s there
+# in-process, and a fresh `verify` process 0.5-0.8 s (cold, shared 2-CPU VM)
 MAX_VERIFY_GRID = (30, 15, 100)
 # most digits of a printed int: sys.get_int_max_str_digits() refuses longer ones by default
 MAX_DIGITS = 4300

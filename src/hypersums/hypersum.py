@@ -423,9 +423,11 @@ def coffey_residual(e: int, r: int) -> RatPoly:
         S(e, r+1) - (1/2) S(e, r) - (1/(e+1)) sum_k C(e+1, k) B_{e+1-k} S(k, r)
 
     over 1 <= k <= e+1 of the other parity than e; zero unless a route is broken.
-    Times e + 1 it is verify's half-step defect at m = e + 1 while the odd-index
-    Bernoulli numbers read are zero: the lift drops those terms by index, the
-    half-step recurrence by value, so a wrong B_3 parts the two checks.
+    With m = e + 1 the half-step defect H(m, r), of the recurrence
+    m S(m-1, r+1) = S(m, r) + (m/2) S(m-1, r) + sum_{k=1}^{m-2} C(m,k) B_{m-k} S(k, r),
+    is m times this defect minus Odd(m, r), the terms of that sum with m - k odd.
+    Those read B_3, B_5, ..., zero unless a table is wrong, and a nonzero one in
+    bernoulli_row(m) makes power_sum_poly(m - 1) wrong, which route equality sees.
     """
     if e < 1:
         raise DomainError(f"need e >= 1, got {e}")

@@ -1,10 +1,13 @@
 """The fault matrix behind ``verify.GRID_CHECKS``: each family earns its place.
 
 Every fault below fails at least one check of the default grid, so no family
-that is not run would have been the only one to see it, and three of the
-families are each the only one to see one fault.  The centered recurrence is
-not run because its defect is an exact combination of two families that are,
-which the last tests pin as a polynomial identity.
+that is not run would have been the only one to see it, and each family that
+is run is the only one to see one fault.  The half-step and centered
+recurrences are not run.  The half-step defect is H = m L - Odd: m times the
+parity-lift defect at m - 1, minus odd-index Bernoulli terms that are zero
+unless a Bernoulli row is wrong, and then route equality fails.  The centered
+defect is m r times the order-lift defect at m - 1 minus r H, so through H it
+reaches the families that are run.  The last tests pin both identities.
 """
 
 from __future__ import annotations
@@ -17,22 +20,36 @@ import pytest
 from hypersums import exactnum, hypersum
 from hypersums.exactnum import bernoulli, bernoulli_row
 from hypersums.polyring import RatPoly, sum_of_products
-from hypersums.verify import DEFAULT_GRID, run_all
+from hypersums.verify import DEFAULT_GRID, GRID_CHECKS, run_all
 
 
 @contextmanager
-def stirling_entry_off_by_one(m: int):
-    """Entry 2 of the unsigned Stirling row m one too large in the shared table,
+def stirling_entry_off_by_one(m: int, r: int = 0):
+    """Entry 2 of row m of the r-Stirling table one too large in the shared table,
     the derived caches flushed on the way in and out."""
-    exactnum.stirling1_row(m + 1)  # grown past row m, so no later row is grown from the bad one
-    table = exactnum._STIRLING[0]._entries
-    original = table[m]
-    table[m] = original[:2] + (original[2] + 1,) + original[3:]
+    exactnum.r_stirling1(m + 1, 0, r)  # grown past row m: no later row is grown from the bad one
+    table = exactnum._STIRLING[r]._entries
+    original = table[m - r]
+    table[m - r] = original[:2] + (original[2] + 1,) + original[3:]
     exactnum.clear_derived_caches()
     try:
         yield
     finally:
-        table[m] = original
+        table[m - r] = original
+        exactnum.clear_derived_caches()
+
+
+@contextmanager
+def bernoulli_row_entry_raised(n: int, k: int):
+    """Entry k of ``bernoulli_row(n)`` raised by the row's D, so that it reads
+    C(n, k) B_(n-k) one too large; the rows are a memo, flushed on the way out."""
+    exactnum.bernoulli_row(n + 1)  # grown past row n, so no later row is grown from the bad one
+    table = exactnum._bernoulli_rows()._entries
+    row, den = table[n]
+    table[n] = (row[:k] + (row[k] + den,) + row[k + 1 :], den)
+    try:
+        yield
+    finally:
         exactnum.clear_derived_caches()
 
 
@@ -59,14 +76,23 @@ FAULTS = (
     + [("stirling", m) for m in range(3, 8)]
     + [("newton-weight", 4), ("value-table", 2)]
     + [("route", name) for name in hypersum.ROUTES]  # the sign flipped at (3, 2)
-    + [("provider", cell) for cell in ((1, 1), (4, 0), (5, 3), (10, 6))]  # doubled there
+    + [("provider", cell) for cell in ((1, 1), (4, 0), (5, 3), (10, 6), (0, 3))]  # doubled there
+    + [("r-stirling", (5, 2)), ("bernoulli-row", (6, 3))]
 )
 # the faults that one family alone catches, with the checks that fail under each
 ALONE = {
     ("bernoulli", 16): {"parity-lift[even]"},
     ("newton-weight", 4): {"centered-factor[det=newton]"},
     ("value-table", 2): {f"eval-vs-recursion[{name}]" for name in hypersum.ROUTES},
+    # only the order lift reads the provider at m = 0
+    ("provider", (0, 3)): {"order-lift-recurrence"},
+    # only the weights check reads the r-Stirling tables of r >= 1
+    ("r-stirling", (5, 2)): {"weights-vs-r-stirling"},
 }
+# a check that fails under a fault at the cell given: B_3 read nonzero in row 6 alone is
+# an odd term of the half-step defect H(6, r), which the parity lift drops by index, but
+# it makes power_sum_poly(5) and so q wrong at (5, 1), where lemma reads rows <= 5 only
+FAILS_AT = {("bernoulli-row", (6, 3)): ("route-equality[q=lemma]", {"m": 5, "r": 1})}
 
 
 def inject(kind: str, where, request, monkeypatch):
@@ -76,6 +102,10 @@ def inject(kind: str, where, request, monkeypatch):
         return corrupt(where, bernoulli(where) + Fraction(1, 3))
     if kind == "stirling":
         return stirling_entry_off_by_one(where)
+    if kind == "r-stirling":
+        return stirling_entry_off_by_one(*where)
+    if kind == "bernoulli-row":
+        return bernoulli_row_entry_raised(*where)
     if kind == "newton-weight":
         request.getfixturevalue("wrong_newton_weight")
     elif kind == "value-table":
@@ -102,9 +132,25 @@ def test_the_default_grid_fails_under_every_fault(kind, where, request, monkeypa
     assert report.failures
     if (kind, where) in ALONE:
         assert {c.name for c in report.failures} == ALONE[kind, where]
+    if (kind, where) in FAILS_AT:
+        name, cell = FAILS_AT[kind, where]
+        assert any(c.name == name and c.params == cell for c in report.failures)
 
 
-# -- why the centered recurrence is not run ---------------------------------------
+def names_of(family) -> set[str]:
+    """The names of the checks that ``family`` yields, read off a small grid."""
+    values = {(m, r): row for m in (1, 2) for r, row in enumerate(hypersum.value_table(m, 2, 2))}
+    return {c.name for c in family(2, 2, 2, values)}
+
+
+def test_every_family_alone_catches_a_fault():
+    # a family added without a fault that it alone catches would check a fact twice
+    for family in GRID_CHECKS:
+        names = names_of(family)
+        assert any(failed <= names for failed in ALONE.values()), family.__name__
+
+
+# -- why the half-step and centered recurrences are not run ------------------------
 
 
 def tail(m: int, r: int) -> RatPoly:
@@ -132,11 +178,50 @@ def order_lift_defect(m: int, r: int) -> RatPoly:
 
 
 def half_step_defect(m: int, r: int) -> RatPoly:
-    """m S(m-1, r+1) - S(m, r) - (m/2) S(m-1, r) - T(m, r), as ``half-step-recurrence`` reads it."""
+    """H(m, r) = m S(m-1, r+1) - S(m, r) - (m/2) S(m-1, r) - T(m, r), the half-step defect."""
     s = hypersum.hyper_sum_poly
     return sum_of_products(
         [(m, s(m - 1, r + 1)), (-1, s(m, r)), (Fraction(-m, 2), s(m - 1, r)), (-1, tail(m, r))]
     )
+
+
+def odd_terms(m: int, r: int) -> RatPoly:
+    """Odd(m, r), the terms C(m, k) B_{m-k} S(k, r) of T(m, r) with m - k odd, which the
+    parity lift drops by index: zero while B_3, B_5, ... read zero in row m."""
+    row, den = bernoulli_row(m)
+    return sum_of_products(
+        (((row[k],), den), hypersum.hyper_sum_poly(k, r)) for k in range(1 + m % 2, m - 1, 2)
+    )
+
+
+def half_steps_from_the_lift() -> list[tuple[RatPoly, RatPoly]]:
+    """(H, Odd) per cell 2 <= m <= 11, 0 <= r <= 6, after asserting
+    H(m, r) = m L(m-1, r) - Odd(m, r) there, L the ``parity-lift`` defect."""
+    pairs = []
+    for m in range(2, 12):
+        for r in range(0, 7):
+            h, odd = half_step_defect(m, r), odd_terms(m, r)
+            lift = hypersum.coffey_residual(m - 1, r)
+            assert h == sum_of_products([(m, lift), (-1, odd)]), (m, r)
+            pairs.append((h, odd))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [None, (2, Fraction(1, 7)), (3, Fraction(1, 5)), (4, Fraction(1, 31))],
+    ids=["clean", "B2", "B3", "B4"],
+)
+def test_the_half_step_defect_is_m_times_the_parity_lift_minus_the_odd_terms(
+    corrupt_bernoulli, corruption
+):
+    with corrupt_bernoulli(*corruption) if corruption else nullcontext():
+        pairs = half_steps_from_the_lift()
+    # the recurrence fails under each corruption, so a lift that vanished would break
+    # the identity; the odd terms part the two only under the odd-index B_3
+    assert any(not h.is_zero() for h, _ in pairs) == (corruption is not None)
+    odd_parted = corruption is not None and corruption[0] == 3
+    assert any(not odd.is_zero() for _, odd in pairs) == odd_parted
 
 
 CELLS = [(m, r) for m in range(2, 11) for r in range(1, 7)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersums import exactnum, hessenberg, hypersum, verify
+from hypersums import exactnum, hessenberg, hypersum
 from hypersums.exactnum import CrossCheckError, DomainError, bernoulli
 from hypersums.hypersum import (
     ROUTES,
@@ -404,7 +404,7 @@ def test_a_wrong_bernoulli_row_entry_fails_the_recursion_check_of_every_route(mo
         row, den = original(n)
         return ((*row[:2], row[2] + den, *row[3:]) if n == 6 else row), den
 
-    for module in (exactnum, hypersum, hessenberg, verify):
+    for module in (exactnum, hypersum, hessenberg):
         assert module.bernoulli_row is original
         monkeypatch.setattr(module, "bernoulli_row", wrong)
     exactnum.clear_derived_caches()
