@@ -10,22 +10,14 @@ are (at most linear) polynomials in the centered variable N = n + r/2:
 Row i below the diagonal is r times the Bernoulli polynomial row i+1 of
 :func:`~hypersums.exactnum.bernoulli_row`, read up to column i-1.
 The zero entries visible in small instances are Bernoulli zeros (odd-index
-Bernoulli numbers vanish).  Determinants are evaluated by the division-free
-leading-principal-minor recurrence, which is exact over the polynomial ring
-and O(order^2) ring operations.  Each minor is one
-:func:`~hypersums.polyring.sum_of_products`: its products are accumulated
-in integers over one common denominator and normalised once, and the
-terms with a zero entry are skipped.
-
-The entries depend on (i, j, r) alone, so the matrix for (m, r) is the
-leading block of the matrix for every larger m, and its leading principal
-minors are shared: :func:`leading_minor` memoises them per (order, r).
-There the superdiagonal product h[j,j+1] ... h[k-1,k] = (r+j+1) ... (r+k)
-is a plain integer and the entry below the diagonal an integer over its
-Bernoulli row's D, so a minor is a sum of integer rows over D times earlier
-minors, normalised once, with no polynomial product.  :func:`det` evaluates
-any given matrix by the same recurrence, with its constant entries as
-numbers, and is the reference the memoised minors are tested against.
+Bernoulli numbers vanish).  Determinants come from one recurrence,
+:func:`_minor`, the division-free leading-principal-minor recurrence: exact
+over the polynomial ring, O(order^2) ring operations, each minor one
+:func:`~hypersums.polyring.sum_of_products`.  :func:`det` runs it on any
+given matrix.  The entries depend on (i, j, r) alone, so the matrix for
+(m, r) is the leading block of the matrix for every larger m, and its
+leading principal minors at r are one in-order table, an
+:class:`~hypersums.exactnum.GrownTable`, that :func:`leading_minor` reads.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactnum import DomainError, bernoulli_row, memo
+from .exactnum import DomainError, GrownTable, bernoulli_row, memo
 from .polyring import RatPoly, poly_to_json, sum_of_products, to_text
 
 
@@ -103,62 +95,70 @@ def _number(e: RatPoly):
     return a if e.denominator == 1 else Fraction(a, e.denominator)
 
 
-def det(h: HessenbergMatrix) -> RatPoly:
-    """Exact determinant via the leading-principal-minor recurrence.
+def _minor(minors: list[RatPoly], row, den: int, sup) -> RatPoly:
+    """p_k for k = len(minors) >= 1, from p_0 ... p_(k-1) = ``minors``:
 
-    p_0 = 1 and, for 1 <= k <= order,
+        p_k = h[k,k] p_(k-1)
+              + sum_{j=1}^{k-1} (-1)^(k-j) h[k,j] (prod_{t=j}^{k-1} h[t,t+1]) p_(j-1).
 
-        p_k = h[k,k] p_{k-1}
-              + sum_{j=1}^{k-1} (-1)^(k-j) h[k,j] (prod_{t=j}^{k-1} h[t,t+1]) p_{j-1}.
-
-    The empty matrix has determinant 1.  Each p_k is one sum of products of
-    (entry times signed superdiagonal product, earlier minor) pairs, reduced
-    once; the terms whose entry h[k,j] is zero are left out.  Constant entries
-    enter the products as numbers, so on a :func:`build_matrix` matrix,
-    constant off the diagonal, no two polynomials are multiplied.
+    ``row[k-1]`` is the diagonal entry h[k,k], a kernel factor; for j < k,
+    ``row[j-1]`` is den h[k,j], a number, or a polynomial when den = 1; and
+    ``sup[t-1]`` is h[t,t+1] for t < k.  The signed superdiagonal product gains
+    one factor as j runs down from k - 1, so no state is kept between rows.
+    The sum is one :func:`~hypersums.polyring.sum_of_products`, and the terms
+    whose entry h[k,j] is zero are left out.
     """
-    minors = [RatPoly((1,), "N", h.r)]
-    # signed[j-1] = (-1)^(k-j) prod_{t=j}^{k-1} h[t,t+1] for j < k = len(minors)
-    signed: tuple = ()
-    for row in h.entries:
-        k = len(minors)
-        row = [_number(e) for e in row[: k + 1]]
-        pairs = [(row[k - 1], minors[k - 1])]
+    k = len(minors)
+    pairs = [(row[k - 1], minors[k - 1])]
+    signed = 1
+    for j in range(k - 1, 0, -1):
+        signed *= -sup[j - 1]
+        a = row[j - 1]
         # a polynomial entry has degree >= 1 here, so only a number can be zero
-        pairs += [(row[j] * signed[j], minors[j]) for j in range(k - 1) if row[j]]
-        minors.append(sum_of_products(pairs, "N", h.r))
-        if k < h.order:
-            neg_sup = -row[k]
-            signed = (*(prod * neg_sup for prod in signed), neg_sup)
+        if a:
+            a *= signed
+            pairs.append((((a,), den) if den > 1 else a, minors[j - 1]))
+    return sum_of_products(pairs, "N", minors[0].r)
+
+
+def det(h: HessenbergMatrix) -> RatPoly:
+    """Exact determinant: p_order of the recurrence of :func:`_minor`, from p_0 = 1.
+
+    The empty matrix has determinant 1.  Constant entries enter the products
+    as numbers, so on a :func:`build_matrix` matrix, constant off the
+    diagonal, no two polynomials are multiplied.
+    """
+    rows = [[_number(e) for e in row[: k + 1]] for k, row in enumerate(h.entries, 1)]
+    sup = [row[t] for t, row in enumerate(rows[:-1], 1)]
+    minors = [RatPoly((1,), "N", h.r)]
+    for row in rows:
+        minors.append(_minor(minors, row, 1, sup))
     return minors[-1]
 
 
 @memo
-def leading_minor(order: int, r: int) -> RatPoly:
-    """det(build_matrix(order + 1, r)): p_order of every (m, r) matrix with
-    m > order, memoised per (order, r).
+def _minor_table(r: int) -> GrownTable:
+    """p_0, p_1, ... at r, grown in order: p_k = det(build_matrix(k + 1, r)).
 
-    Row k = order of the recurrence in :func:`det` with the superdiagonal
-    entries h[t,t+1] = r+t+1 multiplied out in integers: the term of column
-    j < k is one number, (-1)^(k-j) (r+j+1)...(r+k) h[k,j], times p_{j-1},
-    and the integer product gains one factor as j runs down from k-1.  With
-    h[k,j] = r row[j] / D from the Bernoulli polynomial row k+1, that number
-    is an integer row over D; a zero entry (a zero Bernoulli number, or
-    r = 0) adds no term.  A refused (order, r) leaves no entry.
+    Row k is fed as integers over the D of the Bernoulli row k + 1, so a
+    minor is a sum of integer rows over D times earlier minors, with no
+    polynomial product.  A memo, so that the flush starts the table over.
     """
+
+    def step(minors: list[RatPoly]) -> RatPoly:
+        k = len(minors)
+        nums, den = bernoulli_row(k + 1)
+        row = (*(r * a for a in nums[1:k]), ((0, -k - 1), 1))
+        return _minor(minors, row, den, range(r + 2, r + k + 1))
+
+    return GrownTable(RatPoly((1,), "N", r), step)
+
+
+def leading_minor(order: int, r: int) -> RatPoly:
+    """det(build_matrix(order + 1, r)), the minor p_order of every (m, r) matrix
+    with m > order, read from the table of r; a refused (order, r) makes no table."""
     _check_params(order + 1, r)
-    if order == 0:
-        return RatPoly((1,), "N", r)
-    k, p = order, order + 1
-    minors = [leading_minor(j, r) for j in range(k)]
-    nums, den = bernoulli_row(p)
-    pairs = [(((0, -p), 1), minors[k - 1])]
-    signed = r
-    for j in range(k - 1, 0, -1):
-        signed *= -(r + j + 1)
-        if nums[j]:
-            pairs.append((((signed * nums[j],), den), minors[j - 1]))
-    return sum_of_products(pairs, "N", r)
+    return _minor_table(r)[order]
 
 
 def map_entries(h: HessenbergMatrix, fn) -> list[list]:

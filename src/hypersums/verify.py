@@ -124,14 +124,14 @@ def check_routes(m_max: int, r_max: int, n_max: int, values: dict) -> Checks:
                     bad is None,
                     lambda: f"first divergence at n={bad}",
                 )
-            # the coefficient of n^(m+r) is m!/(m+r)!, compared in integers
+            # the degree is m + r and the coefficient of n^(m+r) m!/(m+r)!, in integers
             nums = ref.numerators
             yield _check(
                 "leading-coefficient",
                 cell,
-                len(nums) > m + r
+                len(nums) == m + r + 1
                 and nums[m + r] * factorial(m + r) == factorial(m) * ref.denominator,
-                lambda: f"got {ref.coefficient(m + r)}",
+                lambda: f"degree {ref.degree}, n^{m + r} coefficient {ref.coefficient(m + r)}",
             )
 
 

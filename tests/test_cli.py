@@ -92,6 +92,16 @@ def test_eval_methods_agree(capsys):
                     assert out == expected, (m, r, n, method)
 
 
+def test_eval_at_the_cap_prints_the_same_bytes_by_auto_lemma_and_det(capsys):
+    # auto serves the Newton sum and builds no polynomial; lemma and det build S(200, 200)
+    outs = {
+        method: run_cli(capsys, "eval", "--m", "200", "--r", "200", "--n", "7", "--method", method)
+        for method in ("auto", "lemma", "det")
+    }
+    assert outs["auto"][0] == 0 and outs["auto"][1].strip()
+    assert outs["auto"] == outs["lemma"] == outs["det"]
+
+
 def test_eval_lemma_accepts_r0(capsys):
     code, out = run_cli(
         capsys, "eval", "--m", "4", "--r", "0", "--n", "3", "--method", "lemma"
@@ -302,6 +312,13 @@ def test_poly_text_default_var(capsys):
     code, out = run_cli(capsys, "poly", "--m", "1", "--r", "1")
     assert code == 0
     assert out.strip() == "1/2*n^2 + 1/2*n"
+    assert run_cli(capsys, "poly", "--m", "4", "--r", "1") == (
+        0,
+        "1/5*n^5 + 1/2*n^4 + 1/3*n^3 - 1/30*n\n",
+    )
+    # the default frame is served from the proved Newton factor, and the JSON says so
+    code, out = run_cli(capsys, "poly", "--m", "4", "--r", "1", "--format", "json")
+    assert code == 0 and '"method": "newton"' in out
 
 
 def test_poly_centered_and_factored(capsys):
@@ -392,8 +409,8 @@ def test_poly_u_form(capsys):
     blob = json.loads(out)
     assert blob["prefactor"] == "s1"
     check_poly_blob(blob["poly"])
-    code, _ = run_cli(capsys, "poly", "--m", "3", "--r", "0", "--var", "u")
-    assert code == 2
+    for m, r in ((3, 0), (0, 3)):
+        assert run_cli(capsys, "poly", "--m", str(m), "--r", str(r), "--var", "u") == (2, "")
 
 
 @pytest.mark.parametrize(
@@ -484,6 +501,8 @@ def test_det_at_value(capsys):
     assert code == 0
     assert "det value = 479880" in out
     assert "N = 17/2" in out
+    code, out = run_cli(capsys, "det", "--m", "4", "--r", "1", "--at", "5")
+    assert code == 0 and out.splitlines()[-1] == "det value = -3916"
 
 
 
@@ -786,6 +805,11 @@ def test_table_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,r,value"
     assert "1,2,10" in lines and "2,2,20" in lines
+    # the cells are certified by the Newton weights before the last one is printed
+    code, out = run_cli(
+        capsys, "table", "--max-m", "4", "--max-r", "2", "--n", "7", "--format", "csv"
+    )
+    assert code == 0 and out.splitlines()[-1] == "4,2,8400"
 
 
 def test_table_all_ones_at_n_1(capsys):
@@ -912,12 +936,13 @@ JSON_REQUESTS = [
     ("verify", "--max-m", "4", "--max-r", "3", "--max-n", "6"),
     ("table", "--max-m", "0", "--max-r", "0", "--n", "0"),
     ("table", "--max-m", "5", "--max-r", "4", "--n", "7"),
-    # the documents the CI console-script step pipes through json.tool
+    # documents a reader parses from a pipe, each checked with json.loads below
     ("eval", "--m", "4", "--r", "1", "--n", "30"),
     ("poly", "--m", "6", "--r", "7", "--var", "u"),
     ("det", "--m", "12", "--r", "5", "--at", "3"),
     ("table", "--max-m", "4", "--max-r", "3", "--n", "9"),
     ("verify",),
+    ("verify", "--max-m", "30", "--max-r", "15", "--max-n", "100"),  # the cap
 ]
 
 
@@ -935,6 +960,7 @@ def test_the_json_printer_writes_the_bytes_of_json_dumps(capsys, monkeypatch, ar
     code, out, payloads = run_json(capsys, monkeypatch, *argv)
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0]) + "\n"
+    json.loads(out)
 
 
 def test_the_json_printer_writes_a_failing_report_as_json_dumps(

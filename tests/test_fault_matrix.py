@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import exactnum, hypersum
+from hypersums import exactnum, hessenberg, hypersum
+from hypersums.cli import main
 from hypersums.exactnum import bernoulli, bernoulli_row
-from hypersums.polyring import RatPoly, sum_of_products
+from hypersums.polyring import RatPoly, monomial, sum_of_products
 from hypersums.verify import DEFAULT_GRID, GRID_CHECKS, run_all
 
 
@@ -61,6 +62,19 @@ def value_table_off_by_one(m: int, r_max: int, n_max: int, real=hypersum.value_t
         yield row
 
 
+def minor_step_with_a_sign_flipped(k_min: int, real=hessenberg._minor):
+    """The one minor step of ``det`` and the minor tables, with the signed superdiagonal
+    product of column 1 negated in each row k >= k_min: h[1,2] is negated there, and it
+    is a factor of that product alone."""
+
+    def wrong(minors: list, row, den: int, sup) -> RatPoly:
+        if len(minors) >= k_min:
+            sup = [-sup[0], *sup[1:]]
+        return real(minors, row, den, sup)
+
+    return wrong
+
+
 def changed_at(fn, cell: tuple[int, int], change):
     """``fn(m, r)``, with ``change`` applied to its value at ``cell`` alone."""
 
@@ -78,6 +92,7 @@ FAULTS = (
     + [("route", name) for name in hypersum.ROUTES]  # the sign flipped at (3, 2)
     + [("provider", cell) for cell in ((1, 1), (4, 0), (5, 3), (10, 6), (0, 3))]  # doubled there
     + [("r-stirling", (5, 2)), ("bernoulli-row", (6, 3))]
+    + [("spurious-term", "q"), ("minor-step", 3)]
 )
 # the faults that one family alone catches, with the checks that fail under each
 ALONE = {
@@ -89,10 +104,17 @@ ALONE = {
     # only the weights check reads the r-Stirling tables of r >= 1
     ("r-stirling", (5, 2)): {"weights-vs-r-stirling"},
 }
-# a check that fails under a fault at the cell given: B_3 read nonzero in row 6 alone is
-# an odd term of the half-step defect H(6, r), which the parity lift drops by index, but
-# it makes power_sum_poly(5) and so q wrong at (5, 1), where lemma reads rows <= 5 only
-FAILS_AT = {("bernoulli-row", (6, 3)): ("route-equality[q=lemma]", {"m": 5, "r": 1})}
+# a check that fails under a fault at the cell given, with a part of its detail: B_3 read
+# nonzero in row 6 alone is an odd term of the half-step defect H(6, r), which the parity
+# lift drops by index, but it makes power_sum_poly(5) and so q wrong at (5, 1), where
+# lemma reads rows <= 5 only.  A term n^6 added to q at (3, 2) leaves its n^5 coefficient
+# right, and the degree says so.  The minor step is shared by det and the minor tables,
+# so the Newton factor is what catches it; h[4,1] is the first nonzero entry it reaches.
+FAILS_AT = {
+    ("bernoulli-row", (6, 3)): ("route-equality[q=lemma]", {"m": 5, "r": 1}, ""),
+    ("spurious-term", "q"): ("leading-coefficient", {"m": 3, "r": 2}, "degree 6"),
+    ("minor-step", 3): ("centered-factor[det=newton]", {"m": 5, "r": 1}, ""),
+}
 
 
 def inject(kind: str, where, request, monkeypatch):
@@ -115,6 +137,13 @@ def inject(kind: str, where, request, monkeypatch):
             hypersum.ROUTES[where], (3, 2), lambda h: h._replace(poly=h.poly.scale(-1))
         )
         monkeypatch.setitem(hypersum.ROUTES, where, flipped)
+    elif kind == "spurious-term":
+        raised = changed_at(
+            hypersum.ROUTES[where], (3, 2), lambda h: h._replace(poly=h.poly + monomial(6))
+        )
+        monkeypatch.setitem(hypersum.ROUTES, where, raised)
+    elif kind == "minor-step":
+        monkeypatch.setattr(hessenberg, "_minor", minor_step_with_a_sign_flipped(where))
     else:
         doubled = changed_at(hypersum.hyper_sum_poly, where, lambda p: p.scale(2))
         monkeypatch.setattr(hypersum, "hyper_sum_poly", doubled)
@@ -133,8 +162,20 @@ def test_the_default_grid_fails_under_every_fault(kind, where, request, monkeypa
     if (kind, where) in ALONE:
         assert {c.name for c in report.failures} == ALONE[kind, where]
     if (kind, where) in FAILS_AT:
-        name, cell = FAILS_AT[kind, where]
-        assert any(c.name == name and c.params == cell for c in report.failures)
+        name, cell, detail = FAILS_AT[kind, where]
+        assert any(
+            c.name == name and c.params == cell and detail in c.detail for c in report.failures
+        )
+
+
+def test_det_exits_3_under_a_fault_in_the_minor_step(capsys, monkeypatch):
+    exactnum.clear_derived_caches()
+    monkeypatch.setattr(hessenberg, "_minor", minor_step_with_a_sign_flipped(3))
+    try:
+        code = main(["det", "--m", "5", "--r", "2"])
+    finally:
+        exactnum.clear_derived_caches()
+    assert (code, capsys.readouterr().out) == (3, "")
 
 
 def names_of(family) -> set[str]:

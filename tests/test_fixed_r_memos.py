@@ -1,10 +1,10 @@
 """The per-(m, r) memos behind the lemma route and the centered factors.
 
-The centered recurrence and the leading principal minors of the Hessenberg
-matrix are each grown in m at fixed r from memoised lower steps.  Their
-values must not depend on the order in which the cells are asked for, on
-other threads asking at the same time, or on a memo that outlived a change
-of the Bernoulli table.
+The centered recurrence is grown in m at fixed r from memoised lower steps,
+and the leading principal minors of the Hessenberg matrix in one grown table
+per r.  Their values must not depend on the order in which the cells are
+asked for, on other threads asking at the same time, or on a memo that
+outlived a change of the Bernoulli table.
 """
 
 from __future__ import annotations
@@ -68,8 +68,28 @@ def test_the_memos_refuse_their_own_domain_and_keep_no_entry():
     for fn, args in refusals:
         with pytest.raises(ValueError):
             fn(*args)
-    for memo in (hessenberg.leading_minor, hypersum._lemma_factor):
+    for memo in (hessenberg._minor_table, hypersum._lemma_factor):
         assert memo.cache_info().currsize == 0, memo
+
+
+def test_a_step_that_raises_leaves_no_entry_in_the_minor_table(monkeypatch):
+    expected = hessenberg.det(hessenberg.build_matrix(7, 3))
+    exactnum.clear_derived_caches()
+    real_row, calls = hessenberg.bernoulli_row, []
+
+    def row_failing_once(n: int):
+        calls.append(n)
+        if len(calls) == 3:
+            raise RuntimeError("no row")
+        return real_row(n)
+
+    monkeypatch.setattr(hessenberg, "bernoulli_row", row_failing_once)
+    with pytest.raises(RuntimeError):
+        hessenberg.leading_minor(6, 3)
+    # p_0, p_1 and p_2: the step of p_3 raised, and the next read runs it again
+    assert len(hessenberg._minor_table(3)) == 3
+    assert hessenberg.leading_minor(6, 3) == expected
+    assert calls == [2, 3, 4, 4, 5, 6, 7]
 
 
 def test_reading_one_member_of_a_cold_lemma_family_converts_one_factor(monkeypatch):
