@@ -30,20 +30,15 @@ EXIT_BROKEN_PIPE = 141
 # largest n of eval --method bruteforce and of table, whose cells grow in digits with n.
 # The recursion of eval --method bruteforce builds r + 1 rows of n + 1 integers of up to
 # (m + r) d digits, for the d digits of n + r, so it also needs (r + 1)(n + 1)(m + r) d <=
-# MAX_BRUTEFORCE_WORK.  Cold on a 2-CPU Xeon VM the largest admitted n takes at most 0.6 s
-# and 106 MB at (200, 200), (200, 0), (0, 200) and (1, 1), where the cap on n binds
+# MAX_BRUTEFORCE_WORK.  README.md gives the time and memory of the largest admitted n
 MAX_BRUTEFORCE_N = 10**6
 MAX_BRUTEFORCE_WORK = 10**8
-# largest m and r of eval, poly and det; cold at (200, 200) on a 2-CPU Xeon VM, eval takes
-# 0.09-0.10 s (auto), 5.1-5.4 s (q), 5.9-7.0 s (c), 3.7-3.9 s (chain), 0.6 s (lemma) and
-# 0.9 s (det), poly 0.07-0.11 s (any --var), det 0.45-0.63 s; at (200, 1) poly 0.07-0.08 s
-# and eval --method lemma 0.35-0.38 s (three runs each on a shared VM of varying speed)
+# largest m and r of eval, poly and det; README.md gives the cold times at the caps
 MAX_M_R = 200
 # largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
 # 10 MB of digits, takes about 1.2 s there, and the JSON table 1.3-1.4 s at a peak RSS of 26 MB
 MAX_TABLE_M_R = 100
-# largest verify grid (m_max, r_max, n_max): run_all(30, 15, 100) takes about 0.45 s there
-# in-process, and a fresh `verify` process 0.5-0.8 s (cold, shared 2-CPU VM)
+# largest verify grid (m_max, r_max, n_max); README.md gives its cold time with MAX_M_R's
 MAX_VERIFY_GRID = (30, 15, 100)
 # most digits of a printed int: sys.get_int_max_str_digits() refuses longer ones by default
 MAX_DIGITS = 4300

@@ -17,8 +17,8 @@ module produces that polynomial by five independent methods:
 All routes return polynomials in the n-frame; the centered (N) and product
 (u = n(n+r)) frames are produced by explicit conversions so that
 cross-method comparison is always same-frame.  The paper's centered factor G,
-with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma``
-and ``det`` routes build G, of degree m - 1, and multiply by S(1, r) once.
+with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma`` and
+``det`` routes grow G in m, in one ``GrownTable`` per r, and multiply by S(1, r) once.
 The Newton weights k! {m k} give S(m, r, n) (:func:`hyper_sum_newton`, proved by
 :func:`newton_weights`) and G (:func:`newton_factor`) with no Bernoulli number.
 Everything is exact.
@@ -36,6 +36,7 @@ from . import hessenberg
 from .exactnum import (
     CrossCheckError,
     DomainError,
+    GrownTable,
     Rational,
     bernoulli,
     bernoulli_row,
@@ -301,26 +302,28 @@ def hyper_sum_poly_chain(m: int, r: int) -> HyperSumPoly:
 
 
 @memo
-def _lemma_factor(m: int, r: int) -> RatPoly:
-    """The centered factor G(m, r) in N = n + r/2 by the centered recurrence
-    from G(1, r) ... G(m-1, r), which are memoised per (m, r), so growing m at
-    fixed r runs each step once.  Zero Bernoulli terms are skipped by value."""
-    if m == 1:
-        return RatPoly((1,), "N", r)
-    lower = [_lemma_factor(k, r) for k in range(1, m)]
-    row, den = bernoulli_row(m)
-    # m N / (m+r) times G(m-1), then the nonzero Bernoulli terms
-    pairs = [(((0, m), m + r), lower[m - 2])]
-    for k, a in enumerate(row[1 : m - 1], 1):
-        if a:
-            pairs.append((((-r * a,), den * (m + r)), lower[k - 1]))
-    return sum_of_products(pairs, "N", r)
+def _lemma_table(r: int) -> GrownTable:
+    """G(1, r), G(2, r), ... at r, grown in order by the centered recurrence of
+    :func:`lemma_recurrence_family`.  Zero Bernoulli terms are skipped by value.
+    A memo, so that the flush starts the table over."""
+
+    def step(lower: list[RatPoly]) -> RatPoly:
+        m = len(lower) + 1
+        row, den = bernoulli_row(m)
+        # m N / (m+r) times G(m-1), then the nonzero Bernoulli terms
+        pairs = [(((0, m), m + r), lower[m - 2])]
+        for k, a in enumerate(row[1 : m - 1], 1):
+            if a:
+                pairs.append((((-r * a,), den * (m + r)), lower[k - 1]))
+        return sum_of_products(pairs, "N", r)
+
+    return GrownTable(RatPoly((1,), "N", r), step)
 
 
 class _LemmaFamily:
-    """S(1, r) ... S(m_max, r) held as their centered factors; member m is
-    expanded in n, as C(n+r, r+1) G(m, r)(n + r/2), each time it is read.
-    Iteration runs through ``__getitem__`` up to its ``IndexError``."""
+    """S(1, r) ... S(m_max, r) held as their centered factors from the table of r;
+    member m is expanded in n, as C(n+r, r+1) G(m, r)(n + r/2), each time it is
+    read.  Iteration runs through ``__getitem__`` up to its ``IndexError``."""
 
     __slots__ = ("_factors",)
 
@@ -345,12 +348,13 @@ def lemma_recurrence_family(m_max: int, r: int) -> _LemmaFamily:
 
         (m+r) G(m, r) = m N G(m-1, r) - r sum_{k=1}^{m-2} C(m, k) B_{m-k} G(k, r),
 
-    where the sum is empty for m = 2.  The factors up to m_max are grown in
-    the call; a member is multiplied by C(n+r, r+1) only when it is read.
+    where the sum is empty for m = 2.  The factors are read from the one table
+    of r, grown to m_max in the call; a member is multiplied by C(n+r, r+1) when read.
     """
     if m_max < 1 or r < 0:
         raise DomainError(f"need m >= 1 and r >= 0, got ({m_max}, {r})")
-    return _LemmaFamily(tuple(_lemma_factor(m, r) for m in range(1, m_max + 1)))
+    table = _lemma_table(r)
+    return _LemmaFamily(tuple(table[k] for k in range(m_max)))
 
 
 # -- determinant route ---------------------------------------------------------

@@ -1,10 +1,10 @@
-"""The per-(m, r) memos behind the lemma route and the centered factors.
+"""The grown tables per r behind the lemma route and the centered factors.
 
-The centered recurrence is grown in m at fixed r from memoised lower steps,
-and the leading principal minors of the Hessenberg matrix in one grown table
-per r.  Their values must not depend on the order in which the cells are
-asked for, on other threads asking at the same time, or on a memo that
-outlived a change of the Bernoulli table.
+Both chains in m at fixed r, the centered recurrence and the leading principal
+minors of the Hessenberg matrix, are one ``GrownTable`` per r behind a memo of
+r.  Their values must not depend on the order in which the cells are asked
+for, on other threads asking at the same time, or on a memo that outlived a
+change of the Bernoulli table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ CELLS = [(m, r) for r in range(9) for m in range(1, 26)]
 def build(cells) -> dict:
     """(lemma S(m, r), determinant G(m, r), centered-recurrence G(m, r)) per cell."""
     return {
-        (m, r): (ROUTES["lemma"](m, r).poly, faulhaber_det(m, r), hypersum._lemma_factor(m, r))
+        (m, r): (ROUTES["lemma"](m, r).poly, faulhaber_det(m, r), hypersum._lemma_table(r)[m - 1])
         for m, r in cells
     }
 
@@ -68,7 +68,7 @@ def test_the_memos_refuse_their_own_domain_and_keep_no_entry():
     for fn, args in refusals:
         with pytest.raises(ValueError):
             fn(*args)
-    for memo in (hessenberg._minor_table, hypersum._lemma_factor):
+    for memo in (hessenberg._minor_table, hypersum._lemma_table):
         assert memo.cache_info().currsize == 0, memo
 
 
@@ -90,6 +90,39 @@ def test_a_step_that_raises_leaves_no_entry_in_the_minor_table(monkeypatch):
     assert len(hessenberg._minor_table(3)) == 3
     assert hessenberg.leading_minor(6, 3) == expected
     assert calls == [2, 3, 4, 4, 5, 6, 7]
+
+
+def test_a_step_that_raises_leaves_no_entry_in_the_lemma_table(monkeypatch):
+    expected = hypersum.hyper_sum_det(7, 3)
+    exactnum.clear_derived_caches()
+    real_row, calls = hypersum.bernoulli_row, []
+
+    def row_failing_once(n: int):
+        calls.append(n)
+        if len(calls) == 3:
+            raise RuntimeError("no row")
+        return real_row(n)
+
+    monkeypatch.setattr(hypersum, "bernoulli_row", row_failing_once)
+    with pytest.raises(RuntimeError):
+        hypersum.lemma_recurrence_family(7, 3)
+    # G(1), G(2) and G(3): the step of G(4) raised, and the next read runs it again
+    assert len(hypersum._lemma_table(3)) == 3
+    assert hypersum.lemma_recurrence_family(7, 3)[6] == expected
+    assert calls == [2, 3, 4, 4, 5, 6, 7]
+
+
+def test_a_sweep_over_m_pays_each_lemma_step_once(monkeypatch):
+    exactnum.clear_derived_caches()
+    real_row, calls = hypersum.bernoulli_row, []
+    monkeypatch.setattr(hypersum, "bernoulli_row", lambda n: calls.append(n) or real_row(n))
+    for m in [*range(1, 21), *range(20, 0, -1)]:
+        assert ROUTES["lemma"](m, 5) == hypersum.hyper_sum_det(m, 5), m
+    # one Bernoulli row per step: G(2, 5) ... G(20, 5), each once
+    assert calls == list(range(2, 21))
+    exactnum.clear_derived_caches()
+    ROUTES["lemma"](20, 5)
+    assert calls == [*range(2, 21), *range(2, 21)]
 
 
 def test_reading_one_member_of_a_cold_lemma_family_converts_one_factor(monkeypatch):
@@ -130,14 +163,15 @@ def test_the_lemma_factor_reads_each_bernoulli_number_and_the_newton_factor_none
     corrupt_bernoulli, j, value
 ):
     exactnum.clear_derived_caches()
-    lemma = {cell: hypersum._lemma_factor(*cell) for cell in CELLS}
+    lemma = {(m, r): hypersum._lemma_table(r)[m - 1] for m, r in CELLS}
     newton = {cell: newton_factor(*cell) for cell in CELLS}
     assert all(lemma[cell] == faulhaber_det(*cell) == newton[cell] for cell in CELLS)
     # B_j enters the centered recurrence at m = j + 1, with the weight r; zero Bernoulli
     # numbers are skipped by value, so the odd B_3 is read too
     with corrupt_bernoulli(j, value):
         for m, r in CELLS:
-            assert (hypersum._lemma_factor(m, r) != lemma[m, r]) == (m > j and r >= 1), (m, r)
+            changed = hypersum._lemma_table(r)[m - 1] != lemma[m, r]
+            assert changed == (m > j and r >= 1), (m, r)
             assert newton_factor(m, r) == newton[m, r], (m, r)
 
 
