@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import hessenberg, hypersum  # verify is imported by cmd_verify alone
-from .exactnum import CrossCheckError, DomainError, rational_to_json, rising_factorial, sign_pow
+from .exactnum import CrossCheckError, DomainError, rational_to_json
 from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
 EXIT_OK = 0
@@ -35,8 +35,7 @@ MAX_BRUTEFORCE_N = 10**6
 MAX_BRUTEFORCE_WORK = 10**8
 # largest m and r of eval, poly and det; README.md gives the cold times at the caps
 MAX_M_R = 200
-# largest table (max_m, max_r): cold at (100, 100) and n = 10^6 the text table,
-# 10 MB of digits, takes about 1.2 s there, and the JSON table 1.3-1.4 s at a peak RSS of 26 MB
+# largest table (max_m, max_r); README.md gives its cold times and peak RSS with MAX_M_R's
 MAX_TABLE_M_R = 100
 # largest verify grid (m_max, r_max, n_max); README.md gives its cold time with MAX_M_R's
 MAX_VERIFY_GRID = (30, 15, 100)
@@ -121,7 +120,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
         elif m == 0:  # S(0, r, n) = C(n+r-1, r), and 1 at r = 0
             p = hypersum.s1_poly(r - 1) if r else RatPoly((1,))
         else:
-            p = hypersum.s1_poly(r) * to_n_frame(hypersum.newton_factor(m, r))
+            p = hypersum.expand_factor(hypersum.newton_factor(m, r))
 
     if args.format == "json":
         payload = {**fields, "poly": poly_to_json(p)}
@@ -156,9 +155,8 @@ def cmd_det(args: argparse.Namespace) -> int:
         _refuse_long_value("--at", m, r, args.at, (m - 1) * len(str(m + r)))
     matrix = hessenberg.build_matrix(m, r)
     determinant = hessenberg.det(matrix)
-    hypersum.newton_weights(m)  # the determinant is (-1)^(m-1) (r+2)^(m-1 rising) G
-    g = hypersum.newton_factor(m, r).scale(sign_pow(m - 1) * rising_factorial(r + 2, m - 1))
-    if determinant != g:
+    hypersum.newton_weights(m)  # the weights that newton_factor reads, proved
+    if hypersum.det_to_factor(determinant, m) != hypersum.newton_factor(m, r):
         raise CrossCheckError(f"the determinant differs from the Newton factor at (m={m}, r={r})")
     if r == 0:
         # the centered variable coincides with n; display it that way

@@ -8,7 +8,9 @@ are (at most linear) polynomials in the centered variable N = n + r/2:
 * below the diagonal, (i, j):       r C(i+1, j) B_{i+1-j}
 
 Row i below the diagonal is r times the Bernoulli polynomial row i+1 of
-:func:`~hypersums.exactnum.bernoulli_row`, read up to column i-1.
+:func:`~hypersums.exactnum.bernoulli_row`, read up to column i-1.  One
+function, :func:`_row`, writes a row up to the diagonal, in integers:
+:func:`build_matrix` wraps it into polynomials and the minor table reads it as is.
 The zero entries visible in small instances are Bernoulli zeros (odd-index
 Bernoulli numbers vanish).  Determinants come from one recurrence,
 :func:`_minor`, the division-free leading-principal-minor recurrence: exact
@@ -55,14 +57,12 @@ class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
         return len(self.entries)
 
 
-def _row(i: int, r: int, zero: RatPoly) -> tuple[RatPoly, ...]:
-    """Entries (i, 1) ... (i, i+1) of row i, through the superdiagonal; a zero
-    entry below the diagonal (r = 0, or a zero Bernoulli number) is ``zero``."""
-    p = i + 1
-    nums, den = bernoulli_row(p)
-    below = [RatPoly.from_integers((r * a,), den, "N", r) if r * a else zero for a in nums[1:i]]
-    diagonal = RatPoly.from_integers((0, -p), 1, "N", r)
-    return (*below, diagonal, RatPoly.from_integers((r + p,), 1, "N", r))
+def _row(i: int, r: int) -> tuple[tuple, int]:
+    """Row i up to the diagonal, in integers over the D of ``bernoulli_row(i + 1)``:
+    D h[i, j] for j < i, then the diagonal -(i+1) N as the integer row ((0, -i-1), 1).
+    :func:`build_matrix` and the minor table both read it."""
+    nums, den = bernoulli_row(i + 1)
+    return (*(r * a for a in nums[1:i]), ((0, -i - 1), 1)), den
 
 
 def _check_params(m: int, r: int) -> None:
@@ -75,16 +75,20 @@ def _check_params(m: int, r: int) -> None:
 def build_matrix(m: int, r: int) -> HessenbergMatrix:
     """The order m-1 matrix for parameters (m, r); empty when m = 1.
 
-    Entries are built from integers; the zero entries, above the
+    Entries are the integers of :func:`_row`; the zero entries, above the
     superdiagonal and below the diagonal alike, are one shared zero polynomial.
     """
     _check_params(m, r)
     order = m - 1
     zero = RatPoly.from_integers((), 1, "N", r)
-    rows = tuple(
-        (*_row(i, r, zero)[:order], *(zero,) * (order - i - 1)) for i in range(1, order + 1)
-    )
-    return HessenbergMatrix(m, r, rows)
+    rows = []
+    for i in range(1, order + 1):
+        (*below, diagonal), den = _row(i, r)
+        row = [RatPoly.from_integers((a,), den, "N", r) if a else zero for a in below]
+        sup = RatPoly.from_integers((r + i + 1,), 1, "N", r)
+        row += (RatPoly.from_integers(*diagonal, "N", r), sup)
+        rows.append((*row[:order], *(zero,) * (order - i - 1)))
+    return HessenbergMatrix(m, r, tuple(rows))
 
 
 def _number(e: RatPoly):
@@ -140,15 +144,14 @@ def det(h: HessenbergMatrix) -> RatPoly:
 def _minor_table(r: int) -> GrownTable:
     """p_0, p_1, ... at r, grown in order: p_k = det(build_matrix(k + 1, r)).
 
-    Row k is fed as integers over the D of the Bernoulli row k + 1, so a
-    minor is a sum of integer rows over D times earlier minors, with no
-    polynomial product.  A memo, so that the flush starts the table over.
+    Row k is fed as :func:`_row` gives it, integers over the D of the Bernoulli
+    row k + 1, so a minor is a sum of integer rows over D times earlier minors,
+    with no polynomial product.  A memo, so that the flush starts the table over.
     """
 
     def step(minors: list[RatPoly]) -> RatPoly:
         k = len(minors)
-        nums, den = bernoulli_row(k + 1)
-        row = (*(r * a for a in nums[1:k]), ((0, -k - 1), 1))
+        row, den = _row(k, r)
         return _minor(minors, row, den, range(r + 2, r + k + 1))
 
     return GrownTable(RatPoly((1,), "N", r), step)

@@ -18,7 +18,9 @@ All routes return polynomials in the n-frame; the centered (N) and product
 (u = n(n+r)) frames are produced by explicit conversions so that
 cross-method comparison is always same-frame.  The paper's centered factor G,
 with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma`` and
-``det`` routes grow G in m, in one ``GrownTable`` per r, and multiply by S(1, r) once.
+``det`` routes grow G in m, in one ``GrownTable`` per r, which is all they cache.
+Each formula around G has one function: :func:`det_to_factor` normalises a
+determinant to G and :func:`expand_factor` multiplies G by S(1, r) in n.
 The Newton weights k! {m k} give S(m, r, n) (:func:`hyper_sum_newton`, proved by
 :func:`newton_weights`) and G (:func:`newton_factor`) with no Bernoulli number.
 Everything is exact.
@@ -321,22 +323,22 @@ def _lemma_table(r: int) -> GrownTable:
 
 
 class _LemmaFamily:
-    """S(1, r) ... S(m_max, r) held as their centered factors from the table of r;
-    member m is expanded in n, as C(n+r, r+1) G(m, r)(n + r/2), each time it is
-    read.  Iteration runs through ``__getitem__`` up to its ``IndexError``."""
+    """S(1, r) ... S(m_max, r), read from the table of centered factors of r, grown to
+    m_max; member m is :func:`expand_factor` of G(m, r), each time it is read.
+    Iteration runs through ``__getitem__`` up to its ``IndexError``."""
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_table", "_m_max")
 
-    def __init__(self, factors: tuple[RatPoly, ...]) -> None:
-        self._factors = factors
+    def __init__(self, table: GrownTable, m_max: int) -> None:
+        self._table, self._m_max = table, m_max
 
     def __len__(self) -> int:
-        return len(self._factors)
+        return self._m_max
 
     def __getitem__(self, k: int) -> HyperSumPoly:
-        m = range(1, len(self._factors) + 1)[k]  # IndexError past either end
-        g = self._factors[m - 1]
-        return HyperSumPoly(m, g.r, s1_poly(g.r) * to_n_frame(g))
+        m = range(1, self._m_max + 1)[k]  # IndexError past either end
+        g = self._table[m - 1]
+        return HyperSumPoly(m, g.r, expand_factor(g))
 
 
 def lemma_recurrence_family(m_max: int, r: int) -> _LemmaFamily:
@@ -348,34 +350,47 @@ def lemma_recurrence_family(m_max: int, r: int) -> _LemmaFamily:
 
         (m+r) G(m, r) = m N G(m-1, r) - r sum_{k=1}^{m-2} C(m, k) B_{m-k} G(k, r),
 
-    where the sum is empty for m = 2.  The factors are read from the one table
-    of r, grown to m_max in the call; a member is multiplied by C(n+r, r+1) when read.
+    where the sum is empty for m = 2.  The one table of r is grown to m_max in
+    the call, so a step that fails raises here; a member is expanded when read.
     """
     if m_max < 1 or r < 0:
         raise DomainError(f"need m >= 1 and r >= 0, got ({m_max}, {r})")
     table = _lemma_table(r)
-    return _LemmaFamily(tuple(table[k] for k in range(m_max)))
+    table[m_max - 1]  # grows the table
+    return _LemmaFamily(table, m_max)
 
 
 # -- determinant route ---------------------------------------------------------
 
 
-@memo
+def det_to_factor(d: RatPoly, m: int) -> RatPoly:
+    """The centered factor G(m, r) from d, the determinant of the order m - 1 matrix at r:
+    G = d / ((-1)^(m-1) (r+2)^(m-1 rising)), the empty determinant giving G(1, r) = 1.
+    The one place that writes this normalisation."""
+    scale = sign_pow(m - 1) * rising_factorial(d.r + 2, m - 1)
+    return RatPoly.from_integers(d.numerators, scale * d.denominator, "N", d.r)
+
+
+def expand_factor(g: RatPoly) -> RatPoly:
+    """S(m, r) in n from its centered factor g = G(m, r) in N_r = n + r/2:
+    C(n+r, r+1) g(n + r/2), the paper's S_m^(r) = S_1^(r) G(N_r), written once."""
+    return s1_poly(g.r) * to_n_frame(g)
+
+
 def faulhaber_det(m: int, r: int) -> RatPoly:
     """The centered factor G(m, r) in N_r = n + r/2, from the Hessenberg determinant.
 
-    G(m, r) = (-1)^(m-1) / (r+2)^(m-1 rising) * det of the order m-1 matrix;
-    the empty determinant makes G(1, r) = 1.  The determinant is the memoised
-    leading principal minor at r, so growing m at fixed r adds one minor.
-    S(m, r, n) = S(1, r, n) G(N_r); for r >= 1, G has the parity of m - 1 and alternating signs.
+    :func:`det_to_factor` of the leading principal minor of order m - 1 at r, read
+    from the minor table of r, the only cache of the det route: growing m at
+    fixed r adds one minor.  S(m, r, n) = S(1, r, n) G(N_r); for r >= 1, G has
+    the parity of m - 1 and alternating signs.
     """
-    d = hessenberg.leading_minor(m - 1, r)
-    return d.scale(Fraction(sign_pow(m - 1), rising_factorial(r + 2, m - 1)))
+    return det_to_factor(hessenberg.leading_minor(m - 1, r), m)
 
 
 def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
     """S(m, r) = C(n+r, r+1) times the determinant factor, expanded in n."""
-    return HyperSumPoly(m, r, s1_poly(r) * to_n_frame(faulhaber_det(m, r)))
+    return HyperSumPoly(m, r, expand_factor(faulhaber_det(m, r)))
 
 
 # -- classical product form -----------------------------------------------------

@@ -75,6 +75,11 @@ def minor_step_with_a_sign_flipped(k_min: int, real=hessenberg._minor):
     return wrong
 
 
+def normaliser_negated(d: RatPoly, m: int, real=hypersum.det_to_factor) -> RatPoly:
+    """The one determinant-to-G normalisation of the det route and ``det``, negated."""
+    return real(d, m).scale(-1)
+
+
 def changed_at(fn, cell: tuple[int, int], change):
     """``fn(m, r)``, with ``change`` applied to its value at ``cell`` alone."""
 
@@ -92,7 +97,7 @@ FAULTS = (
     + [("route", name) for name in hypersum.ROUTES]  # the sign flipped at (3, 2)
     + [("provider", cell) for cell in ((1, 1), (4, 0), (5, 3), (10, 6), (0, 3))]  # doubled there
     + [("r-stirling", (5, 2)), ("bernoulli-row", (6, 3))]
-    + [("spurious-term", "q"), ("minor-step", 3)]
+    + [("spurious-term", "q"), ("minor-step", 3), ("normaliser", "negated")]
 )
 # the faults that one family alone catches, with the checks that fail under each
 ALONE = {
@@ -110,10 +115,13 @@ ALONE = {
 # lemma reads rows <= 5 only.  A term n^6 added to q at (3, 2) leaves its n^5 coefficient
 # right, and the degree says so.  The minor step is shared by det and the minor tables,
 # so the Newton factor is what catches it; h[4,1] is the first nonzero entry it reaches.
+# The normalisation of a determinant to G is shared by the det route and ``det``, so
+# again the Newton factor is what catches it there.
 FAILS_AT = {
     ("bernoulli-row", (6, 3)): ("route-equality[q=lemma]", {"m": 5, "r": 1}, ""),
     ("spurious-term", "q"): ("leading-coefficient", {"m": 3, "r": 2}, "degree 6"),
     ("minor-step", 3): ("centered-factor[det=newton]", {"m": 5, "r": 1}, ""),
+    ("normaliser", "negated"): ("centered-factor[det=newton]", {"m": 4, "r": 2}, ""),
 }
 
 
@@ -144,6 +152,8 @@ def inject(kind: str, where, request, monkeypatch):
         monkeypatch.setitem(hypersum.ROUTES, where, raised)
     elif kind == "minor-step":
         monkeypatch.setattr(hessenberg, "_minor", minor_step_with_a_sign_flipped(where))
+    elif kind == "normaliser":
+        monkeypatch.setattr(hypersum, "det_to_factor", normaliser_negated)
     else:
         doubled = changed_at(hypersum.hyper_sum_poly, where, lambda p: p.scale(2))
         monkeypatch.setattr(hypersum, "hyper_sum_poly", doubled)
@@ -173,6 +183,16 @@ def test_det_exits_3_under_a_fault_in_the_minor_step(capsys, monkeypatch):
     monkeypatch.setattr(hessenberg, "_minor", minor_step_with_a_sign_flipped(3))
     try:
         code = main(["det", "--m", "5", "--r", "2"])
+    finally:
+        exactnum.clear_derived_caches()
+    assert (code, capsys.readouterr().out) == (3, "")
+
+
+def test_det_exits_3_under_a_fault_in_the_normaliser(capsys, monkeypatch):
+    exactnum.clear_derived_caches()
+    monkeypatch.setattr(hypersum, "det_to_factor", normaliser_negated)
+    try:
+        code = main(["det", "--m", "4", "--r", "2"])
     finally:
         exactnum.clear_derived_caches()
     assert (code, capsys.readouterr().out) == (3, "")

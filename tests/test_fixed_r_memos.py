@@ -186,6 +186,26 @@ def test_det_of_the_built_matrix_multiplies_no_polynomials(monkeypatch):
     assert determinant == hessenberg.leading_minor(57, 29)
 
 
+def test_one_row_function_feeds_both_determinants(monkeypatch):
+    before = hessenberg.det(hessenberg.build_matrix(5, 2))
+    real_row = hessenberg._row
+
+    def row_with_h31_raised(i: int, r: int):
+        row, den = real_row(i, r)
+        # h[3, 1] = r C(4, 1) B_3 = 0 reads 1
+        return ((row[0] + den, *row[1:]) if i == 3 else row), den
+
+    monkeypatch.setattr(hessenberg, "_row", row_with_h31_raised)
+    exactnum.clear_derived_caches()
+    try:
+        changed = hessenberg.det(hessenberg.build_matrix(5, 2))
+        minor = hessenberg.leading_minor(4, 2)
+    finally:
+        exactnum.clear_derived_caches()
+    assert changed != before
+    assert minor == changed
+
+
 def test_the_flush_empties_every_memo_of_the_package():
     verify.run_all(4, 2, 4)
     hypersum.hyper_sum_newton(3, 2, 9)

@@ -583,11 +583,10 @@ def test_faulhaber_r1_f_coeffs_alternate():
 def test_faulhaber_r1_reuses_the_cached_determinant(monkeypatch):
     faulhaber_det(9, 1)
     calls = []
-    real_minor = hessenberg.leading_minor
-    monkeypatch.setattr(
-        hessenberg, "leading_minor", lambda order, r: calls.append(order) or real_minor(order, r)
-    )
+    real_row = hessenberg.bernoulli_row
+    monkeypatch.setattr(hessenberg, "bernoulli_row", lambda n: calls.append(n) or real_row(n))
     assert faulhaber_r1(9).coeffs == power_sum_poly(9).shift(Fraction(-1, 2)).coeffs
+    # the minor of order 8 at r = 1 is read from the table: no minor step runs again
     assert calls == []
 
 
