@@ -2,8 +2,8 @@
 
 Subcommands: eval, poly, det, verify, table.  Data goes to stdout,
 diagnostics to stderr.  Values are always exact ("p/q", never decimals).
-Values and polynomials come from the Newton weights that ``hypersum.newton_weights`` proves;
-a route that ``eval`` names and the determinant that ``det`` prints are checked against them.
+Values and polynomials come from the Newton weights, proved for every reader by
+``hypersum.newton_weights``; an ``eval`` route and ``det``'s determinant are checked against them.
 Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid arguments,
 from argparse or a ``DomainError`` the library raises; 3 a failed internal check, a
 ``CrossCheckError``; 141 (128 + SIGPIPE) a stdout closed early.  :func:`main` alone turns
@@ -88,7 +88,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         value = hypersum.hyper_sum_bruteforce(m, r, n)
     else:  # the proved Newton basis serves; a route asked for by name is checked against it
-        hypersum.newton_weights(m)
         value = hypersum.hyper_sum_newton(m, r, n)
         if method != "auto" and hypersum.ROUTES[method](m, r).poly.eval(n) != value:
             raise CrossCheckError(
@@ -107,7 +106,6 @@ def cmd_poly(args: argparse.Namespace) -> int:
     if args.factored and args.var != "N":
         raise DomainError("--factored requires --var N")
     s1_text = f"binomial(n+{r}, {r + 1})"  # S(1, r, n)
-    hypersum.newton_weights(m)  # each polynomial below is built from the proved weights
     if args.var == "u":
         p, prefactor = hypersum.faulhaber_u_form(m, r)
         fields: dict = {"m": m, "r": r, "prefactor": prefactor}
@@ -155,7 +153,6 @@ def cmd_det(args: argparse.Namespace) -> int:
         _refuse_long_value("--at", m, r, args.at, (m - 1) * len(str(m + r)))
     matrix = hessenberg.build_matrix(m, r)
     determinant = hessenberg.det(matrix)
-    hypersum.newton_weights(m)  # the weights that newton_factor reads, proved
     if hypersum.det_to_factor(determinant, m) != hypersum.newton_factor(m, r):
         raise CrossCheckError(f"the determinant differs from the Newton factor at (m={m}, r={r})")
     if r == 0:
@@ -197,8 +194,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
-    for m in range(1, args.max_m + 1):  # every weight that the cells read
-        hypersum.newton_weights(m)
     cells = [
         (m, r, hypersum.hyper_sum_newton(m, r, n))
         for m in range(0, args.max_m + 1)

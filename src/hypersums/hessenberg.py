@@ -9,7 +9,7 @@ are (at most linear) polynomials in the centered variable N = n + r/2:
 
 Row i below the diagonal is r times the Bernoulli polynomial row i+1 of
 :func:`~hypersums.exactnum.bernoulli_row`, read up to column i-1.  One
-function, :func:`_row`, writes a row up to the diagonal, in integers:
+function, :func:`_row`, writes a row up to the superdiagonal, in integers:
 :func:`build_matrix` wraps it into polynomials and the minor table reads it as is.
 The zero entries visible in small instances are Bernoulli zeros (odd-index
 Bernoulli numbers vanish).  Determinants come from one recurrence,
@@ -58,11 +58,11 @@ class HessenbergMatrix(namedtuple("HessenbergMatrix", "m r entries")):
 
 
 def _row(i: int, r: int) -> tuple[tuple, int]:
-    """Row i up to the diagonal, in integers over the D of ``bernoulli_row(i + 1)``:
-    D h[i, j] for j < i, then the diagonal -(i+1) N as the integer row ((0, -i-1), 1).
-    :func:`build_matrix` and the minor table both read it."""
+    """Row i up to the superdiagonal, in integers over the D of ``bernoulli_row(i + 1)``:
+    D h[i, j] for j < i, the diagonal -(i+1) N as the integer row ((0, -i-1), 1), then
+    h[i, i+1] = r + i + 1, not scaled.  :func:`build_matrix` and the minor table both read it."""
     nums, den = bernoulli_row(i + 1)
-    return (*(r * a for a in nums[1:i]), ((0, -i - 1), 1)), den
+    return (*(r * a for a in nums[1:i]), ((0, -i - 1), 1), r + i + 1), den
 
 
 def _check_params(m: int, r: int) -> None:
@@ -83,10 +83,9 @@ def build_matrix(m: int, r: int) -> HessenbergMatrix:
     zero = RatPoly.from_integers((), 1, "N", r)
     rows = []
     for i in range(1, order + 1):
-        (*below, diagonal), den = _row(i, r)
+        (*below, diagonal, sup), den = _row(i, r)
         row = [RatPoly.from_integers((a,), den, "N", r) if a else zero for a in below]
-        sup = RatPoly.from_integers((r + i + 1,), 1, "N", r)
-        row += (RatPoly.from_integers(*diagonal, "N", r), sup)
+        row += (RatPoly.from_integers(*diagonal, "N", r), RatPoly((sup,), "N", r))
         rows.append((*row[:order], *(zero,) * (order - i - 1)))
     return HessenbergMatrix(m, r, tuple(rows))
 
@@ -148,11 +147,13 @@ def _minor_table(r: int) -> GrownTable:
     row k + 1, so a minor is a sum of integer rows over D times earlier minors,
     with no polynomial product.  A memo, so that the flush starts the table over.
     """
+    sup: list[int] = []  # h[t, t+1] of each row t fed, kept for the later steps
 
     def step(minors: list[RatPoly]) -> RatPoly:
-        k = len(minors)
-        row, den = _row(k, r)
-        return _minor(minors, row, den, range(r + 2, r + k + 1))
+        row, den = _row(len(minors), r)
+        minor = _minor(minors, row, den, sup)
+        sup.append(row[-1])
+        return minor
 
     return GrownTable(RatPoly((1,), "N", r), step)
 

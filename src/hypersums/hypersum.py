@@ -21,8 +21,8 @@ with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma`` a
 ``det`` routes grow G in m, in one ``GrownTable`` per r, which is all they cache.
 Each formula around G has one function: :func:`det_to_factor` normalises a
 determinant to G and :func:`expand_factor` multiplies G by S(1, r) in n.
-The Newton weights k! {m k} give S(m, r, n) (:func:`hyper_sum_newton`, proved by
-:func:`newton_weights`) and G (:func:`newton_factor`) with no Bernoulli number.
+The Newton weights k! {m k}, proved where read (:func:`newton_weights`), give
+S(m, r, n) (:func:`hyper_sum_newton`) and G (:func:`newton_factor`) with no Bernoulli number.
 Everything is exact.
 """
 
@@ -96,13 +96,24 @@ def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
     return row[n]
 
 
-@memo
 def _surjection_counts(m: int) -> tuple[int, ...]:
     """(0! {m 0}, 1! {m 1}, ..., m! {m m}): a(m, k) = k (a(m-1, k) + a(m-1, k-1))."""
     row = [1]
     for i in range(1, m + 1):
         row = [k * ((row[k] if k < i else 0) + (row[k - 1] if k else 0)) for k in range(i + 1)]
     return tuple(row)
+
+
+@memo
+def newton_weights(m: int) -> tuple[int, ...]:
+    """The weights k! {m k} of n^m = sum_k k! {m k} C(n, k), proved where every reader reads
+    them: the sum at n = 0..m is unit triangular in them, so a row that misses n^m there raises."""
+    weights, row = _surjection_counts(m), []
+    for a in reversed(weights):  # sum_{j>=k} a_j C(n, j-k) at n = 0..m-k, from k = m down
+        row = [*accumulate(row, initial=a)]
+    if row != [n**m for n in range(m + 1)]:
+        raise CrossCheckError(f"the Newton weights of m = {m} do not give n^m at n <= m")
+    return weights
 
 
 def hyper_sum_newton(m: int, r: int, n: int) -> int:
@@ -119,18 +130,10 @@ def hyper_sum_newton(m: int, r: int, n: int) -> int:
         return 1 if r == 0 else comb(n + r - 1, r)
     total = 0
     binom = comb(n + r, r + 1)  # C(n+r, k+r) at k = 1, and 0 past k = n
-    for k, weight in enumerate(_surjection_counts(m)[1 : n + 1], start=1):
+    for k, weight in enumerate(newton_weights(m)[1 : n + 1], start=1):
         total += weight * binom
         binom = binom * (n - k) // (k + r + 1)
     return total
-
-
-def newton_weights(m: int) -> tuple[int, ...]:
-    """The weights k! {m k} of :func:`hyper_sum_newton`, or :class:`CrossCheckError`:
-    n^m at n = 1..m is unit lower triangular in them, so agreement there fixes each one."""
-    if any(hyper_sum_newton(m, 0, k) != k**m for k in range(1, m + 1)):
-        raise CrossCheckError(f"the Newton weights of m = {m} do not give n^m at n <= m")
-    return _surjection_counts(m)
 
 
 def newton_factor(m: int, r: int) -> RatPoly:
@@ -139,11 +142,11 @@ def newton_factor(m: int, r: int) -> RatPoly:
     C(n+r, k+r) = C(n+r, r+1) (n-1)...(n-k+1) / ((r+2)...(r+k)), so G = P_1 / D_1 with
     D_k = (r+k+1)...(r+m) and P_k = a_k D_k + (N - k - r/2) P_{k+1}, run on 2^(m-k) P_k
     in x = 2N in integers: no Bernoulli number, no determinant, no shift.  The weights
-    are read unproved, so a wrong row gives a wrong G.
+    are :func:`newton_weights`, so a wrong row raises :class:`CrossCheckError`.
     """
     if m < 1 or r < 0:
         raise DomainError(f"need m >= 1 and r >= 0, got ({m}, {r})")
-    a = _surjection_counts(m)
+    a = newton_weights(m)
     p, d = [a[m]], 1
     for k in range(m - 1, 0, -1):
         d *= r + k + 1
@@ -402,8 +405,8 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
     Odd m: S(m, r) = S(1, r) * F(u) and the tag is "s1".  Even m:
     S(m, r) = S(2, r) * F(u) with tag "s2"; here the centered factor, odd in
     N, is divided by the factor (2/(r+2)) N of S(2, r) before converting.
-    The centered factor, :func:`newton_factor` with its weights unproved, is refused
-    with :class:`CrossCheckError` without the parity of m - 1, the paper's theorem.
+    The centered factor is :func:`newton_factor`; it is refused with
+    :class:`CrossCheckError` without the parity of m - 1, the paper's theorem.
     """
     if m < 1 or r < 1:
         raise DomainError(f"need m >= 1 and r >= 1, got ({m}, {r})")

@@ -40,8 +40,10 @@ def corrupt_bernoulli():
 def wrong_newton_weight(monkeypatch):
     """Make the Newton weight a(4, 2) = 2! {4 2} = 14 one too large, for every reader.
 
-    Values at m = 4 then read 2422 for 7^4 = 2401; the proof of :func:`newton_weights`
-    fails at n = 2, where the row gives 17 for 2^4.
+    Unproved, values at m = 4 would read 2422 for 7^4 = 2401; the proof of
+    :func:`newton_weights` fails at n = 2, where the row gives 17 for 2^4.  The derived
+    caches are flushed on the way in, so that no row proved before the fault hides it,
+    and on the way out.
     """
     real = hypersum._surjection_counts
 
@@ -49,7 +51,10 @@ def wrong_newton_weight(monkeypatch):
         row = real(m)
         return row[:2] + (row[2] + 1,) + row[3:] if m == 4 else row
 
+    exactnum.clear_derived_caches()
     monkeypatch.setattr(hypersum, "_surjection_counts", wrong)
+    yield
+    exactnum.clear_derived_caches()
 
 
 @pytest.fixture

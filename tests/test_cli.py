@@ -753,6 +753,13 @@ def test_poly_and_det_with_a_wrong_newton_weight_exit_3(capsys, request):
             assert (code, out, err) == clean[argv], argv
 
 
+def test_a_request_refused_under_a_wrong_newton_weight_exits_2(capsys, wrong_newton_weight):
+    # the product form needs r >= 1: the refusal comes before the weights are read
+    code, out, err = run_cli_full(capsys, "poly", "--m", "4", "--r", "0", "--var", "u")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 # -- verify ---------------------------------------------------------------------
 
 

@@ -195,15 +195,21 @@ def test_one_row_function_feeds_both_determinants(monkeypatch):
         # h[3, 1] = r C(4, 1) B_3 = 0 reads 1
         return ((row[0] + den, *row[1:]) if i == 3 else row), den
 
-    monkeypatch.setattr(hessenberg, "_row", row_with_h31_raised)
-    exactnum.clear_derived_caches()
-    try:
-        changed = hessenberg.det(hessenberg.build_matrix(5, 2))
-        minor = hessenberg.leading_minor(4, 2)
-    finally:
+    def row_with_h23_raised(i: int, r: int):
+        row, den = real_row(i, r)
+        # the superdiagonal h[2, 3] = r + 3 reads r + 4
+        return ((*row[:-1], row[-1] + 1) if i == 2 else row), den
+
+    for changed_row in (row_with_h31_raised, row_with_h23_raised):
+        monkeypatch.setattr(hessenberg, "_row", changed_row)
         exactnum.clear_derived_caches()
-    assert changed != before
-    assert minor == changed
+        try:
+            changed = hessenberg.det(hessenberg.build_matrix(5, 2))
+            minor = hessenberg.leading_minor(4, 2)
+        finally:
+            exactnum.clear_derived_caches()
+        assert changed != before, changed_row.__name__
+        assert minor == changed, changed_row.__name__
 
 
 def test_the_flush_empties_every_memo_of_the_package():

@@ -482,8 +482,30 @@ def test_newton_weights_are_proved_before_they_are_returned(wrong_newton_weight)
     assert [newton_weights(m) for m in range(4)] == [(1,), (0, 1), (0, 1, 2), (0, 1, 6, 6)]
     with pytest.raises(CrossCheckError):
         newton_weights(4)
-    # the factor reads the weights unproved, so the wrong row gives a wrong G
-    assert newton_factor(4, 2) != faulhaber_det(4, 2)
+    # the factor reads the proved weights, so the wrong row raises there too
+    with pytest.raises(CrossCheckError):
+        newton_factor(4, 2)
+
+
+def test_every_reader_of_a_wrong_newton_weight_raises(request):
+    cells = [(m, r) for m in (1, 2, 3, 5) for r in range(3)]
+
+    def reads() -> tuple:
+        values = [[hyper_sum_newton(m, r, n) for n in range(8)] for m, r in cells]
+        factors = [newton_factor(m, r) for m, r in cells]
+        return values, factors, [faulhaber_u_form(m, 1) for m in (3, 5)]
+
+    clean = reads()
+    request.getfixturevalue("wrong_newton_weight")
+    for r in range(3):
+        for n in range(8):  # n = 0 and n = 1 read no weight past k = 1, and still raise
+            with pytest.raises(CrossCheckError):
+                hyper_sum_newton(4, r, n)
+        with pytest.raises(CrossCheckError):
+            newton_factor(4, r)
+    with pytest.raises(CrossCheckError):
+        faulhaber_u_form(4, 1)
+    assert reads() == clean
 
 
 def test_top_coefficient_relation_at_r10():

@@ -48,15 +48,10 @@ def off_by_n(m: int, r: int) -> hypersum.HyperSumPoly:
 
 def routes_with_comparisons(monkeypatch, m_max: int, r_max: int, n_max: int):
     """The check_routes results on the grid, and the number of table comparisons made."""
-    values = {
-        (m, r): row
-        for m in range(m_max + 1)
-        for r, row in enumerate(hypersum.value_table(m, r_max, n_max))
-    }
     calls = []
     real = RatPoly.first_mismatch
     monkeypatch.setattr(RatPoly, "first_mismatch", lambda p, v: calls.append(1) or real(p, v))
-    checks = list(check_routes(m_max, r_max, n_max, values))
+    checks = list(check_routes(m_max, r_max, n_max))
     return checks, len(calls)
 
 
@@ -157,6 +152,35 @@ def test_the_newton_partner_fails_under_a_wrong_newton_weight(wrong_newton_weigh
     partner, failures = centered_factor_failures()
     assert failures == partner
     assert {(c.params["m"], c.params["r"]) for c in partner} == {(4, r) for r in range(1, 5)}
+    # the failure is the weights' proof, not a difference of two factors
+    assert {c.detail for c in partner} == {
+        "the Newton weights of m = 4 do not give n^m at n <= m"
+    }
+
+
+def test_a_term_that_vanishes_on_the_user_grid_fails_the_recursion(monkeypatch):
+    # n(n-1)...(n-5) is zero at n = 0..5 and of degree 6 < m + r: added to every route,
+    # it escapes route equality and the leading coefficient, and only a recursion row
+    # that runs past n_max = 5, to n = m + r at least, sees it
+    falling = RatPoly([1])
+    for k in range(6):
+        falling = falling * RatPoly([-k, 1])
+
+    def with_falling(route):
+        def wrong(m: int, r: int) -> hypersum.HyperSumPoly:
+            h = route(m, r)
+            return h._replace(poly=h.poly + falling) if m + r > 6 else h
+
+        return wrong
+
+    for name, route in list(hypersum.ROUTES.items()):
+        monkeypatch.setitem(hypersum.ROUTES, name, with_falling(route))
+    failures = run_all(30, 15, 5).failures
+    assert {c.name for c in failures} == {f"eval-vs-recursion[{name}]" for name in hypersum.ROUTES}
+    assert {(c.params["m"], c.params["r"]) for c in failures} == {
+        (m, r) for m in range(1, 31) for r in range(1, 16) if m + r > 6
+    }
+    assert {c.detail for c in failures} == {"first divergence at n=6"}
 
 
 def test_golden_fixtures_pass():
