@@ -40,7 +40,6 @@ from .exactnum import (
     DomainError,
     GrownTable,
     Rational,
-    bernoulli,
     bernoulli_row,
     memo,
     rising_factorial,
@@ -238,18 +237,6 @@ def _c_weights(r: int) -> tuple[tuple[int, ...], ...]:
         tuple(sign_pow(j) * comb(i + j, i) * row[i + j + 1] for j in range(r - i))
         for i in range(r)
     )
-
-
-def coeff_c_reduced_k1(m: int, r: int) -> Rational:
-    """The collapsed single-sum form of the linear coefficient.
-
-    c^1 = ((-1)^m / (r-1)!) sum_{i=0}^{r-1} [r, i+1] B_{m+i}, summed over the
-    Bernoulli numbers themselves, not the Bernoulli polynomial rows that
-    :func:`hyper_sum_poly_c` reads.
-    """
-    row = stirling1_row(r)
-    total = sum(row[i + 1] * bernoulli(m + i) for i in range(r))
-    return total * Fraction(sign_pow(m), factorial(r - 1))
 
 
 def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:

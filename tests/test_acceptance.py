@@ -17,7 +17,6 @@ from hypersums.exactnum import bernoulli, r_stirling1, rising_factorial, sign_po
 from hypersums.hessenberg import HessenbergMatrix, build_matrix, det
 from hypersums.hypersum import (
     ROUTES,
-    coeff_c_reduced_k1,
     coffey_residual,
     faulhaber_det,
     faulhaber_r1,
@@ -29,6 +28,7 @@ from hypersums.hypersum import (
     s1_poly,
 )
 from hypersums.polyring import RatPoly, monomial, to_n_frame
+from test_hypersum import coeff_c_reduced_k1
 
 
 def report(criterion: int, description: str):

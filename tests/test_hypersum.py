@@ -14,7 +14,6 @@ from hypersums import exactnum, hessenberg, hypersum
 from hypersums.exactnum import CrossCheckError, DomainError, bernoulli
 from hypersums.hypersum import (
     ROUTES,
-    coeff_c_reduced_k1,
     coffey_residual,
     faulhaber_det,
     faulhaber_r1,
@@ -169,6 +168,18 @@ def test_linear_coefficient_reduction():
             assert hyper_sum_poly_c(m, r).poly.coefficient(1) == coeff_c_reduced_k1(m, r)
     # the determinant route, the fastest full build at (200, 200)
     assert coeff_c_reduced_k1(200, 200) == hyper_sum_det(200, 200).poly.coefficient(1)
+
+
+def coeff_c_reduced_k1(m: int, r: int) -> Fraction:
+    """The collapsed single-sum form of the linear coefficient.
+
+    c^1 = ((-1)^m / (r-1)!) sum_{i=0}^{r-1} [r, i+1] B_{m+i}, summed over the
+    Bernoulli numbers themselves, not the Bernoulli polynomial rows that
+    :func:`hyper_sum_poly_c` reads.
+    """
+    row = exactnum.stirling1_row(r)
+    total = sum(row[i + 1] * bernoulli(m + i) for i in range(r))
+    return total * Fraction((-1) ** m, factorial(r - 1))
 
 
 def explicit_coefficient(m: int, r: int, k: int) -> Fraction:
