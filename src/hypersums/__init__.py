@@ -3,7 +3,8 @@
 S(m, 0, n) = n^m and S(m, r, n) = sum_{i=1}^{n} S(m, r-1, i).  The package
 computes these iterated power sums as exact rational polynomials by five
 independent methods and cross-verifies them; see :mod:`hypersums.hypersum`
-for the routes, :mod:`hypersums.verify` for the equivalence runner, and
+for the routes, :mod:`hypersums.newton` for the Newton-weight path the CLI
+serves, :mod:`hypersums.verify` for the equivalence runner, and
 :mod:`hypersums.cli` for the command-line interface.
 
 All arithmetic is exact (``fractions.Fraction``); there is no floating
@@ -29,22 +30,19 @@ _EXPORTS = {
         "coffey_residual",
         "faulhaber_det",
         "faulhaber_r1",
-        "faulhaber_u_form",
         "hyper_sum_bruteforce",
         "hyper_sum_det",
-        "hyper_sum_newton",
         "hyper_sum_poly",
         "hyper_sum_poly_c",
         "hyper_sum_poly_chain",
         "hyper_sum_poly_q",
         "lemma_recurrence_family",
-        "newton_factor",
         "power_sum_poly",
         "q_poly",
         "s1_closed",
-        "s1_poly",
         "s2_closed",
     ),
+    "newton": ("faulhaber_u_form", "hyper_sum_newton", "newton_factor", "s1_poly"),
     "polyring": (
         "RatPoly",
         "monomial",

@@ -2,8 +2,11 @@
 
 Subcommands: eval, poly, det, verify, table.  Data goes to stdout,
 diagnostics to stderr.  Values are always exact ("p/q", never decimals).
-Values and polynomials come from the Newton weights, proved for every reader by
-``hypersum.newton_weights``; an ``eval`` route and ``det``'s determinant are checked against them.
+Values and polynomials come from :mod:`hypersums.newton`, whose weights are proved for
+every reader by ``newton_weights``; an ``eval`` route and ``det``'s determinant are checked
+against them.  So ``eval``, ``poly`` and ``table`` load that module alone; ``det`` also loads
+:mod:`hypersums.hessenberg`, ``eval --method`` a route or the recursion of
+:mod:`hypersums.hypersum`, and ``verify`` :mod:`hypersums.verify`.
 Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid arguments,
 from argparse or a ``DomainError`` the library raises; 3 a failed internal check, a
 ``CrossCheckError``; 141 (128 + SIGPIPE) a stdout closed early.  :func:`main` alone turns
@@ -17,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import hessenberg, hypersum  # verify is imported by cmd_verify alone
+from . import newton  # the served path; the commands import hessenberg, hypersum, verify
 from .exactnum import CrossCheckError, DomainError, rational_to_json
 from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
@@ -41,6 +44,9 @@ MAX_TABLE_M_R = 100
 MAX_VERIFY_GRID = (30, 15, 100)
 # most digits of a printed int: sys.get_int_max_str_digits() refuses longer ones by default
 MAX_DIGITS = 4300
+# eval --method: the served Newton basis, the recursion, then hypersum.ROUTES by name, written
+# out so that building the parser imports no route (tests/test_cli.py holds it to ROUTES)
+METHODS = ("auto", "bruteforce", "q", "c", "chain", "lemma", "det")
 
 
 def _print_json(payload: dict) -> None:
@@ -77,6 +83,8 @@ def _refuse_long_value(flag: str, m: int, r: int, n: int, factor_digits: int = 0
 def cmd_eval(args: argparse.Namespace) -> int:
     m, r, n, method = args.m, args.r, args.n, args.method
     _refuse_long_value("--n", m, r, n)
+    if method != "auto":  # the routes and the recursion load only when asked for by name
+        from . import hypersum
     if method == "bruteforce":
         if n > MAX_BRUTEFORCE_N:
             raise DomainError(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
@@ -88,7 +96,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         value = hypersum.hyper_sum_bruteforce(m, r, n)
     else:  # the proved Newton basis serves; a route asked for by name is checked against it
-        value = hypersum.hyper_sum_newton(m, r, n)
+        value = newton.hyper_sum_newton(m, r, n)
         if method != "auto" and hypersum.ROUTES[method](m, r).poly.eval(n) != value:
             raise CrossCheckError(
                 f"polynomial route {method} disagrees with the Newton-basis integer "
@@ -107,18 +115,18 @@ def cmd_poly(args: argparse.Namespace) -> int:
         raise DomainError("--factored requires --var N")
     s1_text = f"binomial(n+{r}, {r + 1})"  # S(1, r, n)
     if args.var == "u":
-        p, prefactor = hypersum.faulhaber_u_form(m, r)
+        p, prefactor = newton.faulhaber_u_form(m, r)
         fields: dict = {"m": m, "r": r, "prefactor": prefactor}
     else:
         fields = {"m": m, "r": r, "method": "newton"}
         if args.var == "N":
-            p = hypersum.newton_factor(m, r)
+            p = newton.newton_factor(m, r)
             if args.factored:  # 1/D times the integer bracket
                 scale, bracket = Fraction(1, p.denominator), p.scale(p.denominator)
         elif m == 0:  # S(0, r, n) = C(n+r-1, r), and 1 at r = 0
-            p = hypersum.s1_poly(r - 1) if r else RatPoly((1,))
+            p = newton.s1_poly(r - 1) if r else RatPoly((1,))
         else:
-            p = hypersum.expand_factor(hypersum.newton_factor(m, r))
+            p = newton.expand_factor(newton.newton_factor(m, r))
 
     if args.format == "json":
         payload = {**fields, "poly": poly_to_json(p)}
@@ -147,13 +155,15 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_det(args: argparse.Namespace) -> int:
+    from . import hessenberg
+
     m, r = args.m, args.r
     if args.at is not None:
         # for n >= 1 the value is (-1)^(m-1) (r+2)...(r+m) S(m, r, n) / C(n+r, r+1)
         _refuse_long_value("--at", m, r, args.at, (m - 1) * len(str(m + r)))
     matrix = hessenberg.build_matrix(m, r)
     determinant = hessenberg.det(matrix)
-    if hypersum.det_to_factor(determinant, m) != hypersum.newton_factor(m, r):
+    if newton.det_to_factor(determinant, m) != newton.newton_factor(m, r):
         raise CrossCheckError(f"the determinant differs from the Newton factor at (m={m}, r={r})")
     if r == 0:
         # the centered variable coincides with n; display it that way
@@ -195,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     n = args.n
     cells = [
-        (m, r, hypersum.hyper_sum_newton(m, r, n))
+        (m, r, newton.hyper_sum_newton(m, r, n))
         for m in range(0, args.max_m + 1)
         for r in range(0, args.max_r + 1)
     ]
@@ -245,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=_int_in(0), required=True)
     p_eval.add_argument(
         "--method",
-        choices=("auto", "bruteforce", *hypersum.ROUTES),
+        choices=METHODS,
         default="auto",
     )
     p_eval.add_argument("--format", choices=["text", "json"], default="text")

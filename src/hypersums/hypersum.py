@@ -19,10 +19,9 @@ All routes return polynomials in the n-frame; the centered (N) and product
 cross-method comparison is always same-frame.  The paper's centered factor G,
 with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma`` and
 ``det`` routes grow G in m, in one ``GrownTable`` per r, which is all they cache.
-Each formula around G has one function: :func:`det_to_factor` normalises a
-determinant to G and :func:`expand_factor` multiplies G by S(1, r) in n.
-The Newton weights k! {m k}, proved where read (:func:`newton_weights`), give
-S(m, r, n) (:func:`hyper_sum_newton`) and G (:func:`newton_factor`) with no Bernoulli number.
+The served path, the Newton weights and what is built from them alone, lives in
+:mod:`hypersums.newton`: the routes read its ``det_to_factor`` and ``expand_factor``
+through that module, and its public names are re-exported here.
 Everything is exact.
 """
 
@@ -34,25 +33,26 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, factorial, lcm
 
-from . import hessenberg
+from . import hessenberg, newton
 from .exactnum import (
-    CrossCheckError,
     DomainError,
     GrownTable,
     Rational,
     bernoulli_row,
     memo,
-    rising_factorial,
     sign_pow,
     stirling1_row,
 )
-from .polyring import (
-    RatPoly,
-    sum_of_products,
-    to_N_frame,
-    to_n_frame,
-    to_u_form,
+from .newton import (  # noqa: F401  re-exported: callers of hypersum keep these names
+    det_to_factor,
+    expand_factor,
+    faulhaber_u_form,
+    hyper_sum_newton,
+    newton_factor,
+    newton_weights,
+    s1_poly,
 )
+from .polyring import RatPoly, sum_of_products, to_N_frame
 
 # -- structured results -------------------------------------------------------
 
@@ -95,65 +95,6 @@ def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
     return row[n]
 
 
-def _surjection_counts(m: int) -> tuple[int, ...]:
-    """(0! {m 0}, 1! {m 1}, ..., m! {m m}): a(m, k) = k (a(m-1, k) + a(m-1, k-1))."""
-    row = [1]
-    for i in range(1, m + 1):
-        row = [k * ((row[k] if k < i else 0) + (row[k - 1] if k else 0)) for k in range(i + 1)]
-    return tuple(row)
-
-
-@memo
-def newton_weights(m: int) -> tuple[int, ...]:
-    """The weights k! {m k} of n^m = sum_k k! {m k} C(n, k), proved where every reader reads
-    them: the sum at n = 0..m is unit triangular in them, so a row that misses n^m there raises."""
-    weights, row = _surjection_counts(m), []
-    for a in reversed(weights):  # sum_{j>=k} a_j C(n, j-k) at n = 0..m-k, from k = m down
-        row = [*accumulate(row, initial=a)]
-    if row != [n**m for n in range(m + 1)]:
-        raise CrossCheckError(f"the Newton weights of m = {m} do not give n^m at n <= m")
-    return weights
-
-
-def hyper_sum_newton(m: int, r: int, n: int) -> int:
-    """S(m, r, n) in integers from the Newton basis, at any n.
-
-    n^m = sum_k k! {m k} C(n, k), and summing r times lifts each binomial by
-    the hockey-stick identity: S(m, r, n) = sum_{k=1}^{m} k! {m k} C(n+r, k+r)
-    for m >= 1.  For m = 0 the 0^0 = 1 convention gives 1 when r = 0 and
-    C(n+r-1, r) when r >= 1.  It shares no table with the polynomial routes.
-    """
-    if m < 0 or r < 0 or n < 0:
-        raise DomainError(f"need m, r, n >= 0, got ({m}, {r}, {n})")
-    if m == 0:
-        return 1 if r == 0 else comb(n + r - 1, r)
-    total = 0
-    binom = comb(n + r, r + 1)  # C(n+r, k+r) at k = 1, and 0 past k = n
-    for k, weight in enumerate(newton_weights(m)[1 : n + 1], start=1):
-        total += weight * binom
-        binom = binom * (n - k) // (k + r + 1)
-    return total
-
-
-def newton_factor(m: int, r: int) -> RatPoly:
-    """The centered factor G(m, r) in N = n + r/2 from the Newton weights a_k alone.
-
-    C(n+r, k+r) = C(n+r, r+1) (n-1)...(n-k+1) / ((r+2)...(r+k)), so G = P_1 / D_1 with
-    D_k = (r+k+1)...(r+m) and P_k = a_k D_k + (N - k - r/2) P_{k+1}, run on 2^(m-k) P_k
-    in x = 2N in integers: no Bernoulli number, no determinant, no shift.  The weights
-    are :func:`newton_weights`, so a wrong row raises :class:`CrossCheckError`.
-    """
-    if m < 1 or r < 0:
-        raise DomainError(f"need m >= 1 and r >= 0, got ({m}, {r})")
-    a = newton_weights(m)
-    p, d = [a[m]], 1
-    for k in range(m - 1, 0, -1):
-        d *= r + k + 1
-        p = [u - (2 * k + r) * v for u, v in zip((0, *p), (*p, 0))]  # (x - 2k - r) p
-        p[0] += a[k] * d << (m - k)
-    return RatPoly.from_integers([c << j for j, c in enumerate(p)], d << (m - 1), "N", r)
-
-
 def s1_closed(r: int, n: int) -> Rational:
     """S(1, r, n) = C(n+r, r+1)."""
     return Fraction(comb(n + r, r + 1))
@@ -165,16 +106,6 @@ def s2_closed(r: int, n: int) -> Rational:
 
 
 # -- power sums and the expansion over them -----------------------------------
-
-
-@memo
-def s1_poly(r: int) -> RatPoly:
-    """C(n+r, r+1) = n(n+1)...(n+r) / (r+1)! expanded as a polynomial in n.
-
-    The rising product is sum_k [r+1, k] n^k over the unsigned first-kind
-    Stirling row.
-    """
-    return RatPoly.from_integers(stirling1_row(r + 1), factorial(r + 1))
 
 
 @memo
@@ -314,7 +245,7 @@ def _lemma_table(r: int) -> GrownTable:
 
 class _LemmaFamily:
     """S(1, r) ... S(m_max, r), read from the table of centered factors of r, grown to
-    m_max; member m is :func:`expand_factor` of G(m, r), each time it is read.
+    m_max; member m is :func:`newton.expand_factor` of G(m, r), each time it is read.
     Iteration runs through ``__getitem__`` up to its ``IndexError``."""
 
     __slots__ = ("_table", "_m_max")
@@ -328,7 +259,7 @@ class _LemmaFamily:
     def __getitem__(self, k: int) -> HyperSumPoly:
         m = range(1, self._m_max + 1)[k]  # IndexError past either end
         g = self._table[m - 1]
-        return HyperSumPoly(m, g.r, expand_factor(g))
+        return HyperSumPoly(m, g.r, newton.expand_factor(g))
 
 
 def lemma_recurrence_family(m_max: int, r: int) -> _LemmaFamily:
@@ -353,59 +284,20 @@ def lemma_recurrence_family(m_max: int, r: int) -> _LemmaFamily:
 # -- determinant route ---------------------------------------------------------
 
 
-def det_to_factor(d: RatPoly, m: int) -> RatPoly:
-    """The centered factor G(m, r) from d, the determinant of the order m - 1 matrix at r:
-    G = d / ((-1)^(m-1) (r+2)^(m-1 rising)), the empty determinant giving G(1, r) = 1.
-    The one place that writes this normalisation."""
-    scale = sign_pow(m - 1) * rising_factorial(d.r + 2, m - 1)
-    return RatPoly.from_integers(d.numerators, scale * d.denominator, "N", d.r)
-
-
-def expand_factor(g: RatPoly) -> RatPoly:
-    """S(m, r) in n from its centered factor g = G(m, r) in N_r = n + r/2:
-    C(n+r, r+1) g(n + r/2), the paper's S_m^(r) = S_1^(r) G(N_r), written once."""
-    return s1_poly(g.r) * to_n_frame(g)
-
-
 def faulhaber_det(m: int, r: int) -> RatPoly:
     """The centered factor G(m, r) in N_r = n + r/2, from the Hessenberg determinant.
 
-    :func:`det_to_factor` of the leading principal minor of order m - 1 at r, read
+    :func:`newton.det_to_factor` of the leading principal minor of order m - 1 at r, read
     from the minor table of r, the only cache of the det route: growing m at
     fixed r adds one minor.  S(m, r, n) = S(1, r, n) G(N_r); for r >= 1, G has
     the parity of m - 1 and alternating signs.
     """
-    return det_to_factor(hessenberg.leading_minor(m - 1, r), m)
+    return newton.det_to_factor(hessenberg.leading_minor(m - 1, r), m)
 
 
 def hyper_sum_det(m: int, r: int) -> HyperSumPoly:
     """S(m, r) = C(n+r, r+1) times the determinant factor, expanded in n."""
-    return HyperSumPoly(m, r, expand_factor(faulhaber_det(m, r)))
-
-
-# -- classical product form -----------------------------------------------------
-
-
-def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
-    """The factor polynomial in u = n(n+r), plus its prefactor tag.
-
-    Odd m: S(m, r) = S(1, r) * F(u) and the tag is "s1".  Even m:
-    S(m, r) = S(2, r) * F(u) with tag "s2"; here the centered factor, odd in
-    N, is divided by the factor (2/(r+2)) N of S(2, r) before converting.
-    The centered factor is :func:`newton_factor`; it is refused with
-    :class:`CrossCheckError` without the parity of m - 1, the paper's theorem.
-    """
-    if m < 1 or r < 1:
-        raise DomainError(f"need m >= 1 and r >= 1, got ({m}, {r})")
-    g = newton_factor(m, r)
-    if g.parity() != ("even" if m % 2 else "odd"):
-        raise CrossCheckError(f"the centered factor G({m}, {r}) lacks the parity of m - 1")
-    if m % 2 == 1:
-        return to_u_form(g), "s1"
-    quotient = RatPoly.from_integers(
-        [(r + 2) * a for a in g.numerators[1:]], 2 * g.denominator, "N", r
-    )
-    return to_u_form(quotient), "s2"
+    return HyperSumPoly(m, r, newton.expand_factor(faulhaber_det(m, r)))
 
 
 # -- ordinary power sums in the half-shifted variable ---------------------------
@@ -420,7 +312,7 @@ def faulhaber_r1(m: int) -> RatPoly:
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
-    return to_N_frame(s1_poly(1), 1) * faulhaber_det(m, 1)
+    return to_N_frame(newton.s1_poly(1), 1) * faulhaber_det(m, 1)
 
 
 # -- parity-split lifting relations ---------------------------------------------

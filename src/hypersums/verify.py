@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
 
-from . import hypersum
+from . import hypersum, newton
 from .exactnum import CrossCheckError, DomainError, r_stirling1, rational_to_json
 from .polyring import RatPoly, poly_to_json, sum_of_products
 
@@ -148,11 +148,11 @@ def check_centered_factor(m_max: int, r_max: int, n_max: int) -> Checks:
             cell = {"m": m, "r": r}
             p = hypersum.faulhaber_det(m, r)
             try:
-                newton = hypersum.newton_factor(m, r)
+                newton_g = newton.newton_factor(m, r)
             except CrossCheckError as exc:  # the Newton weights failed their proof
                 yield CheckResult("centered-factor[det=newton]", cell, False, str(exc))
             else:
-                yield _poly_check("centered-factor[det=newton]", cell, p, newton)
+                yield _poly_check("centered-factor[det=newton]", cell, p, newton_g)
             # the g coefficients' numerators over the positive denominator carry their signs
             g = p.numerators[p.degree % 2 :: 2]
             ok = (

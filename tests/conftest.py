@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import exactnum, hypersum
+from hypersums import exactnum, newton
 from hypersums.polyring import RatPoly
 
 
@@ -45,14 +45,14 @@ def wrong_newton_weight(monkeypatch):
     caches are flushed on the way in, so that no row proved before the fault hides it,
     and on the way out.
     """
-    real = hypersum._surjection_counts
+    real = newton._surjection_counts
 
     def wrong(m: int) -> tuple[int, ...]:
         row = real(m)
         return row[:2] + (row[2] + 1,) + row[3:] if m == 4 else row
 
     exactnum.clear_derived_caches()
-    monkeypatch.setattr(hypersum, "_surjection_counts", wrong)
+    monkeypatch.setattr(newton, "_surjection_counts", wrong)
     yield
     exactnum.clear_derived_caches()
 
@@ -61,12 +61,12 @@ def wrong_newton_weight(monkeypatch):
 def newton_factor_without_parity(monkeypatch):
     """Call to make :func:`newton_factor` lose the parity of m - 1, the paper's theorem:
     the even-m factor G(m, r) gains a constant term, and the odd-m one the term N."""
-    real = hypersum.newton_factor
+    real = newton.newton_factor
 
     def wrong(m: int, r: int) -> RatPoly:
         return real(m, r) + RatPoly([1 - m % 2, m % 2], "N", r)
 
     def patch() -> None:
-        monkeypatch.setattr(hypersum, "newton_factor", wrong)
+        monkeypatch.setattr(newton, "newton_factor", wrong)
 
     return patch

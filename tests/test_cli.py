@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import cli, exactnum, hessenberg, hypersum
+from hypersums import cli, exactnum, hessenberg, hypersum, newton
 from hypersums.cli import (
     MAX_BRUTEFORCE_N,
     MAX_BRUTEFORCE_WORK,
@@ -90,6 +90,16 @@ def test_eval_methods_agree(capsys):
                     if expected is None:
                         expected = out
                     assert out == expected, (m, r, n, method)
+
+
+def test_the_method_choices_are_auto_bruteforce_and_every_route():
+    # the parser writes the names out, so that building it imports no route; a route added
+    # to ROUTES and not to METHODS fails here
+    assert cli.METHODS == ("auto", "bruteforce", *hypersum.ROUTES)
+    parser = build_parser()
+    for method in cli.METHODS:
+        args = parser.parse_args(["eval", "--m", "1", "--r", "1", "--n", "1", "--method", method])
+        assert args.method == method
 
 
 def test_eval_at_the_cap_prints_the_same_bytes_by_auto_lemma_and_det(capsys):
@@ -335,8 +345,8 @@ def test_poly_centered_and_factored(capsys):
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_poly_factored_reads_the_centered_factor_once(capsys, monkeypatch, fmt):
     calls = []
-    real = hypersum.newton_factor
-    monkeypatch.setattr(hypersum, "newton_factor", lambda m, r: calls.append((m, r)) or real(m, r))
+    real = newton.newton_factor
+    monkeypatch.setattr(newton, "newton_factor", lambda m, r: calls.append((m, r)) or real(m, r))
     argv = ("poly", "--m", "5", "--r", "7", "--var", "N", "--factored", "--format", fmt)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out
@@ -457,7 +467,7 @@ def test_poly_u_form_of_a_wrong_centered_factor_exit_3(
 
 def test_a_frame_mismatch_is_not_a_refusal(monkeypatch):
     # mixing frames is a bug, not an argument outside a domain: it must not read as exit 2
-    monkeypatch.setattr(hypersum, "newton_factor", lambda m, r: RatPoly([1]) * RatPoly([1], "N", r))
+    monkeypatch.setattr(newton, "newton_factor", lambda m, r: RatPoly([1]) * RatPoly([1], "N", r))
     with pytest.raises(ValueError) as exc:
         main(["poly", "--m", "3", "--r", "1", "--var", "N"])
     assert not isinstance(exc.value, DomainError)

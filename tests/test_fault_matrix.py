@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import exactnum, hessenberg, hypersum
+from hypersums import exactnum, hessenberg, hypersum, newton
 from hypersums.cli import main
 from hypersums.exactnum import bernoulli, bernoulli_row
 from hypersums.polyring import RatPoly, monomial, sum_of_products
@@ -75,7 +75,7 @@ def minor_step_with_a_sign_flipped(k_min: int, real=hessenberg._minor):
     return wrong
 
 
-def normaliser_negated(d: RatPoly, m: int, real=hypersum.det_to_factor) -> RatPoly:
+def normaliser_negated(d: RatPoly, m: int, real=newton.det_to_factor) -> RatPoly:
     """The one determinant-to-G normalisation of the det route and ``det``, negated."""
     return real(d, m).scale(-1)
 
@@ -153,7 +153,7 @@ def inject(kind: str, where, request, monkeypatch):
     elif kind == "minor-step":
         monkeypatch.setattr(hessenberg, "_minor", minor_step_with_a_sign_flipped(where))
     elif kind == "normaliser":
-        monkeypatch.setattr(hypersum, "det_to_factor", normaliser_negated)
+        monkeypatch.setattr(newton, "det_to_factor", normaliser_negated)
     else:
         doubled = changed_at(hypersum.hyper_sum_poly, where, lambda p: p.scale(2))
         monkeypatch.setattr(hypersum, "hyper_sum_poly", doubled)
@@ -190,7 +190,7 @@ def test_det_exits_3_under_a_fault_in_the_minor_step(capsys, monkeypatch):
 
 def test_det_exits_3_under_a_fault_in_the_normaliser(capsys, monkeypatch):
     exactnum.clear_derived_caches()
-    monkeypatch.setattr(hypersum, "det_to_factor", normaliser_negated)
+    monkeypatch.setattr(newton, "det_to_factor", normaliser_negated)
     try:
         code = main(["det", "--m", "4", "--r", "2"])
     finally:

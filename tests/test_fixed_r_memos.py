@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import hypersums
-from hypersums import exactnum, hessenberg, hypersum, verify
+from hypersums import exactnum, hessenberg, hypersum, polyring, verify
 from hypersums.hypersum import ROUTES, faulhaber_det, newton_factor
 from hypersums.polyring import RatPoly
 
@@ -129,8 +129,8 @@ def test_reading_one_member_of_a_cold_lemma_family_converts_one_factor(monkeypat
     expected = hypersum.hyper_sum_det(30, 7)
     exactnum.clear_derived_caches()
     calls = []
-    real_to_n_frame = hypersum.to_n_frame
-    monkeypatch.setattr(hypersum, "to_n_frame", lambda g: calls.append(g) or real_to_n_frame(g))
+    real_to_n_frame = polyring.to_n_frame
+    monkeypatch.setattr(polyring, "to_n_frame", lambda g: calls.append(g) or real_to_n_frame(g))
     family = hypersum.lemma_recurrence_family(30, 7)
     assert calls == []
     assert family[29] == expected

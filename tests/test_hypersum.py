@@ -525,6 +525,17 @@ def test_top_coefficient_relation_at_r10():
     assert g9[4] == Fraction(9, 19) * g8[3]
 
 
+def test_the_lower_coefficient_relations_at_r10():
+    # the paper's relations tying G(9, 10) to G(1..8, 10) below the top one, read from the
+    # determinant as verify's golden_fixtures reads them
+    g = {m: g_coeffs(faulhaber_det(m, 10)) for m in (1, 3, 5, 7, 8, 9)}
+    w = {k: Fraction(k, 19) for k in (3, 9, 20, 42, 60)}
+    assert g[9][0] == w[3] * g[1][0] - w[20] * g[3][0] + w[42] * g[5][0] - w[60] * g[7][0]
+    assert g[9][1] == w[9] * g[8][0] - w[20] * g[3][1] + w[42] * g[5][1] - w[60] * g[7][1]
+    assert g[9][2] == w[9] * g[8][1] + w[42] * g[5][2] - w[60] * g[7][2]
+    assert g[9][3] == w[9] * g[8][2] - w[60] * g[7][3]
+
+
 def test_g_coeffs_layout():
     g = faulhaber_det(5, 7)
     assert g_coeffs(g) == (Fraction(7, 16), Fraction(-35, 198), Fraction(1, 99))

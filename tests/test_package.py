@@ -75,24 +75,50 @@ def test_deleted_helpers_are_gone():
 
 
 # runs in a fresh interpreter: what a cold CLI request loads beyond what the
-# interpreter had already loaded at start-up (site hooks included)
+# interpreter had already loaded at start-up (site hooks included); with arguments,
+# after cli.main has served them with stdout captured
 IMPORT_PROBE = """
-import sys
+import io, sys
 before = set(sys.modules)
 import hypersums.cli
+if sys.argv[1:]:
+    sys.stdout, stdout = io.StringIO(), sys.stdout
+    code = hypersums.cli.main(sys.argv[1:])
+    sys.stdout = stdout
+    assert code == 0, code
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
+HESSENBERG, HYPERSUM = "hypersums.hessenberg", "hypersums.hypersum"
+# request -> the modules of WATCHED it loads: the Newton path serves eval, poly and table,
+# det reads the matrix, and only a route or the recursion asked for by name loads the routes
+COLD_LOADS = {
+    "": set(),
+    "eval --m 5 --r 3 --n 9": set(),
+    "poly --m 5 --r 3 --var n": set(),
+    "poly --m 5 --r 3 --var N": set(),
+    "poly --m 5 --r 3 --var u": set(),
+    "table --max-m 3 --max-r 2 --n 4": set(),
+    "det --m 5 --r 3": {HESSENBERG},
+    "eval --m 5 --r 3 --n 9 --method q": {HESSENBERG, HYPERSUM},
+    "eval --m 5 --r 3 --n 9 --method bruteforce": {HESSENBERG, HYPERSUM},
+}
+# json is imported by the JSON output paths alone
+WATCHED = {"dataclasses", "inspect", "typing", "json", "hypersums.verify", HESSENBERG, HYPERSUM}
 
-def test_the_cli_imports_neither_dataclasses_nor_verify():
+
+@pytest.mark.parametrize("request_", COLD_LOADS, ids=lambda argv: argv or "import")
+def test_the_cli_imports_neither_dataclasses_nor_verify(request_):
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", IMPORT_PROBE, *request_.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "hypersums.cli" in loaded
-    # json is imported by the JSON output paths alone
-    assert loaded & {"dataclasses", "inspect", "typing", "json", "hypersums.verify"} == set()
+    assert {"hypersums.cli", "hypersums.newton"} <= loaded
+    assert loaded & WATCHED == COLD_LOADS[request_]
 
 
 RECORDS = {
