@@ -10,13 +10,13 @@ odd-index Bernoulli terms, which are zero unless a table is wrong, and then
 route equality fails; the centered recurrence is m r times the order-lift
 defect at m - 1 minus r times the half-step defect.  So neither is run.
 ``golden_fixtures`` holds the paper's five relations between the centered
-factors of indices 1..9 at r = 10.  No grid family checks them, and the tests
-pin only the last, so they stay here; the benchmark harness
-(``perfbench/tracer.py``) also traces ``golden_fixtures`` by name.  Every other
-display of the paper is pinned once, by a named test under ``tests/``, and not
-here.  Failures are collected as data (never raised), each carrying both
-divergent objects in JSON form for debuggability; a detail is built only for a
-check that failed.
+factors of indices 1..9 at r = 10.  No grid family checks them.  The tests
+pin all five too, the one display checked twice: they stay here only because
+the benchmark harness (``perfbench/tracer.py``) traces ``golden_fixtures`` by
+name.  Every other display of the paper is pinned once, by a named test under
+``tests/``, and not here.  Failures are collected as data (never raised), each
+carrying both divergent objects in JSON form for debuggability; a detail is
+built only for a check that failed.
 """
 
 from __future__ import annotations

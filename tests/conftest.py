@@ -1,7 +1,9 @@
-"""Shared test fixtures."""
+"""Shared test fixtures, and the harness that reads a table from many threads at once."""
 
 from __future__ import annotations
 
+import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -70,3 +72,27 @@ def newton_factor_without_parity(monkeypatch):
         monkeypatch.setattr(newton, "newton_factor", wrong)
 
     return patch
+
+
+def read_in_threads(read, orders: list[list]) -> list[dict]:
+    """{key: read(key) for key in order} for each order, the orders read at once from
+    one thread each, with a short switch interval so that the threads interleave."""
+    results: list = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def work(i: int) -> None:
+        start.wait()
+        results[i] = {key: read(key) for key in orders[i]}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results

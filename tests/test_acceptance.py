@@ -1,5 +1,8 @@
 """Acceptance gate: one test per criterion, exact comparisons (zero tolerance).
 
+The one tier-1 home of the paper's displays and identities that it asserts: no unit
+test repeats them.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
@@ -13,7 +16,7 @@ import time
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from hypersums.exactnum import bernoulli, r_stirling1, rising_factorial, sign_pow
+from hypersums.exactnum import bernoulli, r_stirling1, sign_pow
 from hypersums.hessenberg import HessenbergMatrix, build_matrix, det
 from hypersums.hypersum import (
     ROUTES,
@@ -64,6 +67,8 @@ def test_criterion_1_golden_centered_factors():
     assert hyper_sum_det(6, 7).poly == (s1_poly(7) * to_n_frame(bracket6)).scale(
         Fraction(1, 10296)
     )
+    for r in range(5):
+        assert faulhaber_det(1, r) == RatPoly([1], "N", r)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -86,6 +91,7 @@ def test_criterion_2_golden_half_shifted():
         "N",
         1,
     )
+    assert faulhaber_r1(1) == RatPoly([Fraction(-1, 8), 0, Fraction(1, 2)], "N", 1)
     for m in (7, 8):
         p = faulhaber_r1(m)
         assert p.eval(Fraction(3, 2)) == 1  # n = 1
@@ -104,6 +110,7 @@ def test_criterion_3_golden_quintic_difference():
         + RatPoly([Fraction(-859, 2016)])
     )
     assert (lhs - (prefactor * bracket).scale(Fraction(1, 240))).is_zero()
+    assert lhs.eval(1) == Fraction(1, 2)  # both summands are 1 at n = 1
 
 
 @report(4, "five-way equivalence on 1<=m<=10, 1<=r<=6, eval 0<=n<=15, < 60 s")
@@ -128,9 +135,9 @@ def test_criterion_4_five_way_equivalence():
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
-@report(5, "centered-factor structure and leading coefficient on the same grid")
+@report(5, "centered-factor structure and leading coefficient, m <= 12, r <= 6")
 def test_criterion_5_structure():
-    for m in range(1, 11):
+    for m in range(1, 13):
         for r in range(1, 7):
             form = faulhaber_det(m, r)
             g = form.coeffs[form.degree % 2 :: 2]
@@ -192,19 +199,17 @@ def test_criterion_6_identity_suite():
         for i in range(0, r + 1):
             for n in range(0, 9):
                 assert q_poly(r, i).eval(n) == r_stirling1(r + n + 1, i + n + 1, n + 1)
-    # closed-form determinant at r = 0
-    for m in range(2, 9):
-        expected = monomial(m - 1, sign_pow(m - 1) * rising_factorial(2, m - 1), "N", 0)
-        assert det(build_matrix(m, 0)) == expected, ("det-r0", m)
-    # collapsed linear coefficient and leading coefficient
+    # collapsed linear coefficient, and the leading coefficient of the c route and the
+    # provider
     for m in range(0, 7):
         for r in range(1, 5):
             c1 = hyper_sum_poly_c(m, r).poly.coefficient(1)
             assert c1 == coeff_c_reduced_k1(m, r), ("c1", m, r)
     for m in range(0, 9):
         for r in range(1, 6):
-            leading = hyper_sum_poly_c(m, r).poly.coefficient(m + r)
-            assert leading == Fraction(factorial(m), factorial(m + r))
+            leading = Fraction(factorial(m), factorial(m + r))
+            assert hyper_sum_poly_c(m, r).poly.coefficient(m + r) == leading, ("c", m, r)
+            assert hyper_sum_poly(m, r).coefficient(m + r) == leading, ("provider", m, r)
 
 
 @report(7, "determinant equals naive cofactor expansion (random + built matrices)")

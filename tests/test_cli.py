@@ -1032,16 +1032,6 @@ def test_table_file_in_environment_is_ignored(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["tables.json"]
 
 
-def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypersums.cli", "eval", "--m", "3", "--r", "1", "--n", "3"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "36"
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_stdout_closed_mid_write_exits_141_without_a_traceback(fmt):
     # the 131 KB table outgrows a 64 KiB pipe buffer, so the close always lands mid-write

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-import threading
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd, lcm
@@ -23,6 +22,7 @@ from hypersums.exactnum import (
     stirling1_row,
     stirling1_unsigned,
 )
+from conftest import read_in_threads
 
 # -- independent oracles -------------------------------------------------------
 
@@ -129,30 +129,6 @@ def test_the_bernoulli_polynomial_rows_match_their_definition():
     # cold again, grown and read from 8 threads at once, each in its own order
     exactnum.clear_derived_caches()
     assert all(result == expected for result in read_in_threads(bernoulli_row, orders[:8]))
-
-
-def read_in_threads(read, orders: list[list]) -> list[dict]:
-    """{key: read(key) for key in order} for each order, the orders read at once from
-    one thread each, with a short switch interval so that the threads interleave."""
-    results: list = [None] * len(orders)
-    start = threading.Barrier(len(orders))
-
-    def work(i: int) -> None:
-        start.wait()
-        results[i] = {key: read(key) for key in orders[i]}
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    return results
 
 
 def _depth(frame) -> int:
@@ -297,22 +273,6 @@ def test_rational_json_is_two_canonical_decimal_strings(x):
     assert str(int(num)) == num and str(int(den)) == den  # no sign on den, no padding
     assert int(den) > 0 and gcd(int(num), int(den)) == 1
     assert Fraction(int(num), int(den)) == x
-
-
-def test_concurrent_growth_is_consistent():
-    results: list[Fraction] = [Fraction(0)] * 8
-
-    def worker(slot: int) -> None:
-        results[slot] = bernoulli(40 + slot % 2)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results[0] == bernoulli(40)
-    for i, v in enumerate(results):
-        assert v == bernoulli(40 + i % 2)
 
 
 # cold tables, each read in 8 orders from 8 threads at once: the Bernoulli numbers

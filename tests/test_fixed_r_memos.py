@@ -12,8 +12,6 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -22,6 +20,7 @@ import hypersums
 from hypersums import exactnum, hessenberg, hypersum, polyring, verify
 from hypersums.hypersum import ROUTES, faulhaber_det, newton_factor
 from hypersums.polyring import RatPoly
+from conftest import read_in_threads
 
 CELLS = [(m, r) for r in range(9) for m in range(1, 26)]
 
@@ -256,20 +255,5 @@ def test_threads_building_overlapping_cells_match_one_thread():
         sorted(cells, key=lambda cell: (cell[0], -cell[1])),
         random.Random(6).sample(cells, len(cells)),
     ]
-    results: list = [None] * len(orders)
-
-    def work(i: int) -> None:
-        results[i] = build(orders[i])
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    results = read_in_threads(lambda cell: build([cell])[cell], orders)
     assert all(result == expected for result in results)
