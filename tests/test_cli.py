@@ -198,6 +198,8 @@ def test_the_lemma_refusal_names_the_requested_m(capsys):
 def test_bruteforce_n_cap_exit_2(capsys):
     too_big = str(MAX_BRUTEFORCE_N + 1)
     assert MAX_BRUTEFORCE_N == 10**6
+    argv = ("eval", "--m", "1", "--r", "0", "--n", str(MAX_BRUTEFORCE_N), "--method", "bruteforce")
+    assert run_cli(capsys, *argv) == (0, f"{MAX_BRUTEFORCE_N}\n")  # the cap itself is admitted
     code, out = run_cli(
         capsys, "eval", "--m", "5", "--r", "4", "--n", too_big, "--method", "bruteforce"
     )
@@ -254,6 +256,15 @@ def test_the_largest_n_the_digit_bound_admits_still_prints(capsys):
         value = int(out) if fmt == "text" else int(json.loads(out)["value"][0])
         assert value == hyper_sum_newton(200, 1, n) and len(str(value)) > 4200
     assert run_cli(capsys, "eval", "--m", "200", "--r", "1", "--n", str(n + 1)) == (2, "")
+
+
+@pytest.mark.parametrize("m, r", [(1, 0), (43, 0), (20, 23)])
+def test_the_digit_bound_is_tight_where_m_plus_r_divides_4300(capsys, m, r):
+    # (m + r) d + 1 <= 4300 digits admits d = 4300 / (m + r) - 1 digits of n + r, not one more
+    n = 10 ** (4300 // (m + r) - 1) - 1 - r
+    argv = ("eval", "--m", str(m), "--r", str(r), "--n")
+    assert run_cli(capsys, *argv, str(n)) == (0, f"{hyper_sum_newton(m, r, n)}\n")
+    assert run_cli(capsys, *argv, str(n + 1)) == (2, "")
 
 
 def test_the_largest_at_the_digit_bound_admits_still_prints(capsys):
@@ -432,6 +443,7 @@ def test_poly_u_form(capsys):
         (3, 2, "N", {"method": "newton"}),
         (3, 2, "u", {"prefactor": "s1"}),
         (4, 2, "u", {"prefactor": "s2"}),
+        (1, 3, "u", {"prefactor": "s1"}),  # m = 1, the least m with a u-form
     ],
 )
 def test_poly_json_names_the_served_path(capsys, m, r, var, keys):
@@ -441,6 +453,13 @@ def test_poly_json_names_the_served_path(capsys, m, r, var, keys):
     blob = json.loads(out)
     assert code == 0
     assert {k: blob[k] for k in blob.keys() & {"method", "prefactor"}} == keys
+
+
+@pytest.mark.parametrize("r", [0, 1, 4])
+def test_poly_at_m_0_is_the_binomial_closed_form(capsys, r):
+    # S(0, r, n) = C(n+r-1, r), and 1 at r = 0: served without the Newton factor
+    code, out = run_cli(capsys, "poly", "--m", "0", "--r", str(r), "--format", "json")
+    assert (code, json.loads(out)["poly"]) == (0, poly_to_json(hyper_sum_poly(0, r)))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
@@ -866,6 +885,18 @@ def test_table_json(capsys):
     )
     blob = json.loads(out)
     assert {"m": 1, "r": 1, "value": "3"} in blob["cells"]
+
+
+@pytest.mark.parametrize("max_m, max_r, n", [(0, 0, 0), (2, 3, 2), (4, 1, 9)])
+def test_table_text_has_one_aligned_row_per_m(capsys, max_m, max_r, n):
+    argv = ("table", "--max-m", str(max_m), "--max-r", str(max_r), "--n", str(n))
+    (code, out), cols = run_cli(capsys, *argv), range(max_r + 1)
+    title, header, *rows = out.splitlines()
+    assert code == 0 and title == f"S(m, r, {n}) for m <= {max_m}, r <= {max_r}"
+    assert header.split() == ["m\\r", *map(str, cols)]
+    assert len({len(line) for line in (header, *rows)}) == 1  # right-aligned columns
+    values = [[m, *(hyper_sum_bruteforce(m, r, n) for r in cols)] for m in range(max_m + 1)]
+    assert [list(map(int, row.split())) for row in rows] == values
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -86,6 +86,7 @@ def test_rising_factorial():
     assert rising_factorial(9, 4) == 11880
     assert rising_factorial(7, 0) == 1
     assert rising_factorial(2, 3) == 2 * 3 * 4 == 24
+    assert [rising_factorial(0, m) for m in range(4)] == [1, 0, 0, 0]
 
 
 # -- bernoulli -------------------------------------------------------------------
@@ -160,8 +161,12 @@ def test_a_cold_bernoulli_polynomial_row_is_grown_without_recursion(monkeypatch)
     assert deepest - base <= 5
 
 
-# a table, like a list, would answer index -1 with its last entry
-@pytest.mark.parametrize("read", [bernoulli, bernoulli_row, stirling1_row])
+# a table, like a list, would answer index -1 with its last entry; a product, with 0 or 1
+@pytest.mark.parametrize(
+    "read",
+    [bernoulli, bernoulli_row, stirling1_row, partial(rising_factorial, m=2),
+     partial(rising_factorial, 2)],
+)
 def test_a_negative_index_is_refused(read):
     exactnum.clear_derived_caches()  # the rows cold, where nothing else would fail
     with pytest.raises(ValueError):

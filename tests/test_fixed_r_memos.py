@@ -111,6 +111,16 @@ def test_a_step_that_raises_leaves_no_entry_in_the_lemma_table(monkeypatch):
     assert calls == [2, 3, 4, 4, 5, 6, 7]
 
 
+@pytest.mark.parametrize("m_max", [1, 2, 7])
+def test_the_lemma_family_grows_its_table_to_m_max_in_the_call(monkeypatch, m_max):
+    exactnum.clear_derived_caches()
+    real_row, calls = hypersum.bernoulli_row, []
+    monkeypatch.setattr(hypersum, "bernoulli_row", lambda n: calls.append(n) or real_row(n))
+    hypersum.lemma_recurrence_family(m_max, 3)
+    # each step G(2) ... G(m_max) has run, so a step that fails raises in the call
+    assert calls == list(range(2, m_max + 1)) and len(hypersum._lemma_table(3)) == m_max
+
+
 def test_a_sweep_over_m_pays_each_lemma_step_once(monkeypatch):
     exactnum.clear_derived_caches()
     real_row, calls = hypersum.bernoulli_row, []

@@ -218,6 +218,13 @@ def test_latex_rendering():
     assert to_latex(RatPoly([Fraction(1, 2), 1])) == "n + \\frac{1}{2}"
 
 
+@pytest.mark.parametrize("field", ["numerators", "denominator", "var", "r"])
+def test_a_polynomial_is_immutable(field):
+    # a cached polynomial is shared by every reader, so no field can be assigned
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(G57, field, None)
+
+
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2", Fraction(2), None])
 def test_frame_r_must_be_an_int(bad):
     with pytest.raises(TypeError):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import cli, hypersum
+from hypersums import cli, hypersum, verify
 from hypersums.exactnum import bernoulli
 from hypersums.polyring import RatPoly
 from hypersums.verify import DEFAULT_GRID, check_routes, golden_fixtures, run_all, run_grid
@@ -223,6 +223,13 @@ def test_report_json_shape():
     assert blob["failures"] == []
     assert blob["total_checks"] == len(report.checks)
     json.dumps(blob)  # serializable
+
+
+def test_run_all_adds_the_time_of_the_relations_to_the_grid_time(monkeypatch):
+    grid, golden = run_grid(2, 1, 3)._replace(wall_time=2.0), golden_fixtures()
+    monkeypatch.setattr(verify, "run_grid", lambda *grid_bounds: grid)
+    monkeypatch.setattr(verify, "golden_fixtures", lambda: golden._replace(wall_time=0.5))
+    assert run_all(2, 1, 3) == (2, 1, 3, grid.checks + golden.checks, 2.5)
 
 
 def test_report_determinism():
