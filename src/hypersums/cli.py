@@ -3,10 +3,10 @@
 Subcommands: eval, poly, det, verify, table.  Data goes to stdout,
 diagnostics to stderr.  Values are always exact ("p/q", never decimals).
 Values and polynomials come from :mod:`hypersums.newton`, whose weights are proved for
-every reader by ``newton_weights``; an ``eval`` route and ``det``'s determinant are checked
-against them.  So ``eval``, ``poly`` and ``table`` load that module alone; ``det`` also loads
-:mod:`hypersums.hessenberg`, ``eval --method`` a route or the recursion of
-:mod:`hypersums.hypersum`, and ``verify`` :mod:`hypersums.verify`.
+every reader by ``newton_weights``; ``eval``'s recursion or route and ``det``'s
+determinant are checked against them.  So ``eval``, ``poly`` and ``table`` load that
+module alone; ``det`` also loads :mod:`hypersums.hessenberg`, ``eval --method`` a route
+or the recursion of :mod:`hypersums.hypersum`, and ``verify`` :mod:`hypersums.verify`.
 Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid arguments,
 from argparse or a ``DomainError`` the library raises; 3 a failed internal check, a
 ``CrossCheckError``; 141 (128 + SIGPIPE) a stdout closed early.  :func:`main` alone turns
@@ -83,8 +83,6 @@ def _refuse_long_value(flag: str, m: int, r: int, n: int, factor_digits: int = 0
 def cmd_eval(args: argparse.Namespace) -> int:
     m, r, n, method = args.m, args.r, args.n, args.method
     _refuse_long_value("--n", m, r, n)
-    if method != "auto":  # the routes and the recursion load only when asked for by name
-        from . import hypersum
     if method == "bruteforce":
         if n > MAX_BRUTEFORCE_N:
             raise DomainError(f"the brute-force recursion needs n <= {MAX_BRUTEFORCE_N}, got {n}")
@@ -94,13 +92,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"the brute-force recursion needs (r + 1)(n + 1)(m + r) d <= {MAX_BRUTEFORCE_WORK} "
                 f"for the d digits of n + r, got {work} at m={m}, r={r}, n={n}"
             )
-        value = hypersum.hyper_sum_bruteforce(m, r, n)
-    else:  # the proved Newton basis serves; a route asked for by name is checked against it
-        value = newton.hyper_sum_newton(m, r, n)
-        if method != "auto" and hypersum.ROUTES[method](m, r).poly.eval(n) != value:
+    value = newton.hyper_sum_newton(m, r, n)  # the proved Newton basis serves
+    if method != "auto":  # the recursion or a route by name loads only here, to be checked
+        from . import hypersum
+        if method == "bruteforce":
+            name, check = "the recursion", hypersum.hyper_sum_bruteforce(m, r, n)
+        else:
+            name, check = f"polynomial route {method}", hypersum.ROUTES[method](m, r).poly.eval(n)
+        if check != value:
             raise CrossCheckError(
-                f"polynomial route {method} disagrees with the Newton-basis integer "
-                f"{value} at (m={m}, r={r}, n={n})"
+                f"{name} disagrees with the Newton-basis integer {value} at (m={m}, r={r}, n={n})"
             )
     if args.format == "json":
         _print_json({"m": m, "r": r, "n": n, "method": method, "value": rational_to_json(value)})
@@ -120,13 +121,13 @@ def cmd_poly(args: argparse.Namespace) -> int:
     else:
         fields = {"m": m, "r": r, "method": "newton"}
         if args.var == "N":
-            p = newton.newton_factor(m, r)
+            p = newton.parity_checked_factor(m, r)
             if args.factored:  # 1/D times the integer bracket
                 scale, bracket = Fraction(1, p.denominator), p.scale(p.denominator)
         elif m == 0:  # S(0, r, n) = C(n+r-1, r), and 1 at r = 0
             p = newton.s1_poly(r - 1) if r else RatPoly((1,))
         else:
-            p = newton.expand_factor(newton.newton_factor(m, r))
+            p = newton.expand_factor(newton.parity_checked_factor(m, r))
 
     if args.format == "json":
         payload = {**fields, "poly": poly_to_json(p)}

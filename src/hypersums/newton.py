@@ -20,9 +20,9 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, factorial
 
-# stirling1_row and to_n_frame are read through their modules, so that a wrapper set on
-# the module (perfbench/tracer.py's layers, a test's patch) reaches this reader too
-from . import exactnum, polyring
+# to_n_frame is read through its module, so that a wrapper set on the module
+# (perfbench/tracer.py's layers, a test's patch) reaches this reader too
+from . import polyring
 from .exactnum import CrossCheckError, DomainError, memo, rising_factorial, sign_pow
 from .polyring import RatPoly, to_u_form
 
@@ -90,10 +90,22 @@ def newton_factor(m: int, r: int) -> RatPoly:
 def s1_poly(r: int) -> RatPoly:
     """C(n+r, r+1) = n(n+1)...(n+r) / (r+1)! expanded as a polynomial in n.
 
-    The rising product is sum_k [r+1, k] n^k over the unsigned first-kind
-    Stirling row.
+    The product is multiplied out here in integers, one factor n + k at a time, so
+    that it reads no shared table.
     """
-    return RatPoly.from_integers(exactnum.stirling1_row(r + 1), factorial(r + 1))
+    p = [1]
+    for k in range(r + 1):
+        p = [u + k * v for u, v in zip((0, *p), (*p, 0))]  # (n + k) p
+    return RatPoly.from_integers(p, factorial(r + 1))
+
+
+def parity_checked_factor(m: int, r: int) -> RatPoly:
+    """:func:`newton_factor`, refused with :class:`CrossCheckError` without the parity of
+    m - 1, the paper's theorem: the factor that ``poly`` prints and expands."""
+    g = newton_factor(m, r)
+    if g.parity() != ("even" if m % 2 else "odd"):
+        raise CrossCheckError(f"the centered factor G({m}, {r}) lacks the parity of m - 1")
+    return g
 
 
 def det_to_factor(d: RatPoly, m: int) -> RatPoly:
@@ -116,14 +128,10 @@ def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:
     Odd m: S(m, r) = S(1, r) * F(u) and the tag is "s1".  Even m:
     S(m, r) = S(2, r) * F(u) with tag "s2"; here the centered factor, odd in
     N, is divided by the factor (2/(r+2)) N of S(2, r) before converting.
-    The centered factor is :func:`newton_factor`; it is refused with
-    :class:`CrossCheckError` without the parity of m - 1, the paper's theorem.
     """
     if m < 1 or r < 1:
         raise DomainError(f"need m >= 1 and r >= 1, got ({m}, {r})")
-    g = newton_factor(m, r)
-    if g.parity() != ("even" if m % 2 else "odd"):
-        raise CrossCheckError(f"the centered factor G({m}, {r}) lacks the parity of m - 1")
+    g = parity_checked_factor(m, r)
     if m % 2 == 1:
         return to_u_form(g), "s1"
     quotient = RatPoly.from_integers(

@@ -115,7 +115,8 @@ class RatPoly:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}: RatPoly is immutable")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: RatPoly is immutable")
 
     def __reduce__(self):
         return (RatPoly.from_integers, (self.numerators, self.denominator, self.var, self.r))

@@ -1,24 +1,28 @@
-"""The fault matrix behind ``verify.GRID_CHECKS``: each family earns its place.
+"""The fault matrix behind ``verify.GRID_CHECKS`` and the CLI.
 
 Every fault below fails at least one check of the default grid, so no family
 that is not run would have been the only one to see it, and each family that
-is run is the only one to see one fault.  The half-step and centered
-recurrences are not run.  The half-step defect is H = m L - Odd: m times the
-parity-lift defect at m - 1, minus odd-index Bernoulli terms that are zero
-unless a Bernoulli row is wrong, and then route equality fails.  The centered
-defect is m r times the order-lift defect at m - 1 minus r H, so through H it
-reaches the families that are run.  The last tests pin both identities.
+is run is the only one to see one fault.  Under every fault, each request the
+CLI serves prints the bytes it prints without the fault, or exits 3 with empty
+stdout.
+
+The half-step and centered recurrences are not run.  The half-step defect is
+H = m L - Odd: m times the parity-lift defect at m - 1, minus odd-index
+Bernoulli terms that are zero unless a Bernoulli row is wrong, and then route
+equality fails.  The centered defect is m r times the order-lift defect at
+m - 1 minus r H, so through H it reaches the families that are run.  The last
+tests pin both identities.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+import io
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from hypersums import exactnum, hessenberg, hypersum, newton
-from hypersums.cli import main
+from hypersums import cli, exactnum, hessenberg, hypersum, newton
 from hypersums.exactnum import bernoulli, bernoulli_row
 from hypersums.polyring import RatPoly, monomial, sum_of_products
 from hypersums.verify import DEFAULT_GRID, GRID_CHECKS, run_all
@@ -98,6 +102,7 @@ FAULTS = (
     + [("provider", cell) for cell in ((1, 1), (4, 0), (5, 3), (10, 6), (0, 3))]  # doubled there
     + [("r-stirling", (5, 2)), ("bernoulli-row", (6, 3))]
     + [("spurious-term", "q"), ("minor-step", 3), ("normaliser", "negated")]
+    + [("newton-factor", "no-parity")]
 )
 # the faults that one family alone catches, with the checks that fail under each
 ALONE = {
@@ -108,6 +113,8 @@ ALONE = {
     ("provider", (0, 3)): {"order-lift-recurrence"},
     # only the weights check reads the r-Stirling tables of r >= 1
     ("r-stirling", (5, 2)): {"weights-vs-r-stirling"},
+    # and only the centered-factor check reads the Newton factor
+    ("newton-factor", "no-parity"): {"centered-factor[det=newton]"},
 }
 # a check that fails under a fault at the cell given, with a part of its detail: B_3 read
 # nonzero in row 6 alone is an odd term of the half-step defect H(6, r), which the parity
@@ -154,6 +161,8 @@ def inject(kind: str, where, request, monkeypatch):
         monkeypatch.setattr(hessenberg, "_minor", minor_step_with_a_sign_flipped(where))
     elif kind == "normaliser":
         monkeypatch.setattr(newton, "det_to_factor", normaliser_negated)
+    elif kind == "newton-factor":
+        request.getfixturevalue("newton_factor_without_parity")()
     else:
         doubled = changed_at(hypersum.hyper_sum_poly, where, lambda p: p.scale(2))
         monkeypatch.setattr(hypersum, "hyper_sum_poly", doubled)
@@ -178,26 +187,6 @@ def test_the_default_grid_fails_under_every_fault(kind, where, request, monkeypa
         )
 
 
-def test_det_exits_3_under_a_fault_in_the_minor_step(capsys, monkeypatch):
-    exactnum.clear_derived_caches()
-    monkeypatch.setattr(hessenberg, "_minor", minor_step_with_a_sign_flipped(3))
-    try:
-        code = main(["det", "--m", "5", "--r", "2"])
-    finally:
-        exactnum.clear_derived_caches()
-    assert (code, capsys.readouterr().out) == (3, "")
-
-
-def test_det_exits_3_under_a_fault_in_the_normaliser(capsys, monkeypatch):
-    exactnum.clear_derived_caches()
-    monkeypatch.setattr(newton, "det_to_factor", normaliser_negated)
-    try:
-        code = main(["det", "--m", "4", "--r", "2"])
-    finally:
-        exactnum.clear_derived_caches()
-    assert (code, capsys.readouterr().out) == (3, "")
-
-
 def names_of(family) -> set[str]:
     """The names of the checks that ``family`` yields, read off a small grid."""
     return {c.name for c in family(2, 2, 2)}
@@ -208,6 +197,100 @@ def test_every_family_alone_catches_a_fault():
     for family in GRID_CHECKS:
         names = names_of(family)
         assert any(failed <= names for failed in ALONE.values()), family.__name__
+
+
+# -- the CLI under every fault -----------------------------------------------------
+
+
+def served_requests():
+    """At (3, 2), (4, 1) and (5, 2): eval by auto and each route at n = 4 and 10^12 and by
+    bruteforce at n = 4, poly in each frame and format and --factored, det --at; poly
+    --var n and poly --m 0, which read C(n+r, r+1) for r + 1 = 3..7; one small table."""
+    for m, r in ((3, 2), (4, 1), (5, 2)):
+        cell = ("--m", str(m), "--r", str(r))
+        for fmt in ("text", "json"):
+            for n in ("4", str(10**12)):
+                yield ("eval", *cell, "--n", n, "--format", fmt)
+            yield ("det", *cell, "--at", "5", "--format", fmt)
+        yield ("eval", *cell, "--n", "4", "--method", "bruteforce")
+        for method in hypersum.ROUTES:
+            for n in ("4", str(10**12)):
+                yield ("eval", *cell, "--n", n, "--method", method)
+        for fmt in ("text", "json", "latex"):
+            for var in "nNu":
+                yield ("poly", *cell, "--var", var, "--format", fmt)
+            yield ("poly", *cell, "--var", "N", "--factored", "--format", fmt)
+    for r in range(2, 7):
+        yield ("poly", "--m", "2", "--r", str(r))
+        yield ("poly", "--m", "0", "--r", str(r + 1))
+    for fmt in ("text", "json", "csv"):
+        yield ("table", "--max-m", "4", "--max-r", "2", "--n", "7", "--format", fmt)
+
+
+SERVED = list(served_requests())
+CLEAN = "the clean bytes"
+
+
+def pinned(kind: str, where, argv: tuple[str, ...]) -> str | None:
+    """What ``argv`` must do under the fault where a pin fixes it: CLEAN, or exit 3 with
+    the stderr line that this text starts after ``internal error: ``; None leaves it free."""
+    command, m = argv[0], int(argv[argv.index("--m" if "--m" in argv else "--max-m") + 1])
+    method = argv[argv.index("--method") + 1] if "--method" in argv else "auto"
+    if kind == "bernoulli":  # only det and the routes read a Bernoulli number, det B_2..B_(m-1)
+        if command == "det" and m > where:
+            return "the determinant differs from the Newton factor"
+        if method in hypersum.ROUTES:
+            return "polynomial route" if where == 2 else None
+        return CLEAN
+    if kind == "newton-weight":  # every reader of the weights of m = 4 proves them
+        return "the Newton weights of m = 4 do not give n^m at n <= m" if m == where else CLEAN
+    if kind == "newton-factor" and command == "poly" and m:
+        return "the centered factor"
+    if command == "det" and (kind == "normaliser" or kind == "minor-step" and m > 4):
+        return "the determinant differs from the Newton factor"
+    return None
+
+
+def run_served() -> dict:
+    """{argv: (exit code, stdout, stderr)} of each request of SERVED, through ``main``,
+    with one parser for all of them: it reads no table, and building it takes about six
+    sevenths of the time of these requests."""
+    runs, parser = {}, cli.build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: parser)
+        for argv in SERVED:
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                code = cli.main(list(argv))
+            runs[argv] = (code, out.getvalue(), err.getvalue())
+    return runs
+
+
+@pytest.fixture(scope="module")
+def clean_runs() -> dict:
+    exactnum.clear_derived_caches()
+    runs = run_served()
+    assert all(code == 0 and out for code, out, _ in runs.values())
+    return runs
+
+
+@pytest.mark.parametrize("kind, where", FAULTS, ids=[f"{k}-{w}" for k, w in FAULTS])
+def test_no_served_request_prints_a_wrong_answer_under_any_fault(
+    kind, where, request, monkeypatch, clean_runs
+):
+    exactnum.clear_derived_caches()
+    try:
+        with inject(kind, where, request, monkeypatch):
+            runs = run_served()
+    finally:
+        exactnum.clear_derived_caches()
+    for argv, run in runs.items():
+        pin = pinned(kind, where, argv)
+        if pin == CLEAN:
+            assert run == clean_runs[argv], argv
+        elif pin is not None or run != clean_runs[argv]:
+            code, out, err = run
+            assert (code, out) == (3, "") and err.count("\n") == 1, argv
+            assert err.startswith(f"internal error: {pin or ''}"), argv
 
 
 # -- why the half-step and centered recurrences are not run ------------------------

@@ -254,16 +254,14 @@ def test_a_changed_bernoulli_number_reaches_every_filled_memo(corrupt_bernoulli)
             assert polys == bad[m, r], (m, r)
 
 
-def test_threads_building_overlapping_cells_match_one_thread():
-    cells = [(m, r) for r in range(1, 7) for m in range(1, 19)]
+@pytest.mark.parametrize(
+    "table", [hypersum._lemma_table, hessenberg._minor_table], ids=["lemma", "minor"]
+)
+def test_threads_reading_a_cold_table_of_r_match_one_thread(table):
     exactnum.clear_derived_caches()
-    expected = build(cells)
-    exactnum.clear_derived_caches()
-    orders = [
-        cells,
-        cells[::-1],
-        sorted(cells, key=lambda cell: (cell[0], -cell[1])),
-        random.Random(6).sample(cells, len(cells)),
-    ]
-    results = read_in_threads(lambda cell: build([cell])[cell], orders)
-    assert all(result == expected for result in results)
+    one_thread = table(3)
+    expected = {k: one_thread[k] for k in range(40)}
+    exactnum.clear_derived_caches()  # the threads read a cold table, index by index
+    orders = [list(range(40)), list(range(40))[::-1]]
+    orders += [random.Random(i).sample(range(40), 40) for i in range(6)]
+    assert all(result == expected for result in read_in_threads(table(3).__getitem__, orders))

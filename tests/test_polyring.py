@@ -220,9 +220,11 @@ def test_latex_rendering():
 
 @pytest.mark.parametrize("field", ["numerators", "denominator", "var", "r"])
 def test_a_polynomial_is_immutable(field):
-    # a cached polynomial is shared by every reader, so no field can be assigned
+    # a cached polynomial is shared by every reader, so no field can be assigned or deleted
     with pytest.raises(AttributeError, match="immutable"):
         setattr(G57, field, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(G57, field)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2", Fraction(2), None])
