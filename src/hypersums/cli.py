@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import newton  # the served path; the commands import hessenberg, hypersum, verify
-from .exactnum import CrossCheckError, DomainError, rational_to_json
+from .exactnum import CrossCheckError, DomainError, memo, rational_to_json
 from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
 EXIT_OK = 0
@@ -242,6 +242,7 @@ def _int_in(lo: int, hi: int | None = None):
     return integer
 
 
+@memo  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypersums",

@@ -1,15 +1,18 @@
-"""Shared test fixtures, and the harness that reads a table from many threads at once."""
+"""Shared test fixtures, the in-process CLI runner, the checker of the JSON schema, and
+the harness that reads a table from many threads at once."""
 
 from __future__ import annotations
 
+import io
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from hypersums import exactnum, newton
+from hypersums import cli, exactnum, newton
 from hypersums.polyring import RatPoly
 
 
@@ -72,6 +75,36 @@ def newton_factor_without_parity(monkeypatch):
         monkeypatch.setattr(newton, "newton_factor", wrong)
 
     return patch
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one request served by ``cli.main`` in this process;
+    the code of a ``SystemExit``, which argparse and every refusal raise, included."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_rational_blob(blob) -> Fraction:
+    """The value of a documented JSON rational ["num", "den"]: two canonical decimal
+    strings, in lowest terms over a positive denominator."""
+    assert isinstance(blob, list) and len(blob) == 2
+    num, den = map(int, blob)
+    assert blob == [str(num), str(den)]  # strings, with no sign on den and no padding
+    assert den >= 1 and gcd(num, den) == 1
+    return Fraction(num, den)
+
+
+def check_poly_blob(blob) -> RatPoly:
+    """The polynomial of a documented JSON polynomial {"var", "r", "coeffs"}: a frame that
+    ``RatPoly`` admits, and canonical rationals ascending with no trailing zero."""
+    assert set(blob) == {"var", "r", "coeffs"}
+    coeffs = [check_rational_blob(c) for c in blob["coeffs"]]
+    assert coeffs[-1:] != [0]
+    return RatPoly(coeffs, blob["var"], blob["r"])
 
 
 def read_in_threads(read, orders: list[list]) -> list[dict]:

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 from hypersums.exactnum import bernoulli, r_stirling1, sign_pow
 from hypersums.hessenberg import HessenbergMatrix, build_matrix, det
@@ -31,6 +31,7 @@ from hypersums.hypersum import (
     s1_poly,
 )
 from hypersums.polyring import RatPoly, monomial, to_n_frame
+from conftest import check_poly_blob, check_rational_blob
 from test_hypersum import coeff_c_reduced_k1
 
 
@@ -259,27 +260,16 @@ def test_criterion_8_cli_contract():
         )
 
     proc = run("verify")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "PASS" in proc.stdout, proc.stdout + proc.stderr
     proc = run("eval", "--m", "3", "--r", "1", "--n", "3")
     assert proc.returncode == 0 and proc.stdout.strip() == "36"
-
-    def check_rational(blob) -> None:
-        assert isinstance(blob, list) and len(blob) == 2
-        num, den = int(blob[0]), int(blob[1])
-        assert den >= 1 and gcd(abs(num), den) == 1
-
     proc = run("eval", "--m", "5", "--r", "3", "--n", "4", "--format", "json")
     blob = json.loads(proc.stdout)
-    check_rational(blob["value"])
-    assert Fraction(int(blob["value"][0]), int(blob["value"][1])) == (
-        hyper_sum_bruteforce(5, 3, 4)
-    )
+    assert (blob["m"], blob["r"], blob["n"]) == (5, 3, 4)
+    assert check_rational_blob(blob["value"]) == hyper_sum_bruteforce(5, 3, 4)
     proc = run("poly", "--m", "6", "--r", "7", "--var", "N", "--format", "json")
-    blob = json.loads(proc.stdout)
-    assert set(blob["poly"]) == {"var", "r", "coeffs"}
-    for pair in blob["poly"]["coeffs"]:
-        check_rational(pair)
-    assert blob["poly"]["coeffs"][-1] == ["2", "429"]
+    # G(6, 7) of criterion 1, whose leading coefficient is 2/429
+    assert check_poly_blob(json.loads(proc.stdout)["poly"]) == faulhaber_det(6, 7)
     proc = run("verify", "--max-m", "2", "--max-r", "1", "--max-n", "2", "--format", "json")
     blob = json.loads(proc.stdout)
-    assert blob["status"] == "pass" and proc.returncode == 0
+    assert (proc.returncode, blob["status"], blob["failures"]) == (0, "pass", [])

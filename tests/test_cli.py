@@ -23,73 +23,28 @@ from hypersums.cli import (
     main,
 )
 from hypersums.exactnum import DomainError, rising_factorial, sign_pow
-from hypersums.hessenberg import build_matrix, det, leading_minor
-from hypersums.hypersum import (
-    faulhaber_det,
-    hyper_sum_bruteforce,
-    hyper_sum_newton,
-    hyper_sum_poly,
-)
+from hypersums.hessenberg import build_matrix, leading_minor
+from hypersums.hypersum import hyper_sum_bruteforce, hyper_sum_newton, hyper_sum_poly
 from hypersums.polyring import RatPoly, poly_to_json
+from conftest import check_poly_blob, run_main
 
 
-def run_cli_full(capsys, *argv: str) -> tuple[int, str, str]:
+def run_cli_full(*argv: str) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one request."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse and usage errors
-        code = exc.code if isinstance(exc.code, int) else 2
-    out, err = capsys.readouterr()
-    return code, out, err
+    return run_main(argv)
 
 
-def run_cli(capsys, *argv: str) -> tuple[int, str]:
-    return run_cli_full(capsys, *argv)[:2]
-
-
-def check_rational_blob(blob) -> Fraction:
-    """Validate the documented scalar schema: canonical ["num", "den"]."""
-    assert isinstance(blob, list) and len(blob) == 2
-    num, den = int(blob[0]), int(blob[1])
-    assert den >= 1
-    assert math.gcd(abs(num), den) == 1
-    return Fraction(num, den)
-
-
-def check_poly_blob(blob) -> None:
-    assert set(blob) == {"var", "r", "coeffs"}
-    assert blob["var"] in ("n", "N", "u")
-    assert isinstance(blob["r"], int) and blob["r"] >= 0
-    for pair in blob["coeffs"]:
-        check_rational_blob(pair)
-    if blob["coeffs"]:
-        assert Fraction(int(blob["coeffs"][-1][0]), int(blob["coeffs"][-1][1])) != 0
+def run_cli(*argv: str) -> tuple[int, str]:
+    return run_main(argv)[:2]
 
 
 # -- eval ---------------------------------------------------------------------
 
 
-def test_eval_examples(capsys):
-    assert run_cli(capsys, "eval", "--m", "3", "--r", "1", "--n", "3") == (0, "36\n")
-    assert run_cli(capsys, "eval", "--m", "5", "--r", "0", "--n", "2") == (0, "32\n")
-    assert run_cli(capsys, "eval", "--m", "2", "--r", "2", "--n", "3") == (0, "20\n")
-
-
-def test_eval_methods_agree(capsys):
-    for m in range(1, 7):
-        for r in range(1, 7):
-            for n in ("0", "10"):
-                expected = None
-                for method in ("auto", "bruteforce", "det", "q", "c", "chain", "lemma"):
-                    code, out = run_cli(
-                        capsys,
-                        "eval", "--m", str(m), "--r", str(r), "--n", n,
-                        "--method", method,
-                    )
-                    assert code == 0
-                    if expected is None:
-                        expected = out
-                    assert out == expected, (m, r, n, method)
+def test_eval_examples():
+    assert run_cli("eval", "--m", "3", "--r", "1", "--n", "3") == (0, "36\n")
+    assert run_cli("eval", "--m", "5", "--r", "0", "--n", "2") == (0, "32\n")
+    assert run_cli("eval", "--m", "2", "--r", "2", "--n", "3") == (0, "20\n")
 
 
 def test_the_method_choices_are_auto_bruteforce_and_every_route():
@@ -102,53 +57,36 @@ def test_the_method_choices_are_auto_bruteforce_and_every_route():
         assert args.method == method
 
 
-def test_eval_at_the_cap_prints_the_same_bytes_by_auto_lemma_and_det(capsys):
+def test_eval_at_the_cap_prints_the_same_bytes_by_auto_lemma_and_det():
     # auto serves the Newton sum and builds no polynomial; lemma and det build S(200, 200)
     outs = {
-        method: run_cli(capsys, "eval", "--m", "200", "--r", "200", "--n", "7", "--method", method)
+        method: run_cli("eval", "--m", "200", "--r", "200", "--n", "7", "--method", method)
         for method in ("auto", "lemma", "det")
     }
     assert outs["auto"][0] == 0 and outs["auto"][1].strip()
     assert outs["auto"] == outs["lemma"] == outs["det"]
 
 
-def test_eval_lemma_accepts_r0(capsys):
-    code, out = run_cli(
-        capsys, "eval", "--m", "4", "--r", "0", "--n", "3", "--method", "lemma"
-    )
+def test_eval_lemma_accepts_r0():
+    code, out = run_cli("eval", "--m", "4", "--r", "0", "--n", "3", "--method", "lemma")
     assert code == 0 and out.strip() == "81"
 
 
-def test_eval_json_schema(capsys):
-    code, out = run_cli(
-        capsys, "eval", "--m", "4", "--r", "2", "--n", "6", "--format", "json"
-    )
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["m"] == 4 and blob["r"] == 2 and blob["n"] == 6
-    value = check_rational_blob(blob["value"])
-    assert value == hyper_sum_bruteforce(4, 2, 6)
-
-
-def test_eval_invalid_arguments_exit_2(capsys):
-    code, _ = run_cli(capsys, "eval", "--m", "-1", "--r", "0", "--n", "1")
+def test_eval_invalid_arguments_exit_2():
+    code, _ = run_cli("eval", "--m", "-1", "--r", "0", "--n", "1")
     assert code == 2
-    code, _ = run_cli(capsys, "eval", "--m", "2", "--r", "0", "--n", "1", "--method", "q")
+    code, _ = run_cli("eval", "--m", "2", "--r", "0", "--n", "1", "--method", "q")
     assert code == 2
-    code, _ = run_cli(capsys, "eval", "--m", "0", "--r", "1", "--n", "1", "--method", "det")
+    code, _ = run_cli("eval", "--m", "0", "--r", "1", "--n", "1", "--method", "det")
     assert code == 2
-    code, out = run_cli(
-        capsys, "eval", "--m", "2", "--r", "0", "--n", "1", "--method", "chain"
-    )
+    code, out = run_cli("eval", "--m", "2", "--r", "0", "--n", "1", "--method", "chain")
     assert code == 2 and out == ""
-    code, out = run_cli(
-        capsys, "eval", "--m", "0", "--r", "1", "--n", "1", "--method", "lemma"
-    )
+    code, out = run_cli("eval", "--m", "0", "--r", "1", "--n", "1", "--method", "lemma")
     assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("method", hypersum.ROUTES)
-def test_eval_refuses_exactly_where_the_route_does(capsys, method):
+def test_eval_refuses_exactly_where_the_route_does(method):
     # the CLI keeps no copy of a route's domain: the route's own DomainError is the refusal
     for m in range(4):
         for r in range(4):
@@ -158,7 +96,7 @@ def test_eval_refuses_exactly_where_the_route_does(capsys, method):
             except DomainError:
                 refused = True
             argv = ("eval", "--m", str(m), "--r", str(r), "--n", "5", "--method", method)
-            code, out, err = run_cli_full(capsys, *argv)
+            code, out, err = run_cli_full(*argv)
             if refused:
                 assert (code, out) == (2, ""), (m, r)
                 assert err.count("\n") == 1 and err.startswith("error: ")
@@ -166,41 +104,36 @@ def test_eval_refuses_exactly_where_the_route_does(capsys, method):
                 assert (code, int(out)) == (0, hyper_sum_newton(m, r, 5)), (m, r)
 
 
-def test_the_lemma_refusal_names_the_requested_m(capsys):
+def test_the_lemma_refusal_names_the_requested_m():
     # the message names the flag the user typed, not the family's parameter m_max
     argv = ("eval", "--m", "0", "--r", "2", "--n", "5", "--method", "lemma")
-    assert run_cli_full(capsys, *argv) == (2, "", "error: need m >= 1 and r >= 0, got (0, 2)\n")
+    assert run_cli_full(*argv) == (2, "", "error: need m >= 1 and r >= 0, got (0, 2)\n")
 
 
-def test_bruteforce_n_cap_exit_2(capsys):
+def test_bruteforce_n_cap_exit_2():
     too_big = str(MAX_BRUTEFORCE_N + 1)
     assert MAX_BRUTEFORCE_N == 10**6
     argv = ("eval", "--m", "1", "--r", "0", "--n", str(MAX_BRUTEFORCE_N), "--method", "bruteforce")
-    assert run_cli(capsys, *argv) == (0, f"{MAX_BRUTEFORCE_N}\n")  # the cap itself is admitted
-    code, out = run_cli(
-        capsys, "eval", "--m", "5", "--r", "4", "--n", too_big, "--method", "bruteforce"
-    )
+    assert run_cli(*argv) == (0, f"{MAX_BRUTEFORCE_N}\n")  # the cap itself is admitted
+    code, out = run_cli("eval", "--m", "5", "--r", "4", "--n", too_big, "--method", "bruteforce")
     assert code == 2 and out == ""
-    code, out = run_cli(capsys, "table", "--n", too_big)
+    code, out = run_cli("table", "--n", too_big)
     assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 # the largest n with (r + 1)(n + 1)(m + r) d <= 10^8 for the d digits of n + r
 @pytest.mark.parametrize("m, r, n", [(200, 200, 413), (0, 200, 799)])
-def test_bruteforce_work_budget_exit_2_before_computing(capsys, monkeypatch, fmt, m, r, n):
+def test_bruteforce_work_budget_exit_2_before_computing(monkeypatch, fmt, m, r, n):
     assert MAX_BRUTEFORCE_WORK == 10**8
     argv = ["eval", "--m", str(m), "--r", str(r), "--method", "bruteforce", "--format", fmt]
-    code, out = run_cli(capsys, *argv, "--n", str(n))
+    code, out = run_cli(*argv, "--n", str(n))
     assert code == 0
     value = int(out) if fmt == "text" else int(json.loads(out)["value"][0])
     assert value == hyper_sum_newton(m, r, n)
     monkeypatch.setattr("hypersums.hypersum.value_table", lambda *a: pytest.fail("computed"))
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--n", str(n + 1)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    code, out, err = run_cli_full(*argv, "--n", str(n + 1))
+    assert (code, out) == (2, "")
     assert err.count("\n") == 1 and f"<= {MAX_BRUTEFORCE_WORK}" in err
 
 
@@ -213,49 +146,46 @@ TOO_LONG = {
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("kind", TOO_LONG)
-def test_values_too_long_to_print_exit_2_before_evaluating(capsys, monkeypatch, kind, fmt):
+def test_values_too_long_to_print_exit_2_before_evaluating(monkeypatch, kind, fmt):
     monkeypatch.setattr(RatPoly, "eval", lambda *args: pytest.fail("evaluated"))
-    with pytest.raises(SystemExit) as exc:
-        main([*TOO_LONG[kind], "--format", fmt])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    code, out, err = run_cli_full(*TOO_LONG[kind], "--format", fmt)
+    assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "could pass 4300 digits" in err
 
 
-def test_the_largest_n_the_digit_bound_admits_still_prints(capsys):
+def test_the_largest_n_the_digit_bound_admits_still_prints():
     # (m + r) d + 1 <= 4300 digits for n + r of d <= 21 digits at (200, 1)
     n = 10**21 - 2
     argv = ("eval", "--m", "200", "--r", "1", "--n", str(n), "--format")
     for fmt in ("text", "json"):
-        code, out = run_cli(capsys, *argv, fmt)
+        code, out = run_cli(*argv, fmt)
         assert code == 0
         value = int(out) if fmt == "text" else int(json.loads(out)["value"][0])
         assert value == hyper_sum_newton(200, 1, n) and len(str(value)) > 4200
-    assert run_cli(capsys, "eval", "--m", "200", "--r", "1", "--n", str(n + 1)) == (2, "")
+    assert run_cli("eval", "--m", "200", "--r", "1", "--n", str(n + 1)) == (2, "")
 
 
 @pytest.mark.parametrize("m, r", [(1, 0), (43, 0), (20, 23)])
-def test_the_digit_bound_is_tight_where_m_plus_r_divides_4300(capsys, m, r):
+def test_the_digit_bound_is_tight_where_m_plus_r_divides_4300(m, r):
     # (m + r) d + 1 <= 4300 digits admits d = 4300 / (m + r) - 1 digits of n + r, not one more
     n = 10 ** (4300 // (m + r) - 1) - 1 - r
     argv = ("eval", "--m", str(m), "--r", str(r), "--n")
-    assert run_cli(capsys, *argv, str(n)) == (0, f"{hyper_sum_newton(m, r, n)}\n")
-    assert run_cli(capsys, *argv, str(n + 1)) == (2, "")
+    assert run_cli(*argv, str(n)) == (0, f"{hyper_sum_newton(m, r, n)}\n")
+    assert run_cli(*argv, str(n + 1)) == (2, "")
 
 
 # the bound adds (m - 1) digits(m + r) for the factor (r+2)...(r+m): n + r < 10^d admitted,
 # at (3, 4) d = (4299 - 2) // 7 = 613, which a factor of one digit fewer would make 614
 @pytest.mark.parametrize("m, r, d", [(30, 1, 136), (3, 4, 613)])
-def test_the_largest_at_the_digit_bound_admits_still_prints(capsys, m, r, d):
+def test_the_largest_at_the_digit_bound_admits_still_prints(m, r, d):
     n = 10**d - 1 - r
-    code, out = run_cli(capsys, "det", "--m", str(m), "--r", str(r), "--at", str(n))
+    code, out = run_cli("det", "--m", str(m), "--r", str(r), "--at", str(n))
     assert code == 0
     value = Fraction(out.splitlines()[-1].removeprefix("det value = "))
     assert value == sign_pow(m - 1) * rising_factorial(r + 2, m - 1) * Fraction(
         hyper_sum_newton(m, r, n), math.comb(n + r, r + 1)
     )
-    assert run_cli(capsys, "det", "--m", str(m), "--r", str(r), "--at", str(n + 1)) == (2, "")
+    assert run_cli("det", "--m", str(m), "--r", str(r), "--at", str(n + 1)) == (2, "")
 
 
 @pytest.mark.parametrize("m", [2, 7, 20, 41])
@@ -285,8 +215,8 @@ def test_the_det_digit_bound_holds_at_n_0(m):
         ("table", "--max-m", "100", "--max-r", "10000", "--n", "1000"),
     ],
 )
-def test_m_r_and_grid_caps_exit_2(capsys, argv):
-    assert run_cli(capsys, *argv) == (2, "")
+def test_m_r_and_grid_caps_exit_2(argv):
+    assert run_cli(*argv) == (2, "")
 
 
 def test_caps_accept_the_boundary():
@@ -308,66 +238,52 @@ def test_caps_accept_the_boundary():
 # -- poly ---------------------------------------------------------------------
 
 
-def test_poly_text_default_var(capsys):
-    code, out = run_cli(capsys, "poly", "--m", "1", "--r", "1")
+def test_poly_text_default_var():
+    code, out = run_cli("poly", "--m", "1", "--r", "1")
     assert code == 0
     assert out.strip() == "1/2*n^2 + 1/2*n"
-    assert run_cli(capsys, "poly", "--m", "4", "--r", "1") == (
+    assert run_cli("poly", "--m", "4", "--r", "1") == (
         0,
         "1/5*n^5 + 1/2*n^4 + 1/3*n^3 - 1/30*n\n",
     )
     # the default frame is served from the proved Newton factor, and the JSON says so
-    code, out = run_cli(capsys, "poly", "--m", "4", "--r", "1", "--format", "json")
+    code, out = run_cli("poly", "--m", "4", "--r", "1", "--format", "json")
     assert code == 0 and '"method": "newton"' in out
 
 
-def test_poly_centered_and_factored(capsys):
-    code, out = run_cli(capsys, "poly", "--m", "5", "--r", "7", "--var", "N")
+def test_poly_centered_and_factored():
+    code, out = run_cli("poly", "--m", "5", "--r", "7", "--var", "N")
     assert code == 0
     assert out.strip() == "1/99*N^4 - 35/198*N^2 + 7/16"
-    code, out = run_cli(capsys, "poly", "--m", "5", "--r", "7", "--var", "N", "--factored")
+    code, out = run_cli("poly", "--m", "5", "--r", "7", "--var", "N", "--factored")
     assert code == 0
     assert out.strip() == "(1/1584) * binomial(n+7, 8) * [16*N^4 - 280*N^2 + 693]"
-    code, out = run_cli(capsys, "poly", "--m", "6", "--r", "7", "--var", "N", "--factored")
+    code, out = run_cli("poly", "--m", "6", "--r", "7", "--var", "N", "--factored")
     assert out.strip() == "(1/10296) * binomial(n+7, 8) * [48*N^5 - 1176*N^3 + 6419*N]"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
-def test_poly_factored_reads_the_centered_factor_once(capsys, monkeypatch, fmt):
+def test_poly_factored_reads_the_centered_factor_once(monkeypatch, fmt):
     calls = []
     real = newton.newton_factor
     monkeypatch.setattr(newton, "newton_factor", lambda m, r: calls.append((m, r)) or real(m, r))
     argv = ("poly", "--m", "5", "--r", "7", "--var", "N", "--factored", "--format", fmt)
-    code, out = run_cli(capsys, *argv)
+    code, out = run_cli(*argv)
     assert code == 0 and out
     assert calls == [(5, 7)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 @pytest.mark.parametrize("var", ["n", "u"])
-def test_poly_factored_without_var_N_exit_2(capsys, var, fmt):
-    with pytest.raises(SystemExit) as exc:
-        main(["poly", "--m", "3", "--r", "1", "--var", var, "--format", fmt, "--factored"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+def test_poly_factored_without_var_N_exit_2(var, fmt):
+    argv = ("poly", "--m", "3", "--r", "1", "--var", var, "--format", fmt, "--factored")
+    code, out, err = run_cli_full(*argv)
+    assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "--factored requires --var N" in err
 
 
-def test_poly_json_round_trip(capsys):
-    code, out = run_cli(
-        capsys, "poly", "--m", "5", "--r", "7", "--var", "N", "--format", "json"
-    )
-    assert code == 0
-    blob = json.loads(out)
-    check_poly_blob(blob["poly"])
-    assert blob["poly"] == poly_to_json(faulhaber_det(5, 7))
-
-
-def test_poly_latex(capsys):
-    code, out = run_cli(
-        capsys, "poly", "--m", "5", "--r", "7", "--var", "N", "--format", "latex"
-    )
+def test_poly_latex():
+    code, out = run_cli("poly", "--m", "5", "--r", "7", "--var", "N", "--format", "latex")
     assert code == 0
     assert out.strip() == "\\frac{N_{7}^{4}}{99} - \\frac{35 N_{7}^{2}}{198} + \\frac{7}{16}"
 
@@ -384,33 +300,29 @@ def test_poly_latex(capsys):
     ],
     ids=["m5", "m6"],
 )
-def test_poly_factored_latex(capsys, m, latex):
+def test_poly_factored_latex(m, latex):
     # the factored form of the text format, typeset
     argv = ["poly", "--m", str(m), "--r", "7", "--var", "N", "--factored", "--format", "latex"]
-    assert run_cli(capsys, *argv) == (0, latex + "\n")
+    assert run_cli(*argv) == (0, latex + "\n")
 
 
-def test_poly_eval_consistency(capsys):
+def test_poly_eval_consistency():
     # the printed n-frame polynomial evaluates to what eval prints
-    code, out = run_cli(
-        capsys, "poly", "--m", "4", "--r", "2", "--format", "json"
-    )
+    code, out = run_cli("poly", "--m", "4", "--r", "2", "--format", "json")
     p = hyper_sum_poly(4, 2)
     assert json.loads(out)["poly"] == poly_to_json(p)
-    code, out = run_cli(capsys, "eval", "--m", "4", "--r", "2", "--n", "3")
+    code, out = run_cli("eval", "--m", "4", "--r", "2", "--n", "3")
     assert p.eval(3) == int(out)
 
 
-def test_poly_u_form(capsys):
-    code, out = run_cli(
-        capsys, "poly", "--m", "5", "--r", "7", "--var", "u", "--format", "json"
-    )
+def test_poly_u_form():
+    code, out = run_cli("poly", "--m", "5", "--r", "7", "--var", "u", "--format", "json")
     assert code == 0
     blob = json.loads(out)
     assert blob["prefactor"] == "s1"
     check_poly_blob(blob["poly"])
     for m, r in ((3, 0), (0, 3)):
-        assert run_cli(capsys, "poly", "--m", str(m), "--r", str(r), "--var", "u") == (2, "")
+        assert run_cli("poly", "--m", str(m), "--r", str(r), "--var", "u") == (2, "")
 
 
 @pytest.mark.parametrize(
@@ -425,19 +337,19 @@ def test_poly_u_form(capsys):
         (1, 3, "u", {"prefactor": "s1"}),  # m = 1, the least m with a u-form
     ],
 )
-def test_poly_json_names_the_served_path(capsys, m, r, var, keys):
+def test_poly_json_names_the_served_path(m, r, var, keys):
     # n and N are served from the proved Newton factor, or at m = 0 its closed form
     argv = ("poly", "--m", str(m), "--r", str(r), "--var", var, "--format", "json")
-    code, out = run_cli(capsys, *argv)
+    code, out = run_cli(*argv)
     blob = json.loads(out)
     assert code == 0
     assert {k: blob[k] for k in blob.keys() & {"method", "prefactor"}} == keys
 
 
 @pytest.mark.parametrize("r", [0, 1, 4])
-def test_poly_at_m_0_is_the_binomial_closed_form(capsys, r):
+def test_poly_at_m_0_is_the_binomial_closed_form(r):
     # S(0, r, n) = C(n+r-1, r), and 1 at r = 0: served without the Newton factor
-    code, out = run_cli(capsys, "poly", "--m", "0", "--r", str(r), "--format", "json")
+    code, out = run_cli("poly", "--m", "0", "--r", str(r), "--format", "json")
     assert (code, json.loads(out)["poly"]) == (0, poly_to_json(hyper_sum_poly(0, r)))
 
 
@@ -450,17 +362,6 @@ def test_a_frame_mismatch_is_not_a_refusal(monkeypatch):
 
 
 # -- det ----------------------------------------------------------------------
-
-
-def test_det_json_matches_library(capsys):
-    code, out = run_cli(capsys, "det", "--m", "3", "--r", "2", "--format", "json")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["order"] == 2
-    for row in blob["entries"]:
-        for cell in row:
-            check_poly_blob(cell)
-    assert blob["det"] == poly_to_json(det(build_matrix(3, 2)))
 
 
 # sha256 of the det stdout bytes, taken before the matrix was rendered once per distinct entry
@@ -550,10 +451,10 @@ DET_DIGESTS = [
 
 
 @pytest.mark.parametrize("cell, digest", DET_DIGESTS)
-def test_det_output_is_unchanged(capsys, cell, digest):
+def test_det_output_is_unchanged(cell, digest):
     m, r, at, fmt = cell
     argv = ["det", "--m", str(m), "--r", str(r), "--format", fmt]
-    code, out = run_cli(capsys, *argv, *(() if at is None else ("--at", at)))
+    code, out = run_cli(*argv, *(() if at is None else ("--at", at)))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -576,14 +477,14 @@ def test_det_renders_each_distinct_entry_once(monkeypatch):
     assert len(calls) == 3 * len(distinct)
 
 
-def test_det_at_r0_relabels_each_distinct_entry_once(capsys, monkeypatch):
+def test_det_at_r0_relabels_each_distinct_entry_once(monkeypatch):
     matrix = build_matrix(59, 0)
     distinct = {e for row in matrix.entries for e in row}
     assert len(distinct) < 200 < matrix.order**2
     calls = []
     relabel = cli.to_n_frame
     monkeypatch.setattr(cli, "to_n_frame", lambda p: calls.append(p) or relabel(p))
-    code, _ = run_cli(capsys, "det", "--m", "59", "--r", "0", "--format", "json")
+    code, _ = run_cli("det", "--m", "59", "--r", "0", "--format", "json")
     assert code == 0
     assert len(calls) <= len(distinct) + 1  # plus the determinant
 
@@ -653,22 +554,22 @@ det value = -648
 
 
 @pytest.mark.parametrize("argv", DET_TEXT, ids=[" ".join(a) for a in DET_TEXT])
-def test_det_text_exact(capsys, argv):
+def test_det_text_exact(argv):
     """The whole text layout, symbolic and evaluated grids alike, byte for byte."""
-    assert run_cli(capsys, "det", *argv) == (0, DET_TEXT[argv])
+    assert run_cli("det", *argv) == (0, DET_TEXT[argv])
 
 
-def test_det_m0_rejected(capsys):
-    code, _ = run_cli(capsys, "det", "--m", "0", "--r", "1")
+def test_det_m0_rejected():
+    code, _ = run_cli("det", "--m", "0", "--r", "1")
     assert code == 2
 
 
 # -- what poly and det print is checked -----------------------------------------------
 
 
-def test_a_request_refused_under_a_wrong_newton_weight_exits_2(capsys, wrong_newton_weight):
+def test_a_request_refused_under_a_wrong_newton_weight_exits_2(wrong_newton_weight):
     # the product form needs r >= 1: the refusal comes before the weights are read
-    code, out, err = run_cli_full(capsys, "poly", "--m", "4", "--r", "0", "--var", "u")
+    code, out, err = run_cli_full("poly", "--m", "4", "--r", "0", "--var", "u")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: ")
 
@@ -676,40 +577,19 @@ def test_a_request_refused_under_a_wrong_newton_weight_exits_2(capsys, wrong_new
 # -- verify ---------------------------------------------------------------------
 
 
-def test_verify_small_grid_exit_0(capsys):
-    code, out = run_cli(
-        capsys, "verify", "--max-m", "2", "--max-r", "1", "--max-n", "3"
-    )
-    assert code == 0
-    assert "PASS" in out
-
-
-def test_verify_json_report(capsys):
-    code, out = run_cli(
-        capsys,
-        "verify", "--max-m", "2", "--max-r", "1", "--max-n", "3", "--format", "json",
-    )
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["status"] == "pass"
-    assert blob["failures"] == []
-
-
 @pytest.mark.parametrize(
     "flags, grid",
     [((), (10, 6, 15)), (("--max-m", "3"), (3, 6, 15)), (("--max-n", "4"), (10, 6, 4))],
 )
-def test_verify_grid_defaults_to_the_default_grid(capsys, flags, grid):
-    code, out = run_cli(capsys, "verify", *flags, "--format", "json")
+def test_verify_grid_defaults_to_the_default_grid(flags, grid):
+    code, out = run_cli("verify", *flags, "--format", "json")
     assert code == 0
     assert json.loads(out)["grid"] == dict(zip(("m_max", "r_max", "n_max"), grid))
 
 
-def test_verify_fault_injection_exit_1(capsys, corrupt_bernoulli):
+def test_verify_fault_injection_exit_1(corrupt_bernoulli):
     with corrupt_bernoulli(4, Fraction(1, 31)):
-        code, out = run_cli(
-            capsys, "verify", "--max-m", "3", "--max-r", "2", "--max-n", "4"
-        )
+        code, out = run_cli("verify", "--max-m", "3", "--max-r", "2", "--max-n", "4")
     assert code == 1
     assert "FAIL" in out
 
@@ -717,64 +597,26 @@ def test_verify_fault_injection_exit_1(capsys, corrupt_bernoulli):
 # -- table ------------------------------------------------------------------------
 
 
-def test_table_csv(capsys):
-    code, out = run_cli(
-        capsys, "table", "--max-m", "2", "--max-r", "2", "--n", "3", "--format", "csv"
-    )
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_table_matches_the_recursion(n, fmt):
+    # each cell m <= 5, r <= 4 in order, in both machine-read formats
+    cells = [(m, r, hyper_sum_bruteforce(m, r, n)) for m in range(6) for r in range(5)]
+    code, out = run_cli("table", "--max-m", "5", "--max-r", "4", "--n", str(n), "--format", fmt)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "m,r,value"
-    assert "1,2,10" in lines and "2,2,20" in lines
-    # the cells are certified by the Newton weights before the last one is printed
-    code, out = run_cli(
-        capsys, "table", "--max-m", "4", "--max-r", "2", "--n", "7", "--format", "csv"
-    )
-    assert code == 0 and out.splitlines()[-1] == "4,2,8400"
-
-
-def test_table_all_ones_at_n_1(capsys):
-    code, out = run_cli(
-        capsys, "table", "--max-m", "3", "--max-r", "4", "--n", "1", "--format", "csv"
-    )
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    for m, r, v in rows:
-        if int(m) >= 1 or int(r) >= 1:
-            assert v == "1", (m, r)
-
-
-def test_table_binomial_column(capsys):
-    code, out = run_cli(
-        capsys, "table", "--max-m", "1", "--max-r", "4", "--n", "4", "--format", "csv"
-    )
-    rows = {(int(m), int(r)): int(v) for m, r, v in
-            (line.split(",") for line in out.strip().splitlines()[1:])}
-    for r in range(5):
-        assert rows[1, r] == math.comb(4 + r, r + 1)
-
-
-def test_table_matches_the_recursion(capsys):
-    for n in (0, 1, 7):
-        code, out = run_cli(
-            capsys, "table", "--max-m", "5", "--max-r", "4", "--n", str(n), "--format", "csv"
-        )
-        assert code == 0
-        for line in out.strip().splitlines()[1:]:
-            m, r, v = map(int, line.split(","))
-            assert v == hyper_sum_bruteforce(m, r, n), (m, r, n)
-
-
-def test_table_json(capsys):
-    code, out = run_cli(
-        capsys, "table", "--max-m", "1", "--max-r", "1", "--n", "2", "--format", "json"
-    )
-    blob = json.loads(out)
-    assert {"m": 1, "r": 1, "value": "3"} in blob["cells"]
+    if fmt == "csv":
+        assert out.splitlines() == ["m,r,value", *(f"{m},{r},{v}" for m, r, v in cells)]
+    else:
+        assert json.loads(out) == {
+            "n": n,
+            "cells": [{"m": m, "r": r, "value": str(v)} for m, r, v in cells],
+        }
 
 
 @pytest.mark.parametrize("max_m, max_r, n", [(0, 0, 0), (2, 3, 2), (4, 1, 9)])
-def test_table_text_has_one_aligned_row_per_m(capsys, max_m, max_r, n):
+def test_table_text_has_one_aligned_row_per_m(max_m, max_r, n):
     argv = ("table", "--max-m", str(max_m), "--max-r", str(max_r), "--n", str(n))
-    (code, out), cols = run_cli(capsys, *argv), range(max_r + 1)
+    (code, out), cols = run_cli(*argv), range(max_r + 1)
     title, header, *rows = out.splitlines()
     assert code == 0 and title == f"S(m, r, {n}) for m <= {max_m}, r <= {max_r}"
     assert header.split() == ["m\\r", *map(str, cols)]
@@ -783,8 +625,8 @@ def test_table_text_has_one_aligned_row_per_m(capsys, max_m, max_r, n):
     assert [list(map(int, row.split())) for row in rows] == values
 
 
-def test_bad_format_exit_2(capsys):
-    code, _ = run_cli(capsys, "eval", "--m", "1", "--r", "1", "--n", "1", "--format", "xml")
+def test_bad_format_exit_2():
+    code, _ = run_cli("eval", "--m", "1", "--r", "1", "--n", "1", "--format", "xml")
     assert code == 2
 
 
@@ -809,12 +651,12 @@ def cli_matrix():
                 yield ("det", *cell, "--at", "7")
 
 
-def test_no_valid_request_escapes_main(capsys):
+def test_no_valid_request_escapes_main():
     # a refusal exits 2 with one stderr line and empty stdout; the faults of
     # tests/test_fault_matrix.py FAULTS hold the exits 3
     codes = set()
     for argv in cli_matrix():
-        code, out, err = run_cli_full(capsys, *argv)
+        code, out, err = run_cli_full(*argv)
         codes.add(code)
         if code:
             assert (code, out) == (2, ""), argv
@@ -845,30 +687,30 @@ JSON_REQUESTS = [
 ]
 
 
-def run_json(capsys, monkeypatch, *argv: str) -> tuple[int, str, list]:
+def run_json(monkeypatch, *argv: str) -> tuple[int, str, list]:
     """Run a JSON request, recording each payload handed to the printer."""
     payloads = []
     printer = cli._print_json
     monkeypatch.setattr(cli, "_print_json", lambda p: payloads.append(p) or printer(p))
-    code, out = run_cli(capsys, *argv, "--format", "json")
+    code, out = run_cli(*argv, "--format", "json")
     return code, out, payloads
 
 
 @pytest.mark.parametrize("argv", JSON_REQUESTS, ids=" ".join)
-def test_the_json_printer_writes_the_bytes_of_json_dumps(capsys, monkeypatch, argv):
-    code, out, payloads = run_json(capsys, monkeypatch, *argv)
+def test_the_json_printer_writes_the_bytes_of_json_dumps(monkeypatch, argv):
+    code, out, payloads = run_json(monkeypatch, *argv)
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0]) + "\n"
     json.loads(out)
 
 
 def test_the_json_printer_writes_a_failing_report_as_json_dumps(
-    capsys, monkeypatch, corrupt_bernoulli
+    monkeypatch, corrupt_bernoulli
 ):
     # the failure details hold quotes and serialized polynomials
     with corrupt_bernoulli(2, Fraction(1, 7)):
         code, out, payloads = run_json(
-            capsys, monkeypatch, "verify", "--max-m", "4", "--max-r", "3", "--max-n", "6"
+            monkeypatch, "verify", "--max-m", "4", "--max-r", "3", "--max-n", "6"
         )
     assert code == 1 and len(payloads) == 1
     assert payloads[0]["failures"] and '\\"' in out
@@ -903,12 +745,12 @@ def test_det_json_holds_one_row_encoding_at_a_time(tmp_path):
 # -- environment and real process ----------------------------------------------------
 
 
-def test_table_file_in_environment_is_ignored(tmp_path, capsys, monkeypatch):
+def test_table_file_in_environment_is_ignored(tmp_path, monkeypatch):
     # a tables.json with a wrong B_2 once served 21097887/4 here with exit 0
     poisoned = json.dumps({"bernoulli": [["1", "1"], ["-1", "2"], ["1", "7"]]})
     (tmp_path / "tables.json").write_text(poisoned)
     monkeypatch.setenv("HYPERSUM_CACHE_DIR", str(tmp_path))
-    code, out = run_cli(capsys, "eval", "--m", "4", "--r", "1", "--n", "30")
+    code, out = run_cli("eval", "--m", "4", "--r", "1", "--n", "30")
     assert (code, out) == (0, "5273999\n")
     assert (tmp_path / "tables.json").read_text() == poisoned
     assert [p.name for p in tmp_path.iterdir()] == ["tables.json"]

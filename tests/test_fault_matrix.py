@@ -16,16 +16,16 @@ tests pin both identities.
 
 from __future__ import annotations
 
-import io
-from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 import pytest
 
-from hypersums import cli, exactnum, hessenberg, hypersum, newton
+from hypersums import exactnum, hessenberg, hypersum, newton
 from hypersums.exactnum import bernoulli, bernoulli_row
 from hypersums.polyring import RatPoly, monomial, sum_of_products
 from hypersums.verify import DEFAULT_GRID, GRID_CHECKS, run_all
+from conftest import run_main
 
 
 @contextmanager
@@ -252,17 +252,8 @@ def pinned(kind: str, where, argv: tuple[str, ...]) -> str | None:
 
 
 def run_served() -> dict:
-    """{argv: (exit code, stdout, stderr)} of each request of SERVED, through ``main``,
-    with one parser for all of them: it reads no table, and building it takes about six
-    sevenths of the time of these requests."""
-    runs, parser = {}, cli.build_parser()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_parser", lambda: parser)
-        for argv in SERVED:
-            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
-                code = cli.main(list(argv))
-            runs[argv] = (code, out.getvalue(), err.getvalue())
-    return runs
+    """{argv: (exit code, stdout, stderr)} of each request of SERVED, through ``main``."""
+    return {argv: run_main(argv) for argv in SERVED}
 
 
 @pytest.fixture(scope="module")

@@ -71,12 +71,6 @@ def test_bruteforce_reads_the_value_table_rows():
             list(value_table(*bad))
 
 
-def test_value_one_at_n_1():
-    for m in range(6):
-        for r in range(6):
-            assert hyper_sum_bruteforce(m, r, 1) == 1
-
-
 # -- closed forms ----------------------------------------------------------------
 
 
@@ -137,16 +131,6 @@ def test_q_poly_rejects_bad_index():
 
 
 # -- the five polynomial routes ------------------------------------------------------
-
-
-def test_q_route_r1_is_power_sum():
-    for m in range(6):
-        assert hyper_sum_poly_q(m, 1).poly == power_sum_poly(m)
-
-
-def test_q_route_values():
-    assert hyper_sum_poly_q(1, 2).poly.eval(3) == 10
-    assert hyper_sum_poly_q(2, 2).poly.eval(3) == 20
 
 
 def test_q_route_rejects_r0():
@@ -567,6 +551,15 @@ def test_faulhaber_r1_reuses_the_cached_determinant(monkeypatch):
     assert faulhaber_r1(9).coeffs == power_sum_poly(9).shift(Fraction(-1, 2)).coeffs
     # the minor of order 8 at r = 1 is read from the table: no minor step runs again
     assert calls == []
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_faulhaber_r1_refuses_m_below_1_before_reading_a_determinant(monkeypatch, m):
+    # the determinant would refuse m = 0 too, with the same words, but only after the
+    # prefactor is built
+    monkeypatch.setattr(hypersum, "faulhaber_det", lambda m, r: pytest.fail("read"))
+    with pytest.raises(DomainError, match=f"need m >= 1, got {m}"):
+        faulhaber_r1(m)
 
 
 # -- parity-split lifts -----------------------------------------------------------------
