@@ -5,7 +5,10 @@ column: S(m, r, n) = S(m, r-1, 1) + ... + S(m, r-1, n).  Everything below is
 exact integer/rational arithmetic.
 """
 
-from hypersums import hyper_sum_bruteforce, s1_closed, s2_closed
+from fractions import Fraction
+from math import comb
+
+from hypersums import hyper_sum_bruteforce
 
 # The classic staircase: r = 1 gives ordinary power sums, r = 2 sums those
 # again, and so on.  Cubes first.
@@ -19,10 +22,10 @@ for r in range(0, 4):
 # recursion.
 print("\nclosed forms vs. the recursion (m = 1 and m = 2):")
 for r in range(0, 6):
-    lhs = [s1_closed(r, n) for n in range(0, 8)]
+    lhs = [comb(n + r, r + 1) for n in range(0, 8)]
     rhs = [hyper_sum_bruteforce(1, r, n) for n in range(0, 8)]
     assert lhs == rhs
-    lhs2 = [s2_closed(r, n) for n in range(0, 8)]
+    lhs2 = [Fraction(2 * n + r, r + 2) * comb(n + r, r + 1) for n in range(0, 8)]
     rhs2 = [hyper_sum_bruteforce(2, r, n) for n in range(0, 8)]
     assert lhs2 == rhs2
     print(f"  r = {r}: C(n+{r}, {r + 1}) and (2n+{r})/{r + 2} * C(n+{r}, {r + 1})  OK")

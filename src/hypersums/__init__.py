@@ -39,8 +39,6 @@ _EXPORTS = {
         "lemma_recurrence_family",
         "power_sum_poly",
         "q_poly",
-        "s1_closed",
-        "s2_closed",
     ),
     "newton": ("faulhaber_u_form", "hyper_sum_newton", "newton_factor", "s1_poly"),
     "polyring": (

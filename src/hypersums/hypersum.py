@@ -21,15 +21,13 @@ with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma`` a
 ``det`` routes grow G in m, in one ``GrownTable`` per r, which is all they cache.
 The served path, the Newton weights and what is built from them alone, lives in
 :mod:`hypersums.newton`: the routes read its ``det_to_factor`` and ``expand_factor``
-through that module, and its public names are re-exported here.
-Everything is exact.
+through that module.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, factorial, lcm
 
@@ -37,21 +35,14 @@ from . import hessenberg, newton
 from .exactnum import (
     DomainError,
     GrownTable,
-    Rational,
     bernoulli_row,
     memo,
     sign_pow,
     stirling1_row,
 )
-from .newton import (  # noqa: F401  re-exported: callers of hypersum keep these names
-    det_to_factor,
-    expand_factor,
-    faulhaber_u_form,
-    hyper_sum_newton,
-    newton_factor,
-    newton_weights,
-    s1_poly,
-)
+# its one reader here is the benchmark probe at perfbench/child.py:183; it goes when
+# that probe reads newton.s1_poly (ROADMAP item 21)
+from .newton import s1_poly  # noqa: F401
 from .polyring import RatPoly, sum_of_products, to_N_frame
 
 # -- structured results -------------------------------------------------------
@@ -93,16 +84,6 @@ def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
     for row in value_table(m, r, n):
         pass
     return row[n]
-
-
-def s1_closed(r: int, n: int) -> Rational:
-    """S(1, r, n) = C(n+r, r+1)."""
-    return Fraction(comb(n + r, r + 1))
-
-
-def s2_closed(r: int, n: int) -> Rational:
-    """S(2, r, n) = (2n+r)/(r+2) * C(n+r, r+1)."""
-    return Fraction(2 * n + r, r + 2) * comb(n + r, r + 1)
 
 
 # -- power sums and the expansion over them -----------------------------------
@@ -308,10 +289,8 @@ def faulhaber_r1(m: int) -> RatPoly:
 
     Equals the half-shift of the Bernoulli-formula polynomial; even or odd
     in N according as m is odd or even, with alternating nonzero
-    coefficients.
+    coefficients.  :func:`faulhaber_det` refuses m < 1.
     """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
     return to_N_frame(newton.s1_poly(1), 1) * faulhaber_det(m, 1)
 
 

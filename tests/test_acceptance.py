@@ -28,8 +28,8 @@ from hypersums.hypersum import (
     hyper_sum_poly,
     hyper_sum_poly_c,
     q_poly,
-    s1_poly,
 )
+from hypersums.newton import s1_poly
 from hypersums.polyring import RatPoly, monomial, to_n_frame
 from conftest import check_poly_blob, check_rational_blob
 from test_hypersum import coeff_c_reduced_k1

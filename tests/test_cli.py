@@ -24,7 +24,8 @@ from hypersums.cli import (
 )
 from hypersums.exactnum import DomainError, rising_factorial, sign_pow
 from hypersums.hessenberg import build_matrix, leading_minor
-from hypersums.hypersum import hyper_sum_bruteforce, hyper_sum_newton, hyper_sum_poly
+from hypersums.hypersum import hyper_sum_bruteforce, hyper_sum_poly
+from hypersums.newton import hyper_sum_newton
 from hypersums.polyring import RatPoly, poly_to_json
 from conftest import check_poly_blob, run_main
 

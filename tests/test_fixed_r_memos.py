@@ -18,7 +18,8 @@ import pytest
 
 import hypersums
 from hypersums import cli, exactnum, hessenberg, hypersum, polyring, verify
-from hypersums.hypersum import ROUTES, faulhaber_det, newton_factor
+from hypersums.hypersum import ROUTES, faulhaber_det
+from hypersums.newton import hyper_sum_newton, newton_factor
 from hypersums.polyring import RatPoly
 from conftest import read_in_threads
 
@@ -223,7 +224,7 @@ def test_one_row_function_feeds_both_determinants(monkeypatch):
 
 def test_the_flush_empties_every_memo_of_the_package():
     verify.run_all(4, 2, 4)
-    hypersum.hyper_sum_newton(3, 2, 9)
+    hyper_sum_newton(3, 2, 9)
     cli.build_parser()
     modules = [
         importlib.import_module(f"hypersums.{info.name}")

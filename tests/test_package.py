@@ -18,7 +18,7 @@ PUBLIC = (
     "faulhaber_r1 faulhaber_u_form golden_fixtures hyper_sum_bruteforce "
     "hyper_sum_det hyper_sum_newton hyper_sum_poly hyper_sum_poly_c hyper_sum_poly_chain "
     "hyper_sum_poly_q lemma_recurrence_family monomial newton_factor power_sum_poly q_poly "
-    "r_stirling1 rising_factorial run_all run_grid s1_closed s1_poly s2_closed stirling1_unsigned "
+    "r_stirling1 rising_factorial run_all run_grid s1_poly stirling1_unsigned "
     "sum_of_products to_N_frame to_latex to_n_frame to_text to_u_form"
 ).split()
 
@@ -70,6 +70,19 @@ def test_deleted_helpers_are_gone():
     assert not hasattr(hypersums.polyring.RatPoly, "leading_coefficient")
     assert not hasattr(hypersums.hessenberg.HessenbergMatrix, "entry")
     assert not hasattr(hypersums.hypersum, "_centered_factor_rec")
+    for name in ("s1_closed", "s2_closed"):
+        assert not hasattr(hypersums, name)
+        assert not hasattr(hypersums.hypersum, name)
+    # of the names that moved to newton, hypersum keeps s1_poly alone, for the benchmark probe
+    for name in (
+        "det_to_factor",
+        "expand_factor",
+        "faulhaber_u_form",
+        "hyper_sum_newton",
+        "newton_factor",
+        "newton_weights",
+    ):
+        assert not hasattr(hypersums.hypersum, name)
     assert not hasattr(hypersums.hessenberg, "_leading")
     assert hypersums.hypersum.HyperSumPoly._fields == ("m", "r", "poly")  # no route tag
 
