@@ -92,27 +92,13 @@ def test_rising_factorial():
 # -- bernoulli -------------------------------------------------------------------
 
 
-def test_bernoulli_small_values():
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(3) == 0
-
-
-def test_bernoulli_against_akiyama_tanigawa():
-    oracle = bernoulli_akiyama_tanigawa(120)
-    assert bernoulli(8) == oracle[8] == Fraction(-1, 30)
-    for j in range(121):
+# B_0..B_120, one case per block of 20 indices
+@pytest.mark.parametrize("first", range(0, 121, 20))
+def test_bernoulli_against_akiyama_tanigawa(first):
+    last = min(first + 19, 120)
+    oracle = bernoulli_akiyama_tanigawa(last)
+    for j in range(first, last + 1):
         assert bernoulli(j) == oracle[j], j
-
-
-def test_bernoulli_odd_vanish_and_even_signs():
-    for j in range(3, 41, 2):
-        assert bernoulli(j) == 0
-    for t in range(1, 21):
-        value = bernoulli(2 * t)
-        assert value != 0
-        assert (value > 0) == (t % 2 == 1), f"sign of B_{2 * t}"
 
 
 def test_the_bernoulli_polynomial_rows_match_their_definition():
@@ -182,15 +168,10 @@ def test_corrupt_bernoulli_is_scoped(corrupt_bernoulli):
 # -- stirling --------------------------------------------------------------------
 
 
-def test_stirling_small_values_by_enumeration():
-    assert stirling1_unsigned(3, 1) == stirling1_by_enumeration(3, 1) == 2
-    assert stirling1_unsigned(4, 2) == stirling1_by_enumeration(4, 2) == 11
-
-
-def test_stirling_full_triangle_by_enumeration():
-    for m in range(7):
-        for n in range(m + 1):
-            assert stirling1_unsigned(m, n) == stirling1_by_enumeration(m, n)
+@pytest.mark.parametrize("m", range(7))
+def test_stirling_full_triangle_by_enumeration(m):
+    for n in range(m + 1):
+        assert stirling1_unsigned(m, n) == stirling1_by_enumeration(m, n), n
 
 
 def test_stirling_diagonal_and_bounds():
@@ -211,40 +192,24 @@ def test_stirling_row_sums_are_factorials():
         assert sum(stirling1_row(m)) == factorial(m)
 
 
-def test_r_stirling_boundary():
-    for r in range(6):
-        assert r_stirling1(r, r, r) == 1
-        if r >= 1:
-            assert r_stirling1(r, r - 1, r) == 0
-
-
-def test_r_stirling_r0_reduces_to_plain():
-    for m in range(11):
+# the r = 0 rows are the plain triangle: no element is marked
+@pytest.mark.parametrize("m", range(6))
+def test_r_stirling_by_enumeration(m):
+    for r in range(m + 1):
         for n in range(m + 1):
-            assert r_stirling1(m, n, 0) == stirling1_unsigned(m, n)
+            assert r_stirling1(m, n, r) == r_stirling1_by_enumeration(m, n, r), (n, r)
 
 
-def test_r_stirling_by_enumeration():
-    # note (5, 4, 2) is 9 = C(5,2) - 1: only the transposition of the two
-    # marked elements is excluded; 7 corresponds to three marked elements
-    assert r_stirling1(5, 4, 2) == r_stirling1_by_enumeration(5, 4, 2) == 9
-    assert r_stirling1(5, 4, 3) == r_stirling1_by_enumeration(5, 4, 3) == 7
-    for m in range(6):
-        for r in range(m + 1):
-            for n in range(m + 1):
-                assert r_stirling1(m, n, r) == r_stirling1_by_enumeration(m, n, r)
-
-
-def test_r_stirling_generating_function():
+@pytest.mark.parametrize("r", range(9))
+def test_r_stirling_generating_function(r):
     """sum_k [n+r, k+r]_r x^k = (x+r)(x+r+1)...(x+r+n-1), multiplied out here."""
-    for r in range(9):
-        product = [1]  # coefficients of the product, lowest degree first
-        for n in range(31):
-            for k in range(n + 2):
-                expected = product[k] if k <= n else 0
-                assert r_stirling1(n + r, k + r, r) == expected, (n, k, r)
-            # times (x + r + n): x raises each degree by one, r + n scales in place
-            product = [(r + n) * a + b for a, b in zip(product + [0], [0] + product)]
+    product = [1]  # coefficients of the product, lowest degree first
+    for n in range(31):
+        for k in range(n + 2):
+            expected = product[k] if k <= n else 0
+            assert r_stirling1(n + r, k + r, r) == expected, (n, k)
+        # times (x + r + n): x raises each degree by one, r + n scales in place
+        product = [(r + n) * a + b for a, b in zip(product + [0], [0] + product)]
 
 
 def test_r_stirling_rejects_m_below_r():

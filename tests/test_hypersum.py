@@ -37,7 +37,7 @@ from hypersums.newton import (
     s1_poly,
 )
 from hypersums.polyring import RatPoly, monomial
-from hypersums.verify import run_all
+from hypersums.verify import run_all, run_grid
 
 
 def g_coeffs(p):
@@ -71,6 +71,8 @@ def test_bruteforce_reads_the_value_table_rows():
         for r, row in enumerate(rows):
             assert row == [hyper_sum_bruteforce(m, r, n) for n in range(13)], (m, r)
             assert row == [hyper_sum_newton(m, r, n) for n in range(13)], (m, r)
+    assert hyper_sum_newton(0, 0, 10**20) == 1
+    assert hyper_sum_newton(0, 3, 10**6) == comb(10**6 + 2, 3)
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -90,28 +92,6 @@ def test_power_sum_poly_small():
     assert power_sum_poly(0) == RatPoly([0, 1])
     assert power_sum_poly(1) == RatPoly([0, Fraction(1, 2), Fraction(1, 2)])
     assert power_sum_poly(3) == RatPoly([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
-
-
-def test_power_sum_poly_matches_recursion():
-    for m in range(9):
-        p = power_sum_poly(m)
-        for n in range(12):
-            assert p.eval(n) == hyper_sum_bruteforce(m, 1, n)
-
-
-# -- weight polynomials -------------------------------------------------------------
-
-
-def test_q_poly_base_cases():
-    assert q_poly(0, 0) == RatPoly([1])
-    for r in range(1, 6):
-        assert q_poly(r, r) == RatPoly([1])
-
-
-def test_q_poly_row_oracle():
-    # row [3, .] of the first-kind triangle is (0, 2, 3, 1)
-    assert q_poly(2, 0) == RatPoly([2, 3, 1])
-    assert q_poly(2, 1) == RatPoly([3, 2])
 
 
 # -- the five polynomial routes ------------------------------------------------------
@@ -154,13 +134,6 @@ def test_the_c_route_is_the_explicit_coefficient_formula_at_every_k():
         route = hyper_sum_poly_c(m, r).poly
         for k in range(1, m + r + 1):
             assert explicit_coefficient(m, r, k) == route.coefficient(k), (m, r, k)
-
-
-def test_chain_reproduces_explicit_coefficients():
-    lifted = hyper_sum_poly_chain(2, 4).poly
-    explicit = hyper_sum_poly_c(2, 4).poly
-    for k in range(1, 7):
-        assert lifted.coefficient(k) == explicit.coefficient(k)
 
 
 def test_lemma_family_members():
@@ -213,8 +186,9 @@ def test_route_domain_matches_route(name):
 
 
 # the library's guards below each domain, called directly, with the words each refuses
-# with: the CLI admits only m, r, n >= 0 and never reaches them, and it maps a DomainError
-# alone to exit 2; any other error, or a polynomial, here is a leak
+# with: the CLI admits only m, r, n >= 0 and verify grid bounds >= 1 and never reaches
+# them, and it maps a DomainError alone to exit 2; any other error, or a value, here is a
+# leak
 BELOW_THE_DOMAIN = {
     "table at m=-1": (lambda: list(value_table(-1, 0, 0)), "need m, r, n >= 0, got (-1, 0, 0)"),
     "table at r=-1": (lambda: list(value_table(0, -1, 0)), "need m, r, n >= 0, got (0, -1, 0)"),
@@ -233,6 +207,8 @@ BELOW_THE_DOMAIN = {
     "q at r=0": (lambda: hyper_sum_poly_q(2, 0), "the power-sum expansion needs r >= 1, got 0"),
     "chain at r=0": (lambda: hyper_sum_poly_chain(2, 0), "need r >= 1, got 0"),
     "det at m=0": (lambda: hyper_sum_det(0, 2), "need m >= 1, got 0"),
+    "matrix at m=0": (lambda: hessenberg.build_matrix(0, 1), "need m >= 1, got 0"),
+    "matrix at r=-1": (lambda: hessenberg.build_matrix(3, -1), "need r >= 0, got -1"),
     "newton factor at m=0": (lambda: newton_factor(0, 3), "need m >= 1 and r >= 0, got (0, 3)"),
     "newton factor at r=-1": (lambda: newton_factor(3, -1), "need m >= 1 and r >= 0, got (3, -1)"),
     "u-form at r=0": (lambda: faulhaber_u_form(3, 0), "need m >= 1 and r >= 1, got (3, 0)"),
@@ -241,6 +217,9 @@ BELOW_THE_DOMAIN = {
     "half-shifted sum at m=-1": (lambda: faulhaber_r1(-1), "need m >= 1, got -1"),
     "parity-split lift at e=0": (lambda: coffey_residual(0, 1), "need e >= 1, got 0"),
     "parity-split lift at e=-1": (lambda: coffey_residual(-1, 1), "need e >= 1, got -1"),
+    "verify grid at m=0": (lambda: run_grid(0, 1, 1), "grid bounds must be >= 1"),
+    "verify grid at r=0": (lambda: run_grid(1, 0, 1), "grid bounds must be >= 1"),
+    "verify grid at n=0": (lambda: run_grid(1, 1, 0), "grid bounds must be >= 1"),
 }
 
 
@@ -283,15 +262,6 @@ def test_hyper_sum_newton_matches_the_reference_oracle():
                 assert got == newton_oracle(m, r, n), (m, r, n)
     m, r, n = 60, 30, 10**12 + 39
     assert hyper_sum_newton(m, r, n) == newton_oracle(m, r, n)
-
-
-def test_hyper_sum_newton_at_m_0_and_small_n():
-    for m in range(7):
-        for r in range(6):
-            for n in range(10):
-                assert hyper_sum_newton(m, r, n) == hyper_sum_bruteforce(m, r, n), (m, r, n)
-    assert hyper_sum_newton(0, 0, 10**20) == 1
-    assert hyper_sum_newton(0, 3, 10**6) == comb(10**6 + 2, 3)
 
 
 @pytest.mark.parametrize("m, r", [(58, 29), (60, 30), (120, 100)])
@@ -395,11 +365,6 @@ def test_hyper_sum_det_cubic_display():
             Fraction(1, (r + 2) * (r + 3))
         )
         assert hyper_sum_det(3, r).poly == expected
-
-
-def test_faulhaber_det_r0_is_pure_power():
-    for m in range(1, 9):
-        assert faulhaber_det(m, 0) == monomial(m - 1, 1, "N", 0)
 
 
 # -- the Newton factor ---------------------------------------------------------------
@@ -554,17 +519,9 @@ def test_quintic_difference_alternative_factoring():
     assert lhs == (prefactor * bracket).scale(Fraction(1, 240))
 
 
-# -- provider and structural invariants ------------------------------------------------------
+# -- provider --------------------------------------------------------------------------------
 
 
 def test_provider_covers_r0():
     assert hyper_sum_poly(3, 0) == monomial(3)
     assert hyper_sum_poly(0, 0) == RatPoly([1])
-
-
-def test_hyper_sum_poly_structure():
-    for m in range(0, 7):
-        for r in range(1, 5):
-            p = hyper_sum_poly(m, r)
-            assert p.coefficient(0) == 0
-            assert p.degree == m + r
