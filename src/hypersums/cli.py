@@ -42,7 +42,8 @@ MAX_M_R = 200
 MAX_TABLE_M_R = 100
 # largest verify grid (m_max, r_max, n_max); README.md gives its cold time with MAX_M_R's
 MAX_VERIFY_GRID = (30, 15, 100)
-# most digits of a printed int: sys.get_int_max_str_digits() refuses longer ones by default
+# most digits of a printed int, Python's default int-to-text limit; main raises a lower
+# limit to it while it serves a request
 MAX_DIGITS = 4300
 # eval --method: the served Newton basis, the recursion, then hypersum.ROUTES by name, written
 # out so that building the parser imports no route (tests/test_cli.py holds it to ROUTES)
@@ -300,6 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # a limit set by PYTHONINTMAXSTRDIGITS or -X int_max_str_digits; 0 is none, and so is
+    # Python before 3.10.7, which has neither the limit nor these functions
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    raised = 0 < limit < MAX_DIGITS
+    if raised:
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -317,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # no traceback; fd 1 to devnull, so the exit flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        if raised:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

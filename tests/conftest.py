@@ -1,11 +1,13 @@
-"""Shared test fixtures, the in-process CLI runner, the checker of the JSON schema, and
-the harness that reads a table from many threads at once."""
+"""Shared test fixtures, the fault in one entry of a shared table, the call spy, the
+in-process CLI runner, the checker of the JSON schema, and the harness that reads a table
+from many threads at once."""
 
 from __future__ import annotations
 
 import io
 import sys
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -13,32 +15,43 @@ from math import gcd
 import pytest
 
 from hypersums import cli, exactnum, newton
+from hypersums.exactnum import GrownTable
 from hypersums.polyring import RatPoly
 
 
-@pytest.fixture
-def corrupt_bernoulli():
-    """Context manager that swaps a wrong value for B_j in the shared table.
+@contextmanager
+def table_fault(k: int, entry, table: Callable[[], GrownTable] = lambda: exactnum._BERNOULLI):
+    """Entry k of a shared grown table, the Bernoulli numbers unless ``table`` returns
+    another, swapped for ``entry``, so that every reader reads it.
 
-    The table entry itself is replaced (and the derived caches flushed), so
-    every route reads the bad value; the original value is put back and the
-    caches flushed again on exit, also when the body raises.
+    The derived caches are flushed first, so that no value built before the fault hides
+    it, and ``table()`` is read after the flush, since a table may be a memo.  The table
+    is grown past k, so that no later entry is grown from the swapped one.  On exit the
+    entry is put back and the caches are flushed again, also when the body raises.
     """
-
-    @contextmanager
-    def corrupt(j: int, value: Fraction):
-        exactnum.bernoulli(j)
-        table = exactnum._BERNOULLI._entries
-        original = table[j]
-        table[j] = Fraction(value)
+    exactnum.clear_derived_caches()
+    grown = table()
+    grown[k + 1]
+    original, grown._entries[k] = grown._entries[k], entry
+    try:
+        yield
+    finally:
+        grown._entries[k] = original
         exactnum.clear_derived_caches()
-        try:
-            yield
-        finally:
-            table[j] = original
-            exactnum.clear_derived_caches()
 
-    return corrupt
+
+def spy(monkeypatch, owner, name: str) -> list[tuple]:
+    """The positional arguments of each call of ``owner.name`` from now on; the calls
+    run as before, and the original is put back at the end of the test."""
+    calls: list[tuple] = []
+    real = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 @pytest.fixture

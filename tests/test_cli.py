@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +28,7 @@ from hypersums.hessenberg import build_matrix, leading_minor
 from hypersums.hypersum import hyper_sum_bruteforce, hyper_sum_poly
 from hypersums.newton import hyper_sum_newton
 from hypersums.polyring import RatPoly, poly_to_json
-from conftest import check_poly_blob, run_main
+from conftest import check_poly_blob, run_main, spy, table_fault
 
 
 def run_cli_full(*argv: str) -> tuple[int, str, str]:
@@ -265,9 +266,7 @@ def test_poly_centered_and_factored():
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_poly_factored_reads_the_centered_factor_once(monkeypatch, fmt):
-    calls = []
-    real = newton.newton_factor
-    monkeypatch.setattr(newton, "newton_factor", lambda m, r: calls.append((m, r)) or real(m, r))
+    calls = spy(monkeypatch, newton, "newton_factor")
     argv = ("poly", "--m", "5", "--r", "7", "--var", "N", "--factored", "--format", fmt)
     code, out = run_cli(*argv)
     assert code == 0 and out
@@ -464,27 +463,19 @@ def test_det_renders_each_distinct_entry_once(monkeypatch):
     matrix = build_matrix(59, 5)
     distinct = {e for row in matrix.entries for e in row}
     assert len(distinct) < matrix.order**2 // 2
-    calls = []
-
-    def counted(fn):
-        return lambda e, *args: calls.append(e) or fn(e, *args)
-
-    monkeypatch.setattr(hessenberg, "poly_to_json", counted(hessenberg.poly_to_json))
-    monkeypatch.setattr(hessenberg, "to_text", counted(hessenberg.to_text))
-    monkeypatch.setattr(RatPoly, "eval", counted(RatPoly.eval))
+    calls = [spy(monkeypatch, hessenberg, name) for name in ("poly_to_json", "to_text")]
+    calls.append(spy(monkeypatch, RatPoly, "eval"))
     hessenberg.matrix_to_json(matrix)
     hessenberg.matrix_to_text(matrix)
     hessenberg.matrix_to_text(matrix, Fraction(7, 2))
-    assert len(calls) == 3 * len(distinct)
+    assert [len(c) for c in calls] == [len(distinct)] * 3
 
 
 def test_det_at_r0_relabels_each_distinct_entry_once(monkeypatch):
     matrix = build_matrix(59, 0)
     distinct = {e for row in matrix.entries for e in row}
     assert len(distinct) < 200 < matrix.order**2
-    calls = []
-    relabel = cli.to_n_frame
-    monkeypatch.setattr(cli, "to_n_frame", lambda p: calls.append(p) or relabel(p))
+    calls = spy(monkeypatch, cli, "to_n_frame")
     code, _ = run_cli("det", "--m", "59", "--r", "0", "--format", "json")
     assert code == 0
     assert len(calls) <= len(distinct) + 1  # plus the determinant
@@ -588,8 +579,8 @@ def test_verify_grid_defaults_to_the_default_grid(flags, grid):
     assert json.loads(out)["grid"] == dict(zip(("m_max", "r_max", "n_max"), grid))
 
 
-def test_verify_fault_injection_exit_1(corrupt_bernoulli):
-    with corrupt_bernoulli(4, Fraction(1, 31)):
+def test_verify_fault_injection_exit_1():
+    with table_fault(4, Fraction(1, 31)):
         code, out = run_cli("verify", "--max-m", "3", "--max-r", "2", "--max-n", "4")
     assert code == 1
     assert "FAIL" in out
@@ -690,11 +681,9 @@ JSON_REQUESTS = [
 
 def run_json(monkeypatch, *argv: str) -> tuple[int, str, list]:
     """Run a JSON request, recording each payload handed to the printer."""
-    payloads = []
-    printer = cli._print_json
-    monkeypatch.setattr(cli, "_print_json", lambda p: payloads.append(p) or printer(p))
+    payloads = spy(monkeypatch, cli, "_print_json")
     code, out = run_cli(*argv, "--format", "json")
-    return code, out, payloads
+    return code, out, [payload for payload, in payloads]
 
 
 @pytest.mark.parametrize("argv", JSON_REQUESTS, ids=" ".join)
@@ -705,11 +694,9 @@ def test_the_json_printer_writes_the_bytes_of_json_dumps(monkeypatch, argv):
     json.loads(out)
 
 
-def test_the_json_printer_writes_a_failing_report_as_json_dumps(
-    monkeypatch, corrupt_bernoulli
-):
+def test_the_json_printer_writes_a_failing_report_as_json_dumps(monkeypatch):
     # the failure details hold quotes and serialized polynomials
-    with corrupt_bernoulli(2, Fraction(1, 7)):
+    with table_fault(2, Fraction(1, 7)):
         code, out, payloads = run_json(
             monkeypatch, "verify", "--max-m", "4", "--max-r", "3", "--max-n", "6"
         )
@@ -755,6 +742,31 @@ def test_table_file_in_environment_is_ignored(tmp_path, monkeypatch):
     assert (code, out) == (0, "5273999\n")
     assert (tmp_path / "tables.json").read_text() == poisoned
     assert [p.name for p in tmp_path.iterdir()] == ["tables.json"]
+
+
+# requests that print ints of 1507, 1094 and 680 digits
+LONG_INTS = [
+    ("eval", "--m", "200", "--r", "200", "--n", "100000"),
+    ("det", "--m", "50", "--r", "2", "--at", str(10**21)),
+    ("table", "--max-m", "100", "--max-r", "20", "--n", "1000000"),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python < 3.10.7")
+def test_a_lower_digit_limit_is_raised_while_a_request_is_served():
+    # under 640, the least limit that PYTHONINTMAXSTRDIGITS sets, each of them once
+    # exited 1 with a ValueError, det after printing most of its text
+    clean = [run_cli_full(*argv) for argv in LONG_INTS]
+    assert all(max(map(len, re.findall(r"\d+", out))) > 640 for _, out, _ in clean)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        limited = [run_cli_full(*argv) for argv in LONG_INTS]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [code for code, _, _ in clean] == [0, 0, 0]
+    assert limited == clean
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -22,7 +22,7 @@ from hypersums.exactnum import (
     stirling1_row,
     stirling1_unsigned,
 )
-from conftest import check_rational_blob, read_in_threads
+from conftest import check_rational_blob, read_in_threads, table_fault
 
 # -- independent oracles -------------------------------------------------------
 
@@ -159,8 +159,8 @@ def test_a_negative_index_is_refused(read):
         read(-1)
 
 
-def test_corrupt_bernoulli_is_scoped(corrupt_bernoulli):
-    with corrupt_bernoulli(4, Fraction(1, 31)):
+def test_a_table_fault_is_scoped():
+    with table_fault(4, Fraction(1, 31)):
         assert bernoulli(4) == Fraction(1, 31)
     assert bernoulli(4) == Fraction(-1, 30)
 

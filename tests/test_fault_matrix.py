@@ -16,7 +16,7 @@ tests pin both identities.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -25,37 +25,7 @@ from hypersums import exactnum, hessenberg, hypersum, newton
 from hypersums.exactnum import bernoulli, bernoulli_row
 from hypersums.polyring import RatPoly, monomial, sum_of_products
 from hypersums.verify import DEFAULT_GRID, GRID_CHECKS, run_all
-from conftest import run_main
-
-
-@contextmanager
-def stirling_entry_off_by_one(m: int, r: int = 0):
-    """Entry 2 of row m of the r-Stirling table one too large in the shared table,
-    the derived caches flushed on the way in and out."""
-    exactnum.r_stirling1(m + 1, 0, r)  # grown past row m: no later row is grown from the bad one
-    table = exactnum._STIRLING[r]._entries
-    original = table[m - r]
-    table[m - r] = original[:2] + (original[2] + 1,) + original[3:]
-    exactnum.clear_derived_caches()
-    try:
-        yield
-    finally:
-        table[m - r] = original
-        exactnum.clear_derived_caches()
-
-
-@contextmanager
-def bernoulli_row_entry_raised(n: int, k: int):
-    """Entry k of ``bernoulli_row(n)`` raised by the row's D, so that it reads
-    C(n, k) B_(n-k) one too large; the rows are a memo, flushed on the way out."""
-    exactnum.bernoulli_row(n + 1)  # grown past row n, so no later row is grown from the bad one
-    table = exactnum._bernoulli_rows()._entries
-    row, den = table[n]
-    table[n] = (row[:k] + (row[k] + den,) + row[k + 1 :], den)
-    try:
-        yield
-    finally:
-        exactnum.clear_derived_caches()
+from conftest import run_main, table_fault
 
 
 def value_table_off_by_one(m: int, r_max: int, n_max: int, real=hypersum.value_table):
@@ -135,14 +105,17 @@ FAILS_AT = {
 def inject(kind: str, where, request, monkeypatch):
     """Put one fault of ``FAULTS`` in place; the context manager returned undoes it on exit."""
     if kind == "bernoulli":
-        corrupt = request.getfixturevalue("corrupt_bernoulli")
-        return corrupt(where, bernoulli(where) + Fraction(1, 3))
-    if kind == "stirling":
-        return stirling_entry_off_by_one(where)
-    if kind == "r-stirling":
-        return stirling_entry_off_by_one(*where)
-    if kind == "bernoulli-row":
-        return bernoulli_row_entry_raised(*where)
+        return table_fault(where, bernoulli(where) + Fraction(1, 3))
+    if kind in ("stirling", "r-stirling"):  # entry 2 of row m of the r-Stirling table + 1
+        m, r = (where, 0) if kind == "stirling" else where
+        row = exactnum._stirling_row(m, r)  # the table of r is made on its first read
+        wrong = row[:2] + (row[2] + 1,) + row[3:]
+        return table_fault(m - r, wrong, lambda: exactnum._STIRLING[r])
+    if kind == "bernoulli-row":  # entry k of row n raised by the row's D: C(n, k) B_(n-k) + 1
+        n, k = where
+        row, den = bernoulli_row(n)
+        wrong = (row[:k] + (row[k] + den,) + row[k + 1 :], den)
+        return table_fault(n, wrong, exactnum._bernoulli_rows)
     if kind == "newton-weight":
         request.getfixturevalue("wrong_newton_weight")
     elif kind == "value-table":
@@ -187,15 +160,10 @@ def test_the_default_grid_fails_under_every_fault(kind, where, request, monkeypa
         )
 
 
-def names_of(family) -> set[str]:
-    """The names of the checks that ``family`` yields, read off a small grid."""
-    return {c.name for c in family(2, 2, 2)}
-
-
 def test_every_family_alone_catches_a_fault():
     # a family added without a fault that it alone catches would check a fact twice
     for family in GRID_CHECKS:
-        names = names_of(family)
+        names = {c.name for c in family(2, 2, 2)}  # read off a small grid
         assert any(failed <= names for failed in ALONE.values()), family.__name__
 
 
@@ -346,10 +314,8 @@ def half_steps_from_the_lift() -> list[tuple[RatPoly, RatPoly]]:
     [None, (2, Fraction(1, 7)), (3, Fraction(1, 5)), (4, Fraction(1, 31))],
     ids=["clean", "B2", "B3", "B4"],
 )
-def test_the_half_step_defect_is_m_times_the_parity_lift_minus_the_odd_terms(
-    corrupt_bernoulli, corruption
-):
-    with corrupt_bernoulli(*corruption) if corruption else nullcontext():
+def test_the_half_step_defect_is_m_times_the_parity_lift_minus_the_odd_terms(corruption):
+    with table_fault(*corruption) if corruption else nullcontext():
         pairs = half_steps_from_the_lift()
     # the recurrence fails under each corruption, so a lift that vanished would break
     # the identity; the odd terms part the two only under the odd-index B_3
@@ -374,20 +340,11 @@ def centered_defects_from_the_others() -> list[RatPoly]:
     return defects
 
 
-def test_the_centered_defect_is_implied_by_the_order_lift_and_half_step_defects():
-    assert all(c.is_zero() for c in centered_defects_from_the_others())
-
-
-@pytest.mark.parametrize("j, value", [(2, Fraction(1, 7)), (3, Fraction(1, 5))], ids=["B2", "B3"])
-def test_the_implication_holds_where_the_centered_recurrence_fails(corrupt_bernoulli, j, value):
-    with corrupt_bernoulli(j, value):
+@pytest.mark.parametrize(
+    "corruption", [None, (2, Fraction(1, 7)), (3, Fraction(1, 5))], ids=["clean", "B2", "B3"]
+)
+def test_the_centered_defect_is_implied_by_the_order_lift_and_half_step_defects(corruption):
+    with table_fault(*corruption) if corruption else nullcontext():
         defects = centered_defects_from_the_others()
-    # the recurrence does fail, and the two families fail with it
-    assert not all(c.is_zero() for c in defects)
-
-
-def test_the_centered_defect_at_r_0_is_the_provider_against_itself():
-    # C(m, 0) = m (S(m, 0) - n S(m-1, 0)), zero on the provider's n^m
-    for m in range(2, 11):
-        assert centered_defect(m, 0).is_zero()
-        assert hypersum.hyper_sum_poly(m, 0) == RatPoly([0] * m + [1])
+    # the recurrence fails under each corruption, and the two families fail with it
+    assert all(c.is_zero() for c in defects) == (corruption is None)

@@ -38,6 +38,7 @@ from hypersums.newton import (
 )
 from hypersums.polyring import RatPoly, monomial
 from hypersums.verify import run_all, run_grid
+from conftest import spy, table_fault
 
 
 def g_coeffs(p):
@@ -322,12 +323,10 @@ def test_the_route_polynomials_are_unchanged(name):
 # recurrences and the matrix (lemma, det), B_5 from m = 6 on; a route that skips the odd
 # indices instead of the zero values misses the change
 @pytest.mark.parametrize("j, value, m_min", [(3, Fraction(1, 7), 4), (5, Fraction(1, 11), 6)])
-def test_a_corrupted_odd_index_bernoulli_number_reaches_every_route(
-    corrupt_bernoulli, j, value, m_min
-):
+def test_a_corrupted_odd_index_bernoulli_number_reaches_every_route(j, value, m_min):
     cells = [(m, r) for m in range(m_min, 13) for r in (1, 3, 6)]
     good = {(name, m, r): route(m, r).poly for name, route in ROUTES.items() for m, r in cells}
-    with corrupt_bernoulli(j, value):
+    with table_fault(j, value):
         changed = [key for key, p in good.items() if ROUTES[key[0]](*key[1:]).poly != p]
         assert not run_all(8, 4, 10).passed
     assert changed == list(good)
@@ -495,9 +494,7 @@ def test_faulhaber_r1_f_coeffs_alternate():
 
 def test_faulhaber_r1_reuses_the_cached_determinant(monkeypatch):
     faulhaber_det(9, 1)
-    calls = []
-    real_row = hessenberg.bernoulli_row
-    monkeypatch.setattr(hessenberg, "bernoulli_row", lambda n: calls.append(n) or real_row(n))
+    calls = spy(monkeypatch, hessenberg, "bernoulli_row")
     assert faulhaber_r1(9).coeffs == power_sum_poly(9).shift(Fraction(-1, 2)).coeffs
     # the minor of order 8 at r = 1 is read from the table: no minor step runs again
     assert calls == []

@@ -32,7 +32,7 @@ from hypersums.polyring import (
     to_text,
     to_u_form,
 )
-from conftest import check_poly_blob
+from conftest import check_poly_blob, spy
 
 G57 = RatPoly([Fraction(7, 16), 0, Fraction(-35, 198), 0, Fraction(1, 99)], "N", 7)
 G67 = RatPoly([0, Fraction(6419, 10296), 0, Fraction(-49, 429), 0, Fraction(2, 429)], "N", 7)
@@ -306,9 +306,7 @@ def test_a_factor_that_is_neither_a_polynomial_nor_a_number_is_refused(bad):
 def test_add_sub_and_scale_build_one_polynomial(monkeypatch):
     p = RatPoly((1, 2, Fraction(3, 4), 5), "N", 2)
     q = RatPoly((Fraction(1, 2), 0, 7), "N", 2)
-    built = []
-    real_raw = polyring._raw
-    monkeypatch.setattr(polyring, "_raw", lambda *args: built.append(args) or real_raw(*args))
+    built = spy(monkeypatch, polyring, "_raw")
     for op in (lambda: p + q, lambda: p - q, lambda: p.scale(Fraction(2, 3))):
         built.clear()
         op()

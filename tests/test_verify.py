@@ -13,6 +13,7 @@ from hypersums import cli, hypersum, verify
 from hypersums.exactnum import bernoulli
 from hypersums.polyring import RatPoly
 from hypersums.verify import DEFAULT_GRID, check_routes, golden_fixtures, run_all, run_grid
+from conftest import spy, table_fault
 
 
 def test_grid_checks_every_route_in_the_table(monkeypatch):
@@ -36,9 +37,7 @@ def off_by_n(m: int, r: int) -> hypersum.HyperSumPoly:
 
 def routes_with_comparisons(monkeypatch, m_max: int, r_max: int, n_max: int):
     """The check_routes results on the grid, and the number of table comparisons made."""
-    calls = []
-    real = RatPoly.first_mismatch
-    monkeypatch.setattr(RatPoly, "first_mismatch", lambda p, v: calls.append(1) or real(p, v))
+    calls = spy(monkeypatch, RatPoly, "first_mismatch")
     checks = list(check_routes(m_max, r_max, n_max))
     return checks, len(calls)
 
@@ -111,8 +110,8 @@ REPORT_DIGESTS = [
     REPORT_DIGESTS,
     ids=["clean", "B2", "B4", "B3", "1-1-1-clean", "3-2-4-clean", "3-2-4-B3"],
 )
-def test_the_report_is_unchanged(grid, corruption, digest, corrupt_bernoulli):
-    with corrupt_bernoulli(*corruption) if corruption else nullcontext():
+def test_the_report_is_unchanged(grid, corruption, digest):
+    with table_fault(*corruption) if corruption else nullcontext():
         checks = [c.to_json() for c in run_all(*grid).checks]
     assert hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest() == digest
 
@@ -140,8 +139,8 @@ SUMMARY_DIGESTS = [
 @pytest.mark.parametrize(
     "grid, corruption, status, digest", SUMMARY_DIGESTS, ids=["2-1-3-clean", "3-2-4-B3"]
 )
-def test_the_text_report_is_unchanged(grid, corruption, status, digest, corrupt_bernoulli):
-    with corrupt_bernoulli(*corruption) if corruption else nullcontext():
+def test_the_text_report_is_unchanged(grid, corruption, status, digest):
+    with table_fault(*corruption) if corruption else nullcontext():
         text = run_all(*grid)._replace(wall_time=1.5).summary_text()
     assert text.splitlines()[-1] == status
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -154,12 +153,10 @@ def centered_factor_failures(m_max: int = 8, r_max: int = 4, n_max: int = 10) ->
 
 
 @pytest.mark.parametrize("j", range(2, 10))
-def test_the_newton_partner_fails_under_each_bernoulli_number_the_determinant_reads(
-    corrupt_bernoulli, j
-):
+def test_the_newton_partner_fails_under_each_bernoulli_number_the_determinant_reads(j):
     # the determinant of order m - 1 reads B_2 ... B_(m-1), the Newton factor none: its
     # partner fails under every one of them, the even ones included
-    with corrupt_bernoulli(j, bernoulli(j) + Fraction(1, 3)):
+    with table_fault(j, bernoulli(j) + Fraction(1, 3)):
         partner, failures = centered_factor_failures()
     assert failures
     assert {(c.params["m"], c.params["r"]) for c in partner} == {
