@@ -20,6 +20,7 @@ _EXPORTS = {
     "exactnum": (
         "Rational",
         "bernoulli",
+        "hyper_sum_bruteforce",
         "r_stirling1",
         "rising_factorial",
         "stirling1_unsigned",
@@ -30,7 +31,6 @@ _EXPORTS = {
         "coffey_residual",
         "faulhaber_det",
         "faulhaber_r1",
-        "hyper_sum_bruteforce",
         "hyper_sum_det",
         "hyper_sum_poly",
         "hyper_sum_poly_c",

@@ -5,8 +5,9 @@ diagnostics to stderr.  Values are always exact ("p/q", never decimals).
 Values and polynomials come from :mod:`hypersums.newton`, whose weights are proved for
 every reader by ``newton_weights``; ``eval``'s recursion or route and ``det``'s
 determinant are checked against them.  So ``eval``, ``poly`` and ``table`` load that
-module alone; ``det`` also loads :mod:`hypersums.hessenberg`, ``eval --method`` a route
-or the recursion of :mod:`hypersums.hypersum`, and ``verify`` :mod:`hypersums.verify`.
+module alone, and so does ``eval --method bruteforce``, whose recursion is in
+:mod:`hypersums.exactnum`; ``det`` also loads :mod:`hypersums.hessenberg`, ``eval
+--method`` with a route :mod:`hypersums.hypersum`, and ``verify`` :mod:`hypersums.verify`.
 Exit codes: 0 success; 1 only when ``verify`` finds a failure; 2 invalid arguments,
 from argparse or a ``DomainError`` the library raises; 3 a failed internal check, a
 ``CrossCheckError``; 141 (128 + SIGPIPE) a stdout closed early.  :func:`main` alone turns
@@ -18,9 +19,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 from fractions import Fraction
 
-from . import newton  # the served path; the commands import hessenberg, hypersum, verify
+from . import exactnum, newton  # newton serves; the commands import hessenberg, hypersum, verify
 from .exactnum import CrossCheckError, DomainError, memo, rational_to_json
 from .polyring import RatPoly, poly_to_json, to_latex, to_n_frame, to_text
 
@@ -94,11 +96,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"for the d digits of n + r, got {work} at m={m}, r={r}, n={n}"
             )
     value = newton.hyper_sum_newton(m, r, n)  # the proved Newton basis serves
-    if method != "auto":  # the recursion or a route by name loads only here, to be checked
-        from . import hypersum
+    if method != "auto":  # checked against the recursion or a route asked for by name
         if method == "bruteforce":
-            name, check = "the recursion", hypersum.hyper_sum_bruteforce(m, r, n)
-        else:
+            name, check = "the recursion", exactnum.hyper_sum_bruteforce(m, r, n)
+        else:  # the routes load only here
+            from . import hypersum
             name, check = f"polynomial route {method}", hypersum.ROUTES[method](m, r).poly.eval(n)
         if check != value:
             raise CrossCheckError(
@@ -300,13 +302,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the calls of main in progress, and the int-to-text limit that the first of them found
+_calls, _limit = 0, 0
+_CALLS_LOCK = threading.Lock()
+
+
+def _count_call(step: int) -> None:
+    """Count a call of main in (``step`` 1) or out (-1).  A lower limit, set by
+    PYTHONINTMAXSTRDIGITS or -X int_max_str_digits, is raised to MAX_DIGITS by the first
+    call in and restored by the last call out, so that calls served at once in threads
+    never lower it under each other.  0 is no limit, and so is Python before 3.10.7,
+    which has neither the limit nor these functions."""
+    global _calls, _limit
+    with _CALLS_LOCK:
+        if _calls == 0:
+            _limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        _calls += step
+        if 0 < _limit < MAX_DIGITS:
+            sys.set_int_max_str_digits(MAX_DIGITS if _calls else _limit)
+
+
 def main(argv: list[str] | None = None) -> int:
-    # a limit set by PYTHONINTMAXSTRDIGITS or -X int_max_str_digits; 0 is none, and so is
-    # Python before 3.10.7, which has neither the limit nor these functions
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    raised = 0 < limit < MAX_DIGITS
-    if raised:
-        sys.set_int_max_str_digits(MAX_DIGITS)
+    _count_call(1)
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -325,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     finally:
-        if raised:
-            sys.set_int_max_str_digits(limit)
+        _count_call(-1)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exact scalars and the combinatorial number tables.
+"""Exact scalars, the combinatorial number tables and the defining recursion.
 
 Every quantity in this package is an exact rational; the scalar type is
 ``fractions.Fraction`` (re-exported as :data:`Rational`), which is always
@@ -17,9 +17,10 @@ are grown in order, each from the one before it.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, islice
 from math import lcm
 
 Rational = Fraction
@@ -208,6 +209,35 @@ def r_stirling1(m: int, n: int, r: int) -> int:
     """r-Stirling number of the first kind [m, n]_r (requires m >= r)."""
     row = _stirling_row(m, r)
     return row[n] if 0 <= n <= m else 0
+
+
+def value_table(m: int, r_max: int, n_max: int) -> Iterator[list[int]]:
+    """The rows [S(m, r, 0), ..., S(m, r, n_max)] for r = 0, ..., r_max, in order.
+
+    Straight from the defining recursion: row 0 is [i^m] with 0^0 = 1, and
+    row r is the prefix sums of row r-1 from i = 1, so the empty sum makes
+    S(m, r, 0) = 0 for r >= 1.  The rows are yielded one at a time and only
+    the latest is kept.
+    """
+    if m < 0 or r_max < 0 or n_max < 0:
+        raise DomainError(f"need m, r, n >= 0, got ({m}, {r_max}, {n_max})")
+    row = [i**m for i in range(n_max + 1)]
+    yield row
+    for _ in range(r_max):
+        row = [0, *accumulate(islice(row, 1, None))]
+        yield row
+
+
+def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
+    """S(m, r, n) straight from the defining recursion: the last row of
+    :func:`value_table`.
+
+    Conventions: 0^0 = 1, so (m, r, n) = (0, 0, 0) gives 1; for r >= 1 the
+    empty sum at n = 0 gives 0.
+    """
+    for row in value_table(m, r, n):
+        pass
+    return row[n]
 
 
 # --- JSON serialization -----------------------------------------------------

@@ -27,8 +27,6 @@ through that module.  Everything is exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import accumulate, islice
 from math import comb, factorial, lcm
 
 from . import hessenberg, newton
@@ -40,8 +38,9 @@ from .exactnum import (
     sign_pow,
     stirling1_row,
 )
-# its one reader here is the benchmark probe at perfbench/child.py:183; it goes when
-# that probe reads newton.s1_poly (ROADMAP item 21)
+# the benchmark harness reads these two here: s1_poly at perfbench/child.py:183, the
+# recursion at perfbench/tracer.py:48; each goes when it reads them at home (ROADMAP item 21)
+from .exactnum import hyper_sum_bruteforce  # noqa: F401
 from .newton import s1_poly  # noqa: F401
 from .polyring import RatPoly, sum_of_products, to_N_frame
 
@@ -52,38 +51,6 @@ class HyperSumPoly(namedtuple("HyperSumPoly", "m r poly")):
     """S(m, r, n) as a polynomial in n; the route that built it is named by its ``ROUTES`` key."""
 
     __slots__ = ()
-
-
-# -- the defining recursion (value oracle) ------------------------------------
-
-
-def value_table(m: int, r_max: int, n_max: int) -> Iterator[list[int]]:
-    """The rows [S(m, r, 0), ..., S(m, r, n_max)] for r = 0, ..., r_max, in order.
-
-    Straight from the defining recursion: row 0 is [i^m] with 0^0 = 1, and
-    row r is the prefix sums of row r-1 from i = 1, so the empty sum makes
-    S(m, r, 0) = 0 for r >= 1.  The rows are yielded one at a time and only
-    the latest is kept.
-    """
-    if m < 0 or r_max < 0 or n_max < 0:
-        raise DomainError(f"need m, r, n >= 0, got ({m}, {r_max}, {n_max})")
-    row = [i**m for i in range(n_max + 1)]
-    yield row
-    for _ in range(r_max):
-        row = [0, *accumulate(islice(row, 1, None))]
-        yield row
-
-
-def hyper_sum_bruteforce(m: int, r: int, n: int) -> int:
-    """S(m, r, n) straight from the defining recursion: the last row of
-    :func:`value_table`.
-
-    Conventions: 0^0 = 1, so (m, r, n) = (0, 0, 0) gives 1; for r >= 1 the
-    empty sum at n = 0 gives 0.
-    """
-    for row in value_table(m, r, n):
-        pass
-    return row[n]
 
 
 # -- power sums and the expansion over them -----------------------------------

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
 
-from . import hypersum, newton
+from . import exactnum, hypersum, newton
 from .exactnum import CrossCheckError, DomainError, r_stirling1, rational_to_json
 from .polyring import RatPoly, poly_to_json, sum_of_products
 
@@ -109,7 +109,7 @@ def check_routes(m_max: int, r_max: int, n_max: int) -> Checks:
     """Five-way route equality, evaluation against the defining recursion at n = 0..m + r
     at least, which proves a route of degree m + r, and the leading-coefficient law m!/(m+r)!."""
     for m in range(1, m_max + 1):
-        rows = hypersum.value_table(m, r_max, max(n_max, m + r_max))
+        rows = exactnum.value_table(m, r_max, max(n_max, m + r_max))
         next(rows)  # r = 0
         for r, row in enumerate(rows, 1):
             cell = {"m": m, "r": r}

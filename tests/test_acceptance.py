@@ -16,14 +16,13 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 
-from hypersums.exactnum import bernoulli, r_stirling1, sign_pow
+from hypersums.exactnum import bernoulli, hyper_sum_bruteforce, r_stirling1, sign_pow
 from hypersums.hessenberg import HessenbergMatrix, build_matrix, det
 from hypersums.hypersum import (
     ROUTES,
     coffey_residual,
     faulhaber_det,
     faulhaber_r1,
-    hyper_sum_bruteforce,
     hyper_sum_det,
     hyper_sum_poly,
     hyper_sum_poly_c,

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -23,9 +24,9 @@ from hypersums.cli import (
     build_parser,
     main,
 )
-from hypersums.exactnum import DomainError, rising_factorial, sign_pow
+from hypersums.exactnum import DomainError, hyper_sum_bruteforce, rising_factorial, sign_pow
 from hypersums.hessenberg import build_matrix, leading_minor
-from hypersums.hypersum import hyper_sum_bruteforce, hyper_sum_poly
+from hypersums.hypersum import hyper_sum_poly
 from hypersums.newton import hyper_sum_newton
 from hypersums.polyring import RatPoly, poly_to_json
 from conftest import check_poly_blob, run_main, spy, table_fault
@@ -133,7 +134,7 @@ def test_bruteforce_work_budget_exit_2_before_computing(monkeypatch, fmt, m, r, 
     assert code == 0
     value = int(out) if fmt == "text" else int(json.loads(out)["value"][0])
     assert value == hyper_sum_newton(m, r, n)
-    monkeypatch.setattr("hypersums.hypersum.value_table", lambda *a: pytest.fail("computed"))
+    monkeypatch.setattr("hypersums.exactnum.value_table", lambda *a: pytest.fail("computed"))
     code, out, err = run_cli_full(*argv, "--n", str(n + 1))
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and f"<= {MAX_BRUTEFORCE_WORK}" in err
@@ -767,6 +768,36 @@ def test_a_lower_digit_limit_is_raised_while_a_request_is_served():
         sys.set_int_max_str_digits(limit)
     assert [code for code, _, _ in clean] == [0, 0, 0]
     assert limited == clean
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python < 3.10.7")
+def test_requests_served_at_once_in_threads_never_lower_the_digit_limit(monkeypatch):
+    # each call once restored the limit it found, which another call had raised, under a
+    # call still printing: 4-14 of the 80 calls raised ValueError
+    def serve(i: int) -> None:
+        try:
+            codes[i] = main(["eval", "--m", "200", "--r", "200", "--n", str(100000 + i)])
+        except Exception as exc:
+            codes[i] = exc
+
+    monkeypatch.setattr(sys, "stdout", open(os.devnull, "w"))
+    limit, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
+    sys.set_int_max_str_digits(640)
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            codes = [None] * 8
+            threads = [threading.Thread(target=serve, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert codes == [0] * 8
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.setswitchinterval(interval)
+        sys.set_int_max_str_digits(limit)
+        sys.stdout.close()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

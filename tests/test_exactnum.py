@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, lcm
@@ -262,6 +263,7 @@ def test_each_step_of_a_grown_table_runs_once_and_in_order():
 
     def step(entries: list[int]) -> int:
         steps.append(len(entries))
+        time.sleep(0)  # yields the GIL, so that an unlocked table steps in two threads at once
         return 3 * entries[-1] + len(entries)
 
     one_thread = GrownTable(1, step)

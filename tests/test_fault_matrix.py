@@ -28,7 +28,7 @@ from hypersums.verify import DEFAULT_GRID, GRID_CHECKS, run_all
 from conftest import run_main, table_fault
 
 
-def value_table_off_by_one(m: int, r_max: int, n_max: int, real=hypersum.value_table):
+def value_table_off_by_one(m: int, r_max: int, n_max: int, real=exactnum.value_table):
     """The recursion table with the one entry S(3, 2, 4) one too large."""
     for r, row in enumerate(real(m, r_max, n_max)):
         if (m, r) == (3, 2):
@@ -119,7 +119,7 @@ def inject(kind: str, where, request, monkeypatch):
     if kind == "newton-weight":
         request.getfixturevalue("wrong_newton_weight")
     elif kind == "value-table":
-        monkeypatch.setattr(hypersum, "value_table", value_table_off_by_one)
+        monkeypatch.setattr(exactnum, "value_table", value_table_off_by_one)
     elif kind == "route":
         flipped = changed_at(
             hypersum.ROUTES[where], (3, 2), lambda h: h._replace(poly=h.poly.scale(-1))

@@ -12,13 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersums import exactnum, hessenberg, hypersum
-from hypersums.exactnum import CrossCheckError, DomainError, bernoulli
+from hypersums.exactnum import (
+    CrossCheckError,
+    DomainError,
+    bernoulli,
+    hyper_sum_bruteforce,
+    value_table,
+)
 from hypersums.hypersum import (
     ROUTES,
     coffey_residual,
     faulhaber_det,
     faulhaber_r1,
-    hyper_sum_bruteforce,
     hyper_sum_det,
     hyper_sum_poly,
     hyper_sum_poly_c,
@@ -27,7 +32,6 @@ from hypersums.hypersum import (
     lemma_recurrence_family,
     power_sum_poly,
     q_poly,
-    value_table,
 )
 from hypersums.newton import (
     faulhaber_u_form,

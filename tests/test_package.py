@@ -104,7 +104,8 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 HESSENBERG, HYPERSUM = "hypersums.hessenberg", "hypersums.hypersum"
 # request -> the modules of WATCHED it loads: the Newton path serves eval, poly and table,
-# det reads the matrix, and only a route or the recursion asked for by name loads the routes
+# det reads the matrix, only a route asked for by name loads the routes, and the recursion
+# that checks eval --method bruteforce is in exactnum, which every request loads
 COLD_LOADS = {
     "": set(),
     "eval --m 5 --r 3 --n 9": set(),
@@ -114,7 +115,7 @@ COLD_LOADS = {
     "table --max-m 3 --max-r 2 --n 4": set(),
     "det --m 5 --r 3": {HESSENBERG},
     "eval --m 5 --r 3 --n 9 --method q": {HESSENBERG, HYPERSUM},
-    "eval --m 5 --r 3 --n 9 --method bruteforce": {HESSENBERG, HYPERSUM},
+    "eval --m 5 --r 3 --n 9 --method bruteforce": set(),
 }
 # json is imported by the JSON output paths alone
 WATCHED = {"dataclasses", "inspect", "typing", "json", "hypersums.verify", HESSENBERG, HYPERSUM}

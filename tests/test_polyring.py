@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersums import polyring
-from hypersums.hypersum import hyper_sum_bruteforce
+from hypersums.exactnum import hyper_sum_bruteforce
 from hypersums.polyring import (
     RatPoly,
     monomial,
