@@ -14,6 +14,8 @@ module produces that polynomial by five independent methods:
                               centered factor G in N_r = n + r/2,
 * ``hyper_sum_det``        -- Hessenberg determinant formula.
 
+The ``q`` and ``c`` routes read one memo of Stirling weights per order,
+:func:`_stirling_weights`, and keep their own formula and kernel call.
 All routes return polynomials in the n-frame; the centered (N) and product
 (u = n(n+r)) frames are produced by explicit conversions so that
 cross-method comparison is always same-frame.  The paper's centered factor G,
@@ -35,7 +37,6 @@ from .exactnum import (
     GrownTable,
     bernoulli_row,
     memo,
-    sign_pow,
     stirling1_row,
 )
 # the benchmark harness reads these two here: s1_poly at perfbench/child.py:183, the
@@ -73,16 +74,19 @@ def power_sum_poly(m: int) -> RatPoly:
 
 
 @memo
-def q_poly(r: int, i: int) -> RatPoly:
-    """Weight polynomial of degree r-i multiplying the (m+i)-th power sum.
+def _stirling_weights(r: int) -> tuple[tuple[int, ...], ...]:
+    """Row i < r holds C(i+j, i) [r, i+j+1] for j < r - i, over the unsigned first-kind
+    Stirling row [r, .]: the coefficients of q_{r-1,i}(x), and of W_i(x) = q_{r-1,i}(-x)."""
+    row = stirling1_row(r)
+    return tuple(tuple(comb(i + j, i) * row[i + j + 1] for j in range(r - i)) for i in range(r))
 
-    q_{r,i}(n) = sum_{j=0}^{r-i} C(i+j, i) [r+1, i+j+1] n^j over the unsigned
-    first-kind Stirling triangle; q_{0,0} = 1.
-    """
+
+def q_poly(r: int, i: int) -> RatPoly:
+    """The weight q_{r,i}(n) = sum_{j=0}^{r-i} C(i+j, i) [r+1, i+j+1] n^j of the (m+i)-th
+    power sum, row i of :func:`_stirling_weights` (r + 1); q_{0,0} = 1."""
     if i < 0 or i > r:
         raise DomainError(f"need 0 <= i <= r, got (r={r}, i={i})")
-    row = stirling1_row(r + 1)
-    return RatPoly.from_integers([comb(i + j, i) * row[i + j + 1] for j in range(r - i + 1)], 1)
+    return RatPoly.from_integers(_stirling_weights(r + 1)[i], 1)
 
 
 @memo
@@ -97,39 +101,28 @@ def hyper_sum_poly_q(m: int, r: int) -> HyperSumPoly:
         raise DomainError(f"the power-sum expansion needs r >= 1, got {r}")
     weight = factorial(r - 1)
     pairs = []
-    for i in range(r):
-        q = q_poly(r - 1, i)
-        signed = tuple(-a for a in q.numerators) if i % 2 else q.numerators
-        pairs.append(((signed, weight * q.denominator), power_sum_poly(m + i)))
+    for i, q in enumerate(_stirling_weights(r)):
+        signed = tuple(-a for a in q) if i % 2 else q
+        pairs.append(((signed, weight), power_sum_poly(m + i)))
     return HyperSumPoly(m, r, sum_of_products(pairs))
 
 
 # -- explicit coefficients ----------------------------------------------------
 
 
-@memo
-def _c_weights(r: int) -> tuple[tuple[int, ...], ...]:
-    """The integer coefficients of W_i(x) = sum_{j<r-i} (-1)^j C(i+j, i) [r, i+j+1] x^j
-    for i < r, over the unsigned first-kind Stirling row [r, .]."""
-    row = stirling1_row(r)
-    return tuple(
-        tuple(sign_pow(j) * comb(i + j, i) * row[i + j + 1] for j in range(r - i))
-        for i in range(r)
-    )
-
-
 def hyper_sum_poly_c(m: int, r: int) -> HyperSumPoly:
     """S(m, r) from the explicit coefficients c^1, ..., c^{m+r}.
 
     c^k is (-1)^(m+1-k) / (r-1)! times the coefficient of x^k in the sum of
-    r products W_i(x) P_i(x), with W_i from :func:`_c_weights` and
+    r products W_i(x) P_i(x), with W_i(x) = q_{r-1,i}(-x) from :func:`_stirling_weights` and
     P_i(x) = sum_{e>=1} C(m+i+1, e) B_{m+i+1-e} x^e / (m+i+1), the Bernoulli
     polynomial row m+i+1 over m+i+1.  The r products are one kernel call.
     """
     if m < 0 or r < 1:
         raise DomainError(f"need m >= 0 and r >= 1, got ({m}, {r})")
     pairs = []
-    for i, weights in enumerate(_c_weights(r)):
+    for i, q in enumerate(_stirling_weights(r)):
+        weights = tuple(-a if j % 2 else a for j, a in enumerate(q))
         row, den = bernoulli_row(m + i + 1)
         # the row's D divides the short W_i: reducing the long row by it would cost more
         pairs.append(((weights, den), (row, m + i + 1)))

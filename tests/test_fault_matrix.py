@@ -54,12 +54,12 @@ def normaliser_negated(d: RatPoly, m: int, real=newton.det_to_factor) -> RatPoly
     return real(d, m).scale(-1)
 
 
-def changed_at(fn, cell: tuple[int, int], change):
-    """``fn(m, r)``, with ``change`` applied to its value at ``cell`` alone."""
+def changed_at(fn, cell: tuple[int, ...], change):
+    """``fn(*args)``, with ``change`` applied to its value at ``args == cell`` alone."""
 
-    def wrong(m: int, r: int):
-        value = fn(m, r)
-        return change(value) if (m, r) == cell else value
+    def wrong(*args: int):
+        value = fn(*args)
+        return change(value) if args == cell else value
 
     return wrong
 
@@ -70,7 +70,7 @@ FAULTS = (
     + [("newton-weight", 4), ("value-table", 2)]
     + [("route", name) for name in hypersum.ROUTES]  # the sign flipped at (3, 2)
     + [("provider", cell) for cell in ((1, 1), (4, 0), (5, 3), (10, 6), (0, 3))]  # doubled there
-    + [("r-stirling", (5, 2)), ("bernoulli-row", (6, 3))]
+    + [("r-stirling", (5, 2)), ("bernoulli-row", (6, 3)), ("stirling-weight", (4, 1))]
     + [("spurious-term", "q"), ("minor-step", 3), ("normaliser", "negated")]
     + [("newton-factor", "no-parity")]
 )
@@ -93,9 +93,12 @@ ALONE = {
 # right, and the degree says so.  The minor step is shared by det and the minor tables,
 # so the Newton factor is what catches it; h[4,1] is the first nonzero entry it reaches.
 # The normalisation of a determinant to G is shared by the det route and ``det``, so
-# again the Newton factor is what catches it there.
+# again the Newton factor is what catches it there.  The q and c routes and q_poly read
+# one Stirling weight table, and c is q at -x with its signs restored, so a wrong weight
+# leaves them equal: the r-Stirling numbers and the other routes catch it.
 FAILS_AT = {
     ("bernoulli-row", (6, 3)): ("route-equality[q=lemma]", {"m": 5, "r": 1}, ""),
+    ("stirling-weight", (4, 1)): ("weights-vs-r-stirling", {"r": 3, "i": 1}, "n=0"),
     ("spurious-term", "q"): ("leading-coefficient", {"m": 3, "r": 2}, "degree 6"),
     ("minor-step", 3): ("centered-factor[det=newton]", {"m": 5, "r": 1}, ""),
     ("normaliser", "negated"): ("centered-factor[det=newton]", {"m": 4, "r": 2}, ""),
@@ -120,6 +123,14 @@ def inject(kind: str, where, request, monkeypatch):
         request.getfixturevalue("wrong_newton_weight")
     elif kind == "value-table":
         monkeypatch.setattr(exactnum, "value_table", value_table_off_by_one)
+    elif kind == "stirling-weight":  # entry 0 of row i of the weight table of r raised by 1
+        r, i = where
+        raised = changed_at(
+            hypersum._stirling_weights,
+            (r,),
+            lambda rows: (*rows[:i], (rows[i][0] + 1, *rows[i][1:]), *rows[i + 1 :]),
+        )
+        monkeypatch.setattr(hypersum, "_stirling_weights", raised)
     elif kind == "route":
         flipped = changed_at(
             hypersum.ROUTES[where], (3, 2), lambda h: h._replace(poly=h.poly.scale(-1))
@@ -173,7 +184,8 @@ def test_every_family_alone_catches_a_fault():
 def served_requests():
     """At (3, 2), (4, 1) and (5, 2): eval by auto and each route at n = 4 and 10^12 and by
     bruteforce at n = 4, poly in each frame and format and --factored, det --at; poly
-    --var n and poly --m 0, which read C(n+r, r+1) for r + 1 = 3..7; one small table."""
+    --var n and poly --m 0, which read C(n+r, r+1) for r + 1 = 3..7; eval by q and c at
+    (3, 4), which read the Stirling weight table of r = 4; one small table."""
     for m, r in ((3, 2), (4, 1), (5, 2)):
         cell = ("--m", str(m), "--r", str(r))
         for fmt in ("text", "json"):
@@ -191,6 +203,8 @@ def served_requests():
     for r in range(2, 7):
         yield ("poly", "--m", "2", "--r", str(r))
         yield ("poly", "--m", "0", "--r", str(r + 1))
+    for method in ("q", "c"):
+        yield ("eval", "--m", "3", "--r", "4", "--n", "4", "--method", method)
     for fmt in ("text", "json", "csv"):
         yield ("table", "--max-m", "4", "--max-r", "2", "--n", "7", "--format", fmt)
 
@@ -204,6 +218,9 @@ def pinned(kind: str, where, argv: tuple[str, ...]) -> str | None:
     the stderr line that this text starts after ``internal error: ``; None leaves it free."""
     command, m = argv[0], int(argv[argv.index("--m" if "--m" in argv else "--max-m") + 1])
     method = argv[argv.index("--method") + 1] if "--method" in argv else "auto"
+    if kind == "stirling-weight":  # only the q and c routes read the weight table of r
+        r = int(argv[argv.index("--r") + 1]) if "--r" in argv else None
+        return "polynomial route" if method in ("q", "c") and r == where[0] else CLEAN
     if kind == "bernoulli":  # only det and the routes read a Bernoulli number, det B_2..B_(m-1)
         if command == "det" and m > where:
             return "the determinant differs from the Newton factor"
