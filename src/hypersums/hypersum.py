@@ -20,7 +20,9 @@ All routes return polynomials in the n-frame; the centered (N) and product
 (u = n(n+r)) frames are produced by explicit conversions so that
 cross-method comparison is always same-frame.  The paper's centered factor G,
 with S(m, r, n) = S(1, r, n) G(n + r/2), is a plain ``RatPoly``; the ``lemma`` and
-``det`` routes grow G in m, in one ``GrownTable`` per r, which is all they cache.
+``det`` routes grow G in m, in one ``GrownTable`` per r each.  Beside the tables,
+``faulhaber_det`` is a memo of (m, r), and the expansion of G in n, which the two
+routes share, a memo of G, so that equal factors are expanded once.
 The served path, the Newton weights and what is built from them alone, lives in
 :mod:`hypersums.newton`: the routes read its ``det_to_factor`` and ``expand_factor``
 through that module.  Everything is exact.
@@ -186,7 +188,7 @@ def _lemma_table(r: int) -> GrownTable:
 
 class _LemmaFamily:
     """S(1, r) ... S(m_max, r), read from the table of centered factors of r, grown to
-    m_max; member m is :func:`newton.expand_factor` of G(m, r), each time it is read.
+    m_max; member m is :func:`newton.expand_factor` of G(m, r), read when asked for.
     Iteration runs through ``__getitem__`` up to its ``IndexError``."""
 
     __slots__ = ("_table", "_m_max")
@@ -225,13 +227,15 @@ def lemma_recurrence_family(m_max: int, r: int) -> _LemmaFamily:
 # -- determinant route ---------------------------------------------------------
 
 
+@memo
 def faulhaber_det(m: int, r: int) -> RatPoly:
     """The centered factor G(m, r) in N_r = n + r/2, from the Hessenberg determinant.
 
     :func:`newton.det_to_factor` of the leading principal minor of order m - 1 at r, read
-    from the minor table of r, the only cache of the det route: growing m at
-    fixed r adds one minor.  S(m, r, n) = S(1, r, n) G(N_r); for r >= 1, G has
-    the parity of m - 1 and alternating signs.
+    from the minor table of r: growing m at fixed r adds one minor.  A memo, so that
+    the ``det`` route and the checks of G normalise each minor once.
+    S(m, r, n) = S(1, r, n) G(N_r); for r >= 1, G has the parity of m - 1 and
+    alternating signs.
     """
     return newton.det_to_factor(hessenberg.leading_minor(m - 1, r), m)
 

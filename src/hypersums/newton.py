@@ -20,11 +20,11 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, factorial
 
-# to_n_frame is read through its module, so that a wrapper set on the module
-# (perfbench/tracer.py's layers, a test's patch) reaches this reader too
+# _taylor_shift is read through its module, so that a test's patch of the one shift
+# of the package reaches the expansion too
 from . import polyring
 from .exactnum import CrossCheckError, DomainError, memo, rising_factorial, sign_pow
-from .polyring import RatPoly, to_u_form
+from .polyring import RatPoly, sum_of_products, to_u_form
 
 
 def _surjection_counts(m: int) -> tuple[int, ...]:
@@ -116,10 +116,20 @@ def det_to_factor(d: RatPoly, m: int) -> RatPoly:
     return RatPoly.from_integers(d.numerators, scale * d.denominator, "N", d.r)
 
 
+@memo
 def expand_factor(g: RatPoly) -> RatPoly:
     """S(m, r) in n from its centered factor g = G(m, r) in N_r = n + r/2:
-    C(n+r, r+1) g(n + r/2), the paper's S_m^(r) = S_1^(r) G(N_r), written once."""
-    return s1_poly(g.r) * polyring.to_n_frame(g)
+    C(n+r, r+1) g(n + r/2), the paper's S_m^(r) = S_1^(r) G(N_r), written once.
+
+    One integer pass: the Taylor shift of g by r/2, unreduced, times :func:`s1_poly`,
+    normalised once.  A memo of g, so that the ``lemma`` and ``det`` routes, which
+    grow equal factors, expand each once.  g is refused as ``to_n_frame`` refuses it."""
+    if g.var != "N":
+        raise ValueError(f"to_n_frame expects an N-frame polynomial, got {g.var!r}")
+    r = g.r
+    s, q = (r, 2) if r % 2 else (r // 2, 1)  # r/2 in lowest terms
+    nums, q_d = polyring._taylor_shift(g.numerators, s, q)
+    return sum_of_products([((tuple(nums), g.denominator * q_d), s1_poly(r))])
 
 
 def faulhaber_u_form(m: int, r: int) -> tuple[RatPoly, str]:

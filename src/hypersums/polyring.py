@@ -206,27 +206,12 @@ class RatPoly:
         return None
 
     def shift(self, c: Rational | int) -> RatPoly:
-        """The composed polynomial p(x + c), expanded; same frame.
-
-        With c = s/q and degree d, q^d p(y/q + c) = h(y + s) where
-        h(y) = sum a_k q^(d-k) y^k; the Taylor shift of h by the integer s is
-        done in place by repeated synthetic division, and x^j picks up q^j.
-        """
+        """The composed polynomial p(x + c), expanded; same frame (:func:`_taylor_shift`)."""
         c = Fraction(_exact(c, "a shift"))
         if not c or not self.numerators:
             return self
-        s, q = c.numerator, c.denominator
-        d = len(self.numerators) - 1
-        q_pows = [1]
-        for _ in range(d):
-            q_pows.append(q_pows[-1] * q)
-        h = [a * q_pows[d - k] for k, a in enumerate(self.numerators)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                h[j] += s * h[j + 1]
-        return _primitive(
-            [a * pw for a, pw in zip(h, q_pows)], self.denominator * q_pows[d], self.var, self.r
-        )
+        nums, q_d = _taylor_shift(self.numerators, c.numerator, c.denominator)
+        return _primitive(nums, self.denominator * q_d, self.var, self.r)
 
     def parity(self) -> str:
         """"even" | "odd" | "neither"; the zero polynomial counts as even."""
@@ -240,6 +225,26 @@ class RatPoly:
 
     def __str__(self) -> str:
         return to_text(self)
+
+
+def _taylor_shift(nums, s: int, q: int) -> tuple[list[int], int]:
+    """(h, q^d) with sum h[j] x^j / q^d = a(x + s/q), for a(x) = sum nums[k] x^k of
+    degree d and q > 0: the one Taylor shift of the package, in integers.
+
+    q^d a(y/q + s/q) = b(y + s) where b(y) = sum nums[k] q^(d-k) y^k; the shift of
+    b by the integer s is done in place by repeated synthetic division, and
+    y^j = (q x)^j picks up q^j.  Nothing is reduced.
+    """
+    d = len(nums) - 1
+    q_pows = [1]
+    for _ in range(d):
+        q_pows.append(q_pows[-1] * q)
+    h = [a * q_pows[d - k] for k, a in enumerate(nums)]
+    if s:
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                h[j] += s * h[j + 1]
+    return [a * pw for a, pw in zip(h, q_pows)], q_pows[-1]
 
 
 # -- sums of products -------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersums import exactnum, hessenberg, hypersum, newton
+from hypersums import exactnum, hessenberg, hypersum, newton, polyring
 from hypersums.exactnum import bernoulli, bernoulli_row
 from hypersums.polyring import RatPoly, monomial, sum_of_products
 from hypersums.verify import DEFAULT_GRID, GRID_CHECKS, run_all
@@ -176,6 +176,27 @@ def test_every_family_alone_catches_a_fault():
     for family in GRID_CHECKS:
         names = {c.name for c in family(2, 2, 2)}  # read off a small grid
         assert any(failed <= names for failed in ALONE.values()), family.__name__
+
+
+def test_a_wrong_shift_at_odd_r_fails_both_routes_that_expand(monkeypatch):
+    # the lemma and det routes share one memoised expansion, which runs the one Taylor
+    # shift: a wrong shift must fail both routes, not hide behind the memo
+    real = polyring._taylor_shift
+
+    def wrong_at_half_steps(nums, s: int, q: int):
+        h, q_d = real(nums, s, q)
+        if q == 2 and h:  # a shift by r/2 at odd r
+            h[0] += q_d
+        return h, q_d
+
+    exactnum.clear_derived_caches()
+    monkeypatch.setattr(polyring, "_taylor_shift", wrong_at_half_steps)
+    try:
+        report = run_all(*DEFAULT_GRID)
+    finally:
+        exactnum.clear_derived_caches()
+    failed = {c.name for c in report.failures}
+    assert {"route-equality[q=lemma]", "route-equality[q=det]"} <= failed
 
 
 # -- the CLI under every fault -----------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import hypersums
-from hypersums import cli, exactnum, hessenberg, hypersum, polyring, verify
+from hypersums import cli, exactnum, hessenberg, hypersum, newton, verify
 from hypersums.hypersum import ROUTES, faulhaber_det
 from hypersums.newton import hyper_sum_newton, newton_factor
 from hypersums.polyring import RatPoly
@@ -131,11 +131,22 @@ def test_the_lemma_family_grows_its_table_to_m_max_in_the_call(monkeypatch, m_ma
 def test_reading_one_member_of_a_cold_lemma_family_converts_one_factor(monkeypatch):
     expected = hypersum.hyper_sum_det(30, 7)
     exactnum.clear_derived_caches()
-    calls = spy(monkeypatch, polyring, "to_n_frame")
+    expansions = spy(monkeypatch, newton, "expand_factor")
     family = hypersum.lemma_recurrence_family(30, 7)
-    assert calls == []
+    assert expansions == []
     assert family[29] == expected
-    assert calls == [(faulhaber_det(30, 7),)]
+    assert expansions == [(faulhaber_det(30, 7),)]
+
+
+def test_the_lemma_and_det_routes_expand_their_equal_factor_once(monkeypatch):
+    exactnum.clear_derived_caches()
+    normalised = spy(monkeypatch, newton, "det_to_factor")
+    assert ROUTES["lemma"](9, 4) == ROUTES["det"](9, 4)
+    info = newton.expand_factor.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the centered-factor check reads the det route's factor again
+    assert faulhaber_det(9, 4) == hypersum._lemma_table(4)[8]
+    assert len(normalised) == 1
 
 
 def test_the_lemma_route_multiplies_no_polynomial_longer_than_its_factor(monkeypatch):
@@ -191,7 +202,11 @@ def test_the_flush_empties_every_memo_of_the_package():
     }
     # every memo registered with the flush is one of them
     assert {id(clear.__self__) for clear in exactnum._DERIVED_CACHES} == set(map(id, memos.values()))
-    assert {"hypersums.hypersum.hyper_sum_poly_q"} <= set(memos)
+    assert {
+        "hypersums.hypersum.hyper_sum_poly_q",
+        "hypersums.hypersum.faulhaber_det",
+        "hypersums.newton.expand_factor",
+    } <= set(memos)
     assert [name for name, fn in memos.items() if not fn.cache_info().currsize] == []
     exactnum.clear_derived_caches()
     assert [name for name, fn in memos.items() if fn.cache_info().currsize] == []

@@ -34,13 +34,14 @@ from hypersums.hypersum import (
     q_poly,
 )
 from hypersums.newton import (
+    expand_factor,
     faulhaber_u_form,
     hyper_sum_newton,
     newton_factor,
     newton_weights,
     s1_poly,
 )
-from hypersums.polyring import RatPoly, monomial
+from hypersums.polyring import RatPoly, monomial, to_n_frame
 from hypersums.verify import run_all, run_grid
 from conftest import spy, table_fault
 
@@ -88,6 +89,19 @@ def test_s1_poly_matches_binomial(r):
     # S(1, r, n) = C(n+r, r+1), the paper's m = 1 display
     for n in range(10):
         assert s1_poly(r).eval(n) == comb(n + r, r + 1) == hyper_sum_bruteforce(1, r, n)
+
+
+@pytest.mark.parametrize("r", range(8))
+def test_the_expansion_is_s1_times_the_factor_in_n(r):
+    # the one integer pass against the product of two normalised polynomials
+    for d in range(-1, 13):  # d = -1: the zero polynomial
+        coeffs = [Fraction((-1) ** k * (3 * k + r + 1), 2 * k + 1 + r % 3) for k in range(d + 1)]
+        g = RatPoly(coeffs, "N", r)
+        assert expand_factor(g) == s1_poly(r) * to_n_frame(g), d
+    with pytest.raises(ValueError) as refused:
+        to_n_frame(RatPoly([1, 2]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        expand_factor(RatPoly([1, 2]))
 
 
 # -- power sums -------------------------------------------------------------------

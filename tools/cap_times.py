@@ -1,6 +1,7 @@
 """Time the CLI at its caps, one fresh process per run, as a Markdown table.
 
-Each request of ROADMAP.md's "CLI wall times" table runs as
+Each request of ROADMAP.md's "CLI wall times" table, and ``verify`` at the
+benchmark's median grid (11, 6, 16), runs as
 ``python -m hypersums.cli`` on this checkout's ``src/``, with
 ``PYTHONDONTWRITEBYTECODE=1`` so that every run compiles the package afresh, and
 its best wall time of 3 runs is printed beside that of ``python -c pass``, the
@@ -31,6 +32,7 @@ REQUESTS = (
     "det --m 200 --r 200 --at 3",
     "det --m 200 --r 1",
     "verify",
+    "verify --max-m 11 --max-r 6 --max-n 16",
     "verify --max-m 30 --max-r 15 --max-n 100",
     "table --max-m 100 --max-r 100 --n 1000000",
     "table --max-m 100 --max-r 100 --n 1000000 --format json",
